@@ -373,6 +373,11 @@ class MomentMatrix:
     words: list[tuple]
     gamma: Array
 
+    @property
+    def embedded_side(self) -> int:
+        """Side of the real symmetric block the solver works on: twice ``gamma``'s."""
+        return 2 * self.gamma.shape[0]
+
     def _index(self, word: tuple) -> int:
         return self.words.index(word)
 

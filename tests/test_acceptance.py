@@ -1,318 +1,28 @@
-"""Acceptance battery: the headline numbers and guarantees, one criterion per
-test, each printing a single pass/fail line."""
+"""Acceptance battery: one test per entry of ``cli.CRITERIA``, the registry that
+``steercert reproduce`` runs, each printing a single pass/fail line."""
 
-import time
-
-import numpy as np
 import pytest
 
-from steercert.assemblages import (
-    BWI,
-    TRADITIONAL,
-    ScenarioShape,
-    SequentialShape,
-    bell_correlations,
-    chsh_value,
-    instrumental_from_bwi,
-    instrumental_membership,
-    pauli_transpose_assemblage,
-    pr_box_assemblage,
-    random_ns_sequential,
-    random_ns_traditional,
-    random_quantum_bwi,
-)
-from steercert.ghjw import (
-    ghjw_sequential,
-    ghjw_traditional,
-    instrumental_pauli_model,
-    reconstruct_instrumental,
-    reconstruct_sequential,
-    reconstruct_traditional,
-)
-from steercert.matcore import PAULIS
-from steercert.ptp import choi, pauli_action, ptp_bell_model, transpose_bell_spec
-from steercert.steering import (
-    SteeringFunctional,
-    build_qtilde_problem,
-    canonical_functional,
-    canonical_instrumental_functional,
-    evaluate,
-    lhs_bound,
-    ns_bound,
-    qtilde_instrumental_bound,
-    qtilde_membership,
-    qtilde_solution,
-)
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
-
-
-def report(capsys, index, passed, detail):
-    verdict = "PASS" if passed else "FAIL"
-    with capsys.disabled():
-        print(f"CRITERION {index}: {verdict} - {detail}")
-    return passed
+from steercert import cli
 
 
 @pytest.fixture(scope="module")
-def functional():
-    return canonical_functional()
+def battery():
+    return cli.BatteryContext()
 
 
-@pytest.fixture(scope="module")
-def relaxation(functional):
-    start = time.perf_counter()
-    value, moment = qtilde_solution(functional)
-    return value, moment, time.perf_counter() - start
+def _criterion_test(index, check):
+    def test(capsys, battery):
+        passed, detail = check(battery)
+        with capsys.disabled():
+            print(f"CRITERION {index}: {'PASS' if passed else 'FAIL'} - {detail}")
+        assert passed, detail
+
+    return test
 
 
-def computational_basis():
-    return [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-
-
-def test_criterion_1_hidden_state_bound(capsys, functional):
-    start = time.perf_counter()
-    value, _ = lhs_bound(functional)
-    elapsed = time.perf_counter() - start
-    ok = abs(value - 1.2679) <= 1e-3 and elapsed < 30.0
-    assert report(
-        capsys, 1, ok,
-        f"hidden-state bound {value:.9f} vs 1.2679 within 1e-3 in {elapsed:.2f} s",
-    )
-
-
-def test_criterion_2_relaxation_bound(capsys, functional, relaxation):
-    value, _, elapsed = relaxation
-    side = int(build_qtilde_problem(functional).block_dims[0])
-    ok = abs(value - 0.4135) <= 5e-3 and side == 48 and elapsed < 60.0
-    assert report(
-        capsys, 2, ok,
-        f"relaxation bound {value:.9f} vs 0.4135 within 5e-3, embedded side {side}, "
-        f"in {elapsed:.2f} s",
-    )
-
-
-def test_criterion_3_no_signalling_bound(capsys, functional):
-    value = ns_bound(functional)
-    ok = abs(value) <= 1e-6
-    assert report(capsys, 3, ok, f"no-signalling bound {value:.3e} within 1e-6 of 0")
-
-
-def test_criterion_4_example_value_and_margin(capsys, functional, relaxation):
-    value = evaluate(functional, pauli_transpose_assemblage())
-    margin = relaxation[0] - abs(value)
-    ok = abs(value) <= 1e-10 and margin >= 0.4
-    assert report(
-        capsys, 4, ok,
-        f"example evaluates to {value:.3e} within 1e-10, margin {margin:.4f} >= 0.4",
-    )
-
-
-def test_criterion_5_box_statistics(capsys):
-    basis = computational_basis()
-    table = bell_correlations(pr_box_assemblage(), [basis, basis])
-    expected = np.zeros_like(table)
-    for a in range(2):
-        for b in range(2):
-            for x in range(2):
-                for y in range(2):
-                    if (a + b) % 2 == (x & y):
-                        expected[a, b, x, y] = 0.5
-    exact = bool(np.array_equal(table, expected))
-    value = float(chsh_value(table))
-    ok = exact and abs(value - 4.0) <= 1e-12
-    assert report(
-        capsys, 5, ok,
-        f"table exactly 1/2 iff a+b = xy: {exact}, value {value:.12f} vs 4 within 1e-12",
-    )
-
-
-def test_criterion_6_realization_roundtrips(capsys):
-    start = time.perf_counter()
-    worst_roundtrip = 0.0
-    worst_completeness = 0.0
-    for i in range(100):
-        shape = ScenarioShape(n_a=2, m_a=1 + i % 3, m_b=1, d=2, kind=TRADITIONAL)
-        sample = random_ns_traditional(shape, seed=i)
-        realization = ghjw_traditional(sample)
-        rebuilt = reconstruct_traditional(realization)
-        worst_roundtrip = max(
-            worst_roundtrip,
-            max(
-                float(
-                    np.linalg.norm(
-                        rebuilt.traditional_member(a, x) - sample.traditional_member(a, x)
-                    )
-                )
-                for a in range(shape.n_a)
-                for x in range(shape.m_a)
-            ),
-        )
-        worst_completeness = max(
-            worst_completeness,
-            max(
-                float(np.linalg.norm(sum(effects) - np.eye(2)))
-                for effects in realization.povms.values()
-            ),
-        )
-    seq_shape = SequentialShape(n_a1=2, m_x1=2, n_a2=2, m_x2=2, d=2)
-    for i in range(20):
-        sample = random_ns_sequential(seq_shape, seed=i)
-        realization = ghjw_sequential(sample)
-        rebuilt = reconstruct_sequential(realization)
-        worst_roundtrip = max(
-            worst_roundtrip,
-            max(
-                float(np.linalg.norm(rebuilt.member(*key) - sample.member(*key)))
-                for key in sample.members
-            ),
-        )
-        for elements in realization.kraus.values():
-            total = sum(element.conj().T @ element for element in elements)
-            worst_completeness = max(
-                worst_completeness, float(np.linalg.norm(total - np.eye(2)))
-            )
-        for effects in realization.povms.values():
-            worst_completeness = max(
-                worst_completeness, float(np.linalg.norm(sum(effects) - np.eye(2)))
-            )
-    elapsed = time.perf_counter() - start
-    ok = worst_roundtrip <= 1e-8 and worst_completeness <= 1e-9 and elapsed < 60.0
-    assert report(
-        capsys, 6, ok,
-        f"120 realizations: roundtrip {worst_roundtrip:.2e} <= 1e-8, completeness "
-        f"{worst_completeness:.2e} <= 1e-9, in {elapsed:.2f} s",
-    )
-
-
-def test_criterion_7_quantum_samples_stay_inside(capsys):
-    shape = ScenarioShape(n_a=2, m_a=2, m_b=2, d=2, kind=BWI)
-    basis = computational_basis()
-    feasible = 0
-    flagged = 0
-    for i in range(50):
-        sample = random_quantum_bwi(shape, seed=i)
-        membership = qtilde_membership(sample)
-        if membership.feasible:
-            feasible += 1
-        # A post-quantum certificate needs a decisive margin, a model-beating
-        # probability table, or a negative reconstructed-map eigenvalue; the
-        # last is unavailable here because sampled members are mixed.
-        decisively_outside = membership.margin < -1e-6
-        table = bell_correlations(sample, [basis, basis])
-        beats_models = float(chsh_value(table[:, :, :2, :2])) > TSIRELSON + 1e-6
-        if decisively_outside or beats_models:
-            flagged += 1
-    ok = feasible == 50 and flagged == 0
-    assert report(
-        capsys, 7, ok,
-        f"{feasible}/50 samples relaxation-feasible, {flagged} flagged post-quantum",
-    )
-
-
-def test_criterion_8_map_certificate_eigenvalue(capsys):
-    x_pauli, y_pauli, z_pauli = PAULIS
-    spec = pauli_action({"I": np.eye(2), "X": x_pauli, "Y": -y_pauli, "Z": z_pauli})
-    result = choi(spec)
-    value = result.min_eigenvalue()
-    ok = abs(value + 1.0) <= 1e-9 and result.trace_residual() <= 1e-9
-    assert report(
-        capsys, 8, ok,
-        f"reconstructed-map certificate eigenvalue {value:.12f} vs -1 within 1e-9",
-    )
-
-
-def test_criterion_9_model_ceiling_and_path_agreement(capsys):
-    spec = transpose_bell_spec()
-    rng = np.random.default_rng(9)
-    settings = [(y, z) for y in range(2) for z in range(2)]
-    worst_value = 0.0
-    worst_gap = 0.0
-    for _ in range(1000):
-        povms = []
-        for _z in range(2):
-            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            h = g @ g.conj().T
-            vals, vecs = np.linalg.eigh(h)
-            effect = (vecs * rng.uniform(size=2)) @ vecs.conj().T
-            povms.append([effect, np.eye(2) - effect])
-        result = ptp_bell_model(spec, povms)
-        for z, effects in enumerate(povms):
-            direct = bell_correlations(result.assemblage, [effects, effects])
-            worst_gap = max(
-                worst_gap, float(np.max(np.abs(result.table[:, :, :, :, z] - direct)))
-            )
-        for x1 in range(3):
-            for x2 in range(3):
-                if x1 == x2:
-                    continue
-                for i, first in enumerate(settings):
-                    for second in settings[i + 1 :]:
-                        for b1, b2 in ((first, second), (second, first)):
-                            sub = np.zeros((2, 2, 2, 2))
-                            for bi, (yy, zz) in enumerate((b1, b2)):
-                                sub[:, :, 0, bi] = result.table[:, :, x1, yy, zz]
-                                sub[:, :, 1, bi] = result.table[:, :, x2, yy, zz]
-                            worst_value = max(worst_value, abs(chsh_value(sub)))
-    ok = worst_value <= TSIRELSON + 1e-6 and worst_gap <= 1e-10
-    assert report(
-        capsys, 9, ok,
-        f"1000 effect pairs: max value {worst_value:.9f} <= 2*sqrt(2) + 1e-6, "
-        f"dual-path gap {worst_gap:.2e} <= 1e-10",
-    )
-
-
-def test_criterion_10_wired_example(capsys):
-    # The relaxation contains every quantum wired assemblage, so its bound
-    # cannot exceed the value of the explicit quantum model; the functional's
-    # coefficients are projectors, so no assemblage goes below 0.  The bound
-    # must therefore match the model's value, 0, to solver accuracy.
-    functional = canonical_instrumental_functional()
-    wired = instrumental_from_bwi(pauli_transpose_assemblage())
-    membership = instrumental_membership(wired)
-    value = evaluate(functional, wired)
-    modelled = reconstruct_instrumental(instrumental_pauli_model())
-    model_gap = max(
-        float(np.max(np.abs(modelled.member(*key) - wired.member(*key))))
-        for key in wired.members
-    )
-    model_value = evaluate(functional, modelled)
-    bound = qtilde_instrumental_bound(functional)
-    ok = (
-        membership.feasible
-        and abs(value) <= 1e-10
-        and model_gap <= 1e-10
-        and abs(bound - model_value) <= 1e-6
-    )
-    assert report(
-        capsys, 10, ok,
-        f"membership feasible: {membership.feasible}, post-selected value {value:.3e} "
-        f"within 1e-10, quantum model gap {model_gap:.2e} <= 1e-10, wired bound "
-        f"{bound:.3e} within 1e-6 of model value {model_value:.3e}",
-    )
-
-
-def test_criterion_11_bound_ordering(capsys):
-    shape = ScenarioShape(n_a=2, m_a=2, m_b=2, d=2, kind=BWI)
-    ordered = True
-    detail = "20 functionals ordered ns <= relaxation + 1e-6 <= lhs + 1e-6"
-    for i in range(20):
-        rng = np.random.default_rng(1000 + i)
-        coeffs = {}
-        for a in range(shape.n_a):
-            for x in range(shape.m_a):
-                for y in range(shape.m_b):
-                    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                    coeffs[(a, x, y)] = g @ g.conj().T / 2.0
-        functional = SteeringFunctional(shape=shape, coeffs=coeffs)
-        ns_value = ns_bound(functional)
-        qt_value, _ = qtilde_solution(functional)
-        lhs_value, _ = lhs_bound(functional)
-        if not (ns_value <= qt_value + 1e-6 and qt_value <= lhs_value + 1e-6):
-            ordered = False
-            detail = (
-                f"seed {1000 + i}: ns {ns_value:.8f}, relaxation {qt_value:.8f}, "
-                f"lhs {lhs_value:.8f} out of order"
-            )
-            break
-    assert report(capsys, 11, ordered, detail)
+# One named function per criterion rather than one parametrized test, so each
+# criterion keeps its test id ``test_criterion_<n>_<snake_name>``.
+for _index, (_name, _check) in enumerate(cli.CRITERIA, start=1):
+    _snake = _name.replace("-", "_").replace(" ", "_")
+    globals()[f"test_criterion_{_index}_{_snake}"] = _criterion_test(_index, _check)

@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from steercert import cli, serialize
+from steercert import cli, sdp, serialize
 from steercert.assemblages import (
     BWI,
     TRADITIONAL,
     BwiAssemblage,
+    MembershipReport,
     ScenarioShape,
     SequentialShape,
     pauli_transpose_assemblage,
@@ -227,6 +228,23 @@ class TestCertify:
         assert code == 2
         assert "trusted input" in err
 
+    def test_solver_log_reports_the_membership_status(self, capsys, monkeypatch):
+        def unconverged(status):
+            def membership(asm, tol=1e-8):
+                return MembershipReport(
+                    feasible=False, margin=np.nan, status=status, residuals={}, problem=None
+                )
+
+            return membership
+
+        monkeypatch.setattr(cli, "lhs_membership", unconverged(sdp.MAX_ITERATIONS))
+        monkeypatch.setattr(cli, "qtilde_membership", unconverged(sdp.NUMERICAL_TROUBLE))
+        _, doc, _ = run_json(capsys, "certify", "builtin:pr-box")
+        assert [(entry["context"], entry["status"]) for entry in doc["solver"]] == [
+            ("hidden-state membership", sdp.MAX_ITERATIONS),
+            ("relaxation membership", sdp.NUMERICAL_TROUBLE),
+        ]
+
 
 class TestGhjw:
     def test_traditional_realization_roundtrips(self, capsys, traditional_file):
@@ -304,6 +322,16 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce")
         assert code == 1
         assert "FAIL only" in out
+
+    def test_solver_failure_is_exit_three(self, capsys, monkeypatch):
+        def explode(ctx):
+            raise SolverFailure("did not converge")
+
+        (name, _), *rest = cli.CRITERIA
+        monkeypatch.setattr(cli, "CRITERIA", ((name, explode), *rest))
+        code, _, err = run(capsys, "reproduce")
+        assert code == 3
+        assert "did not converge" in err
 
 
 class TestReportDocument:
