@@ -7,7 +7,9 @@ and moment-matrix-relaxation sets with an in-house semidefinite solver, and
 extracts quantum realizations or post-quantum certificates.
 """
 
-from steercert import assemblages, cli, ghjw, matcore, ptp, sdp, serialize, steering
+# ``cli`` is not imported here: ``python -m steercert.cli`` would otherwise find
+# the module already loaded and warn.  ``from steercert import cli`` loads it.
+from steercert import assemblages, ghjw, matcore, ptp, sdp, serialize, steering
 
 __all__ = [
     "assemblages",

@@ -468,7 +468,8 @@ class MembershipReport:
     ``margin`` is positive when the instance sits strictly inside the set and
     negative when no point of the set matches; ``witness`` carries the found
     element (when feasible) and ``certificate_y`` a separating functional on
-    the problem's equality rows (when infeasible).
+    the problem's equality rows (when infeasible; ``None`` for the relaxation,
+    whose separating functional is the dual block of its LMI ``problem``).
     """
 
     feasible: bool

@@ -529,6 +529,12 @@ class BatteryContext:
         return self._relaxation
 
 
+def _exp(bound: float) -> str:
+    """A one-digit tolerance as the checks print it: ``1e-3``, ``5e-3``."""
+    mantissa, exponent = f"{bound:.0e}".split("e")
+    return f"{mantissa}e{int(exponent)}"
+
+
 def _random_psd_functional(shape: ScenarioShape, seed: int) -> SteeringFunctional:
     rng = np.random.default_rng(seed)
     coeffs = {}
@@ -543,40 +549,45 @@ def _random_psd_functional(shape: ScenarioShape, seed: int) -> SteeringFunctiona
 
 
 def _hidden_state_bound(ctx: BatteryContext) -> tuple[bool, str]:
+    target, tol, seconds = 1.2679, 1e-3, 30.0
     start = time.perf_counter()
     value, _ = lhs_bound(ctx.functional)
     elapsed = time.perf_counter() - start
     return (
-        abs(value - 1.2679) <= 1e-3 and elapsed < 30.0,
-        f"value {value:.9f} vs 1.2679 within 1e-3 in {elapsed:.2f} s",
+        abs(value - target) <= tol and elapsed < seconds,
+        f"value {value:.9f} vs {target} within {_exp(tol)} in {elapsed:.2f} s",
     )
 
 
 def _relaxation_bound(ctx: BatteryContext) -> tuple[bool, str]:
+    target, tol, expected_side, seconds = 0.4135, 5e-3, 48, 60.0
     value, moment, elapsed = ctx.relaxation()
     side = moment.embedded_side
     return (
-        abs(value - 0.4135) <= 5e-3 and side == 48 and elapsed < 60.0,
-        f"value {value:.9f} vs 0.4135 within 5e-3, embedded side {side}, "
+        abs(value - target) <= tol and side == expected_side and elapsed < seconds,
+        f"value {value:.9f} vs {target} within {_exp(tol)}, embedded side {side}, "
         f"in {elapsed:.2f} s",
     )
 
 
 def _no_signalling_bound(ctx: BatteryContext) -> tuple[bool, str]:
+    tol = 1e-6
     value = ns_bound(ctx.functional)
-    return abs(value) <= 1e-6, f"value {value:.3e} within 1e-6 of zero"
+    return abs(value) <= tol, f"value {value:.3e} within {_exp(tol)} of zero"
 
 
 def _example_value_and_margin(ctx: BatteryContext) -> tuple[bool, str]:
+    tol, min_margin = 1e-10, 0.4
     value = evaluate(ctx.functional, pauli_transpose_assemblage())
     margin = ctx.relaxation()[0] - abs(value)
     return (
-        abs(value) <= 1e-10 and margin >= 0.4,
-        f"value {value:.3e} within 1e-10, margin {margin:.4f} >= 0.4",
+        abs(value) <= tol and margin >= min_margin,
+        f"value {value:.3e} within {_exp(tol)}, margin {margin:.4f} >= {min_margin}",
     )
 
 
 def _box_statistics(ctx: BatteryContext) -> tuple[bool, str]:
+    target, tol = 4.0, 1e-12
     basis = _computational_basis(2)
     table = bell_correlations(pr_box_assemblage(), [basis, basis])
     expected = np.zeros_like(table)
@@ -589,12 +600,14 @@ def _box_statistics(ctx: BatteryContext) -> tuple[bool, str]:
     exact = bool(np.array_equal(table, expected))
     value = float(chsh_value(table))
     return (
-        exact and abs(value - 4.0) <= 1e-12,
-        f"table exactly 1/2 iff a+b = xy: {exact}, value {value:.12f} vs 4 within 1e-12",
+        exact and abs(value - target) <= tol,
+        f"table exactly 1/2 iff a+b = xy: {exact}, value {value:.12f} vs {target:g} "
+        f"within {_exp(tol)}",
     )
 
 
 def _realization_roundtrips(ctx: BatteryContext) -> tuple[bool, str]:
+    roundtrip_tol, completeness_tol, seconds = 1e-8, 1e-9, 60.0
     start = time.perf_counter()
     residuals = []
     for i in range(100):
@@ -609,18 +622,19 @@ def _realization_roundtrips(ctx: BatteryContext) -> tuple[bool, str]:
     roundtrip = max(entry[0] for entry in residuals)
     completeness = max(entry[1] for entry in residuals)
     return (
-        roundtrip <= 1e-8 and completeness <= 1e-9 and elapsed < 60.0,
-        f"120 realizations: roundtrip {roundtrip:.2e} <= 1e-8, completeness "
-        f"{completeness:.2e} <= 1e-9, in {elapsed:.2f} s",
+        roundtrip <= roundtrip_tol and completeness <= completeness_tol and elapsed < seconds,
+        f"{len(residuals)} realizations: roundtrip {roundtrip:.2e} <= {_exp(roundtrip_tol)}, "
+        f"completeness {completeness:.2e} <= {_exp(completeness_tol)}, in {elapsed:.2f} s",
     )
 
 
 def _quantum_samples_stay_inside(ctx: BatteryContext) -> tuple[bool, str]:
+    samples, chsh_slack = 50, 1e-6
     shape = ScenarioShape(n_a=2, m_a=2, m_b=2, d=2, kind=BWI)
     basis = _computational_basis(2)
     feasible = 0
     flagged = 0
-    for i in range(50):
+    for i in range(samples):
         sample = random_quantum_bwi(shape, seed=ctx.seed * 4409 + i)
         membership = qtilde_membership(sample)
         if membership.feasible:
@@ -630,33 +644,35 @@ def _quantum_samples_stay_inside(ctx: BatteryContext) -> tuple[bool, str]:
         # last is unavailable here because sampled members are mixed.
         decisively_outside = membership.margin < -DECISIVE_MARGIN
         table = bell_correlations(sample, [basis, basis])
-        beats_models = float(chsh_value(table[:, :, :2, :2])) > TSIRELSON + 1e-6
+        beats_models = float(chsh_value(table[:, :, :2, :2])) > TSIRELSON + chsh_slack
         if decisively_outside or beats_models:
             flagged += 1
     return (
-        feasible == 50 and flagged == 0,
-        f"{feasible}/50 samples relaxation-feasible, {flagged} flagged post-quantum",
+        feasible == samples and flagged == 0,
+        f"{feasible}/{samples} samples relaxation-feasible, {flagged} flagged post-quantum",
     )
 
 
 def _map_certificate_eigenvalue(ctx: BatteryContext) -> tuple[bool, str]:
+    target, tol = -1.0, 1e-9
     x_pauli, y_pauli, z_pauli = PAULIS
     flip = pauli_action({"I": np.eye(2), "X": x_pauli, "Y": -y_pauli, "Z": z_pauli})
     result = choi(flip)
     value = result.min_eigenvalue()
     return (
-        abs(value + 1.0) <= 1e-9 and result.trace_residual() <= 1e-9,
-        f"min eigenvalue {value:.12f} vs -1 within 1e-9",
+        abs(value - target) <= tol and result.trace_residual() <= tol,
+        f"min eigenvalue {value:.12f} vs {target:g} within {_exp(tol)}",
     )
 
 
 def _model_ceiling_and_path_agreement(ctx: BatteryContext) -> tuple[bool, str]:
+    pairs, chsh_slack, gap_tol = 1000, 1e-6, 1e-10
     spec = transpose_bell_spec()
     rng = np.random.default_rng(ctx.seed + 9)
     worst_chsh = 0.0
     worst_gap = 0.0
     settings = [(y, z) for y in range(2) for z in range(2)]
-    for _ in range(1000):
+    for _ in range(pairs):
         povms = []
         for _z in range(2):
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -683,9 +699,9 @@ def _model_ceiling_and_path_agreement(ctx: BatteryContext) -> tuple[bool, str]:
                                 sub[:, :, 1, bi] = bell.table[:, :, x2, yy, zz]
                             worst_chsh = max(worst_chsh, abs(chsh_value(sub)))
     return (
-        worst_chsh <= TSIRELSON + 1e-6 and worst_gap <= 1e-10,
-        f"1000 effect pairs: max value {worst_chsh:.9f} <= {TSIRELSON:.9f} + 1e-6, "
-        f"path gap {worst_gap:.2e} <= 1e-10",
+        worst_chsh <= TSIRELSON + chsh_slack and worst_gap <= gap_tol,
+        f"{pairs} effect pairs: max value {worst_chsh:.9f} <= {TSIRELSON:.9f} + "
+        f"{_exp(chsh_slack)}, path gap {worst_gap:.2e} <= {_exp(gap_tol)}",
     )
 
 
@@ -694,6 +710,7 @@ def _wired_example(ctx: BatteryContext) -> tuple[bool, str]:
     # cannot exceed the value of the explicit quantum model; the functional's
     # coefficients are projectors, so no assemblage goes below 0.  The bound
     # must therefore match the model's value, 0, to solver accuracy.
+    exact_tol, bound_tol = 1e-10, 1e-6
     functional = canonical_instrumental_functional()
     wired = instrumental_from_bwi(pauli_transpose_assemblage())
     membership = instrumental_membership(wired)
@@ -707,29 +724,32 @@ def _wired_example(ctx: BatteryContext) -> tuple[bool, str]:
     bound = qtilde_instrumental_bound(functional)
     return (
         membership.feasible
-        and abs(value) <= 1e-10
-        and model_gap <= 1e-10
-        and abs(bound - model_value) <= 1e-6,
+        and abs(value) <= exact_tol
+        and model_gap <= exact_tol
+        and abs(bound - model_value) <= bound_tol,
         f"membership feasible: {membership.feasible}, post-selected value {value:.3e} "
-        f"within 1e-10, quantum model gap {model_gap:.2e} <= 1e-10, wired bound "
-        f"{bound:.3e} within 1e-6 of model value {model_value:.3e}",
+        f"within {_exp(exact_tol)}, quantum model gap {model_gap:.2e} <= {_exp(exact_tol)}, "
+        f"wired bound {bound:.3e} within {_exp(bound_tol)} of model value {model_value:.3e}",
     )
 
 
 def _bound_ordering(ctx: BatteryContext) -> tuple[bool, str]:
+    count, slack = 20, 1e-6
     shape = ScenarioShape(n_a=2, m_a=2, m_b=2, d=2, kind=BWI)
-    for i in range(20):
+    for i in range(count):
         seed = 1000 + ctx.seed * 271 + i
         functional = _random_psd_functional(shape, seed=seed)
         ns_value = ns_bound(functional)
         qt_value, _ = qtilde_solution(functional)
         lhs_value, _ = lhs_bound(functional)
-        if not (ns_value <= qt_value + 1e-6 and qt_value <= lhs_value + 1e-6):
+        if not (ns_value <= qt_value + slack and qt_value <= lhs_value + slack):
             return False, (
                 f"seed {seed}: ns {ns_value:.8f}, relaxation {qt_value:.8f}, "
                 f"lhs {lhs_value:.8f} out of order"
             )
-    return True, "20 functionals ordered ns <= relaxation + 1e-6 <= lhs + 1e-6"
+    return True, (
+        f"{count} functionals ordered ns <= relaxation + {_exp(slack)} <= lhs + {_exp(slack)}"
+    )
 
 
 #: The acceptance battery in order: a name and a check returning the verdict

@@ -12,9 +12,10 @@ either near an optimal primal-dual pair or on an explicit Farkas certificate
 of infeasibility.  Equality rows are rank-reduced by a pivoted QR factorization
 before iterating; inconsistent rows already yield a certificate there.
 
-A thin Hermitian layer (:class:`HermitianBlockBuilder`) states problems over
-complex Hermitian blocks and converts them to the real symmetric form through
-the standard doubling embedding, then projects solutions back.
+A thin Hermitian layer states problems over complex Hermitian blocks in the
+real symmetric form through the standard doubling embedding: with variable
+blocks tied by equality rows (:class:`HermitianBlockBuilder`), or as a linear
+matrix inequality solved through the dual (:func:`hermitian_lmi`).
 
 Everything is dense, small-scale, and deterministic: re-solving the same
 problem reproduces the same iterates bit for bit.
@@ -796,6 +797,30 @@ def feasibility_phase1(
 
 def _hermitian_part(matrix: Array) -> Array:
     return 0.5 * (matrix + matrix.conj().T)
+
+
+def hermitian_lmi(
+    constant: Sequence[Array], coefficients: Sequence[Array], objective: Array
+) -> SdpProblem:
+    """``max b.p`` subject to ``F0_j + sum_k p_k F_kj >= 0`` per block ``j``, as a dual.
+
+    ``constant[j]`` is ``F0_j`` and ``coefficients[j][k]`` is ``F_kj``.  Block
+    ``j`` gets ``C_j = embed(F0_j)`` and row ``k`` gets ``A_kj = -embed(F_kj)``,
+    so the dual slack is the embedded ``F0 + sum_k p_k F_k``: ``solve`` returns
+    the maximizer as ``y`` and the maximum as ``dual_value``.
+    """
+    rows = [
+        EqualityRow(
+            tuple((j, -embed_hermitian(f[k])) for j, f in enumerate(coefficients) if np.any(f[k])),
+            float(rhs),
+        )
+        for k, rhs in enumerate(objective)
+    ]
+    return SdpProblem(
+        block_dims=tuple(2 * len(f0) for f0 in constant),
+        objective=tuple((j, embed_hermitian(f0)) for j, f0 in enumerate(constant)),
+        equalities=rows,
+    )
 
 
 class HermitianBlockBuilder:

@@ -8,7 +8,7 @@ to an assemblage.  Three convex sets give three benchmarks for such values:
   classical strategy on the untrusted side),
 * a moment-matrix relaxation of the quantum-realizable set, built from words
   in the untrusted measurement and trusted channel labels, with one block of
-  side ``d * (1 + m_a + m_b + m_a m_b)``.
+  side ``d * (1 + m_a + m_b + m_a m_b)`` written over its free moments.
 
 Each benchmark is the functional's minimum over its set, computed with the
 in-house semidefinite solver; each set also supports a direct membership test
@@ -481,205 +481,163 @@ class MomentMatrix:
         return out
 
 
-def _unit_in_gamma(side: int, p: int, q: int) -> Array:
-    out = np.zeros((side, side), dtype=complex)
-    out[q, p] = 1.0
-    return out
+MomentKey = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-class _QtildeSpace:
-    """Shared scaffolding for the relaxation's constraint rows."""
+def _moment_key(u: tuple, v: tuple) -> MomentKey:
+    """Label of block ``(u, v)``: per letter kind, ``u``'s letters reversed, then ``v``'s.
 
-    def __init__(self, shape: ScenarioShape) -> None:
+    The two kinds commute and every letter is a projector, so each kind is
+    rewritten on its own and adjacent repeats collapse.
+    """
+
+    def rewrite(kinds: tuple[str, ...], at: int) -> tuple[int, ...]:
+        left = (u[at],) if u[0] in kinds else ()
+        joined = left[::-1] + ((v[at],) if v[0] in kinds else ())
+        return tuple(l for i, l in enumerate(joined) if i == 0 or joined[i - 1] != l)
+
+    return rewrite(("x", "xy"), 1), rewrite(("y", "xy"), -1)
+
+
+def _orient(key: MomentKey) -> tuple[MomentKey, bool]:
+    """Representative of ``key`` and its reverse, and whether ``key`` is the reverse."""
+    reverse = (key[0][::-1], key[1][::-1])
+    return min(key, reverse), reverse < key
+
+
+class _MomentForm:
+    """The moment block as ``Gamma = F0 + sum_k p_k F_k`` over its free real moments.
+
+    ``stack[0]`` is ``F0`` and ``stack[1 + k]`` is ``F_k``.  Blocks with equal
+    keys are equal and a key's reverse labels the conjugate transpose.  A
+    representative key's block is the identity (empty key), a multiple of the
+    identity (no trusted letter; real if the key is its own reverse), a general
+    complex block (a key that is not its own reverse), or else a Hermitian
+    block whose last diagonal entry sets ``d tr`` to 1 (trusted letter alone)
+    or to the untrusted letter's scalar.  ``pinned`` fixes some keys' blocks.
+    """
+
+    def __init__(
+        self, shape: ScenarioShape, pinned: dict[MomentKey, Array] | None = None
+    ) -> None:
         if shape.n_a != 2:
             raise ValueError("the relaxation is formulated for binary outcomes")
-        self.shape = shape
-        self.words = moment_words(shape)
-        self.widx = {w: i for i, w in enumerate(self.words)}
-        self.d = shape.d
-        self.side = self.d * len(self.words)
-        self.name = "gamma"
+        self.shape, self.words, self.d = shape, moment_words(shape), shape.d
+        d, pinned = shape.d, pinned or {}
+        eye = np.eye(d, dtype=complex)
+        last = np.outer(eye[-1], eye[-1])
+        # Per representative key: its constant and (moment, coefficient) terms.
+        # The first row comes first, so a pair's untrusted scalar is known.
+        classes: dict[MomentKey, tuple[Array, list[tuple[int, Array]]]] = {}
+        n_moments = 0
+        for u in self.words:
+            for v in self.words:
+                key, _ = _orient(_moment_key(u, v))
+                if key in classes:
+                    continue
+                x_part, y_part = key
+                const, terms, basis = 0 * eye, [], []
+                if key in pinned:
+                    const = np.asarray(pinned[key], dtype=complex)
+                elif key == ((), ()):
+                    const = eye
+                elif not y_part:
+                    basis = [eye] if len(x_part) == 1 else [eye, 1j * eye]
+                elif len(x_part) == 2 or len(y_part) == 2:
+                    basis = [
+                        ph * np.outer(eye[i], eye[j])
+                        for ph in (1, 1j)
+                        for i in range(d)
+                        for j in range(d)
+                    ]
+                else:
+                    scalar, scalar_terms = classes[(x_part, ())]
+                    const = scalar[0, 0] / d * last
+                    terms = [(k, coeff[0, 0] / d * last) for k, coeff in scalar_terms]
+                    basis = [np.outer(eye[i], eye[i]) - last for i in range(d - 1)] + [
+                        np.outer(ph * eye[i], eye[j]) + np.outer(np.conj(ph) * eye[j], eye[i])
+                        for i in range(d)
+                        for j in range(i + 1, d)
+                        for ph in (1, 1j)
+                    ]
+                classes[key] = (const, terms + list(enumerate(basis, 1 + n_moments)))
+                n_moments += len(basis)
+        side = d * len(self.words)
+        self.stack = np.zeros((1 + n_moments, side, side), dtype=complex)
+        for i, u in enumerate(self.words):
+            for j, v in enumerate(self.words):
+                key, flip = _orient(_moment_key(u, v))
+                const, terms = classes[key]
+                block = (slice(d * i, d * i + d), slice(d * j, d * j + d))
+                for k, coeff in [(0, const)] + terms:
+                    self.stack[(k, *block)] = coeff.conj().T if flip else coeff
 
-    def coord(self, word: tuple, local: int) -> int:
-        return self.d * self.widx[word] + local
+    def moment(self, p: Array) -> MomentMatrix:
+        gamma = np.tensordot(np.concatenate([[1.0], p]), self.stack, axes=1)
+        return MomentMatrix(shape=_qtilde_scenario(self.shape), words=self.words, gamma=gamma)
 
-    def entry_unit(self, u: tuple, i: int, v: tuple, j: int) -> Array:
-        """Coefficient with ``tr(E Gamma) = Gamma_block(u, v)[i, j]``."""
-        return _unit_in_gamma(self.side, self.coord(u, i), self.coord(v, j))
+    def member(self, a: int, x: int, y: int) -> Array:
+        """``sigma_{a|x,y}`` per entry of ``stack``, read as :meth:`MomentMatrix.member` does."""
 
-    def add_block_equality(
-        self, builder: sdp.HermitianBlockBuilder, u: tuple, v: tuple, up: tuple, vp: tuple
-    ) -> None:
-        """Rows forcing block (u, v) to equal block (up, vp) entrywise."""
-        if (u, v) == (up, vp):
-            return
-        for i in range(self.d):
-            for j in range(self.d):
-                coeff = self.entry_unit(u, i, v, j) - self.entry_unit(up, i, vp, j)
-                builder.add_equality([(self.name, coeff)], 0.0)
+        def first_row(word: tuple) -> Array:
+            col = self.d * self.words.index(word)
+            return self.d * self.stack[:, : self.d, col : col + self.d].transpose(0, 2, 1)
 
-    def add_structure(self, builder: sdp.HermitianBlockBuilder) -> None:
-        """All structural rows shared by the bound and membership variants."""
-        shape, d = self.shape, self.d
-        e = ("e",)
-        # Unit upper-left block.
-        for i in range(d):
-            for j in range(i, d):
-                builder.add_equality(
-                    [(self.name, self.entry_unit(e, i, e, j))], 1.0 if i == j else 0.0
-                )
-        # Projector words: diagonal block equals first-row block.
-        for w in self.words[1:]:
-            self.add_block_equality(builder, w, w, e, w)
-        # A pair word meets each of its letters consistently.
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                wxy, wx, wy = ("xy", x, y), ("x", x), ("y", y)
-                self.add_block_equality(builder, e, wxy, wx, wxy)
-                self.add_block_equality(builder, e, wxy, wy, wxy)
-                self.add_block_equality(builder, e, wxy, wx, wy)
-        # Dropping the trusted letter from either side of an untrusted pair.
-        for x in range(shape.m_a):
-            for xp in range(shape.m_a):
-                for y in range(shape.m_b):
-                    self.add_block_equality(
-                        builder, ("x", x), ("xy", xp, y), ("xy", x, y), ("xy", xp, y)
-                    )
-                    self.add_block_equality(
-                        builder, ("x", x), ("xy", xp, y), ("xy", x, y), ("x", xp)
-                    )
-        # Dropping the untrusted letter from either side of a trusted pair.
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                for yp in range(shape.m_b):
-                    self.add_block_equality(
-                        builder, ("y", y), ("xy", x, yp), ("xy", x, y), ("xy", x, yp)
-                    )
-                    self.add_block_equality(
-                        builder, ("y", y), ("xy", x, yp), ("xy", x, y), ("y", yp)
-                    )
-        # Untrusted-only blocks are multiples of the identity.
-        for x in range(shape.m_a):
-            for xp in range(shape.m_a):
-                for i in range(d):
-                    for j in range(d):
-                        if i == j and i == 0:
-                            continue
-                        coeff = self.entry_unit(("x", x), i, ("x", xp), j)
-                        if i == j:
-                            coeff = coeff - self.entry_unit(("x", x), 0, ("x", xp), 0)
-                        builder.add_equality([(self.name, coeff)], 0.0)
-        # Trusted states are normalized.
-        for y in range(shape.m_b):
-            coeff = sum(self.entry_unit(e, i, ("y", y), i) for i in range(d))
-            builder.add_equality([(self.name, d * coeff)], 1.0)
-        # Outcome weights: scalar on the untrusted block, trace of every pair block.
-        for x in range(shape.m_a):
-            for i in range(d):
-                for j in range(d):
-                    if i == j and i == 0:
-                        continue
-                    coeff = self.entry_unit(e, i, ("x", x), j)
-                    if i == j:
-                        coeff = coeff - self.entry_unit(e, 0, ("x", x), 0)
-                        builder.add_equality([(self.name, coeff)], 0.0)
-                    else:
-                        builder.add_equality([(self.name, coeff)], 0.0)
-            for y in range(shape.m_b):
-                coeff = self.entry_unit(e, 0, ("x", x), 0) - d * sum(
-                    self.entry_unit(e, i, ("xy", x, y), i) for i in range(d)
-                )
-                builder.add_equality([(self.name, coeff)], 0.0)
+        sigma_0 = first_row(("xy", x, y))
+        return sigma_0 if a == 0 else first_row(("y", y)) - sigma_0
 
 
 def _qtilde_scenario(shape: ScenarioShape) -> ScenarioShape:
     return ScenarioShape(n_a=2, m_a=shape.m_a, m_b=shape.m_b, d=shape.d, kind=BWI)
 
 
-def _build_bound_problem(
-    shape: ScenarioShape,
-) -> tuple[sdp.HermitianBlockBuilder, _QtildeSpace, dict[tuple[int, int], str]]:
-    space = _QtildeSpace(shape)
-    builder = sdp.HermitianBlockBuilder()
-    builder.add_block(space.name, space.side)
-    space.add_structure(builder)
-    d = shape.d
-    e = ("e",)
-    s1_names = {}
-    for x in range(shape.m_a):
-        for y in range(shape.m_b):
-            name = f"sigma1[{x},{y}]"
-            builder.add_block(name, d)
-            s1_names[(x, y)] = name
-            # The outcome-1 member is the trusted state minus the outcome-0
-            # member, both read off the first block row (transposed, scaled).
-            for i in range(d):
-                for j in range(i, d):
-                    unit = np.zeros((d, d), dtype=complex)
-                    unit[j, i] = 1.0
-                    gamma_coeff = d * (
-                        space.entry_unit(e, j, ("y", y), i)
-                        - space.entry_unit(e, j, ("xy", x, y), i)
-                    )
-                    builder.add_equality(
-                        [(name, unit), (space.name, -gamma_coeff)], 0.0
-                    )
-    return builder, space, s1_names
+def _bound_problem(
+    form: _MomentForm, terms: Sequence[tuple[Array, int, int, int]]
+) -> tuple[sdp.SdpProblem, Array]:
+    """The bound as an LMI, and the objective per entry of ``form.stack``.
 
-
-def _pair_block_coefficient(space: _QtildeSpace, f0: Array, x: int, y: int) -> Array:
-    """Coefficient reading ``tr(f0 sigma_0)`` off the pair block ``(x, y)``."""
-    d = space.d
-    coeff = np.zeros((space.side, space.side), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            coeff += d * f0[i, j] * space.entry_unit(("e",), i, ("xy", x, y), j)
-    return coeff
-
-
-def _bwi_objective_filler(functional: SteeringFunctional):
-    shape = functional.shape
-
-    def fill(builder, space, s1_names):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                coeff = _pair_block_coefficient(space, functional.term(0, x, y), x, y)
-                builder.add_objective_term(space.name, coeff)
-                builder.add_objective_term(s1_names[(x, y)], functional.term(1, x, y))
-
-    return fill
+    The objective is the sum of ``tr(F sigma_{a|x,y})`` over ``terms``
+    ``(F, a, x, y)``; every outcome-1 member is an LMI block of its own.
+    """
+    gain = sum(
+        np.einsum("ij,kji->k", coeff, form.member(a, x, y)).real for coeff, a, x, y in terms
+    )
+    blocks = [form.stack] + [
+        form.member(1, x, y) for x in range(form.shape.m_a) for y in range(form.shape.m_b)
+    ]
+    problem = sdp.hermitian_lmi([b[0] for b in blocks], [b[1:] for b in blocks], -gain[1:])
+    return problem, gain
 
 
 def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
     """The relaxation bound as a block semidefinite program.
 
-    The returned problem minimizes the functional over the relaxation; its
-    first block is the embedded moment block of side ``2 d (1 + m_a + m_b +
-    m_a m_b)``, followed by one explicit block per outcome-1 member.
+    The moment block is ``Gamma = F0 + sum_k p_k F_k`` over the free real
+    moments, and the problem is its linear matrix inequality as built by
+    :func:`steercert.sdp.hermitian_lmi`: one row per free moment, with the
+    negated functional as the dual objective.  The first block is the
+    embedded moment block of side ``2 d (1 + m_a + m_b + m_a m_b)``, followed
+    by one block per outcome-1 member.
     """
-    builder, space, s1_names = _build_bound_problem(functional.shape)
-    _bwi_objective_filler(functional)(builder, space, s1_names)
-    return builder.build()
+    terms = [(coeff, *key) for key, coeff in functional.coeffs.items()]
+    return _bound_problem(_MomentForm(functional.shape), terms)[0]
 
 
 def _solve_bound(
     shape: ScenarioShape,
-    objective_filler,
+    terms: Sequence[tuple[Array, int, int, int]],
     *,
     feas_tol: float,
     gap_tol: float,
     max_iter: int,
     context: str,
 ) -> tuple[float, MomentMatrix]:
-    builder, space, s1_names = _build_bound_problem(shape)
-    objective_filler(builder, space, s1_names)
-    problem = builder.build()
+    form = _MomentForm(shape)
+    problem, gain = _bound_problem(form, terms)
     solution = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
     if solution.status != sdp.OPTIMAL:
         raise SolverFailure(f"{context} ended with status {solution.status}", solution)
-    gamma = builder.extract(solution.block_values, space.name)
-    moment = MomentMatrix(shape=_qtilde_scenario(shape), words=space.words, gamma=gamma)
-    return float(solution.primal_value), moment
+    return float(gain[0] + gain[1:] @ solution.y), form.moment(solution.y)
 
 
 def qtilde_bound(
@@ -706,7 +664,7 @@ def qtilde_solution(
     """Relaxation bound together with the optimizing moment block."""
     return _solve_bound(
         functional.shape,
-        _bwi_objective_filler(functional),
+        [(coeff, *key) for key, coeff in functional.coeffs.items()],
         feas_tol=feas_tol,
         gap_tol=gap_tol,
         max_iter=max_iter,
@@ -731,17 +689,9 @@ def qtilde_instrumental_bound(
         raise ValueError("the relaxation is formulated for binary outcomes")
     if shape.m_b != 2:
         raise ValueError("wiring binary outcomes needs two trusted inputs")
-    base_shape = _qtilde_scenario(shape)
-
-    def fill(builder, space, s1_names):
-        for x in range(shape.m_a):
-            coeff = _pair_block_coefficient(space, functional.term(0, x), x, 0)
-            builder.add_objective_term(space.name, coeff)
-            builder.add_objective_term(s1_names[(x, 1)], functional.term(1, x))
-
     value, _ = _solve_bound(
-        base_shape,
-        fill,
+        _qtilde_scenario(shape),
+        [(coeff, a, x, a) for (a, x), coeff in functional.coeffs.items()],
         feas_tol=feas_tol,
         gap_tol=gap_tol,
         max_iter=max_iter,
@@ -757,55 +707,49 @@ def qtilde_membership(
 
     The first block row is pinned to the assemblage: the untrusted blocks to
     the outcome weights times the identity, the trusted blocks to the states,
-    the pair blocks to the outcome-0 members (transposed, scaled).
+    the pair blocks to the outcome-0 members (transposed, scaled).  Data that
+    break a trace rule (a state's trace is not 1, or an outcome weight
+    depends on the trusted input) are infeasible with margin ``-inf``, with
+    no solve.  Otherwise the margin is the largest ``t`` with ``Gamma(p) - t
+    I`` positive semidefinite over the free moments ``p``, and the witness is
+    ``Gamma`` at the optimum when feasible.  ``certificate_y`` is ``None``:
+    the separating functional is the LMI's dual block (the solver's primal).
     """
     shape = asm.shape
     if shape.n_a != 2:
         raise ValueError("the relaxation is formulated for binary outcomes")
-    space = _QtildeSpace(shape)
-    builder = sdp.HermitianBlockBuilder()
-    builder.add_block(space.name, space.side)
-    space.add_structure(builder)
     d = shape.d
-    e = ("e",)
-    for x in range(shape.m_a):
-        weight = complex(np.trace(asm.member(0, x, 0))).real
-        for i in range(d):
-            for j in range(d):
-                builder.add_equality(
-                    [(space.name, space.entry_unit(e, i, ("x", x), j))],
-                    weight if i == j else 0.0,
-                )
+    weights = [float(np.trace(asm.member(0, x, 0)).real) for x in range(shape.m_a)]
+    pinned = {((x,), ()): w * np.eye(d) for x, w in enumerate(weights)}
+    mismatch = []
     for y in range(shape.m_b):
-        sigma_y = asm.reduced_state(y)
-        for i in range(d):
-            for j in range(i, d):
-                builder.add_equality(
-                    [(space.name, space.entry_unit(e, i, ("y", y), j))],
-                    complex(sigma_y[j, i]) / d,
-                )
-        for x in range(shape.m_a):
-            sigma_0 = asm.member(0, x, y)
-            for i in range(d):
-                for j in range(i, d):
-                    builder.add_equality(
-                        [(space.name, space.entry_unit(e, i, ("xy", x, y), j))],
-                        complex(sigma_0[j, i]) / d,
-                    )
-    problem = builder.build()
-    result = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
-    witness = None
-    if result.feasible and result.block_values is not None:
-        gamma = builder.extract(result.block_values, space.name)
-        witness = MomentMatrix(
-            shape=_qtilde_scenario(shape), words=space.words, gamma=gamma
+        for x_part, member in [((), asm.reduced_state(y))] + [
+            ((x,), asm.member(0, x, y)) for x in range(shape.m_a)
+        ]:
+            pinned[(x_part, (y,))] = 0.5 * (member + member.conj().T).T / d
+            target = weights[x_part[0]] if x_part else 1.0
+            mismatch.append(target - float(np.trace(member).real))
+    form = _MomentForm(shape, pinned)
+    # The shift t is the last parameter, and the only one in the objective.
+    shifted = np.concatenate([form.stack[1:], -np.eye(len(form.stack[0]))[None]])
+    problem = sdp.hermitian_lmi([form.stack[0]], [shifted], np.eye(len(shifted))[-1])
+
+    # As in presolve: the mismatch counts relative to the size of the pinned data.
+    scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in pinned.values())))
+    inconsistency = float(np.linalg.norm(mismatch))
+    if inconsistency > sdp.PRESOLVE_CONSISTENCY_TOL * scale:
+        return MembershipReport(
+            False, -np.inf, sdp.INFEASIBLE, {"trace_mismatch": inconsistency}, problem
         )
+    solution = sdp.solve(problem, feas_tol=tol, max_iter=max_iter)
+    optimal = solution.status == sdp.OPTIMAL
+    margin = float(solution.y[-1]) if optimal else np.nan
+    feasible = optimal and margin >= -tol
     return MembershipReport(
-        feasible=result.feasible,
-        margin=result.margin,
-        status=result.status,
-        residuals=result.residuals,
+        feasible=feasible,
+        margin=margin,
+        status=solution.status,
+        residuals=solution.residuals,
         problem=problem,
-        witness=witness,
-        certificate_y=result.certificate_y,
+        witness=form.moment(solution.y[:-1]) if feasible else None,
     )

@@ -2,6 +2,9 @@
 certification chain."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -352,3 +355,17 @@ class TestReportDocument:
             return doc
 
         assert snapshot() == snapshot()
+
+
+def test_module_entry_point_runs_without_runtime_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "steercert.cli", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: steercert" in result.stdout

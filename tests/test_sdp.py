@@ -415,6 +415,20 @@ def test_hermitian_builder_rejects_duplicates_and_bad_shapes():
         HermitianBlockBuilder(sense="other")
 
 
+def test_hermitian_lmi_solves_through_the_dual():
+    # Minimize p subject to [[p, i], [-i, p]] >= 0: the eigenvalues are p +- 1,
+    # so the optimum is p = 1.
+    problem = sdp.hermitian_lmi(
+        [np.array([[0.0, 1j], [-1j, 0.0]])], [np.eye(2)[None]], np.array([-1.0])
+    )
+    assert problem.block_dims == (4,)
+    assert problem.num_rows == 1
+    solution = sdp.solve(problem)
+    assert solution.status == sdp.OPTIMAL
+    assert solution.y[0] == pytest.approx(1.0, abs=1e-7)
+    assert solution.dual_value == pytest.approx(-1.0, abs=1e-7)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_hermitian_ground_energy_matches_eigenvalue(seed):

@@ -230,6 +230,21 @@ def test_relaxation_solution_is_structurally_consistent():
     assert evaluate(canonical_functional(), extracted) == pytest.approx(value, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "m_a, m_b, d, moments", [(3, 2, 2, 161), (3, 3, 2, 357), (3, 2, 3, 361), (4, 3, 2, 613)]
+)
+def test_relaxation_has_one_row_per_free_moment(m_a, m_b, d, moments):
+    functional = random_psd_functional(0, ScenarioShape(2, m_a, m_b, d))
+    assert build_qtilde_problem(functional).num_rows == moments
+
+
+def test_relaxation_structure_holds_for_a_qutrit():
+    functional = random_psd_functional(3, ScenarioShape(2, 3, 2, 3))
+    value, moment = qtilde_solution(functional)
+    assert max(moment.residuals().values()) <= 1e-7
+    assert evaluate(functional, moment.assemblage()) == pytest.approx(value, abs=1e-6)
+
+
 def test_relaxation_requires_binary_outcomes():
     shape = ScenarioShape(3, 2, 2, 2)
     functional = random_psd_functional(0, shape)
@@ -277,6 +292,20 @@ def test_relaxation_membership_splits_the_examples():
     boundary = qtilde_membership(pr_box_assemblage())
     assert boundary.feasible
     assert boundary.margin == pytest.approx(0.0, abs=1e-6)
+
+
+def test_relaxation_membership_rejects_trusted_to_untrusted_signalling():
+    # Outcome weights that depend on the trusted input break the trace rule
+    # of the pinned pair blocks, so no moment block exists.
+    asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=7)
+    members = dict(asm.members)
+    for x in range(2):
+        members[(0, x, 1)] = members[(0, x, 1)] + 0.025 * np.eye(2)
+        members[(1, x, 1)] = members[(1, x, 1)] - 0.025 * np.eye(2)
+    report = qtilde_membership(assemblages.BwiAssemblage(asm.shape, members))
+    assert not report.feasible
+    assert report.margin == -np.inf
+    assert report.status == "infeasible"
 
 
 def test_relaxation_membership_witness_reproduces_the_members():
