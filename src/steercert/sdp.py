@@ -17,6 +17,11 @@ real symmetric form through the standard doubling embedding: with variable
 blocks tied by equality rows (:class:`HermitianBlockBuilder`), or as a linear
 matrix inequality solved through the dual (:func:`hermitian_lmi`).
 
+The iteration never loops over single blocks.  Blocks of equal side are
+gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
+Schur-complement rows, the corrector and the step lengths run as batched
+LAPACK calls and stacked products over each stack.
+
 Everything is dense, small-scale, and deterministic: re-solving the same
 problem reproduces the same iterates bit for bit.
 """
@@ -43,6 +48,9 @@ PRESOLVE_RANK_TOL = 1e-10
 #: Relative threshold above which dropped equality rows count as inconsistent.
 PRESOLVE_CONSISTENCY_TOL = 1e-9
 
+#: Entries per temporary of the Schur-complement congruence (2 MiB of floats).
+_CONGRUENCE_SLICE = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Symmetric vectorization and the Hermitian embedding
@@ -63,9 +71,7 @@ def svec_dim(n: int) -> int:
 
 def svec(matrix: Array) -> Array:
     """Pack a real symmetric matrix so that dot products match trace inner products."""
-    matrix = np.asarray(matrix, dtype=float)
-    rows, cols, weights = _tril_cache(matrix.shape[0])
-    return matrix[rows, cols] * weights
+    return _svec_batch(np.asarray(matrix, dtype=float))
 
 
 def smat(vector: Array) -> Array:
@@ -74,23 +80,21 @@ def smat(vector: Array) -> Array:
     n = int(round((np.sqrt(8.0 * len(vector) + 1.0) - 1.0) / 2.0))
     if svec_dim(n) != len(vector):
         raise ValueError(f"vector of length {len(vector)} is not a packed symmetric matrix")
-    rows, cols, weights = _tril_cache(n)
-    out = np.zeros((n, n))
-    out[rows, cols] = vector / weights
-    out[cols, rows] = out[rows, cols]
-    return out
+    return _smat_batch(vector, n)
 
 
 def _svec_batch(mats: Array) -> Array:
-    rows, cols, weights = _tril_cache(mats.shape[1])
-    return mats[:, rows, cols] * weights
+    """:func:`svec` over the last two axes of a stack."""
+    rows, cols, weights = _tril_cache(mats.shape[-1])
+    return mats[..., rows, cols] * weights
 
 
 def _smat_batch(vecs: Array, n: int) -> Array:
+    """:func:`smat` over the last axis of a stack of packed vectors."""
     rows, cols, weights = _tril_cache(n)
-    out = np.zeros((vecs.shape[0], n, n))
-    out[:, rows, cols] = vecs / weights
-    out[:, cols, rows] = out[:, rows, cols]
+    out = np.zeros(vecs.shape[:-1] + (n, n))
+    out[..., rows, cols] = vecs / weights
+    out[..., cols, rows] = out[..., rows, cols]
     return out
 
 
@@ -263,74 +267,108 @@ def farkas_terms(problem: SdpProblem, y: Array) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _block_views(dims: list[int]) -> list[tuple[int, int, int]]:
-    """Per block: (offset into svec coordinates, packed length, side)."""
-    views = []
-    offset = 0
-    for n in dims:
-        length = svec_dim(n)
-        views.append((offset, length, n))
-        offset += length
-    return views
+@dataclass(frozen=True)
+class _SideGroup:
+    """The blocks of one side, in problem order, and their svec coordinates.
+
+    ``gather[k]`` indexes block ``blocks[k]`` in the packed vector, so
+    ``vector[gather]`` packs the whole group as a ``(K, svec_dim(side))``
+    stack and ``out[gather] = ...`` scatters one back.
+    """
+
+    side: int
+    blocks: Array
+    gather: Array
+
+    def unpack(self, vector: Array) -> Array:
+        """The group's blocks of a packed vector as a ``(K, side, side)`` stack."""
+        return _smat_batch(vector[self.gather], self.side)
 
 
-def _unpack(vector: Array, views: list[tuple[int, int, int]]) -> list[Array]:
-    return [smat(vector[off : off + length]) for off, length, _ in views]
+def _side_groups(dims: Sequence[int]) -> list[_SideGroup]:
+    """Blocks grouped by side; blocks of one side need not be contiguous."""
+    offsets = np.concatenate([[0], np.cumsum([svec_dim(n) for n in dims])]).astype(int)
+    dims_arr = np.asarray(dims)
+    groups = []
+    for side in sorted(set(dims)):
+        blocks = np.flatnonzero(dims_arr == side)
+        gather = offsets[blocks][:, None] + np.arange(svec_dim(side))
+        groups.append(_SideGroup(side, blocks, gather))
+    return groups
 
 
-def _psd_floor_eigh(matrix: Array) -> tuple[Array, Array]:
-    values, vectors = np.linalg.eigh(matrix)
-    floor = max(values.max() * 1e-15, 1e-50)
+def _unpack_blocks(vector: Array, groups: list[_SideGroup]) -> list[Array]:
+    """Every block of a packed vector, in problem order."""
+    blocks = {}
+    for group in groups:
+        blocks.update(zip(group.blocks.tolist(), group.unpack(vector)))
+    return [blocks[k] for k in range(len(blocks))]
+
+
+def _t(mats: Array) -> Array:
+    return mats.swapaxes(-1, -2)
+
+
+def _sym(mats: Array) -> Array:
+    return 0.5 * (mats + _t(mats))
+
+
+def _spectral(values: Array, vectors: Array) -> Array:
+    """``V diag(values) V^T`` over a stack of eigensystems."""
+    return (vectors * values[..., None, :]) @ _t(vectors)
+
+
+def _psd_floor_eigh(mats: Array) -> tuple[Array, Array]:
+    values, vectors = np.linalg.eigh(mats)
+    floor = np.maximum(values.max(axis=-1, keepdims=True) * 1e-15, 1e-50)
     return np.maximum(values, floor), vectors
 
 
-def _nt_scaling(x_mat: Array, s_mat: Array) -> tuple[Array, Array, Array, Array, Array]:
-    """Nesterov-Todd scaling data for one block.
+@dataclass
+class _Scaling:
+    """Nesterov-Todd scaling of a ``(K, n, n)`` stack of blocks.
 
-    Returns ``w`` (the scaling matrix), ``g`` and ``g_inv`` (its symmetric
-    square root and inverse root), and the eigensystem of the scaled point
-    ``v = g s g = g_inv x g_inv``.
+    ``w`` is the scaling matrix, ``g`` and ``g_inv`` its symmetric square
+    root and inverse root, and ``v_vals``, ``v_vecs`` the eigensystem of the
+    scaled point ``v = g s g = g_inv x g_inv``.
     """
-    s_vals, s_vecs = _psd_floor_eigh(s_mat)
-    s_half = (s_vecs * np.sqrt(s_vals)) @ s_vecs.T
-    s_half_inv = (s_vecs / np.sqrt(s_vals)) @ s_vecs.T
-    inner = s_half @ x_mat @ s_half
-    in_vals, in_vecs = _psd_floor_eigh(0.5 * (inner + inner.T))
-    inner_half = (in_vecs * np.sqrt(in_vals)) @ in_vecs.T
-    w = s_half_inv @ inner_half @ s_half_inv
-    w = 0.5 * (w + w.T)
+
+    w: Array
+    g: Array
+    g_inv: Array
+    v_vals: Array
+    v_vecs: Array
+
+
+def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
+    s_vals, s_vecs = _psd_floor_eigh(s_mats)
+    s_root = np.sqrt(s_vals)
+    s_half = _spectral(s_root, s_vecs)
+    s_half_inv = _spectral(1.0 / s_root, s_vecs)
+    in_vals, in_vecs = _psd_floor_eigh(_sym(s_half @ x_mats @ s_half))
+    w = _sym(s_half_inv @ _spectral(np.sqrt(in_vals), in_vecs) @ s_half_inv)
     w_vals, w_vecs = _psd_floor_eigh(w)
-    g = (w_vecs * np.sqrt(w_vals)) @ w_vecs.T
-    g_inv = (w_vecs / np.sqrt(w_vals)) @ w_vecs.T
-    v = g @ s_mat @ g
-    v = 0.5 * (v + v.T)
-    v_vals, v_vecs = _psd_floor_eigh(v)
-    return w, g, g_inv, v_vals, v_vecs
+    w_root = np.sqrt(w_vals)
+    g = _spectral(w_root, w_vecs)
+    g_inv = _spectral(1.0 / w_root, w_vecs)
+    v_vals, v_vecs = _psd_floor_eigh(_sym(g @ s_mats @ g))
+    return _Scaling(w, g, g_inv, v_vals, v_vecs)
 
 
-def _congruence_rows(mats: Array, w: Array) -> Array:
-    """Apply ``w @ m @ w`` to a stack of symmetric matrices with two large GEMMs."""
-    m, n, _ = mats.shape
-    right = (mats.reshape(m * n, n) @ w).reshape(m, n, n)
-    left = (right.transpose(0, 2, 1).reshape(m * n, n) @ w).reshape(m, n, n)
-    return left.transpose(0, 2, 1)
+def _max_step_batch(mats: Array, dmats: Array) -> float:
+    """Largest alpha keeping every matrix of ``mats + alpha dmats`` positive semidefinite.
 
-
-def _max_step(mats: list[Array], dmats: list[Array]) -> float:
-    """Largest alpha keeping every block of ``x + alpha dx`` positive semidefinite."""
-    alpha = np.inf
-    for x_mat, d_mat in zip(mats, dmats):
-        try:
-            chol = sla.cholesky(x_mat, lower=True, check_finite=False)
-        except sla.LinAlgError:
-            vals, vecs = _psd_floor_eigh(x_mat)
-            chol = (vecs * np.sqrt(vals)) @ vecs.T
-        inner = sla.solve_triangular(chol, d_mat, lower=True, check_finite=False)
-        inner = sla.solve_triangular(chol, inner.T, lower=True, check_finite=False)
-        min_eig = float(np.linalg.eigvalsh(0.5 * (inner + inner.T)).min())
-        if min_eig < -1e-14:
-            alpha = min(alpha, -1.0 / min_eig)
-    return alpha
+    With ``mats = F F^T`` it is ``-1 / lambda_min(F^-1 dmats F^-T)``.  ``F`` is
+    the Cholesky factor; when that fails for any matrix of the stack, it is
+    the eigen-root of every matrix, with the eigenvalues floored.
+    """
+    try:
+        factor_inv = np.linalg.inv(np.linalg.cholesky(mats))
+    except np.linalg.LinAlgError:
+        vals, vecs = _psd_floor_eigh(mats)
+        factor_inv = _spectral(1.0 / np.sqrt(vals), vecs)
+    min_eig = float(np.linalg.eigvalsh(_sym(factor_inv @ dmats @ _t(factor_inv))).min())
+    return -1.0 / min_eig if min_eig < -1e-14 else np.inf
 
 
 def _scalar_step(value: float, delta: float) -> float:
@@ -365,6 +403,7 @@ def solve(
     reported ``infeasible`` together with the certificate.
     """
     dims, c, a_full, b_full = _compile(problem)
+    groups = _side_groups(dims)
     sign = -1.0 if problem.sense == "max" else 1.0
     m_full = a_full.shape[0]
 
@@ -390,7 +429,7 @@ def solve(
         a_red = np.zeros((0, a_full.shape[1]))
         b_red = np.zeros(0)
     else:
-        q, r_fac, piv = sla.qr(a_full.T, mode="economic", pivoting=True, check_finite=False)
+        _, r_fac, piv = sla.qr(a_full.T, mode="economic", pivoting=True, check_finite=False)
         diag = np.abs(np.diag(r_fac))
         pivot_scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
         rank = int(np.sum(diag > PRESOLVE_RANK_TOL * max(pivot_scale, 1e-300)))
@@ -420,12 +459,8 @@ def solve(
         # No effective constraints: the optimum is zero at X = 0 when the
         # (sense-adjusted) objective is blockwise positive semidefinite,
         # otherwise the problem is unbounded.
-        views0 = _block_views(dims)
         min_obj_eig = min(
-            (
-                float(np.linalg.eigvalsh(smat(c[off : off + length])).min())
-                for off, length, _ in views0
-            ),
+            (float(np.linalg.eigvalsh(group.unpack(c)).min()) for group in groups),
             default=0.0,
         )
         if min_obj_eig < -1e-12:
@@ -452,15 +487,13 @@ def solve(
 
     row_norms = np.linalg.norm(a_red, axis=1)
     row_norms[row_norms == 0.0] = 1.0
-    a_mat = a_red / row_norms[:, None]
+    a_mat = np.divide(a_red, row_norms[:, None], out=a_red)  # a_red is a fresh copy
     b = b_red / row_norms
 
-    views = _block_views(dims)
-    total = a_mat.shape[1]
     nu = float(sum(dims))
+    # Per group, the rows' blocks as a (K, m, n, n) stack.
     a_stacks = [
-        np.ascontiguousarray(_smat_batch(a_mat[:, off : off + length], n))
-        for off, length, n in views
+        _smat_batch(a_mat[:, group.gather].transpose(1, 0, 2), group.side) for group in groups
     ]
 
     b_norm = 1.0 + float(np.linalg.norm(b))
@@ -484,8 +517,8 @@ def solve(
 
     for iteration in range(max_iter):
         iterations = iteration
-        x_mats = _unpack(x, views)
-        s_mats = _unpack(s, views)
+        x_mats = [group.unpack(x) for group in groups]
+        s_mats = [group.unpack(s) for group in groups]
 
         # Convergence metrics for the de-homogenized candidate.
         x_hat = x / tau
@@ -525,21 +558,27 @@ def solve(
             note = "central parameter vanished without a verdict"
             break
 
-        # Nesterov-Todd scaling per block.
-        scal = [_nt_scaling(xm, sm) for xm, sm in zip(x_mats, s_mats)]
+        # Nesterov-Todd scaling per group of same-side blocks.
+        scal = [_nt_scaling_batch(xm, sm) for xm, sm in zip(x_mats, s_mats)]
 
         def _apply_d(vec: Array) -> Array:
             out = np.empty_like(vec)
-            for (off, length, n), (w, _, _, _, _) in zip(views, scal):
-                block = smat(vec[off : off + length])
-                out[off : off + length] = svec(w @ block @ w)
+            for group, sc in zip(groups, scal):
+                out[group.gather] = _svec_batch(sc.w @ group.unpack(vec) @ sc.w)
             return out
 
+        # With w = g g, <A_i, w A_j w> = <g A_i g, g A_j g>: the Schur complement
+        # is B B^T over the rows B_i = svec(g A_i g), symmetric by construction.
+        # The congruence runs over slices of rows, so that each temporary holds
+        # about _CONGRUENCE_SLICE entries however large the group's stack is.
         b_rows = np.empty_like(a_mat)
-        for (off, length, n), stack, (w, _, _, _, _) in zip(views, a_stacks, scal):
-            b_rows[:, off : off + length] = _svec_batch(_congruence_rows(stack, w))
-        schur = a_mat @ b_rows.T
-        schur = 0.5 * (schur + schur.T)
+        for group, stack, sc in zip(groups, a_stacks, scal):
+            g = sc.g[:, None]
+            step = max(1, _CONGRUENCE_SLICE // stack[:, 0].size)
+            for lo in range(0, m, step):
+                scaled = g @ stack[:, lo : lo + step] @ g
+                b_rows[lo : lo + step, group.gather] = _svec_batch(scaled).swapaxes(0, 1)
+        schur = b_rows @ b_rows.T
 
         chol_fac = None
         jitter = 0.0
@@ -562,14 +601,15 @@ def solve(
         rg = float(c @ x) - float(b @ y) + kappa
 
         d_c = _apply_d(c)
+        d_rd = _apply_d(rd)
         dy1 = sla.cho_solve(chol_fac, b + a_mat @ d_c, check_finite=False)
         dx1 = _apply_d(a_mat.T @ dy1) - d_c
         denom_1 = float(b @ dy1) - float(c @ dx1)
 
         def _newton(rc: Array, rck: float) -> tuple[Array, Array, Array, float, float] | None:
-            rhs2 = -rp - a_mat @ (rc + _apply_d(rd))
-            dy2 = sla.cho_solve(chol_fac, rhs2, check_finite=False)
-            dx2 = rc + _apply_d(rd) + _apply_d(a_mat.T @ dy2)
+            rc_d = rc + d_rd
+            dy2 = sla.cho_solve(chol_fac, -rp - a_mat @ rc_d, check_finite=False)
+            dx2 = rc_d + _apply_d(a_mat.T @ dy2)
             denom = kappa + tau * denom_1
             if abs(denom) < 1e-300:
                 return None
@@ -587,11 +627,11 @@ def solve(
             break
         dx_a, dy_a, ds_a, dtau_a, dkappa_a = affine
 
-        dx_a_mats = _unpack(dx_a, views)
-        ds_a_mats = _unpack(ds_a, views)
+        dx_a_mats = [group.unpack(dx_a) for group in groups]
+        ds_a_mats = [group.unpack(ds_a) for group in groups]
         alpha_aff = min(
-            _max_step(x_mats, dx_a_mats),
-            _max_step(s_mats, ds_a_mats),
+            min(map(_max_step_batch, x_mats, dx_a_mats)),
+            min(map(_max_step_batch, s_mats, ds_a_mats)),
             _scalar_step(tau, dtau_a),
             _scalar_step(kappa, dkappa_a),
             1.0,
@@ -602,21 +642,18 @@ def solve(
         ) * (kappa + alpha_aff * dkappa_a)
         sigma = float(np.clip((max(gap_aff, 0.0) / gap_now) ** 3, 1e-9, 0.99999))
 
-        # Corrector right-hand side, block by block in the scaled space.
+        # Corrector right-hand side, group by group in the scaled space.
         rc = np.empty_like(x)
-        for idx, ((off, length, n), (w, g, g_inv, v_vals, v_vecs)) in enumerate(
-            zip(views, scal)
-        ):
-            dxa_t = g_inv @ dx_a_mats[idx] @ g_inv
-            dsa_t = g @ ds_a_mats[idx] @ g
+        for group, sc, dxa, dsa in zip(groups, scal, dx_a_mats, ds_a_mats):
+            dxa_t = sc.g_inv @ dxa @ sc.g_inv
+            dsa_t = sc.g @ dsa @ sc.g
             cross = 0.5 * (dxa_t @ dsa_t + dsa_t @ dxa_t)
-            v_sq = (v_vecs * v_vals**2) @ v_vecs.T
-            target = sigma * mu * np.eye(n) - v_sq - cross
-            in_basis = v_vecs.T @ target @ v_vecs
-            in_basis *= 2.0 / np.add.outer(v_vals, v_vals)
-            r_c = v_vecs @ in_basis @ v_vecs.T
-            mat = g @ (0.5 * (r_c + r_c.T)) @ g
-            rc[off : off + length] = svec(mat)
+            v_sq = _spectral(sc.v_vals**2, sc.v_vecs)
+            target = sigma * mu * np.eye(group.side) - v_sq - cross
+            in_basis = _t(sc.v_vecs) @ target @ sc.v_vecs
+            in_basis *= 2.0 / (sc.v_vals[..., :, None] + sc.v_vals[..., None, :])
+            r_c = sc.v_vecs @ in_basis @ _t(sc.v_vecs)
+            rc[group.gather] = _svec_batch(sc.g @ _sym(r_c) @ sc.g)
         rck = sigma * mu - tau * kappa - dtau_a * dkappa_a
 
         corrected = _newton(rc, rck)
@@ -627,8 +664,8 @@ def solve(
         dx, dy, ds, dtau, dkappa = corrected
 
         alpha_max = min(
-            _max_step(x_mats, _unpack(dx, views)),
-            _max_step(s_mats, _unpack(ds, views)),
+            min(map(_max_step_batch, x_mats, [group.unpack(dx) for group in groups])),
+            min(map(_max_step_batch, s_mats, [group.unpack(ds) for group in groups])),
             _scalar_step(tau, dtau),
             _scalar_step(kappa, dkappa),
         )
@@ -648,7 +685,7 @@ def solve(
 
     if status == OPTIMAL:
         x_hat, y_hat = best.x, best.y
-        block_values = _unpack(x_hat, views)
+        block_values = _unpack_blocks(x_hat, groups)
         y_full = _restore_y(y_hat)
         primal = sign * best.primal
         dual = sign * best.dual
@@ -669,7 +706,7 @@ def solve(
         )
 
     if status in (MAX_ITERATIONS, NUMERICAL_TROUBLE):
-        block_values = _unpack(best.x, views) if best.x is not None else None
+        block_values = _unpack_blocks(best.x, groups) if best.x is not None else None
         y_full = _restore_y(best.y) if best.y is not None else None
         return SdpSolution(
             status=status,

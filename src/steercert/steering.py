@@ -709,11 +709,13 @@ def qtilde_membership(
     the outcome weights times the identity, the trusted blocks to the states,
     the pair blocks to the outcome-0 members (transposed, scaled).  Data that
     break a trace rule (a state's trace is not 1, or an outcome weight
-    depends on the trusted input) are infeasible with margin ``-inf``, with
-    no solve.  Otherwise the margin is the largest ``t`` with ``Gamma(p) - t
-    I`` positive semidefinite over the free moments ``p``, and the witness is
-    ``Gamma`` at the optimum when feasible.  ``certificate_y`` is ``None``:
-    the separating functional is the LMI's dual block (the solver's primal).
+    depends on the trusted input) or signal to the trusted side (the reduced
+    state ``sum_a sigma_{a|x,y}`` depends on ``x``; only ``x = 0`` is pinned)
+    are infeasible with margin ``-inf``, with no solve.  Otherwise the margin
+    is the largest ``t`` with ``Gamma(p) - t I`` positive semidefinite over
+    the free moments ``p``, and the witness is ``Gamma`` at the optimum when
+    feasible.  ``certificate_y`` is ``None``: the separating functional is
+    the LMI's dual block (the solver's primal).
     """
     shape = asm.shape
     if shape.n_a != 2:
@@ -723,7 +725,11 @@ def qtilde_membership(
     pinned = {((x,), ()): w * np.eye(d) for x, w in enumerate(weights)}
     mismatch = []
     for y in range(shape.m_b):
-        for x_part, member in [((), asm.reduced_state(y))] + [
+        reduced = asm.reduced_state(y)
+        mismatch.extend(
+            float(np.linalg.norm(asm.reduced_state(y, x) - reduced)) for x in range(1, shape.m_a)
+        )
+        for x_part, member in [((), reduced)] + [
             ((x,), asm.member(0, x, y)) for x in range(shape.m_a)
         ]:
             pinned[(x_part, (y,))] = 0.5 * (member + member.conj().T).T / d

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steercert import sdp
+from steercert.assemblages import ScenarioShape, random_quantum_bwi
 from steercert.sdp import EqualityRow, HermitianBlockBuilder, SdpProblem
+from steercert.steering import lhs_membership
 
 
 def random_symmetric(rng, n):
@@ -166,6 +168,63 @@ def test_constructed_optimum_is_reached(seed):
     assert np.linalg.eigvalsh(solution.block_values[0]).min() > -1e-8
 
 
+MIXED_SIDES = (2, 1, 3, 2, 1, 3)
+MIXED_RANKS = (1, 1, 1, 1, 0, 2)
+
+
+def mixed_side_instance(seed, order=tuple(range(6)), m=9):
+    """A constructed optimum over blocks of interleaved sides, stated in ``order``.
+
+    Block ``j`` of the problem is block ``order[j]`` of the construction.
+    Returns the problem, the optimal value and the optimal blocks in
+    construction order.
+    """
+    rng = np.random.default_rng(seed)
+    x_star, s_star = [], []
+    for n, rank in zip(MIXED_SIDES, MIXED_RANKS):
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        x_star.append((basis[:, :rank] * rng.uniform(0.5, 2.0, size=rank)) @ basis[:, :rank].T)
+        s_star.append((basis[:, rank:] * rng.uniform(0.5, 2.0, size=n - rank)) @ basis[:, rank:].T)
+    y_star = rng.normal(size=m)
+    a_mats = [[random_symmetric(rng, n) for n in MIXED_SIDES] for _ in range(m)]
+    b = [sum(np.sum(a * x) for a, x in zip(row, x_star)) for row in a_mats]
+    c_mats = [
+        sum(y * row[k] for y, row in zip(y_star, a_mats)) + s_star[k]
+        for k in range(len(MIXED_SIDES))
+    ]
+    position = {block: j for j, block in enumerate(order)}
+    problem = SdpProblem(
+        block_dims=tuple(MIXED_SIDES[k] for k in order),
+        objective=tuple((position[k], c) for k, c in enumerate(c_mats)),
+        equalities=[
+            EqualityRow(tuple((position[k], a) for k, a in enumerate(row)), b_i)
+            for row, b_i in zip(a_mats, b)
+        ],
+    )
+    value = float(sum(np.sum(c * x) for c, x in zip(c_mats, x_star)))
+    return problem, value, x_star
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_order_does_not_change_the_optimum(seed):
+    # Blocks of one side are not contiguous in either order, so each side's
+    # stack gathers scattered blocks.  The solves are tightened to 1e-10 so
+    # that both values sit well within 1e-9 of the optimum; the blocks are
+    # determined only to about the square root of that.
+    order = (3, 5, 0, 4, 2, 1)
+    problem, value, x_star = mixed_side_instance(seed)
+    permuted, _, _ = mixed_side_instance(seed, order)
+    base = sdp.solve(problem, feas_tol=1e-10, gap_tol=1e-10)
+    moved = sdp.solve(permuted, feas_tol=1e-10, gap_tol=1e-10)
+    assert base.status == moved.status == sdp.OPTIMAL
+    assert moved.primal_value == pytest.approx(base.primal_value, abs=1e-9)
+    assert base.primal_value == pytest.approx(value, abs=1e-8)
+    for j, k in enumerate(order):
+        assert moved.block_values[j].shape == (MIXED_SIDES[k],) * 2
+        assert np.allclose(moved.block_values[j], base.block_values[k], atol=1e-4)
+        assert np.allclose(base.block_values[k], x_star[k], atol=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # Diagonal blocks reduce to linear programs with an enumerable oracle
 # ---------------------------------------------------------------------------
@@ -278,6 +337,56 @@ def test_redundant_rows_are_harmless():
 
 
 # ---------------------------------------------------------------------------
+# Batched step length
+# ---------------------------------------------------------------------------
+
+
+def reference_max_step(mats, dmats):
+    """Matrix by matrix: ``-1 / lambda_min(X^-1/2 D X^-1/2)``, eigenvalues floored as in the solver."""
+    alpha = np.inf
+    for x_mat, d_mat in zip(mats, dmats):
+        values, vectors = np.linalg.eigh(x_mat)
+        values = np.maximum(values, max(values.max() * 1e-15, 1e-50))
+        root_inv = (vectors / np.sqrt(values)) @ vectors.T
+        min_eig = float(np.linalg.eigvalsh(root_inv @ d_mat @ root_inv).min())
+        if min_eig < -1e-14:
+            alpha = min(alpha, -1.0 / min_eig)
+    return alpha
+
+
+def step_stack(seed, count=6, n=3):
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(count, n, n))
+    mats = factors @ factors.swapaxes(1, 2) + np.eye(n)
+    dmats = np.stack([0.3 * random_symmetric(rng, n) for _ in range(count)])
+    return mats, dmats
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_step_length_matches_per_matrix_reference(seed):
+    mats, dmats = step_stack(seed)
+    alpha = sdp._max_step_batch(mats, dmats)
+    assert np.isfinite(alpha)
+    assert alpha == pytest.approx(reference_max_step(mats, dmats), rel=1e-12)
+    # Along a positive semidefinite direction the step is unbounded.
+    assert sdp._max_step_batch(mats, np.broadcast_to(np.eye(3), mats.shape)) == np.inf
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batched_step_length_falls_back_on_a_singular_block(seed):
+    mats, dmats = step_stack(seed)
+    # A singular PSD block that binds the step: on its range the direction
+    # leaves the cone at alpha = 1/2, on its kernel it does not move.
+    mats[2] = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    dmats[2] = np.array([[-4.0, -2.0, 0.0], [-2.0, -4.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(mats)
+    alpha = sdp._max_step_batch(mats, dmats)
+    assert alpha == pytest.approx(reference_max_step(mats, dmats), rel=1e-12)
+    assert alpha == pytest.approx(0.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Phase-one feasibility probe
 # ---------------------------------------------------------------------------
 
@@ -340,6 +449,30 @@ def test_repeated_solves_are_bitwise_identical():
         np.array_equal(a, b) for a, b in zip(first.block_values, second.block_values)
     )
     assert np.array_equal(first.y, second.y)
+
+
+def test_many_block_solves_are_bitwise_identical(monkeypatch):
+    # A hidden-state membership at m_a = 5: 32 strategies times 2 trusted
+    # inputs give 64 blocks of side 4, one stack, plus the two shift blocks.
+    solutions = []
+    solve = sdp.solve
+
+    def recording_solve(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    asm = random_quantum_bwi(ScenarioShape(2, 5, 2, 2), seed=3)
+    first = lhs_membership(asm)
+    second = lhs_membership(asm)
+    assert len(solutions) == 2
+    one, two = solutions
+    assert one.status == sdp.OPTIMAL
+    assert len(one.block_values) == 66
+    assert first.margin == second.margin
+    assert one.iterations == two.iterations
+    assert all(np.array_equal(a, b) for a, b in zip(one.block_values, two.block_values))
+    assert np.array_equal(one.y, two.y)
 
 
 def test_dump_lists_blocks_objective_and_rows():

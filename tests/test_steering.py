@@ -308,6 +308,22 @@ def test_relaxation_membership_rejects_trusted_to_untrusted_signalling():
     assert report.status == "infeasible"
 
 
+def test_relaxation_membership_rejects_untrusted_to_trusted_signalling():
+    # Only the x = 0 reduced state is pinned.  Replacing sigma_{1|1,0} by the
+    # maximally mixed state of the same trace keeps every trace rule but makes
+    # the trusted side's reduced state depend on the untrusted input.
+    asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
+    members = dict(asm.members)
+    members[(1, 1, 0)] = 0.5 * np.trace(members[(1, 1, 0)]).real * np.eye(2)
+    signalling = assemblages.BwiAssemblage(asm.shape, members)
+    assert validate_ns_bwi(signalling).residuals["state_consistency"] > 0.2
+    report = qtilde_membership(signalling)
+    assert not report.feasible
+    assert report.margin == -np.inf
+    assert report.status == "infeasible"
+    assert report.witness is None
+
+
 def test_relaxation_membership_witness_reproduces_the_members():
     asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=21)
     report = qtilde_membership(asm)
