@@ -481,13 +481,6 @@ class MembershipReport:
     certificate_y: Array | None = None
 
 
-def _unit_entry(d: int, i: int, j: int) -> Array:
-    """Coefficient matrix E with tr(E H) = H[i, j]."""
-    out = np.zeros((d, d), dtype=complex)
-    out[j, i] = 1.0
-    return out
-
-
 def ns_variable_blocks(
     builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, prefix: str = "w"
 ) -> dict[tuple[int, int, int], str]:
@@ -505,14 +498,12 @@ def ns_variable_blocks(
                 name = f"{prefix}[{a}|{x},{y}]"
                 builder.add_block(name, d)
                 names[(a, x, y)] = name
+    zero = np.zeros((d, d), dtype=complex)
     for y in range(shape.m_b):
         for x in range(1, shape.m_a):
-            for i in range(d):
-                for j in range(i, d):
-                    unit = _unit_entry(d, i, j)
-                    terms = [(names[(a, x, y)], unit) for a in range(shape.n_a)]
-                    terms += [(names[(a, 0, y)], -unit) for a in range(shape.n_a)]
-                    builder.add_equality(terms, 0.0)
+            terms = [(names[(a, x, y)], 1.0) for a in range(shape.n_a)]
+            terms += [(names[(a, 0, y)], -1.0) for a in range(shape.n_a)]
+            builder.add_matrix_equality(terms, zero)
     eye = np.eye(d, dtype=complex)
     for a in range(shape.n_a):
         for x in range(shape.m_a):
@@ -541,12 +532,7 @@ def instrumental_membership(
     names = ns_variable_blocks(builder, shape)
     for a in range(shape.n_a):
         for x in range(shape.m_a):
-            target = asm.member(a, x)
-            for i in range(d):
-                for j in range(i, d):
-                    builder.add_equality(
-                        [(names[(a, x, a)], _unit_entry(d, i, j))], complex(target[i, j])
-                    )
+            builder.add_matrix_equality([(names[(a, x, a)], 1.0)], asm.member(a, x))
     problem = builder.build()
     result = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
     witness = None

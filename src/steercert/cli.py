@@ -69,6 +69,7 @@ from steercert.ptp import (
 # ``build_qtilde_problem`` is not called here, but ``perfbench/tracing.py``
 # wraps it as ``cli.build_qtilde_problem``, so the name stays importable.
 from steercert.steering import (  # noqa: F401
+    BinaryOutcomesRequired,
     InstrumentalFunctional,
     MomentMatrix,
     SolverFailure,
@@ -333,11 +334,8 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[ReportDocument, int]:
         raise CliError(EXIT_INPUT, f"the {args.which} bound needs a steering functional")
     doc.results["which"] = args.which
     if args.which == "lhs":
-        value, model = _timed(
-            doc.solver,
-            "hidden-state bound",
-            lambda: lhs_bound(functional, feas_tol=tol, gap_tol=tol),
-        )
+        # A closed form: no solve, so nothing goes into the solver log.
+        value, model = lhs_bound(functional)
         realized = evaluate(functional, model.assemblage(functional.shape))
         doc.residuals["witness_gap"] = abs(realized - value)
         doc.residuals["weight_total"] = abs(sum(model.weights()) - 1.0)
@@ -869,6 +867,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BinaryOutcomesRequired as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -890,12 +890,6 @@ class HermitianBlockBuilder:
         self._dims.append(dim)
         return index
 
-    def block_index(self, name: str) -> int:
-        return self._names[name]
-
-    def block_dim(self, name: str) -> int:
-        return self._dims[self._names[name]]
-
     def add_equality(
         self, terms: Sequence[tuple[str, Array]], rhs: complex = 0.0
     ) -> None:
@@ -911,6 +905,24 @@ class HermitianBlockBuilder:
                 )
             compiled.append((index, coeff))
         self._rows.append((tuple(compiled), complex(rhs)))
+
+    def add_matrix_equality(
+        self, terms: Sequence[tuple[str, complex]], target: Array
+    ) -> None:
+        """Require ``sum_k c_k H_k = target`` over named blocks of ``target``'s side.
+
+        ``terms`` pairs each block name with its scalar ``c_k``.  One row pins
+        entry ``(i, j)`` for each ``i <= j`` in row-major order, which fixes a
+        Hermitian sum entirely.
+        """
+        d = len(target)
+        for i in range(d):
+            for j in range(i, d):
+                unit = np.zeros((d, d), dtype=complex)
+                unit[j, i] = 1.0
+                self.add_equality(
+                    [(name, scalar * unit) for name, scalar in terms], complex(target[i, j])
+                )
 
     def add_objective_term(self, name: str, coeff: Array) -> None:
         """Accumulate ``Re tr(F H)`` into the objective."""

@@ -10,16 +10,19 @@ to an assemblage.  Three convex sets give three benchmarks for such values:
   in the untrusted measurement and trusted channel labels, with one block of
   side ``d * (1 + m_a + m_b + m_a m_b)`` written over its free moments.
 
-Each benchmark is the functional's minimum over its set, computed with the
-in-house semidefinite solver; each set also supports a direct membership test
-for a given assemblage.  The wired (instrumental) variant post-selects the
-trusted input to equal the untrusted outcome, both for functional values and
-for the relaxation bound.
+Each benchmark is the functional's minimum over its set.  The hidden-state
+minimum has a closed form, a sum of smallest eigenvalues minimized over
+deterministic strategies; the no-signalling and relaxation minima are
+computed with the in-house semidefinite solver.  Each set also supports a
+direct membership test for a given assemblage, all three by the solver.  The
+wired (instrumental) variant post-selects the trusted input to equal the
+untrusted outcome, both for functional values and for the relaxation bound.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +53,18 @@ class SolverFailure(RuntimeError):
     def __init__(self, message: str, solution: object = None) -> None:
         super().__init__(message)
         self.solution = solution
+
+
+class BinaryOutcomesRequired(ValueError):
+    """The relaxation was asked for an input whose untrusted side has n_a != 2."""
+
+
+def require_binary_outcomes(shape: ScenarioShape) -> None:
+    """Raise ``BinaryOutcomesRequired`` unless the relaxation can encode ``shape``."""
+    if shape.n_a != 2:
+        raise BinaryOutcomesRequired(
+            f"the relaxation needs binary outcomes (n_a = 2); this input has n_a = {shape.n_a}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -220,89 +235,71 @@ class LhsModel:
         return BwiAssemblage(shape=shape, members=members)
 
 
-def _lhs_blocks(
-    builder: sdp.HermitianBlockBuilder,
-    shape: ScenarioShape,
-    strategies: Sequence[tuple[int, ...]],
-) -> dict[tuple[int, int], str]:
-    """Declare hidden-state blocks with input-independent weights."""
-    names = {}
-    for k in range(len(strategies)):
-        for y in range(shape.m_b):
-            name = f"omega[{k},{y}]"
-            builder.add_block(name, shape.d)
-            names[(k, y)] = name
-    eye = np.eye(shape.d, dtype=complex)
-    for k in range(len(strategies)):
-        for y in range(1, shape.m_b):
-            builder.add_equality([(names[(k, y)], eye), (names[(k, 0)], -eye)], 0.0)
-    return names
-
-
 def lhs_bound(
-    functional: SteeringFunctional,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
+    functional: SteeringFunctional, *, max_iter: int | None = None
 ) -> tuple[float, LhsModel]:
-    """Minimum of the functional over hidden-state assemblages, with a model.
+    """Minimum of the functional over hidden-state assemblages, with an exact model.
 
-    The untrusted side is replaced by deterministic strategies; the
-    semidefinite program optimizes the subnormalized trusted states.
+    The weights are shared across trusted inputs, so for each deterministic
+    strategy ``s`` the trusted states decouple per input and the minimum is
+    ``min_s sum_y lambda_min(sum_x F_{s(x),x,y})``.  The model is the first
+    minimizing strategy with weight one and a ground-state projector at each
+    trusted input.  No solver runs, so ``max_iter`` has no effect: it is
+    accepted only because the benchmark in ``perfbench/`` still passes it, and
+    passing it raises a ``DeprecationWarning``.
     """
+    if max_iter is not None:
+        warnings.warn(
+            "lhs_bound is a closed form and runs no solver; max_iter has no effect",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     shape = functional.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
-    builder = sdp.HermitianBlockBuilder()
-    names = _lhs_blocks(builder, shape, strategies)
-    builder.add_equality(
-        [(names[(k, 0)], np.eye(shape.d, dtype=complex)) for k in range(len(strategies))],
-        1.0,
+    table = np.array(
+        [
+            [[functional.term(a, x, y) for y in range(shape.m_b)] for x in range(shape.m_a)]
+            for a in range(shape.n_a)
+        ]
     )
-    for k, strategy in enumerate(strategies):
-        for y in range(shape.m_b):
-            gain = np.zeros((shape.d, shape.d), dtype=complex)
-            for x in range(shape.m_a):
-                gain = gain + functional.term(strategy[x], x, y)
-            builder.add_objective_term(names[(k, y)], gain)
-    problem = builder.build()
-    solution = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
-    if solution.status != sdp.OPTIMAL:
-        raise SolverFailure(
-            f"hidden-state bound ended with status {solution.status}", solution
-        )
-    states = {
-        key: builder.extract(solution.block_values, name) for key, name in names.items()
-    }
-    model = LhsModel(strategies=tuple(strategies), states=states)
-    return float(solution.primal_value), model
+    # gains[k, y] = sum_x F_{s_k(x),x,y}
+    gains = table[np.array(strategies), np.arange(shape.m_a)].sum(axis=1)
+    energies, vectors = np.linalg.eigh(gains)
+    totals = energies[..., 0].sum(axis=1)
+    best = int(np.argmin(totals))
+    ground = vectors[best, :, :, 0]
+    states = {(0, y): np.outer(ground[y], ground[y].conj()) for y in range(shape.m_b)}
+    return float(totals[best]), LhsModel(strategies=(strategies[best],), states=states)
 
 
 def lhs_membership(
     asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
 ) -> MembershipReport:
-    """Decide whether an assemblage admits a hidden-state explanation."""
+    """Decide whether an assemblage admits a hidden-state explanation.
+
+    Each strategy carries one block per trusted input, with traces equal
+    across inputs; each member is pinned to the sum of its strategies' blocks.
+    """
     shape = asm.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
     builder = sdp.HermitianBlockBuilder()
-    names = _lhs_blocks(builder, shape, strategies)
-    d = shape.d
+    names = {}
+    eye = np.eye(shape.d, dtype=complex)
+    for k in range(len(strategies)):
+        for y in range(shape.m_b):
+            names[(k, y)] = f"omega[{k},{y}]"
+            builder.add_block(names[(k, y)], shape.d)
+        for y in range(1, shape.m_b):
+            builder.add_equality([(names[(k, y)], eye), (names[(k, 0)], -eye)], 0.0)
     for a in range(shape.n_a):
         for x in range(shape.m_a):
             for y in range(shape.m_b):
-                target = asm.member(a, x, y)
-                for i in range(d):
-                    for j in range(i, d):
-                        unit = np.zeros((d, d), dtype=complex)
-                        unit[j, i] = 1.0
-                        terms = [
-                            (names[(k, y)], unit)
-                            for k, strategy in enumerate(strategies)
-                            if strategy[x] == a
-                        ]
-                        if not terms:
-                            continue
-                        builder.add_equality(terms, complex(target[i, j]))
+                terms = [
+                    (names[(k, y)], 1.0)
+                    for k, strategy in enumerate(strategies)
+                    if strategy[x] == a
+                ]
+                builder.add_matrix_equality(terms, asm.member(a, x, y))
     problem = builder.build()
     result = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
     witness = None
@@ -520,8 +517,7 @@ class _MomentForm:
     def __init__(
         self, shape: ScenarioShape, pinned: dict[MomentKey, Array] | None = None
     ) -> None:
-        if shape.n_a != 2:
-            raise ValueError("the relaxation is formulated for binary outcomes")
+        require_binary_outcomes(shape)
         self.shape, self.words, self.d = shape, moment_words(shape), shape.d
         d, pinned = shape.d, pinned or {}
         eye = np.eye(d, dtype=complex)
@@ -685,8 +681,7 @@ def qtilde_instrumental_bound(
     the result lower-bounds every quantum-realizable wired value.
     """
     shape = functional.shape
-    if shape.n_a != 2:
-        raise ValueError("the relaxation is formulated for binary outcomes")
+    require_binary_outcomes(shape)
     if shape.m_b != 2:
         raise ValueError("wiring binary outcomes needs two trusted inputs")
     value, _ = _solve_bound(
@@ -718,8 +713,7 @@ def qtilde_membership(
     the LMI's dual block (the solver's primal).
     """
     shape = asm.shape
-    if shape.n_a != 2:
-        raise ValueError("the relaxation is formulated for binary outcomes")
+    require_binary_outcomes(shape)
     d = shape.d
     weights = [float(np.trace(asm.member(0, x, 0)).real) for x in range(shape.m_a)]
     pinned = {((x,), ()): w * np.eye(d) for x, w in enumerate(weights)}

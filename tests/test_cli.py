@@ -12,6 +12,7 @@ import pytest
 from steercert import cli, sdp, serialize
 from steercert.assemblages import (
     BWI,
+    INSTRUMENTAL,
     TRADITIONAL,
     BwiAssemblage,
     MembershipReport,
@@ -24,7 +25,7 @@ from steercert.assemblages import (
 )
 from steercert.ghjw import reconstruct_sequential, reconstruct_traditional
 from steercert.matcore import PAULIS
-from steercert.steering import SolverFailure
+from steercert.steering import InstrumentalFunctional, SolverFailure
 
 
 def run(capsys, *argv):
@@ -62,6 +63,14 @@ def signalling_file(tmp_path):
     data["members"]["0|0,1"] = serialize.matrix_to_json(1.2 * matrix)
     path = tmp_path / "signalling.json"
     path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture
+def three_outcome_functional_file(tmp_path):
+    functional = cli._random_psd_functional(ScenarioShape(3, 2, 2, 2, BWI), seed=5)
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(serialize.functional_to_json(functional)))
     return str(path)
 
 
@@ -121,7 +130,7 @@ class TestBounds:
         assert code == 0
         assert doc["results"]["value"] == pytest.approx(1.2679491924, abs=1e-6)
         assert doc["residuals"]["witness_gap"] < 1e-8
-        assert doc["solver"][0]["status"] == "optimal"
+        assert doc["solver"] == []
 
     def test_relaxation_bound(self, capsys):
         code, doc, _ = run_json(capsys, "bounds", "builtin:canonical", "--which", "qtilde")
@@ -160,10 +169,34 @@ class TestBounds:
         def explode(functional, **kwargs):
             raise SolverFailure("did not converge")
 
-        monkeypatch.setattr(cli, "lhs_bound", explode)
-        code, _, err = run(capsys, "bounds", "builtin:canonical", "--which", "lhs")
+        monkeypatch.setattr(cli, "ns_bound", explode)
+        code, _, err = run(capsys, "bounds", "builtin:canonical", "--which", "ns")
         assert code == 3
         assert "did not converge" in err
+        # The hidden-state bound is a closed form: no solve, nothing logged.
+        code, doc, _ = run_json(capsys, "bounds", "builtin:canonical", "--which", "lhs")
+        assert code == 0
+        assert doc["solver"] == []
+        assert doc["residuals"]["witness_gap"] <= 1e-12
+
+    def test_relaxation_needs_binary_outcomes(
+        self, capsys, tmp_path, three_outcome_functional_file
+    ):
+        code, _, err = run(capsys, "bounds", three_outcome_functional_file, "--which", "qtilde")
+        assert code == 2
+        assert "binary outcomes" in err
+        for which in ("lhs", "ns"):
+            code, _, _ = run(capsys, "bounds", three_outcome_functional_file, "--which", which)
+            assert code == 0
+        wired = InstrumentalFunctional(
+            shape=ScenarioShape(3, 2, 3, 2, INSTRUMENTAL),
+            coeffs={(a, x): np.eye(2) for a in range(3) for x in range(2)},
+        )
+        path = tmp_path / "wired.json"
+        path.write_text(json.dumps(serialize.functional_to_json(wired)))
+        code, _, err = run(capsys, "bounds", str(path), "--which", "qtilde-instrumental")
+        assert code == 2
+        assert "binary outcomes" in err
 
 
 class TestCertify:
@@ -225,6 +258,20 @@ class TestCertify:
         code, _, err = run(capsys, "certify", signalling_file)
         assert code == 2
         assert "no-signalling" in err
+
+    def test_three_outcome_steerable_input_is_input_error(self, capsys, tmp_path):
+        shape = ScenarioShape(n_a=3, m_a=3, m_b=2, d=2, kind=BWI)
+        eye = np.eye(2)
+        members = {
+            (a, x, y): (eye + (-1.0) ** a * pauli) / 4 if a < 2 else 0 * eye
+            for a in range(3)
+            for x, pauli in enumerate(PAULIS)
+            for y in range(2)
+        }
+        path = write_assemblage(tmp_path / "three.json", BwiAssemblage(shape=shape, members=members))
+        code, _, err = run(capsys, "certify", path)
+        assert code == 2
+        assert "binary outcomes" in err
 
     def test_instrumental_input_rejected(self, capsys):
         code, _, err = run(capsys, "certify", "builtin:instrumental-pauli")

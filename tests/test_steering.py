@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from steercert import assemblages, steering
+from steercert import assemblages, sdp, steering
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
@@ -19,6 +19,8 @@ from steercert.assemblages import (
 )
 from steercert.matcore import PAULIS
 from steercert.steering import (
+    BinaryOutcomesRequired,
+    InstrumentalFunctional,
     LhsModel,
     MomentMatrix,
     SteeringFunctional,
@@ -165,6 +167,81 @@ def test_hidden_state_bound_matches_closed_form_on_random_functionals(seed):
     assert value == pytest.approx(oracle, abs=1e-6)
 
 
+def random_indefinite_functional(seed, shape):
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    for key in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
+        gauss = rng.normal(size=(shape.d, shape.d)) + 1j * rng.normal(size=(shape.d, shape.d))
+        coeffs[key] = gauss + gauss.conj().T
+    return SteeringFunctional(shape=shape, coeffs=coeffs)
+
+
+def sdp_hidden_state_optimum(functional):
+    """Reference without the formula: optimize the trusted states of every strategy.
+
+    One block per strategy and trusted input, traces equal across inputs,
+    total weight one, objective the functional of the induced assemblage.
+    """
+    shape = functional.shape
+    strategies = deterministic_strategies(shape.n_a, shape.m_a)
+    eye = np.eye(shape.d, dtype=complex)
+    builder = sdp.HermitianBlockBuilder()
+    for k, strategy in enumerate(strategies):
+        for y in range(shape.m_b):
+            builder.add_block(f"omega[{k},{y}]", shape.d)
+            gain = sum(functional.term(strategy[x], x, y) for x in range(shape.m_a))
+            builder.add_objective_term(f"omega[{k},{y}]", gain)
+        for y in range(1, shape.m_b):
+            builder.add_equality([(f"omega[{k},{y}]", eye), (f"omega[{k},0]", -eye)], 0.0)
+    builder.add_equality([(f"omega[{k},0]", eye) for k in range(len(strategies))], 1.0)
+    solution = sdp.solve(builder.build())
+    assert solution.status == sdp.OPTIMAL
+    return solution.primal_value
+
+
+@pytest.mark.parametrize(
+    "draw", [random_psd_functional, random_indefinite_functional], ids=["psd", "indefinite"]
+)
+@pytest.mark.parametrize(
+    "n_a, m_a, m_b, d", [(2, 3, 2, 2), (3, 2, 2, 2), (2, 2, 3, 3), (3, 3, 2, 3)]
+)
+def test_hidden_state_bound_matches_the_semidefinite_program(n_a, m_a, m_b, d, draw):
+    functional = draw(11, ScenarioShape(n_a, m_a, m_b, d))
+    value, _ = lhs_bound(functional)
+    assert value == pytest.approx(sdp_hidden_state_optimum(functional), abs=1e-6)
+
+
+def test_hidden_state_model_attains_the_bound_exactly():
+    shape = ScenarioShape(3, 2, 2, 3)
+    functional = random_indefinite_functional(4, shape)
+    value, model = lhs_bound(functional)
+    assert len(model.strategies) == 1
+    assert model.weights().sum() == pytest.approx(1.0, abs=1e-12)
+    for state in model.states.values():
+        assert np.linalg.eigvalsh(state).min() >= -1e-12
+    assert abs(evaluate(functional, model.assemblage(shape)) - value) <= 1e-12
+
+
+def test_hidden_state_bound_runs_no_solver(monkeypatch):
+    functional = canonical_functional()
+    expected, _ = lhs_bound(functional)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hidden-state bound must not call the solver")
+
+    monkeypatch.setattr(sdp, "solve", refuse)
+    value, _ = lhs_bound(functional)
+    assert value == expected
+
+
+def test_hidden_state_bound_warns_that_an_iteration_budget_is_inert():
+    functional = canonical_functional()
+    expected, _ = lhs_bound(functional)
+    with pytest.warns(DeprecationWarning, match="max_iter has no effect"):
+        value, _ = lhs_bound(functional, max_iter=3)
+    assert value == expected
+
+
 def test_hidden_state_membership_splits_the_examples():
     box = lhs_membership(pr_box_assemblage())
     assert not box.feasible
@@ -253,6 +330,22 @@ def test_relaxation_requires_binary_outcomes():
     asm = random_quantum_bwi(shape, seed=0)
     with pytest.raises(ValueError):
         qtilde_membership(asm)
+
+
+def test_every_relaxation_entry_point_names_the_binary_outcome_rule():
+    shape = ScenarioShape(3, 2, 2, 2)
+    wired = InstrumentalFunctional(
+        shape=ScenarioShape(3, 2, 3, 2, INSTRUMENTAL),
+        coeffs={(a, x): np.eye(2) for a in range(3) for x in range(2)},
+    )
+    calls = [
+        lambda: build_qtilde_problem(random_psd_functional(0, shape)),
+        lambda: qtilde_membership(random_quantum_bwi(shape, seed=0)),
+        lambda: qtilde_instrumental_bound(wired),
+    ]
+    for call in calls:
+        with pytest.raises(BinaryOutcomesRequired, match="n_a = 3"):
+            call()
 
 
 def test_relaxation_collapses_in_the_single_input_scenario():
