@@ -21,7 +21,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from steercert import serialize
+from steercert import sdp, serialize
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
@@ -220,14 +220,17 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
         )
         raise CliError(EXIT_SOLVER, f"{context}: {exc}") from exc
     # Bounds raise unless their solve was optimal; memberships report their
-    # solve's status whatever it was.
+    # solve's status whatever it was, and decide nothing unless it was final.
+    status = getattr(result, "status", sdp.OPTIMAL)
     solver_log.append(
         {
             "context": context,
-            "status": getattr(result, "status", "optimal"),
+            "status": status,
             "seconds": round(time.perf_counter() - start, 3),
         }
     )
+    if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
+        raise CliError(EXIT_SOLVER, f"{context} ended with status {status}: no verdict")
     return result
 
 

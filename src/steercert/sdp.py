@@ -6,6 +6,12 @@ Problems are stated over a product of real symmetric blocks:
     subject to  <A_i, X> = b_i      for each equality row i,
                 X block-wise positive semidefinite.
 
+A problem is its data in svec coordinates (:class:`SdpProblem`): ``c``, a
+dense ``a`` with one row per equality and one column per packed coordinate,
+and ``b``.  There is no other format; every producer writes these arrays and
+every consumer (the solver, the phase-one probe, the audits, the dump) is an
+array operation on them.
+
 The solver runs a homogeneous self-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
 either near an optimal primal-dual pair or on an explicit Farkas certificate
@@ -15,7 +21,8 @@ before iterating; inconsistent rows already yield a certificate there.
 A thin Hermitian layer states problems over complex Hermitian blocks in the
 real symmetric form through the standard doubling embedding: with variable
 blocks tied by equality rows (:class:`HermitianBlockBuilder`), or as a linear
-matrix inequality solved through the dual (:func:`hermitian_lmi`).
+matrix inequality solved through the dual (:func:`hermitian_lmi`).  Both
+embed and pack whole coefficient stacks at once and write ``a`` directly.
 
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
@@ -48,8 +55,9 @@ PRESOLVE_RANK_TOL = 1e-10
 #: Relative threshold above which dropped equality rows count as inconsistent.
 PRESOLVE_CONSISTENCY_TOL = 1e-9
 
-#: Entries per temporary of the Schur-complement congruence (2 MiB of floats).
-_CONGRUENCE_SLICE = 1 << 18
+#: Entries per temporary of the operations sliced over stacked rows (2 MiB of
+#: floats): the Schur-complement congruence and the Hermitian packing.
+_SLICE_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +75,15 @@ def _tril_cache(n: int) -> tuple[Array, Array, Array]:
 def svec_dim(n: int) -> int:
     """Length of the packed vector for a symmetric ``n x n`` matrix."""
     return n * (n + 1) // 2
+
+
+def _block_offsets(dims: Sequence[int]) -> Array:
+    """Start of each block's coordinates in the packed vector, then the total length."""
+    return np.concatenate([[0], np.cumsum([svec_dim(n) for n in dims])]).astype(int)
+
+
+def _svec_identity(dims: Sequence[int]) -> Array:
+    return np.concatenate([svec(np.eye(n)) for n in dims])
 
 
 def svec(matrix: Array) -> Array:
@@ -99,16 +116,14 @@ def _smat_batch(vecs: Array, n: int) -> Array:
 
 
 def embed_hermitian(matrix: Array) -> Array:
-    """Real symmetric image of a complex Hermitian matrix.
+    """Real symmetric image of a complex Hermitian matrix, over the last two axes.
 
     The embedding doubles the side and duplicates the spectrum, so positive
     semidefiniteness is preserved in both directions.
     """
     matrix = np.asarray(matrix, dtype=complex)
     re, im = matrix.real, matrix.imag
-    top = np.hstack([re, -im])
-    bottom = np.hstack([im, re])
-    return np.vstack([top, bottom])
+    return np.block([[re, -im], [im, re]])
 
 
 def extract_hermitian(matrix: Array) -> Array:
@@ -130,51 +145,73 @@ def extract_hermitian(matrix: Array) -> Array:
     return 0.5 * (a + d) + 0.5j * (c - b)
 
 
+def _hermitian_part(matrix: Array) -> Array:
+    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
+
+
+def _pack_hermitian(stack: Array, out: Array) -> None:
+    """Write ``svec(embed(H))`` for the Hermitian part ``H`` of each matrix of a stack.
+
+    Row ``k`` of ``out`` receives matrix ``k``.  The stack is embedded in
+    slices of about ``_SLICE_ENTRIES`` entries, so no embedded copy of a large
+    stack is held next to ``out``.
+    """
+    stack = np.asarray(stack)
+    step = max(1, _SLICE_ENTRIES // (2 * stack.shape[-1]) ** 2)
+    for lo in range(0, len(stack), step):
+        out[lo : lo + step] = svec(embed_hermitian(_hermitian_part(stack[lo : lo + step])))
+
+
 # ---------------------------------------------------------------------------
 # Problem containers
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EqualityRow:
-    """One linear equality: sum over terms of <coeff, X_block> equals rhs."""
-
-    terms: tuple[tuple[int, Array], ...]
-    rhs: float
-
-
 @dataclass
 class SdpProblem:
-    """A block semidefinite program over real symmetric variables."""
+    """A block semidefinite program over real symmetric variables, in svec coordinates.
+
+    ``c`` and every row of ``a`` concatenate one :func:`svec` per block of
+    ``block_dims``: the program optimizes ``c . x`` in ``sense`` subject to
+    ``a x = b``, with every block of ``x`` positive semidefinite.
+    """
 
     block_dims: tuple[int, ...]
-    objective: tuple[tuple[int, Array], ...]
-    equalities: list[EqualityRow]
+    c: Array
+    a: Array
+    b: Array
     sense: str = "min"
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
             raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        self.block_dims = tuple(int(n) for n in self.block_dims)
         for k, dim in enumerate(self.block_dims):
             if dim < 1:
                 raise ValueError(f"block {k} has non-positive dimension {dim}")
+        total = int(_block_offsets(self.block_dims)[-1])
+        self.c, self.a, self.b = (np.asarray(v, dtype=float) for v in (self.c, self.a, self.b))
+        if self.c.shape != (total,) or self.b.ndim != 1 or self.a.shape != (len(self.b), total):
+            raise ValueError(
+                f"c, a, b have shapes {self.c.shape}, {self.a.shape}, {self.b.shape}; "
+                f"these blocks need ({total},), (m, {total}), (m,)"
+            )
 
     @property
     def num_rows(self) -> int:
-        return len(self.equalities)
+        return len(self.b)
 
     def dump(self) -> str:
-        """Plain-text rendering: block sides, then (block, row, col, value) triplets."""
-        lines = [f"sense {self.sense}", "blocks " + " ".join(str(d) for d in self.block_dims)]
-        lines.append("objective")
-        for block, mat in self.objective:
-            for i, j in zip(*np.nonzero(np.abs(mat) > 0.0)):
-                lines.append(f"  {block} {i} {j} {float(mat[i, j])!r}")
-        for row_index, row in enumerate(self.equalities):
-            lines.append(f"equality {row_index} rhs {float(row.rhs)!r}")
-            for block, mat in row.terms:
-                for i, j in zip(*np.nonzero(np.abs(mat) > 0.0)):
-                    lines.append(f"  {block} {i} {j} {float(mat[i, j])!r}")
+        """Plain text: block sides, then (block, row, col, value) per nonzero lower entry."""
+        dims = self.block_dims
+        coords = [(k, i, j, w) for k, n in enumerate(dims) for i, j, w in zip(*_tril_cache(n))]
+        lines = [f"sense {self.sense}", "blocks " + " ".join(str(d) for d in dims)]
+        heads = ["objective"] + [f"equality {r} rhs {float(v)!r}" for r, v in enumerate(self.b)]
+        for head, vector in zip(heads, [self.c, *self.a]):
+            lines.append(head)
+            for p in np.flatnonzero(vector):
+                k, i, j, w = coords[p]
+                lines.append(f"  {k} {i} {j} {float(vector[p] / w)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -196,54 +233,9 @@ class SdpSolution:
     note: str = ""
 
 
-def _symmetrized(mat: Array) -> Array:
-    mat = np.asarray(mat, dtype=float)
-    return 0.5 * (mat + mat.T)
-
-
-def _compile(problem: SdpProblem) -> tuple[list[int], Array, Array, Array]:
-    """Dense data (svec coordinates): block dims, c, A, b."""
-    dims = list(problem.block_dims)
-    offsets = np.concatenate([[0], np.cumsum([svec_dim(n) for n in dims])])
-    total = int(offsets[-1])
-    m = len(problem.equalities)
-
-    c = np.zeros(total)
-    for block, mat in problem.objective:
-        sym = _symmetrized(mat)
-        if sym.shape != (dims[block], dims[block]):
-            raise ValueError(
-                f"objective term on block {block} has shape {sym.shape}, "
-                f"expected {(dims[block], dims[block])}"
-            )
-        c[offsets[block] : offsets[block + 1]] += svec(sym)
-    if problem.sense == "max":
-        c = -c
-
-    a_dense = np.zeros((m, total))
-    b = np.zeros(m)
-    for r, row in enumerate(problem.equalities):
-        b[r] = float(row.rhs)
-        for block, mat in row.terms:
-            sym = _symmetrized(mat)
-            if sym.shape != (dims[block], dims[block]):
-                raise ValueError(
-                    f"equality {r} term on block {block} has shape {sym.shape}, "
-                    f"expected {(dims[block], dims[block])}"
-                )
-            a_dense[r, offsets[block] : offsets[block + 1]] += svec(sym)
-    return dims, c, a_dense, b
-
-
 def equality_residuals(problem: SdpProblem, block_values: Sequence[Array]) -> Array:
-    """Signed residual of every equality row at the given block values."""
-    residuals = np.zeros(problem.num_rows)
-    for r, row in enumerate(problem.equalities):
-        total = 0.0
-        for block, mat in row.terms:
-            total += float(np.sum(_symmetrized(mat) * block_values[block]))
-        residuals[r] = total - row.rhs
-    return residuals
+    """Signed residual ``a x - b`` of every equality row at the given symmetric block values."""
+    return problem.a @ np.concatenate([svec(value) for value in block_values]) - problem.b
 
 
 def farkas_terms(problem: SdpProblem, y: Array) -> tuple[float, float]:
@@ -253,13 +245,12 @@ def farkas_terms(problem: SdpProblem, y: Array) -> tuple[float, float]:
     ``sum_i y_i A_i``; a valid certificate has the first positive and the
     second at most zero (up to roundoff).
     """
-    b_dot_y = float(sum(row.rhs * y[r] for r, row in enumerate(problem.equalities)))
-    combos = [np.zeros((n, n)) for n in problem.block_dims]
-    for r, row in enumerate(problem.equalities):
-        for block, mat in row.terms:
-            combos[block] += y[r] * _symmetrized(mat)
-    max_eig = max(float(np.linalg.eigvalsh(combo).max()) for combo in combos)
-    return b_dot_y, max_eig
+    combo = problem.a.T @ y
+    max_eig = max(
+        float(np.linalg.eigvalsh(group.unpack(combo)).max())
+        for group in _side_groups(problem.block_dims)
+    )
+    return float(problem.b @ y), max_eig
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +278,7 @@ class _SideGroup:
 
 def _side_groups(dims: Sequence[int]) -> list[_SideGroup]:
     """Blocks grouped by side; blocks of one side need not be contiguous."""
-    offsets = np.concatenate([[0], np.cumsum([svec_dim(n) for n in dims])]).astype(int)
+    offsets = _block_offsets(dims)
     dims_arr = np.asarray(dims)
     groups = []
     for side in sorted(set(dims)):
@@ -402,7 +393,9 @@ def solve(
     rows are inconsistent, or whose iterates reveal an improving dual ray, is
     reported ``infeasible`` together with the certificate.
     """
-    dims, c, a_full, b_full = _compile(problem)
+    dims = list(problem.block_dims)
+    c = -problem.c if problem.sense == "max" else problem.c
+    a_full, b_full = problem.a, problem.b
     groups = _side_groups(dims)
     sign = -1.0 if problem.sense == "max" else 1.0
     m_full = a_full.shape[0]
@@ -495,11 +488,13 @@ def solve(
     a_stacks = [
         _smat_batch(a_mat[:, group.gather].transpose(1, 0, 2), group.side) for group in groups
     ]
+    # Rewritten in full every iteration; one buffer keeps one copy resident.
+    b_rows = np.empty_like(a_mat)
 
     b_norm = 1.0 + float(np.linalg.norm(b))
     c_norm = 1.0 + float(np.linalg.norm(c))
 
-    x = np.concatenate([svec(np.eye(n)) for n in dims])
+    x = _svec_identity(dims)
     s = x.copy()
     y = np.zeros(m)
     tau = 1.0
@@ -570,11 +565,10 @@ def solve(
         # With w = g g, <A_i, w A_j w> = <g A_i g, g A_j g>: the Schur complement
         # is B B^T over the rows B_i = svec(g A_i g), symmetric by construction.
         # The congruence runs over slices of rows, so that each temporary holds
-        # about _CONGRUENCE_SLICE entries however large the group's stack is.
-        b_rows = np.empty_like(a_mat)
+        # about _SLICE_ENTRIES entries however large the group's stack is.
         for group, stack, sc in zip(groups, a_stacks, scal):
             g = sc.g[:, None]
-            step = max(1, _CONGRUENCE_SLICE // stack[:, 0].size)
+            step = max(1, _SLICE_ENTRIES // stack[:, 0].size)
             for lo in range(0, m, step):
                 scaled = g @ stack[:, lo : lo + step] @ g
                 b_rows[lo : lo + step, group.gather] = _svec_batch(scaled).swapaxes(0, 1)
@@ -765,23 +759,14 @@ def feasibility_phase1(
     instances are classified by the sign of the optimal shift instead of by a
     failed solve.  The objective of ``problem`` is ignored.
     """
-    n_blocks = len(problem.block_dims)
-    shift_plus = n_blocks
-    shift_minus = n_blocks + 1
-    dims = tuple(problem.block_dims) + (1, 1)
-    one = np.array([[1.0]])
-    rows = []
-    for row in problem.equalities:
-        trace_total = float(sum(np.trace(_symmetrized(mat)) for _, mat in row.terms))
-        terms = tuple(row.terms) + (
-            (shift_plus, -trace_total * one),
-            (shift_minus, trace_total * one),
-        )
-        rows.append(EqualityRow(terms, row.rhs))
+    # The solver's blocks are Z = X + t I with t = t+ - t- (the two last,
+    # one-by-one blocks), so row i reads <A_i, Z> - t tr(A_i) = b_i.
+    trace = problem.a @ _svec_identity(problem.block_dims)
     phase1 = SdpProblem(
-        block_dims=dims,
-        objective=((shift_plus, one.copy()), (shift_minus, -one.copy())),
-        equalities=rows,
+        block_dims=problem.block_dims + (1, 1),
+        c=np.concatenate([np.zeros_like(problem.c), [1.0, -1.0]]),
+        a=np.column_stack([problem.a, -trace, trace]),
+        b=problem.b,
         sense="min",
     )
     solution = solve(phase1, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
@@ -806,9 +791,7 @@ def feasibility_phase1(
         )
 
     assert solution.block_values is not None
-    shift = float(
-        solution.block_values[shift_plus][0, 0] - solution.block_values[shift_minus][0, 0]
-    )
+    shift = float(solution.block_values[-2][0, 0] - solution.block_values[-1][0, 0])
     recovered = [
         solution.block_values[k] - shift * np.eye(n)
         for k, n in enumerate(problem.block_dims)
@@ -832,32 +815,27 @@ def feasibility_phase1(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_part(matrix: Array) -> Array:
-    return 0.5 * (matrix + matrix.conj().T)
-
-
 def hermitian_lmi(
     constant: Sequence[Array], coefficients: Sequence[Array], objective: Array
 ) -> SdpProblem:
     """``max b.p`` subject to ``F0_j + sum_k p_k F_kj >= 0`` per block ``j``, as a dual.
 
-    ``constant[j]`` is ``F0_j`` and ``coefficients[j][k]`` is ``F_kj``.  Block
-    ``j`` gets ``C_j = embed(F0_j)`` and row ``k`` gets ``A_kj = -embed(F_kj)``,
-    so the dual slack is the embedded ``F0 + sum_k p_k F_k``: ``solve`` returns
-    the maximizer as ``y`` and the maximum as ``dual_value``.
+    ``constant[j]`` is ``F0_j`` and ``coefficients[j]`` the stack of the
+    ``F_kj``.  Block ``j`` gets ``C_j = embed(F0_j)`` and row ``k`` gets
+    ``A_kj = -embed(F_kj)`` (of the Hermitian parts), so the dual slack is the
+    embedded ``F0 + sum_k p_k F_k``: ``solve`` returns the maximizer as ``y``
+    and the maximum as ``dual_value``.
     """
-    rows = [
-        EqualityRow(
-            tuple((j, -embed_hermitian(f[k])) for j, f in enumerate(coefficients) if np.any(f[k])),
-            float(rhs),
-        )
-        for k, rhs in enumerate(objective)
-    ]
-    return SdpProblem(
-        block_dims=tuple(2 * len(f0) for f0 in constant),
-        objective=tuple((j, embed_hermitian(f0)) for j, f0 in enumerate(constant)),
-        equalities=rows,
-    )
+    dims = tuple(2 * len(f0) for f0 in constant)
+    offsets = _block_offsets(dims)
+    # Row 0 is c, the rows after it are -a.
+    table = np.empty((1 + len(objective), offsets[-1]))
+    for j, (f0, stack) in enumerate(zip(constant, coefficients)):
+        cols = slice(offsets[j], offsets[j + 1])
+        _pack_hermitian(np.asarray(f0)[None], table[:1, cols])
+        _pack_hermitian(stack, table[1:, cols])
+    np.negative(table[1:], out=table[1:])
+    return SdpProblem(block_dims=dims, c=table[0], a=table[1:], b=objective)
 
 
 class HermitianBlockBuilder:
@@ -866,6 +844,9 @@ class HermitianBlockBuilder:
     Every block is embedded as a real symmetric matrix of twice the side; a
     complex equality splits into real and imaginary rows.  ``extract`` maps a
     solved block back to the complex side.
+
+    Terms are kept as stacks ``(rows, blocks, coefficients)`` of one block
+    side each, and ``build`` packs each side's stack in one batched call.
     """
 
     _NEGLIGIBLE = 1e-14
@@ -876,7 +857,8 @@ class HermitianBlockBuilder:
         self.sense = sense
         self._dims: list[int] = []
         self._names: dict[str, int] = {}
-        self._rows: list[tuple[tuple[tuple[int, Array], ...], complex]] = []
+        self._rhs: list[complex] = []
+        self._terms: list[tuple[Array, Array, Array]] = []
         self._objective: dict[int, Array] = {}
 
     def add_block(self, name: str, dim: int) -> int:
@@ -890,21 +872,23 @@ class HermitianBlockBuilder:
         self._dims.append(dim)
         return index
 
+    def _block(self, name: str, shape: tuple[int, ...], what: str) -> int:
+        index = self._names[name]
+        if shape != (self._dims[index],) * 2:
+            raise ValueError(
+                f"{what} for block {name!r} has shape {shape}, expected side {self._dims[index]}"
+            )
+        return index
+
     def add_equality(
         self, terms: Sequence[tuple[str, Array]], rhs: complex = 0.0
     ) -> None:
         """Require ``sum_k tr(E_k H_k) = rhs`` over the named blocks."""
-        compiled = []
-        for name, coeff in terms:
-            index = self._names[name]
-            coeff = np.asarray(coeff, dtype=complex)
-            if coeff.shape != (self._dims[index], self._dims[index]):
-                raise ValueError(
-                    f"coefficient for block {name!r} has shape {coeff.shape}, "
-                    f"expected side {self._dims[index]}"
-                )
-            compiled.append((index, coeff))
-        self._rows.append((tuple(compiled), complex(rhs)))
+        coeffs = [np.asarray(coeff, dtype=complex) for _, coeff in terms]
+        blocks = [self._block(name, c.shape, "coefficient") for (name, _), c in zip(terms, coeffs)]
+        row = np.array([len(self._rhs)])
+        self._terms += [(row, np.array([k]), c[None]) for k, c in zip(blocks, coeffs)]
+        self._rhs.append(complex(rhs))
 
     def add_matrix_equality(
         self, terms: Sequence[tuple[str, complex]], target: Array
@@ -915,58 +899,64 @@ class HermitianBlockBuilder:
         entry ``(i, j)`` for each ``i <= j`` in row-major order, which fixes a
         Hermitian sum entirely.
         """
-        d = len(target)
-        for i in range(d):
-            for j in range(i, d):
-                unit = np.zeros((d, d), dtype=complex)
-                unit[j, i] = 1.0
-                self.add_equality(
-                    [(name, scalar * unit) for name, scalar in terms], complex(target[i, j])
-                )
+        target = np.asarray(target, dtype=complex)
+        upper_i, upper_j = np.triu_indices(len(target))
+        count = len(upper_i)
+        # Row p reads tr(U_p H) = H[i, j] with U_p the unit matrix at (j, i).
+        units = np.zeros((count,) + target.shape, dtype=complex)
+        units[np.arange(count), upper_j, upper_i] = 1.0
+        blocks = [self._block(name, target.shape, "coefficient") for name, _ in terms]
+        scalars = np.array([scalar for _, scalar in terms], dtype=complex)
+        # One stack for all terms, term after term.
+        rows = np.tile(len(self._rhs) + np.arange(count), len(blocks))
+        coeffs = (scalars[:, None, None, None] * units).reshape((-1,) + target.shape)
+        self._terms.append((rows, np.repeat(np.array(blocks, dtype=int), count), coeffs))
+        self._rhs += target[upper_i, upper_j].tolist()
 
     def add_objective_term(self, name: str, coeff: Array) -> None:
         """Accumulate ``Re tr(F H)`` into the objective."""
-        index = self._names[name]
         coeff = np.asarray(coeff, dtype=complex)
-        if coeff.shape != (self._dims[index], self._dims[index]):
-            raise ValueError(
-                f"objective coefficient for block {name!r} has shape {coeff.shape}, "
-                f"expected side {self._dims[index]}"
-            )
-        if index in self._objective:
-            self._objective[index] = self._objective[index] + coeff
-        else:
-            self._objective[index] = coeff
+        index = self._block(name, coeff.shape, "objective coefficient")
+        self._objective[index] = self._objective.get(index, 0.0) + coeff
 
     def build(self) -> SdpProblem:
+        """Pack each side's terms at once: the real (imaginary) row of ``sum_k
+        tr(E_k H_k) = rhs`` takes ``0.5 embed(H)`` for the Hermitian part ``H`` of
+        ``E_k`` (of ``-i E_k``), unless its terms and right-hand side are negligible."""
         dims = tuple(2 * d for d in self._dims)
-        objective = tuple(
-            (index, 0.5 * embed_hermitian(_hermitian_part(coeff)))
-            for index, coeff in sorted(self._objective.items())
-        )
-        equalities: list[EqualityRow] = []
-        for terms, rhs in self._rows:
-            real_terms = []
-            imag_terms = []
-            real_norm = 0.0
-            imag_norm = 0.0
-            for index, coeff in terms:
-                herm = _hermitian_part(coeff)
-                anti = _hermitian_part(-1j * coeff)
-                real_norm += float(np.linalg.norm(herm))
-                imag_norm += float(np.linalg.norm(anti))
-                real_terms.append((index, 0.5 * embed_hermitian(herm)))
-                imag_terms.append((index, 0.5 * embed_hermitian(anti)))
-            if real_norm > self._NEGLIGIBLE or abs(rhs.real) > self._NEGLIGIBLE:
-                equalities.append(EqualityRow(tuple(real_terms), rhs.real))
-            if imag_norm > self._NEGLIGIBLE or abs(rhs.imag) > self._NEGLIGIBLE:
-                equalities.append(EqualityRow(tuple(imag_terms), rhs.imag))
-        return SdpProblem(
-            block_dims=dims,
-            objective=objective,
-            equalities=equalities,
-            sense=self.sense,
-        )
+        offsets = _block_offsets(dims)
+        count = len(self._rhs)
+        # The objective Re tr(F H) is the real part of one more row.
+        terms = self._terms + [
+            (np.array([count]), np.array([k]), coeff[None])
+            for k, coeff in sorted(self._objective.items())
+        ]
+        # Per row, the summed norms of its real and of its imaginary terms.
+        norms = np.zeros((count + 1, 2))
+        stacks = []
+        for side in sorted({coeffs.shape[-1] for _, _, coeffs in terms}):
+            rows, blocks, coeffs = (
+                np.concatenate(column)
+                for column in zip(*(term for term in terms if term[2].shape[-1] == side))
+            )
+            parts = np.stack([_hermitian_part(coeffs), _hermitian_part(-1j * coeffs)])
+            for part, part_norms in enumerate(np.linalg.norm(parts, axis=(-2, -1))):
+                norms[:, part] += np.bincount(rows, weights=part_norms, minlength=count + 1)
+            stacks.append((rows, blocks, svec(0.5 * embed_hermitian(parts))))
+        rhs = np.array(self._rhs + [0.0], dtype=complex).view(float).reshape(-1, 2)
+        keep = (norms > self._NEGLIGIBLE) | (np.abs(rhs) > self._NEGLIGIBLE)
+        keep[count] = (True, False)
+        # Kept parts in order: each row's real part, then its imaginary part.
+        position = np.cumsum(keep).reshape(keep.shape) - 1
+        table = np.zeros((int(keep.sum()), offsets[-1]))
+        for rows, blocks, packed in stacks:
+            cols = offsets[blocks][:, None] + np.arange(packed.shape[-1])
+            for part in (0, 1):
+                kept = keep[rows, part]
+                np.add.at(
+                    table, (position[rows[kept], part][:, None], cols[kept]), packed[part, kept]
+                )
+        return SdpProblem(dims, c=table[-1], a=table[:-1], b=rhs[keep][:-1], sense=self.sense)
 
     def extract(self, block_values: Sequence[Array], name: str) -> Array:
         """Complex Hermitian value of the named block from solved real blocks."""

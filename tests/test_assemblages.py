@@ -246,6 +246,9 @@ def test_subnormalized_wired_members_do_not_extend():
     assert not report.feasible
     assert report.status == sdp.INFEASIBLE
     assert report.margin == -np.inf
+    b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
+    assert b_dot_y == pytest.approx(1.0, abs=1e-9)
+    assert max_eig <= 1e-9
 
 
 # ---------------------------------------------------------------------------

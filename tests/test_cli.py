@@ -279,20 +279,34 @@ class TestCertify:
         assert "trusted input" in err
 
     def test_solver_log_reports_the_membership_status(self, capsys, monkeypatch):
-        def unconverged(status):
-            def membership(asm, tol=1e-8):
+        # An unfinished membership decides nothing: exit 3 naming the solve.
+        def membership(status, margin=np.nan):
+            def run_membership(asm, tol=1e-8):
                 return MembershipReport(
-                    feasible=False, margin=np.nan, status=status, residuals={}, problem=None
+                    feasible=False, margin=margin, status=status, residuals={}, problem=None
                 )
 
-            return membership
+            return run_membership
 
-        monkeypatch.setattr(cli, "lhs_membership", unconverged(sdp.MAX_ITERATIONS))
-        monkeypatch.setattr(cli, "qtilde_membership", unconverged(sdp.NUMERICAL_TROUBLE))
-        _, doc, _ = run_json(capsys, "certify", "builtin:pr-box")
-        assert [(entry["context"], entry["status"]) for entry in doc["solver"]] == [
-            ("hidden-state membership", sdp.MAX_ITERATIONS),
-            ("relaxation membership", sdp.NUMERICAL_TROUBLE),
+        monkeypatch.setattr(cli, "lhs_membership", membership(sdp.MAX_ITERATIONS))
+        monkeypatch.setattr(cli, "qtilde_membership", membership(sdp.NUMERICAL_TROUBLE))
+        code, out, err = run(capsys, "certify", "builtin:pr-box")
+        assert code == cli.EXIT_SOLVER
+        assert out == ""
+        assert "hidden-state membership" in err and sdp.MAX_ITERATIONS in err
+
+        # A decisive hidden-state verdict, then an unfinished relaxation.
+        monkeypatch.setattr(cli, "lhs_membership", membership(sdp.INFEASIBLE, -np.inf))
+        code, out, err = run(capsys, "certify", "builtin:pr-box")
+        assert code == cli.EXIT_SOLVER
+        assert "relaxation membership" in err and sdp.NUMERICAL_TROUBLE in err
+
+        # The status is logged before the error is raised.
+        log = []
+        with pytest.raises(cli.CliError):
+            cli._timed(log, "relaxation membership", lambda: cli.qtilde_membership(None))
+        assert [(entry["context"], entry["status"]) for entry in log] == [
+            ("relaxation membership", sdp.NUMERICAL_TROUBLE)
         ]
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from steercert import sdp
 from steercert.assemblages import ScenarioShape, random_quantum_bwi
-from steercert.sdp import EqualityRow, HermitianBlockBuilder, SdpProblem
+from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
 from steercert.steering import lhs_membership
 
 
@@ -29,6 +29,11 @@ def unit(n, i, j):
     out = np.zeros((n, n))
     out[i, j] = 1.0
     return out
+
+
+def packed(*blocks):
+    """One row of problem data: the svec of each block, concatenated."""
+    return np.concatenate([svec(block) for block in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +86,9 @@ def test_extract_hermitian_rejects_odd_side():
 def test_minimize_trace_with_pinned_corner():
     problem = SdpProblem(
         block_dims=(2,),
-        objective=((0, np.eye(2)),),
-        equalities=[EqualityRow(((0, unit(2, 0, 0)),), 1.0)],
+        c=svec(np.eye(2)),
+        a=[svec(unit(2, 0, 0))],
+        b=[1.0],
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
@@ -95,8 +101,9 @@ def test_maximize_pauli_z_on_unit_trace():
     pauli_z = np.diag([1.0, -1.0])
     problem = SdpProblem(
         block_dims=(2,),
-        objective=((0, pauli_z),),
-        equalities=[EqualityRow(((0, np.eye(2)),), 1.0)],
+        c=svec(pauli_z),
+        a=[svec(np.eye(2))],
+        b=[1.0],
         sense="max",
     )
     solution = sdp.solve(problem)
@@ -110,8 +117,9 @@ def test_two_block_coupling():
     # optimum is 1 regardless of the split.
     problem = SdpProblem(
         block_dims=(2, 3),
-        objective=((0, np.eye(2)), (1, np.eye(3))),
-        equalities=[EqualityRow(((0, unit(2, 0, 0)), (1, unit(3, 0, 0))), 1.0)],
+        c=packed(np.eye(2), np.eye(3)),
+        a=[packed(unit(2, 0, 0), unit(3, 0, 0))],
+        b=[1.0],
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
@@ -119,7 +127,7 @@ def test_two_block_coupling():
 
 
 def test_unconstrained_psd_objective_is_zero():
-    problem = SdpProblem(block_dims=(3,), objective=((0, np.eye(3)),), equalities=[])
+    problem = SdpProblem(block_dims=(3,), c=svec(np.eye(3)), a=np.zeros((0, 6)), b=[])
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
     assert solution.primal_value == 0.0
@@ -127,7 +135,7 @@ def test_unconstrained_psd_objective_is_zero():
 
 def test_unconstrained_indefinite_objective_is_unbounded():
     problem = SdpProblem(
-        block_dims=(2,), objective=((0, np.diag([1.0, -1.0])),), equalities=[]
+        block_dims=(2,), c=svec(np.diag([1.0, -1.0])), a=np.zeros((0, 3)), b=[]
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.NUMERICAL_TROUBLE
@@ -151,8 +159,9 @@ def constructed_instance(seed, n=5, m=6, rank=2):
     c_mat = sum(y * a for y, a in zip(y_star, a_mats)) + s_star
     problem = SdpProblem(
         block_dims=(n,),
-        objective=((0, c_mat),),
-        equalities=[EqualityRow(((0, a),), b_i) for a, b_i in zip(a_mats, b)],
+        c=svec(c_mat),
+        a=[svec(a) for a in a_mats],
+        b=b,
     )
     return problem, float(np.sum(c_mat * x_star))
 
@@ -195,11 +204,9 @@ def mixed_side_instance(seed, order=tuple(range(6)), m=9):
     position = {block: j for j, block in enumerate(order)}
     problem = SdpProblem(
         block_dims=tuple(MIXED_SIDES[k] for k in order),
-        objective=tuple((position[k], c) for k, c in enumerate(c_mats)),
-        equalities=[
-            EqualityRow(tuple((position[k], a) for k, a in enumerate(row)), b_i)
-            for row, b_i in zip(a_mats, b)
-        ],
+        c=packed(*(c_mats[k] for k in order)),
+        a=[packed(*(row[k] for k in order)) for row in a_mats],
+        b=b,
     )
     value = float(sum(np.sum(c * x) for c, x in zip(c_mats, x_star)))
     return problem, value, x_star
@@ -239,11 +246,9 @@ def lp_instance(seed, n=4, m=2):
     c = rng.normal(size=n)
     problem = SdpProblem(
         block_dims=(1,) * n,
-        objective=tuple((j, np.array([[c[j]]])) for j in range(n)),
-        equalities=[
-            EqualityRow(tuple((j, np.array([[a[i, j]]])) for j in range(n)), b[i])
-            for i in range(m)
-        ],
+        c=c,
+        a=a,
+        b=b,
     )
     return problem, a, b, c
 
@@ -296,8 +301,9 @@ def test_linear_programs_match_vertex_enumeration(seed):
 def test_negative_trace_is_infeasible_with_certificate():
     problem = SdpProblem(
         block_dims=(2,),
-        objective=((0, np.eye(2)),),
-        equalities=[EqualityRow(((0, np.eye(2)),), -1.0)],
+        c=svec(np.eye(2)),
+        a=[svec(np.eye(2))],
+        b=[-1.0],
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.INFEASIBLE
@@ -309,11 +315,9 @@ def test_negative_trace_is_infeasible_with_certificate():
 def test_contradictory_rows_detected_in_presolve():
     problem = SdpProblem(
         block_dims=(2,),
-        objective=((0, np.eye(2)),),
-        equalities=[
-            EqualityRow(((0, unit(2, 0, 0)),), 1.0),
-            EqualityRow(((0, unit(2, 0, 0)),), 2.0),
-        ],
+        c=svec(np.eye(2)),
+        a=[svec(unit(2, 0, 0))] * 2,
+        b=[1.0, 2.0],
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.INFEASIBLE
@@ -324,11 +328,11 @@ def test_contradictory_rows_detected_in_presolve():
 
 
 def test_redundant_rows_are_harmless():
-    row = EqualityRow(((0, unit(2, 0, 0)),), 1.0)
     problem = SdpProblem(
         block_dims=(2,),
-        objective=((0, np.eye(2)),),
-        equalities=[row, row, row],
+        c=svec(np.eye(2)),
+        a=[svec(unit(2, 0, 0))] * 3,
+        b=[1.0] * 3,
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
@@ -394,8 +398,9 @@ def test_batched_step_length_falls_back_on_a_singular_block(seed):
 def test_phase1_reports_interior_margin():
     problem = SdpProblem(
         block_dims=(2,),
-        objective=(),
-        equalities=[EqualityRow(((0, np.eye(2)),), 1.0)],
+        c=np.zeros(3),
+        a=[svec(np.eye(2))],
+        b=[1.0],
     )
     result = sdp.feasibility_phase1(problem)
     assert result.feasible
@@ -407,11 +412,9 @@ def test_phase1_reports_interior_margin():
 def test_phase1_detects_forced_negative_eigenvalue():
     problem = SdpProblem(
         block_dims=(2,),
-        objective=(),
-        equalities=[
-            EqualityRow(((0, unit(2, 0, 0)),), 1.0),
-            EqualityRow(((0, unit(2, 1, 1)),), -0.5),
-        ],
+        c=np.zeros(3),
+        a=[svec(unit(2, 0, 0)), svec(unit(2, 1, 1))],
+        b=[1.0, -0.5],
     )
     result = sdp.feasibility_phase1(problem)
     assert not result.feasible
@@ -422,11 +425,9 @@ def test_phase1_detects_forced_negative_eigenvalue():
 def test_phase1_passes_through_presolve_infeasibility():
     problem = SdpProblem(
         block_dims=(1,),
-        objective=(),
-        equalities=[
-            EqualityRow(((0, np.array([[1.0]])),), 1.0),
-            EqualityRow(((0, np.array([[1.0]])),), 2.0),
-        ],
+        c=np.zeros(1),
+        a=[[1.0], [1.0]],
+        b=[1.0, 2.0],
     )
     result = sdp.feasibility_phase1(problem)
     assert not result.feasible
@@ -478,8 +479,9 @@ def test_many_block_solves_are_bitwise_identical(monkeypatch):
 def test_dump_lists_blocks_objective_and_rows():
     problem = SdpProblem(
         block_dims=(2, 1),
-        objective=((0, np.diag([1.0, 0.0])),),
-        equalities=[EqualityRow(((1, np.array([[2.0]])),), 3.0)],
+        c=packed(np.diag([1.0, 0.0]), np.zeros((1, 1))),
+        a=[packed(np.zeros((2, 2)), np.array([[2.0]]))],
+        b=[3.0],
     )
     text = problem.dump()
     lines = text.splitlines()
@@ -493,14 +495,100 @@ def test_dump_lists_blocks_objective_and_rows():
 
 def test_problem_rejects_bad_sense_and_dims():
     with pytest.raises(ValueError):
-        SdpProblem(block_dims=(2,), objective=(), equalities=[], sense="maximize")
+        SdpProblem(block_dims=(2,), c=np.zeros(3), a=np.zeros((0, 3)), b=[], sense="maximize")
     with pytest.raises(ValueError):
-        SdpProblem(block_dims=(0,), objective=(), equalities=[])
+        SdpProblem(block_dims=(0,), c=np.zeros(0), a=np.zeros((0, 0)), b=[])
+
+
+def test_problem_rejects_data_that_does_not_match_the_blocks():
+    with pytest.raises(ValueError):
+        SdpProblem(block_dims=(2,), c=np.zeros(4), a=np.zeros((0, 3)), b=[])
+    with pytest.raises(ValueError):
+        SdpProblem(block_dims=(2,), c=np.zeros(3), a=np.zeros((1, 4)), b=[1.0])
+    with pytest.raises(ValueError):
+        SdpProblem(block_dims=(2,), c=np.zeros(3), a=np.zeros(3), b=[1.0])
+    with pytest.raises(ValueError):
+        SdpProblem(block_dims=(2,), c=np.zeros(3), a=np.zeros((1, 3)), b=[1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
 # Hermitian layer
 # ---------------------------------------------------------------------------
+
+
+def random_complex(rng, n):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def embedded_point(*blocks):
+    """The solver's point for complex Hermitian block values."""
+    return packed(*(sdp.embed_hermitian(block) for block in blocks))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_builder_rows_read_the_complex_equalities(seed):
+    rng = np.random.default_rng(seed)
+    sides = {"h": 2, "k": 3}
+    values = {name: random_hermitian(rng, n) for name, n in sides.items()}
+    builder = HermitianBlockBuilder()
+    expected = []
+    for name, n in sides.items():
+        builder.add_block(name, n)
+    for _ in range(3):
+        terms = [(name, random_complex(rng, n)) for name, n in sides.items()]
+        builder.add_equality(terms, complex(*rng.normal(size=2)))
+        total = sum(np.trace(coeff @ values[name]) for name, coeff in terms)
+        expected += [total.real, total.imag]
+    # Real coefficients on Hermitian blocks: the imaginary row is dropped.
+    builder.add_equality([("k", np.eye(3))], 1.0)
+    expected.append(np.trace(values["k"]).real)
+    objective = {name: random_complex(rng, n) for name, n in sides.items()}
+    for name, coeff in objective.items():
+        builder.add_objective_term(name, coeff)
+    problem = builder.build()
+    x = embedded_point(values["h"], values["k"])
+    assert problem.num_rows == len(expected)
+    assert np.allclose(problem.a @ x, expected, atol=1e-12)
+    value = sum(np.trace(coeff @ values[name]) for name, coeff in objective.items()).real
+    assert problem.c @ x == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("scalars", [(0.5 - 2j, 1.5 + 1j), (1.0, -1.0)])
+def test_matrix_equality_rows_pin_every_upper_entry(scalars):
+    rng = np.random.default_rng(5)
+    values = [random_hermitian(rng, 3) for _ in scalars]
+    target = random_hermitian(rng, 3)
+    builder = HermitianBlockBuilder()
+    builder.add_block("p", 3)
+    builder.add_block("q", 3)
+    builder.add_matrix_equality(list(zip("pq", scalars)), target)
+    problem = builder.build()
+    total = sum(s * v for s, v in zip(scalars, values))
+    # Entries (i, j), i <= j, in row-major order, each as its real then its
+    # imaginary row.  With real scalars and a Hermitian target the diagonal's
+    # imaginary rows read 0 = 0 and are dropped.
+    complex_scalars = any(np.iscomplex(s) for s in scalars)
+    expected, rhs = [], []
+    for i, j in zip(*np.triu_indices(3)):
+        parts = [np.real] + ([np.imag] if complex_scalars or i != j else [])
+        expected += [part(total[i, j]) for part in parts]
+        rhs += [part(target[i, j]) for part in parts]
+    assert np.allclose(problem.a @ embedded_point(*values), expected, atol=1e-12)
+    assert np.array_equal(problem.b, rhs)
+
+
+def test_hermitian_lmi_slack_is_the_embedded_pencil():
+    rng = np.random.default_rng(8)
+    sides, count = (2, 3), 4
+    constant = [random_hermitian(rng, n) for n in sides]
+    coefficients = [np.stack([random_hermitian(rng, n) for _ in range(count)]) for n in sides]
+    objective = rng.normal(size=count)
+    problem = sdp.hermitian_lmi(constant, coefficients, objective)
+    assert problem.block_dims == (4, 6)
+    assert np.array_equal(problem.b, objective)
+    p = rng.normal(size=count)
+    pencil = [f0 + np.tensordot(p, f, axes=1) for f0, f in zip(constant, coefficients)]
+    assert np.allclose(problem.c - problem.a.T @ p, embedded_point(*pencil), atol=1e-12)
 
 
 def test_hermitian_builder_maximizes_pauli_y():
@@ -584,9 +672,9 @@ def test_cross_check_against_cvxpy_when_available():
     solution = sdp.solve(problem)
     x = cp.Variable((4, 4), symmetric=True)
     constraints = [x >> 0]
-    for row in problem.equalities:
-        constraints.append(cp.sum(cp.multiply(row.terms[0][1], x)) == row.rhs)
-    objective = cp.Minimize(cp.sum(cp.multiply(problem.objective[0][1], x)))
+    for row, rhs in zip(problem.a, problem.b):
+        constraints.append(cp.sum(cp.multiply(sdp.smat(row), x)) == rhs)
+    objective = cp.Minimize(cp.sum(cp.multiply(sdp.smat(problem.c), x)))
     reference = cp.Problem(objective, constraints)
     reference.solve()
     assert solution.primal_value == pytest.approx(reference.value, abs=1e-5)

@@ -417,6 +417,22 @@ def test_relaxation_membership_rejects_untrusted_to_trusted_signalling():
     assert report.witness is None
 
 
+def test_hidden_state_membership_certificate_separates():
+    # The signalling input above has no hidden-state model either, and y is
+    # a Farkas certificate on the problem's own rows: b.y = 1 and
+    # sum_i y_i A_i negative semidefinite.
+    asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
+    members = dict(asm.members)
+    members[(1, 1, 0)] = 0.5 * np.trace(members[(1, 1, 0)]).real * np.eye(2)
+    report = lhs_membership(assemblages.BwiAssemblage(asm.shape, members))
+    assert not report.feasible
+    assert report.margin == -np.inf
+    assert report.status == "infeasible"
+    b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
+    assert b_dot_y == pytest.approx(1.0, abs=1e-9)
+    assert max_eig <= 1e-9
+
+
 def test_relaxation_membership_witness_reproduces_the_members():
     asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=21)
     report = qtilde_membership(asm)
