@@ -26,8 +26,12 @@ embed and pack whole coefficient stacks at once and write ``a`` directly.
 
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
-Schur-complement rows, the corrector and the step lengths run as batched
-LAPACK calls and stacked products over each stack.
+corrector and the step lengths run as batched LAPACK calls and stacked
+products over each stack.  The Schur complement is block-sparse: each solve
+records which rows touch each block, and each iteration scales a row only on
+the blocks it touches and adds up the per-block Gram matrices ``B_k B_k^T``
+by flat index (the per-block half of the SDPA approach; Fujisawa, Kojima &
+Nakata, *Math. Program.* 79 (1997)).
 
 Everything is dense, small-scale, and deterministic: re-solving the same
 problem reproduces the same iterates bit for bit.
@@ -110,8 +114,9 @@ def _smat_batch(vecs: Array, n: int) -> Array:
     """:func:`smat` over the last axis of a stack of packed vectors."""
     rows, cols, weights = _tril_cache(n)
     out = np.zeros(vecs.shape[:-1] + (n, n))
-    out[..., rows, cols] = vecs / weights
-    out[..., cols, rows] = out[..., rows, cols]
+    lower = vecs / weights
+    out[..., rows, cols] = lower
+    out[..., cols, rows] = lower
     return out
 
 
@@ -220,7 +225,9 @@ class SdpSolution:
     """Outcome of a solve: a status, values, block matrices, and audit residuals.
 
     For ``infeasible`` runs ``y`` holds the Farkas certificate (normalized so
-    that ``b . y = 1``) and the block values are absent.
+    that ``b . y = 1``) and the block values are absent.  ``rows_kept`` counts
+    the equality rows left after presolve (``problem.num_rows`` counts them
+    before).
     """
 
     status: str
@@ -230,6 +237,7 @@ class SdpSolution:
     y: Array | None
     residuals: dict[str, float]
     iterations: int
+    rows_kept: int
     note: str = ""
 
 
@@ -366,6 +374,59 @@ def _scalar_step(value: float, delta: float) -> float:
     return -value / delta if delta < -1e-300 else np.inf
 
 
+@dataclass(frozen=True)
+class _Schur:
+    """The equality rows block by block, as the Schur complement reads them.
+
+    For each side group, ``stacks`` holds a ``(K, R, n, n)`` stack: entry
+    ``[k, r]`` is block ``k`` of the ``r``-th row touching it, in increasing
+    row order.  ``R`` is the largest number of rows touching one block of the
+    group; shorter lists are padded with rows that do not touch the block,
+    whose blocks are zero.  ``pairs`` places every entry of every group's
+    ``(K, R, R)`` Gram stack in the flattened ``m x m`` matrix.
+    """
+
+    stacks: list[Array]
+    pairs: Array
+    m: int
+
+    @classmethod
+    def of(cls, a_mat: Array, groups: list[_SideGroup]) -> _Schur:
+        m = len(a_mat)
+        starts = np.sort(np.concatenate([group.gather[:, 0] for group in groups]))
+        touch = np.logical_or.reduceat(a_mat != 0.0, starts, axis=1)
+        stacks, pairs = [], []
+        for group in groups:
+            hit = touch[:, group.blocks].T
+            width = int(hit.sum(axis=1).max())
+            # A stable sort of the misses puts each block's touching rows first.
+            rows = np.argsort(~hit, axis=1, kind="stable")[:, :width]
+            stacks.append(_smat_batch(a_mat[rows[:, :, None], group.gather[:, None]], group.side))
+            pairs.append((rows[:, :, None] * m + rows[:, None, :]).ravel())
+        return cls(stacks, np.concatenate(pairs), m)
+
+    def assemble(self, roots: list[Array]) -> Array:
+        """``sum_k B_k B_k^T`` for the NT scaling with root ``g_k`` on block ``k``.
+
+        With ``w = g g``, ``<A_i, w A_j w> = <g A_i g, g A_j g>``, so block
+        ``k`` adds the Gram matrix of the rows ``B_k[r] = svec(g_k A_ik g_k)``
+        over the rows touching it.  The congruence runs over slices of those
+        rows, so that each temporary holds about ``_SLICE_ENTRIES`` entries
+        however large the stack is.  ``np.bincount`` sums the Gram entries in
+        a fixed order, so the result repeats bit for bit.
+        """
+        grams = []
+        for stack, g in zip(self.stacks, roots):
+            g = g[:, None]
+            scaled = np.empty(stack.shape[:2] + (svec_dim(stack.shape[-1]),))
+            step = max(1, _SLICE_ENTRIES // (stack.shape[0] * stack.shape[-1] ** 2))
+            for lo in range(0, stack.shape[1], step):
+                scaled[:, lo : lo + step] = _svec_batch(g @ stack[:, lo : lo + step] @ g)
+            grams.append((scaled @ _t(scaled)).ravel())
+        flat = np.bincount(self.pairs, np.concatenate(grams), minlength=self.m * self.m)
+        return flat.reshape(self.m, self.m)
+
+
 @dataclass
 class _Candidate:
     score: float = np.inf
@@ -377,6 +438,38 @@ class _Candidate:
     x: Array | None = None
     y: Array | None = None
     tau: float = 1.0
+
+
+def _rank_reduce(a_full: Array, b_full: Array) -> tuple[Array, Array | None]:
+    """The equality rows to keep, and a certificate if the dropped ones are inconsistent.
+
+    A pivoted QR factorization of ``a^T`` (its ``R`` only) ranks the rows.  The
+    certificate ``y`` combines the dropped rows with the kept rows that
+    express them, so that ``a^T y = 0`` and ``b . y != 0``.
+    """
+    m_full = len(a_full)
+    if m_full == 0:
+        return np.array([], dtype=int), None
+    r_fac, piv = sla.qr(a_full.T, mode="r", pivoting=True, check_finite=False)
+    r_fac = r_fac[:m_full]
+    diag = np.abs(np.diag(r_fac))
+    pivot_scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
+    rank = int(np.sum(diag > PRESOLVE_RANK_TOL * max(pivot_scale, 1e-300)))
+    keep = np.sort(piv[:rank])
+    if rank < m_full:
+        coeffs = sla.solve_triangular(
+            r_fac[:rank, :rank], r_fac[:rank, rank:], lower=False, check_finite=False
+        )
+        # Columns of coeffs express dropped rows in terms of kept rows
+        # (both in pivot order).
+        mismatch = b_full[piv[rank:]] - coeffs.T @ b_full[piv[:rank]]
+        tol_b = PRESOLVE_CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(b_full)))
+        if float(np.linalg.norm(mismatch)) > tol_b:
+            y_full = np.zeros(m_full)
+            y_full[piv[rank:]] = mismatch
+            y_full[piv[:rank]] = -coeffs @ mismatch
+            return keep, y_full
+    return keep, None
 
 
 def solve(
@@ -400,7 +493,9 @@ def solve(
     sign = -1.0 if problem.sense == "max" else 1.0
     m_full = a_full.shape[0]
 
-    def _finish_infeasible(y_full: Array, note: str, iterations: int) -> SdpSolution:
+    def _finish_infeasible(
+        y_full: Array, note: str, iterations: int, rows_kept: int
+    ) -> SdpSolution:
         b_dot_y = float(b_full @ y_full)
         if b_dot_y > 0.0:
             y_full = y_full / b_dot_y
@@ -413,39 +508,15 @@ def solve(
             y=y_full,
             residuals={"farkas_ray": dual_gap, "b_dot_y": float(b_full @ y_full)},
             iterations=iterations,
+            rows_kept=rows_kept,
             note=note,
         )
 
-    # Rank-reduce the equality rows; detect inconsistency.
-    if m_full == 0:
-        keep = np.array([], dtype=int)
-        a_red = np.zeros((0, a_full.shape[1]))
-        b_red = np.zeros(0)
-    else:
-        _, r_fac, piv = sla.qr(a_full.T, mode="economic", pivoting=True, check_finite=False)
-        diag = np.abs(np.diag(r_fac))
-        pivot_scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
-        rank = int(np.sum(diag > PRESOLVE_RANK_TOL * max(pivot_scale, 1e-300)))
-        keep = np.sort(piv[:rank])
-        dropped = np.sort(piv[rank:])
-        if dropped.size:
-            r11 = r_fac[:rank, :rank]
-            coeffs = sla.solve_triangular(
-                r11, r_fac[:rank, rank:], lower=False, check_finite=False
-            )
-            # Columns of coeffs express dropped rows in terms of kept rows
-            # (both in pivot order).
-            b_kept_piv = b_full[piv[:rank]]
-            b_drop_piv = b_full[piv[rank:]]
-            mismatch = b_drop_piv - coeffs.T @ b_kept_piv
-            tol_b = PRESOLVE_CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(b_full)))
-            if float(np.linalg.norm(mismatch)) > tol_b:
-                y_full = np.zeros(m_full)
-                y_full[piv[rank:]] = mismatch
-                y_full[piv[:rank]] = -coeffs @ mismatch
-                return _finish_infeasible(y_full, "inconsistent equality rows", 0)
-        a_red = a_full[keep]
-        b_red = b_full[keep]
+    keep, inconsistency = _rank_reduce(a_full, b_full)
+    if inconsistency is not None:
+        return _finish_infeasible(inconsistency, "inconsistent equality rows", 0, len(keep))
+    a_red = a_full[keep]
+    b_red = b_full[keep]
 
     m = a_red.shape[0]
     if m == 0:
@@ -465,6 +536,7 @@ def solve(
                 y=None,
                 residuals={},
                 iterations=0,
+                rows_kept=0,
                 note="objective unbounded below on the cone",
             )
         blocks = [np.zeros((n, n)) for n in dims]
@@ -476,6 +548,7 @@ def solve(
             y=np.zeros(m_full),
             residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
             iterations=0,
+            rows_kept=0,
         )
 
     row_norms = np.linalg.norm(a_red, axis=1)
@@ -484,12 +557,7 @@ def solve(
     b = b_red / row_norms
 
     nu = float(sum(dims))
-    # Per group, the rows' blocks as a (K, m, n, n) stack.
-    a_stacks = [
-        _smat_batch(a_mat[:, group.gather].transpose(1, 0, 2), group.side) for group in groups
-    ]
-    # Rewritten in full every iteration; one buffer keeps one copy resident.
-    b_rows = np.empty_like(a_mat)
+    schur_rows = _Schur.of(a_mat, groups)
 
     b_norm = 1.0 + float(np.linalg.norm(b))
     c_norm = 1.0 + float(np.linalg.norm(c))
@@ -538,7 +606,7 @@ def solve(
         if b_dot_y > 1e-10:
             ray_res = float(np.linalg.norm(a_mat.T @ (y / b_dot_y) + s / b_dot_y))
             if ray_res <= feas_tol:
-                return _finish_infeasible(_restore_y(y), "improving dual ray", iteration)
+                return _finish_infeasible(_restore_y(y), "improving dual ray", iteration, m)
         c_dot_x = float(c @ x)
         if c_dot_x < -1e-10:
             ray_res = float(np.linalg.norm(a_mat @ (x / -c_dot_x)))
@@ -562,17 +630,7 @@ def solve(
                 out[group.gather] = _svec_batch(sc.w @ group.unpack(vec) @ sc.w)
             return out
 
-        # With w = g g, <A_i, w A_j w> = <g A_i g, g A_j g>: the Schur complement
-        # is B B^T over the rows B_i = svec(g A_i g), symmetric by construction.
-        # The congruence runs over slices of rows, so that each temporary holds
-        # about _SLICE_ENTRIES entries however large the group's stack is.
-        for group, stack, sc in zip(groups, a_stacks, scal):
-            g = sc.g[:, None]
-            step = max(1, _SLICE_ENTRIES // stack[:, 0].size)
-            for lo in range(0, m, step):
-                scaled = g @ stack[:, lo : lo + step] @ g
-                b_rows[lo : lo + step, group.gather] = _svec_batch(scaled).swapaxes(0, 1)
-        schur = b_rows @ b_rows.T
+        schur = schur_rows.assemble([sc.g for sc in scal])
 
         chol_fac = None
         jitter = 0.0
@@ -677,49 +735,23 @@ def solve(
     else:
         iterations = max_iter
 
-    if status == OPTIMAL:
-        x_hat, y_hat = best.x, best.y
-        block_values = _unpack_blocks(x_hat, groups)
-        y_full = _restore_y(y_hat)
-        primal = sign * best.primal
-        dual = sign * best.dual
-        return SdpSolution(
-            status=OPTIMAL,
-            primal_value=primal,
-            dual_value=dual,
-            block_values=block_values,
-            y=y_full,
-            residuals={
-                "primal": best.pres,
-                "dual": best.dres,
-                "gap": best.gap,
-                "tau": tau,
-                "kappa": kappa,
-            },
-            iterations=iterations,
-        )
-
-    if status in (MAX_ITERATIONS, NUMERICAL_TROUBLE):
-        block_values = _unpack_blocks(best.x, groups) if best.x is not None else None
-        y_full = _restore_y(best.y) if best.y is not None else None
-        return SdpSolution(
-            status=status,
-            primal_value=sign * best.primal,
-            dual_value=sign * best.dual,
-            block_values=block_values,
-            y=y_full,
-            residuals={
-                "primal": best.pres,
-                "dual": best.dres,
-                "gap": best.gap,
-                "tau": tau,
-                "kappa": kappa,
-            },
-            iterations=iterations,
-            note=note,
-        )
-
-    raise AssertionError(f"unhandled solver status {status!r}")
+    return SdpSolution(
+        status=status,
+        primal_value=sign * best.primal,
+        dual_value=sign * best.dual,
+        block_values=None if best.x is None else _unpack_blocks(best.x, groups),
+        y=None if best.y is None else _restore_y(best.y),
+        residuals={
+            "primal": best.pres,
+            "dual": best.dres,
+            "gap": best.gap,
+            "tau": tau,
+            "kappa": kappa,
+        },
+        iterations=iterations,
+        rows_kept=m,
+        note=note,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +775,7 @@ class FeasibilityResult:
     block_values: list[Array] | None
     certificate_y: Array | None
     residuals: dict[str, float]
+    rows_kept: int
 
 
 def feasibility_phase1(
@@ -779,6 +812,7 @@ def feasibility_phase1(
             block_values=None,
             certificate_y=solution.y,
             residuals=solution.residuals,
+            rows_kept=solution.rows_kept,
         )
     if solution.status != OPTIMAL:
         return FeasibilityResult(
@@ -788,6 +822,7 @@ def feasibility_phase1(
             block_values=None,
             certificate_y=None,
             residuals=solution.residuals,
+            rows_kept=solution.rows_kept,
         )
 
     assert solution.block_values is not None
@@ -807,6 +842,7 @@ def feasibility_phase1(
         block_values=recovered if feasible else None,
         certificate_y=None if feasible else solution.y,
         residuals=residuals,
+        rows_kept=solution.rows_kept,
     )
 
 

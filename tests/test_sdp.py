@@ -391,6 +391,65 @@ def test_batched_step_length_falls_back_on_a_singular_block(seed):
 
 
 # ---------------------------------------------------------------------------
+# Block-sparse Schur complement
+# ---------------------------------------------------------------------------
+
+# Which blocks each row touches.  Sides 2 and 3 are interleaved; block 5 and
+# the one-by-one block 3 are touched by no row; row 0 touches no block of side
+# 2; the side-2 blocks are touched by 3, 4 and 0 rows, so lists are padded.
+SCHUR_SIDES = (2, 3, 2, 1, 3, 2)
+SCHUR_TOUCH = np.array(
+    [
+        [0, 1, 0, 0, 1, 0],
+        [1, 0, 1, 0, 0, 0],
+        [1, 1, 1, 0, 0, 0],
+        [0, 0, 1, 0, 1, 0],
+        [1, 0, 1, 0, 1, 0],
+    ],
+    dtype=bool,
+)
+
+
+def dense_schur(a_mat, roots):
+    """``B B^T`` over the rows ``B_i``, each the svec of ``g_k A_ik g_k`` for every block ``k``."""
+    offsets = sdp._block_offsets(SCHUR_SIDES)
+    rows = [
+        np.concatenate(
+            [
+                svec(g @ sdp.smat(row[offsets[k] : offsets[k + 1]]) @ g)
+                for k, g in enumerate(roots)
+            ]
+        )
+        for row in a_mat
+    ]
+    return np.array(rows) @ np.array(rows).T
+
+
+@pytest.mark.parametrize("slice_entries", [sdp._SLICE_ENTRIES, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries):
+    # With 8 entries per slice, the congruence runs one row at a time.
+    monkeypatch.setattr(sdp, "_SLICE_ENTRIES", slice_entries)
+    rng = np.random.default_rng(seed)
+    a_mat = np.array(
+        [
+            packed(*(random_symmetric(rng, n) * hit for n, hit in zip(SCHUR_SIDES, row)))
+            for row in SCHUR_TOUCH
+        ]
+    )
+    roots = []
+    for n in SCHUR_SIDES:
+        factor = rng.normal(size=(n, n))
+        roots.append(factor @ factor.T + np.eye(n))
+    groups = sdp._side_groups(SCHUR_SIDES)
+    schur = sdp._Schur.of(a_mat, groups)
+    assert [stack.shape for stack in schur.stacks] == [(1, 0, 1, 1), (3, 4, 2, 2), (2, 3, 3, 3)]
+    assembled = schur.assemble([np.stack([roots[k] for k in group.blocks]) for group in groups])
+    reference = dense_schur(a_mat, roots)
+    assert np.max(np.abs(assembled - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+# ---------------------------------------------------------------------------
 # Phase-one feasibility probe
 # ---------------------------------------------------------------------------
 
@@ -474,6 +533,26 @@ def test_many_block_solves_are_bitwise_identical(monkeypatch):
     assert one.iterations == two.iterations
     assert all(np.array_equal(a, b) for a, b in zip(one.block_values, two.block_values))
     assert np.array_equal(one.y, two.y)
+
+
+def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
+    # The hidden-state membership at m_a = 8 pins dependent members: its
+    # phase-1 problem keeps only as many rows as its rows have rank.  The
+    # phase-1 shift columns are combinations of the columns of ``a``, so they
+    # leave the rank unchanged.
+    results = []
+    phase1 = sdp.feasibility_phase1
+
+    def recording_phase1(problem, **kwargs):
+        results.append((problem, phase1(problem, **kwargs)))
+        return results[-1][1]
+
+    monkeypatch.setattr(sdp, "feasibility_phase1", recording_phase1)
+    lhs_membership(random_quantum_bwi(ScenarioShape(2, 8, 2, 2), seed=1))
+    (problem, result), = results
+    rank = np.linalg.matrix_rank(problem.a)
+    assert rank < problem.num_rows
+    assert result.rows_kept == rank
 
 
 def test_dump_lists_blocks_objective_and_rows():
