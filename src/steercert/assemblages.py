@@ -470,6 +470,8 @@ class MembershipReport:
     element (when feasible) and ``certificate_y`` a separating functional on
     the problem's equality rows (when infeasible; ``None`` for the relaxation,
     whose separating functional is the dual block of its LMI ``problem``).
+    ``rows_kept`` counts the rows of ``problem`` left after the solver's
+    presolve, and is ``None`` when the verdict needed no solve.
     """
 
     feasible: bool
@@ -479,6 +481,7 @@ class MembershipReport:
     problem: sdp.SdpProblem
     witness: object | None = None
     certificate_y: Array | None = None
+    rows_kept: int | None = None
 
 
 def ns_variable_blocks(
@@ -552,6 +555,7 @@ def instrumental_membership(
         problem=problem,
         witness=witness,
         certificate_y=result.certificate_y,
+        rows_kept=result.rows_kept,
     )
 
 

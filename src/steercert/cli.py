@@ -30,6 +30,7 @@ from steercert.assemblages import (
     VALIDATION_TOL,
     BwiAssemblage,
     InstrumentalAssemblage,
+    MembershipReport,
     ScenarioShape,
     SequentialAssemblage,
     SequentialShape,
@@ -222,13 +223,14 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
     # Bounds raise unless their solve was optimal; memberships report their
     # solve's status whatever it was, and decide nothing unless it was final.
     status = getattr(result, "status", sdp.OPTIMAL)
-    solver_log.append(
-        {
-            "context": context,
-            "status": status,
-            "seconds": round(time.perf_counter() - start, 3),
-        }
-    )
+    entry = {
+        "context": context,
+        "status": status,
+        "seconds": round(time.perf_counter() - start, 3),
+    }
+    if isinstance(result, MembershipReport):
+        entry["rows_kept"] = result.rows_kept
+    solver_log.append(entry)
     if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
         raise CliError(EXIT_SOLVER, f"{context} ended with status {status}: no verdict")
     return result
@@ -393,6 +395,13 @@ def cmd_certify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     shape = asm.shape
     memberships: dict[str, Any] = {}
     lhs = _timed(doc.solver, "hidden-state membership", lambda: lhs_membership(asm, tol=tol))
+    decisive = max(DECISIVE_MARGIN, tol)
+    if not lhs.feasible and lhs.margin >= -decisive:
+        raise CliError(
+            EXIT_SOLVER,
+            f"hidden-state membership margin {float(lhs.margin):.3g} is within "
+            f"{decisive:g} of the boundary: no verdict",
+        )
     memberships["lhs"] = {"feasible": lhs.feasible, "margin": float(lhs.margin)}
     certificates: list[dict[str, Any]] = []
     if lhs.feasible:
@@ -400,7 +409,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     else:
         qt = _timed(doc.solver, "relaxation membership", lambda: qtilde_membership(asm, tol=tol))
         memberships["qtilde"] = {"feasible": qt.feasible, "margin": float(qt.margin)}
-        if qt.margin < -max(DECISIVE_MARGIN, tol):
+        if qt.margin < -decisive:
             certificates.append(
                 {"kind": "qtilde-infeasible", "margin": float(qt.margin)}
             )

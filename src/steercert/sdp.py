@@ -16,7 +16,9 @@ The solver runs a homogeneous self-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
 either near an optimal primal-dual pair or on an explicit Farkas certificate
 of infeasibility.  Equality rows are rank-reduced by a pivoted QR factorization
-before iterating; inconsistent rows already yield a certificate there.
+before iterating; inconsistent rows already yield a certificate there.  Rows
+that are provably independent (each owns a column no other row touches, with
+a large enough entry there) skip the QR, since it would keep them all.
 
 A thin Hermitian layer states problems over complex Hermitian blocks in the
 real symmetric form through the standard doubling embedding: with variable
@@ -31,7 +33,10 @@ products over each stack.  The Schur complement is block-sparse: each solve
 records which rows touch each block, and each iteration scales a row only on
 the blocks it touches and adds up the per-block Gram matrices ``B_k B_k^T``
 by flat index (the per-block half of the SDPA approach; Fujisawa, Kojima &
-Nakata, *Math. Program.* 79 (1997)).
+Nakata, *Math. Program.* 79 (1997)).  The Schur complement is factored by
+numpy's LAPACK, like the batched calls, so the iteration's matrix-matrix work
+runs in one BLAS thread pool (numpy and scipy may each load their own); only
+the one-vector triangular solves against that factor go through scipy.
 
 Everything is dense, small-scale, and deterministic: re-solving the same
 problem reproduces the same iterates bit for bit.
@@ -440,16 +445,36 @@ class _Candidate:
     tau: float = 1.0
 
 
+def _private_entries_dominate(a_full: Array) -> bool:
+    """Whether every row has a column of its own, with an entry above the rank threshold.
+
+    If row ``i`` is the only nonzero of a column, with entry ``d_i`` there,
+    then ``a a^T >= diag(d_i^2)``, so the smallest singular value of ``a`` is
+    at least ``min |d_i|``.  Every pivot of a QR factorization of ``a^T`` is
+    at least that singular value, and the first pivot of a column-pivoted one
+    is the largest row norm; so when ``min |d_i|`` exceeds
+    ``PRESOLVE_RANK_TOL`` times that norm, the pivoted QR keeps every row.
+    """
+    private = np.flatnonzero(np.count_nonzero(a_full, axis=0) == 1)
+    if len(private) < len(a_full):
+        return False
+    largest = np.abs(a_full[:, private]).max(axis=1)
+    return bool(largest.min() > PRESOLVE_RANK_TOL * np.linalg.norm(a_full, axis=1).max())
+
+
 def _rank_reduce(a_full: Array, b_full: Array) -> tuple[Array, Array | None]:
     """The equality rows to keep, and a certificate if the dropped ones are inconsistent.
 
-    A pivoted QR factorization of ``a^T`` (its ``R`` only) ranks the rows.  The
-    certificate ``y`` combines the dropped rows with the kept rows that
-    express them, so that ``a^T y = 0`` and ``b . y != 0``.
+    Rows that each own a large enough private column are independent, and are
+    all kept without a factorization (:func:`_private_entries_dominate`).
+    Otherwise a pivoted QR factorization of ``a^T`` (its ``R`` only) ranks the
+    rows.  The certificate ``y`` combines the dropped rows with the kept rows
+    that express them, so that ``a^T y = 0`` and ``b . y != 0``; independent
+    rows are always consistent and have none.
     """
     m_full = len(a_full)
-    if m_full == 0:
-        return np.array([], dtype=int), None
+    if m_full == 0 or _private_entries_dominate(a_full):
+        return np.arange(m_full), None
     r_fac, piv = sla.qr(a_full.T, mode="r", pivoting=True, check_finite=False)
     r_fac = r_fac[:m_full]
     diag = np.abs(np.diag(r_fac))
@@ -637,11 +662,11 @@ def solve(
         base = float(np.trace(schur)) / max(m, 1)
         for attempt in range(6):
             try:
-                chol_fac = sla.cho_factor(
-                    schur + jitter * np.eye(m), lower=True, check_finite=False
-                )
+                # The transposed lower factor is the upper factor in Fortran
+                # order, which scipy's triangular solves read without a copy.
+                chol_fac = (np.linalg.cholesky(schur + jitter * np.eye(m)).T, False)
                 break
-            except sla.LinAlgError:
+            except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, 1e-14) * (100.0 ** attempt)
         if chol_fac is None:
             status = NUMERICAL_TROUBLE

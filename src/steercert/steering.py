@@ -317,6 +317,7 @@ def lhs_membership(
         problem=problem,
         witness=witness,
         certificate_y=result.certificate_y,
+        rows_kept=result.rows_kept,
     )
 
 
@@ -752,4 +753,5 @@ def qtilde_membership(
         residuals=solution.residuals,
         problem=problem,
         witness=form.moment(solution.y[:-1]) if feasible else None,
+        rows_kept=solution.rows_kept,
     )

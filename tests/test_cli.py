@@ -25,7 +25,12 @@ from steercert.assemblages import (
 )
 from steercert.ghjw import reconstruct_sequential, reconstruct_traditional
 from steercert.matcore import PAULIS
-from steercert.steering import InstrumentalFunctional, SolverFailure
+from steercert.steering import (
+    InstrumentalFunctional,
+    SolverFailure,
+    lhs_membership,
+    qtilde_membership,
+)
 
 
 def run(capsys, *argv):
@@ -308,6 +313,29 @@ class TestCertify:
         assert [(entry["context"], entry["status"]) for entry in log] == [
             ("relaxation membership", sdp.NUMERICAL_TROUBLE)
         ]
+
+    def test_solver_log_reports_the_rows_kept_by_presolve(self, capsys):
+        # The relaxation's rows are independent; the hidden-state membership
+        # pins dependent members, which presolve drops.
+        code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose")
+        assert code == 0
+        kept = {entry["context"]: entry["rows_kept"] for entry in doc["solver"]}
+        asm = pauli_transpose_assemblage()
+        assert kept["relaxation membership"] == qtilde_membership(asm).problem.num_rows
+        assert 0 < kept["hidden-state membership"] < lhs_membership(asm).problem.num_rows
+
+    def test_hidden_state_margin_near_the_boundary_is_no_verdict(self, capsys, monkeypatch):
+        # Outside by more than tol but not by DECISIVE_MARGIN: undecided.
+        def run_membership(asm, tol=1e-8):
+            return MembershipReport(
+                feasible=False, margin=-1e-7, status=sdp.OPTIMAL, residuals={}, problem=None
+            )
+
+        monkeypatch.setattr(cli, "lhs_membership", run_membership)
+        code, out, err = run(capsys, "certify", "builtin:pr-box")
+        assert code == cli.EXIT_SOLVER
+        assert out == ""
+        assert "hidden-state membership" in err and "no verdict" in err
 
 
 class TestGhjw:

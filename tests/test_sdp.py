@@ -6,13 +6,14 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steercert import sdp
 from steercert.assemblages import ScenarioShape, random_quantum_bwi
 from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
-from steercert.steering import lhs_membership
+from steercert.steering import canonical_functional, lhs_membership, qtilde_solution
 
 
 def random_symmetric(rng, n):
@@ -341,6 +342,97 @@ def test_redundant_rows_are_harmless():
 
 
 # ---------------------------------------------------------------------------
+# Presolve
+# ---------------------------------------------------------------------------
+
+
+def private_column_rows(seed, rows, shared):
+    """Rows ``[D | B]`` with shuffled columns, and a right-hand side.
+
+    Row ``i`` alone touches column ``i`` of ``D``, with an entry of size 1 to
+    2 and random sign; every row fills the ``shared`` columns of ``B``.
+    """
+    rng = np.random.default_rng(seed)
+    private = np.diag(rng.choice([-1.0, 1.0], size=rows) * rng.uniform(1.0, 2.0, size=rows))
+    a = np.hstack([private, rng.normal(size=(rows, shared))])
+    return a[:, rng.permutation(a.shape[1])], rng.normal(size=rows)
+
+
+def reference_keep(a):
+    """The rows a pivoted QR of ``a^T`` keeps, by the presolve's threshold."""
+    r_fac, piv = scipy.linalg.qr(a.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r_fac[: len(a)]))
+    return np.sort(piv[: int(np.sum(diag > sdp.PRESOLVE_RANK_TOL * diag[0]))])
+
+
+def rank_reduce_spying_on_qr(a, b):
+    """``_rank_reduce`` of the rows, and whether it ran a QR factorization."""
+    calls = []
+    qr = scipy.linalg.qr
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sdp.sla, "qr", spy)
+        keep, certificate = sdp._rank_reduce(a, b)
+    return keep, certificate, bool(calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=9),
+)
+def test_rows_with_dominant_private_columns_skip_the_qr(seed, rows, shared):
+    a, b = private_column_rows(seed, rows, shared)
+    assert np.array_equal(reference_keep(a), np.arange(rows))
+    assert np.linalg.matrix_rank(a) == rows
+    keep, certificate, factored = rank_reduce_spying_on_qr(a, b)
+    assert np.array_equal(keep, np.arange(rows))
+    assert certificate is None
+    assert not factored
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=2, max_value=7),
+    st.integers(min_value=1, max_value=9),
+)
+def test_rows_without_dominant_private_columns_go_through_the_qr(seed, rows, shared):
+    a, b = private_column_rows(seed, rows, shared)
+    copied = seed % rows
+
+    # A private entry below the rank threshold: the QR decides, as the reference does.
+    tiny = a.copy()
+    column = np.flatnonzero(np.count_nonzero(a, axis=0) == 1)[0]
+    owner = np.flatnonzero(a[:, column])[0]
+    tiny[owner, column] = 1e-3 * sdp.PRESOLVE_RANK_TOL * np.linalg.norm(a, axis=1).max()
+    keep, _, factored = rank_reduce_spying_on_qr(tiny, b)
+    assert factored
+    assert np.array_equal(keep, reference_keep(tiny))
+
+    # A duplicated row with the same right-hand side is dropped.
+    duplicated = np.vstack([a, a[copied]])
+    keep, certificate, factored = rank_reduce_spying_on_qr(duplicated, np.append(b, b[copied]))
+    assert factored
+    assert certificate is None
+    assert len(keep) == rows == np.linalg.matrix_rank(duplicated)
+    assert {copied, rows} - set(keep.tolist()) != set()
+
+    # With another right-hand side the copy is inconsistent: a Farkas certificate.
+    rhs = np.append(b, b[copied] + 1.0)
+    keep, certificate, factored = rank_reduce_spying_on_qr(duplicated, rhs)
+    assert factored
+    assert certificate is not None
+    assert np.linalg.norm(duplicated.T @ certificate) <= 1e-9 * np.linalg.norm(certificate)
+    assert abs(rhs @ certificate) > 1e-6 * np.linalg.norm(certificate)
+
+
+# ---------------------------------------------------------------------------
 # Batched step length
 # ---------------------------------------------------------------------------
 
@@ -533,6 +625,39 @@ def test_many_block_solves_are_bitwise_identical(monkeypatch):
     assert one.iterations == two.iterations
     assert all(np.array_equal(a, b) for a, b in zip(one.block_values, two.block_values))
     assert np.array_equal(one.y, two.y)
+
+
+def test_relaxation_solves_are_bitwise_identical(monkeypatch):
+    # The canonical (3,2,2) relaxation bound: its rows are independent, so the
+    # presolve keeps all of them without a factorization.
+    calls = []
+    solve = sdp.solve
+
+    def recording_solve(problem, **kwargs):
+        calls.append((problem, solve(problem, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    functional = canonical_functional()
+    first, _ = qtilde_solution(functional)
+    second, _ = qtilde_solution(functional)
+    assert len(calls) == 2
+    (problem, one), (_, two) = calls
+    assert one.status == sdp.OPTIMAL
+    assert first == second
+    assert one.iterations == two.iterations
+    assert np.array_equal(one.y, two.y)
+    assert one.rows_kept == problem.num_rows
+
+
+def test_lost_definiteness_of_the_schur_complement_is_reported(monkeypatch):
+    # Every jittered retry of the factorization fails on -I; the solve ends
+    # with a status instead of an exception.
+    monkeypatch.setattr(sdp._Schur, "assemble", lambda self, roots: -np.eye(self.m))
+    problem, _ = constructed_instance(0)
+    solution = sdp.solve(problem)
+    assert solution.status == sdp.NUMERICAL_TROUBLE
+    assert solution.note == "Schur complement lost positive definiteness"
 
 
 def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
