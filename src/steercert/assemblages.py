@@ -471,7 +471,8 @@ class MembershipReport:
     the problem's equality rows (when infeasible; ``None`` for the relaxation,
     whose separating functional is the dual block of its LMI ``problem``).
     ``rows_kept`` counts the rows of ``problem`` left after the solver's
-    presolve, and is ``None`` when the verdict needed no solve.
+    presolve and ``iterations`` the solver's iterations; both are ``None``
+    when the verdict needed no solve.
     """
 
     feasible: bool
@@ -482,6 +483,7 @@ class MembershipReport:
     witness: object | None = None
     certificate_y: Array | None = None
     rows_kept: int | None = None
+    iterations: int | None = None
 
 
 def ns_variable_blocks(
@@ -556,6 +558,7 @@ def instrumental_membership(
         witness=witness,
         certificate_y=result.certificate_y,
         rows_kept=result.rows_kept,
+        iterations=result.iterations,
     )
 
 

@@ -230,6 +230,7 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
     }
     if isinstance(result, MembershipReport):
         entry["rows_kept"] = result.rows_kept
+        entry["iterations"] = result.iterations
     solver_log.append(entry)
     if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
         raise CliError(EXIT_SOLVER, f"{context} ended with status {status}: no verdict")

@@ -1,16 +1,20 @@
 """Small dense semidefinite programming solver.
 
-Problems are stated over a product of real symmetric blocks:
+Problems are stated over a product of complex Hermitian blocks:
 
-    minimize    <C, X>
-    subject to  <A_i, X> = b_i      for each equality row i,
+    minimize    Re tr(C X)
+    subject to  Re tr(A_i X) = b_i      for each equality row i,
                 X block-wise positive semidefinite.
 
 A problem is its data in svec coordinates (:class:`SdpProblem`): ``c``, a
 dense ``a`` with one row per equality and one column per packed coordinate,
 and ``b``.  There is no other format; every producer writes these arrays and
 every consumer (the solver, the phase-one probe, the audits, the dump) is an
-array operation on them.
+array operation on them.  A side-``n`` block has ``n**2`` coordinates: the
+real symmetric svec of its real part (the diagonal, then ``sqrt(2)`` times
+the strict lower triangle), then ``sqrt(2)`` times the imaginary part of the
+strict lower triangle, so ``svec(A) . svec(B) = Re tr(A B)``.  Real data
+give zero imaginary coordinates and real iterates.
 
 The solver runs a homogeneous self-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
@@ -18,13 +22,16 @@ either near an optimal primal-dual pair or on an explicit Farkas certificate
 of infeasibility.  Equality rows are rank-reduced by a pivoted QR factorization
 before iterating; inconsistent rows already yield a certificate there.  Rows
 that are provably independent (each owns a column no other row touches, with
-a large enough entry there) skip the QR, since it would keep them all.
+a large enough entry there) skip the QR, since it would keep them all.  The
+blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
+Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
+Schur-complement congruence run in complex arithmetic, while the Schur
+complement and ``x``, ``s``, ``y`` are real.
 
-A thin Hermitian layer states problems over complex Hermitian blocks in the
-real symmetric form through the standard doubling embedding: with variable
-blocks tied by equality rows (:class:`HermitianBlockBuilder`), or as a linear
-matrix inequality solved through the dual (:func:`hermitian_lmi`).  Both
-embed and pack whole coefficient stacks at once and write ``a`` directly.
+Named blocks tied by equality rows (:class:`HermitianBlockBuilder`), a
+complex equality split into a real and an imaginary row, and linear matrix
+inequalities solved through the dual (:func:`hermitian_lmi`) are packed a
+whole coefficient stack at a time, straight into ``a``.
 
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
@@ -64,26 +71,37 @@ PRESOLVE_RANK_TOL = 1e-10
 #: Relative threshold above which dropped equality rows count as inconsistent.
 PRESOLVE_CONSISTENCY_TOL = 1e-9
 
-#: Entries per temporary of the operations sliced over stacked rows (2 MiB of
-#: floats): the Schur-complement congruence and the Hermitian packing.
+#: Complex entries per temporary of the Schur-complement congruence, which is
+#: sliced over stacked rows (4 MiB).
 _SLICE_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
-# Symmetric vectorization and the Hermitian embedding
+# Hermitian vectorization
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _tril_cache(n: int) -> tuple[Array, Array, Array]:
+def _layout(n: int) -> tuple[Array, Array, Array, Array]:
+    """Where the svec coordinates of an ``n x n`` matrix sit in its float view.
+
+    Entry ``(i, j)`` holds its real part at float ``2 (i n + j)`` and its
+    imaginary part one further.  Coordinate ``p`` is ``weights[p]`` times the
+    float at ``lower[p]``, on or below the diagonal; the mirror float at
+    ``upper[p]`` is ``mirror[p]`` (+1 real, -1 imaginary) times that float.
+    """
     rows, cols = np.tril_indices(n)
-    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    return rows, cols, weights
+    strict_rows, strict_cols = np.tril_indices(n, -1)
+    lower = np.concatenate([2 * (rows * n + cols), 2 * (strict_rows * n + strict_cols) + 1])
+    upper = np.concatenate([2 * (cols * n + rows), 2 * (strict_cols * n + strict_rows) + 1])
+    weights = np.where(lower // 2 % (n + 1) == 0, 1.0, np.sqrt(2.0))
+    mirror = np.where(lower % 2 == 0, 1.0, -1.0)
+    return lower, upper, weights, mirror
 
 
 def svec_dim(n: int) -> int:
-    """Length of the packed vector for a symmetric ``n x n`` matrix."""
-    return n * (n + 1) // 2
+    """Length of the packed vector for a Hermitian ``n x n`` matrix."""
+    return n * n
 
 
 def _block_offsets(dims: Sequence[int]) -> Array:
@@ -95,81 +113,44 @@ def _svec_identity(dims: Sequence[int]) -> Array:
     return np.concatenate([svec(np.eye(n)) for n in dims])
 
 
-def svec(matrix: Array) -> Array:
-    """Pack a real symmetric matrix so that dot products match trace inner products."""
-    return _svec_batch(np.asarray(matrix, dtype=float))
+def svec(mats: Array) -> Array:
+    """Pack Hermitian matrices (the last two axes) so that dot products are ``Re tr(A B)``.
+
+    Only the lower triangle is read.
+    """
+    mats = np.ascontiguousarray(mats, dtype=complex)
+    n = mats.shape[-1]
+    lower, _, weights, _ = _layout(n)
+    return mats.view(float).reshape(mats.shape[:-2] + (2 * n * n,))[..., lower] * weights
 
 
 def smat(vector: Array) -> Array:
-    """Inverse of :func:`svec`."""
+    """Inverse of :func:`svec`: a complex Hermitian matrix."""
     vector = np.asarray(vector, dtype=float)
-    n = int(round((np.sqrt(8.0 * len(vector) + 1.0) - 1.0) / 2.0))
+    n = int(round(np.sqrt(len(vector))))
     if svec_dim(n) != len(vector):
-        raise ValueError(f"vector of length {len(vector)} is not a packed symmetric matrix")
+        raise ValueError(f"vector of length {len(vector)} is not a packed Hermitian matrix")
     return _smat_batch(vector, n)
-
-
-def _svec_batch(mats: Array) -> Array:
-    """:func:`svec` over the last two axes of a stack."""
-    rows, cols, weights = _tril_cache(mats.shape[-1])
-    return mats[..., rows, cols] * weights
 
 
 def _smat_batch(vecs: Array, n: int) -> Array:
     """:func:`smat` over the last axis of a stack of packed vectors."""
-    rows, cols, weights = _tril_cache(n)
-    out = np.zeros(vecs.shape[:-1] + (n, n))
-    lower = vecs / weights
-    out[..., rows, cols] = lower
-    out[..., cols, rows] = lower
+    lower, upper, weights, mirror = _layout(n)
+    out = np.zeros(vecs.shape[:-1] + (n, n), dtype=complex)
+    flat = out.view(float).reshape(vecs.shape[:-1] + (2 * n * n,))
+    values = vecs / weights
+    flat[..., lower] = values
+    flat[..., upper] = values * mirror
     return out
 
 
-def embed_hermitian(matrix: Array) -> Array:
-    """Real symmetric image of a complex Hermitian matrix, over the last two axes.
-
-    The embedding doubles the side and duplicates the spectrum, so positive
-    semidefiniteness is preserved in both directions.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    re, im = matrix.real, matrix.imag
-    return np.block([[re, -im], [im, re]])
+def _t(mats: Array) -> Array:
+    """Conjugate transpose over the last two axes."""
+    return mats.conj().swapaxes(-1, -2)
 
 
-def extract_hermitian(matrix: Array) -> Array:
-    """Project a real symmetric matrix of even side back to a complex Hermitian one.
-
-    This inverts :func:`embed_hermitian` and, for matrices that are merely
-    close to an embedded image, averages over the embedding symmetry so the
-    result is exactly Hermitian.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    side = matrix.shape[0]
-    if side % 2:
-        raise ValueError(f"embedded matrix must have even side, got {side}")
-    n = side // 2
-    a = matrix[:n, :n]
-    b = matrix[:n, n:]
-    c = matrix[n:, :n]
-    d = matrix[n:, n:]
-    return 0.5 * (a + d) + 0.5j * (c - b)
-
-
-def _hermitian_part(matrix: Array) -> Array:
-    return 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
-
-
-def _pack_hermitian(stack: Array, out: Array) -> None:
-    """Write ``svec(embed(H))`` for the Hermitian part ``H`` of each matrix of a stack.
-
-    Row ``k`` of ``out`` receives matrix ``k``.  The stack is embedded in
-    slices of about ``_SLICE_ENTRIES`` entries, so no embedded copy of a large
-    stack is held next to ``out``.
-    """
-    stack = np.asarray(stack)
-    step = max(1, _SLICE_ENTRIES // (2 * stack.shape[-1]) ** 2)
-    for lo in range(0, len(stack), step):
-        out[lo : lo + step] = svec(embed_hermitian(_hermitian_part(stack[lo : lo + step])))
+def _hermitian_part(mats: Array) -> Array:
+    return 0.5 * (mats + _t(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +160,13 @@ def _pack_hermitian(stack: Array, out: Array) -> None:
 
 @dataclass
 class SdpProblem:
-    """A block semidefinite program over real symmetric variables, in svec coordinates.
+    """A block semidefinite program over complex Hermitian variables, in svec coordinates.
 
     ``c`` and every row of ``a`` concatenate one :func:`svec` per block of
     ``block_dims``: the program optimizes ``c . x`` in ``sense`` subject to
-    ``a x = b``, with every block of ``x`` positive semidefinite.
+    ``a x = b``, with every block of ``x`` positive semidefinite.  Block ``k``
+    of side ``n`` owns ``n**2`` coordinates; with real data, the imaginary
+    ones are zero.
     """
 
     block_dims: tuple[int, ...]
@@ -212,16 +195,25 @@ class SdpProblem:
         return len(self.b)
 
     def dump(self) -> str:
-        """Plain text: block sides, then (block, row, col, value) per nonzero lower entry."""
+        """Plain text: block sides, then (block, row, col, value) per nonzero lower entry.
+
+        A real part is written as a float; an imaginary part as a float
+        followed by ``j``.
+        """
         dims = self.block_dims
-        coords = [(k, i, j, w) for k, n in enumerate(dims) for i, j, w in zip(*_tril_cache(n))]
+        coords = []
+        for k, n in enumerate(dims):
+            lower, _, weights, _ = _layout(n)
+            rows, cols = np.divmod(lower // 2, n)
+            parts = zip(rows, cols, weights, lower % 2)
+            coords += [(k, i, j, w, "j" * imag) for i, j, w, imag in parts]
         lines = [f"sense {self.sense}", "blocks " + " ".join(str(d) for d in dims)]
         heads = ["objective"] + [f"equality {r} rhs {float(v)!r}" for r, v in enumerate(self.b)]
         for head, vector in zip(heads, [self.c, *self.a]):
             lines.append(head)
             for p in np.flatnonzero(vector):
-                k, i, j, w = coords[p]
-                lines.append(f"  {k} {i} {j} {float(vector[p] / w)!r}")
+                k, i, j, w, imag = coords[p]
+                lines.append(f"  {k} {i} {j} {float(vector[p] / w)!r}{imag}")
         return "\n".join(lines) + "\n"
 
 
@@ -247,7 +239,7 @@ class SdpSolution:
 
 
 def equality_residuals(problem: SdpProblem, block_values: Sequence[Array]) -> Array:
-    """Signed residual ``a x - b`` of every equality row at the given symmetric block values."""
+    """Signed residual ``a x - b`` of every equality row at the given Hermitian block values."""
     return problem.a @ np.concatenate([svec(value) for value in block_values]) - problem.b
 
 
@@ -309,16 +301,8 @@ def _unpack_blocks(vector: Array, groups: list[_SideGroup]) -> list[Array]:
     return [blocks[k] for k in range(len(blocks))]
 
 
-def _t(mats: Array) -> Array:
-    return mats.swapaxes(-1, -2)
-
-
-def _sym(mats: Array) -> Array:
-    return 0.5 * (mats + _t(mats))
-
-
 def _spectral(values: Array, vectors: Array) -> Array:
-    """``V diag(values) V^T`` over a stack of eigensystems."""
+    """``V diag(values) V^H`` over a stack of eigensystems."""
     return (vectors * values[..., None, :]) @ _t(vectors)
 
 
@@ -332,7 +316,7 @@ def _psd_floor_eigh(mats: Array) -> tuple[Array, Array]:
 class _Scaling:
     """Nesterov-Todd scaling of a ``(K, n, n)`` stack of blocks.
 
-    ``w`` is the scaling matrix, ``g`` and ``g_inv`` its symmetric square
+    ``w`` is the scaling matrix, ``g`` and ``g_inv`` its Hermitian square
     root and inverse root, and ``v_vals``, ``v_vecs`` the eigensystem of the
     scaled point ``v = g s g = g_inv x g_inv``.
     """
@@ -349,20 +333,20 @@ def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
     s_root = np.sqrt(s_vals)
     s_half = _spectral(s_root, s_vecs)
     s_half_inv = _spectral(1.0 / s_root, s_vecs)
-    in_vals, in_vecs = _psd_floor_eigh(_sym(s_half @ x_mats @ s_half))
-    w = _sym(s_half_inv @ _spectral(np.sqrt(in_vals), in_vecs) @ s_half_inv)
+    in_vals, in_vecs = _psd_floor_eigh(_hermitian_part(s_half @ x_mats @ s_half))
+    w = _hermitian_part(s_half_inv @ _spectral(np.sqrt(in_vals), in_vecs) @ s_half_inv)
     w_vals, w_vecs = _psd_floor_eigh(w)
     w_root = np.sqrt(w_vals)
     g = _spectral(w_root, w_vecs)
     g_inv = _spectral(1.0 / w_root, w_vecs)
-    v_vals, v_vecs = _psd_floor_eigh(_sym(g @ s_mats @ g))
+    v_vals, v_vecs = _psd_floor_eigh(_hermitian_part(g @ s_mats @ g))
     return _Scaling(w, g, g_inv, v_vals, v_vecs)
 
 
 def _max_step_batch(mats: Array, dmats: Array) -> float:
     """Largest alpha keeping every matrix of ``mats + alpha dmats`` positive semidefinite.
 
-    With ``mats = F F^T`` it is ``-1 / lambda_min(F^-1 dmats F^-T)``.  ``F`` is
+    With ``mats = F F^H`` it is ``-1 / lambda_min(F^-1 dmats F^-H)``.  ``F`` is
     the Cholesky factor; when that fails for any matrix of the stack, it is
     the eigen-root of every matrix, with the eigenvalues floored.
     """
@@ -371,7 +355,8 @@ def _max_step_batch(mats: Array, dmats: Array) -> float:
     except np.linalg.LinAlgError:
         vals, vecs = _psd_floor_eigh(mats)
         factor_inv = _spectral(1.0 / np.sqrt(vals), vecs)
-    min_eig = float(np.linalg.eigvalsh(_sym(factor_inv @ dmats @ _t(factor_inv))).min())
+    scaled = _hermitian_part(factor_inv @ dmats @ _t(factor_inv))
+    min_eig = float(np.linalg.eigvalsh(scaled).min())
     return -1.0 / min_eig if min_eig < -1e-14 else np.inf
 
 
@@ -385,9 +370,9 @@ class _Schur:
 
     For each side group, ``stacks`` holds a ``(K, R, n, n)`` stack: entry
     ``[k, r]`` is block ``k`` of the ``r``-th row touching it, in increasing
-    row order.  ``R`` is the largest number of rows touching one block of the
-    group; shorter lists are padded with rows that do not touch the block,
-    whose blocks are zero.  ``pairs`` places every entry of every group's
+    row order, as a complex Hermitian matrix.  ``R`` is the largest number of
+    rows touching one block of the group; shorter lists are padded with rows
+    that do not touch the block, whose blocks are zero.  ``pairs`` places every entry of every group's
     ``(K, R, R)`` Gram stack in the flattened ``m x m`` matrix.
     """
 
@@ -415,10 +400,11 @@ class _Schur:
 
         With ``w = g g``, ``<A_i, w A_j w> = <g A_i g, g A_j g>``, so block
         ``k`` adds the Gram matrix of the rows ``B_k[r] = svec(g_k A_ik g_k)``
-        over the rows touching it.  The congruence runs over slices of those
-        rows, so that each temporary holds about ``_SLICE_ENTRIES`` entries
-        however large the stack is.  ``np.bincount`` sums the Gram entries in
-        a fixed order, so the result repeats bit for bit.
+        over the rows touching it.  The congruence is complex and runs over
+        slices of those rows, so that each temporary holds about
+        ``_SLICE_ENTRIES`` entries however large the stack is; its svec rows,
+        and so the Gram product, are real.  ``np.bincount`` sums the Gram
+        entries in a fixed order, so the result repeats bit for bit.
         """
         grams = []
         for stack, g in zip(self.stacks, roots):
@@ -426,7 +412,7 @@ class _Schur:
             scaled = np.empty(stack.shape[:2] + (svec_dim(stack.shape[-1]),))
             step = max(1, _SLICE_ENTRIES // (stack.shape[0] * stack.shape[-1] ** 2))
             for lo in range(0, stack.shape[1], step):
-                scaled[:, lo : lo + step] = _svec_batch(g @ stack[:, lo : lo + step] @ g)
+                scaled[:, lo : lo + step] = svec(g @ stack[:, lo : lo + step] @ g)
             grams.append((scaled @ _t(scaled)).ravel())
         flat = np.bincount(self.pairs, np.concatenate(grams), minlength=self.m * self.m)
         return flat.reshape(self.m, self.m)
@@ -564,7 +550,7 @@ def solve(
                 rows_kept=0,
                 note="objective unbounded below on the cone",
             )
-        blocks = [np.zeros((n, n)) for n in dims]
+        blocks = [np.zeros((n, n), dtype=complex) for n in dims]
         return SdpSolution(
             status=OPTIMAL,
             primal_value=0.0,
@@ -652,7 +638,7 @@ def solve(
         def _apply_d(vec: Array) -> Array:
             out = np.empty_like(vec)
             for group, sc in zip(groups, scal):
-                out[group.gather] = _svec_batch(sc.w @ group.unpack(vec) @ sc.w)
+                out[group.gather] = svec(sc.w @ group.unpack(vec) @ sc.w)
             return out
 
         schur = schur_rows.assemble([sc.g for sc in scal])
@@ -730,7 +716,7 @@ def solve(
             in_basis = _t(sc.v_vecs) @ target @ sc.v_vecs
             in_basis *= 2.0 / (sc.v_vals[..., :, None] + sc.v_vals[..., None, :])
             r_c = sc.v_vecs @ in_basis @ _t(sc.v_vecs)
-            rc[group.gather] = _svec_batch(sc.g @ _sym(r_c) @ sc.g)
+            rc[group.gather] = svec(sc.g @ _hermitian_part(r_c) @ sc.g)
         rck = sigma * mu - tau * kappa - dtau_a * dkappa_a
 
         corrected = _newton(rc, rck)
@@ -792,6 +778,7 @@ class FeasibilityResult:
     solution with every block at least ``t`` times the identity (negative when
     only infeasible shifts exist).  ``feasible`` answers against the tolerance;
     ``certificate_y`` carries the separating functional when infeasible.
+    ``rows_kept`` and ``iterations`` are those of the probe's solve.
     """
 
     feasible: bool
@@ -801,6 +788,7 @@ class FeasibilityResult:
     certificate_y: Array | None
     residuals: dict[str, float]
     rows_kept: int
+    iterations: int
 
 
 def feasibility_phase1(
@@ -828,30 +816,20 @@ def feasibility_phase1(
         sense="min",
     )
     solution = solve(phase1, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
-
-    if solution.status == INFEASIBLE:
-        return FeasibilityResult(
-            feasible=False,
-            margin=-np.inf,
-            status=solution.status,
-            block_values=None,
-            certificate_y=solution.y,
-            residuals=solution.residuals,
-            rows_kept=solution.rows_kept,
-        )
+    run = dict(status=solution.status, rows_kept=solution.rows_kept, iterations=solution.iterations)
     if solution.status != OPTIMAL:
+        infeasible = solution.status == INFEASIBLE
         return FeasibilityResult(
             feasible=False,
-            margin=np.nan,
-            status=solution.status,
+            margin=-np.inf if infeasible else np.nan,
             block_values=None,
-            certificate_y=None,
+            certificate_y=solution.y if infeasible else None,
             residuals=solution.residuals,
-            rows_kept=solution.rows_kept,
+            **run,
         )
 
     assert solution.block_values is not None
-    shift = float(solution.block_values[-2][0, 0] - solution.block_values[-1][0, 0])
+    shift = float(solution.block_values[-2][0, 0].real - solution.block_values[-1][0, 0].real)
     recovered = [
         solution.block_values[k] - shift * np.eye(n)
         for k, n in enumerate(problem.block_dims)
@@ -863,11 +841,10 @@ def feasibility_phase1(
     return FeasibilityResult(
         feasible=feasible,
         margin=-shift,
-        status=solution.status,
         block_values=recovered if feasible else None,
         certificate_y=None if feasible else solution.y,
         residuals=residuals,
-        rows_kept=solution.rows_kept,
+        **run,
     )
 
 
@@ -882,19 +859,19 @@ def hermitian_lmi(
     """``max b.p`` subject to ``F0_j + sum_k p_k F_kj >= 0`` per block ``j``, as a dual.
 
     ``constant[j]`` is ``F0_j`` and ``coefficients[j]`` the stack of the
-    ``F_kj``.  Block ``j`` gets ``C_j = embed(F0_j)`` and row ``k`` gets
-    ``A_kj = -embed(F_kj)`` (of the Hermitian parts), so the dual slack is the
-    embedded ``F0 + sum_k p_k F_k``: ``solve`` returns the maximizer as ``y``
-    and the maximum as ``dual_value``.
+    ``F_kj``.  Block ``j`` gets ``C_j = F0_j`` and row ``k`` gets
+    ``A_kj = -F_kj`` (their Hermitian parts), so the dual slack is
+    ``F0 + sum_k p_k F_k``: ``solve`` returns the maximizer as ``y`` and the
+    maximum as ``dual_value``.
     """
-    dims = tuple(2 * len(f0) for f0 in constant)
+    dims = tuple(len(f0) for f0 in constant)
     offsets = _block_offsets(dims)
     # Row 0 is c, the rows after it are -a.
     table = np.empty((1 + len(objective), offsets[-1]))
     for j, (f0, stack) in enumerate(zip(constant, coefficients)):
         cols = slice(offsets[j], offsets[j + 1])
-        _pack_hermitian(np.asarray(f0)[None], table[:1, cols])
-        _pack_hermitian(stack, table[1:, cols])
+        table[0, cols] = svec(_hermitian_part(np.asarray(f0)))
+        table[1:, cols] = svec(_hermitian_part(stack))
     np.negative(table[1:], out=table[1:])
     return SdpProblem(block_dims=dims, c=table[0], a=table[1:], b=objective)
 
@@ -902,9 +879,9 @@ def hermitian_lmi(
 class HermitianBlockBuilder:
     """Assemble a problem over complex Hermitian blocks.
 
-    Every block is embedded as a real symmetric matrix of twice the side; a
-    complex equality splits into real and imaginary rows.  ``extract`` maps a
-    solved block back to the complex side.
+    Each block is a solver block of its own side; a complex equality splits
+    into a real row and an imaginary row.  ``extract`` reads a solved block
+    by name.
 
     Terms are kept as stacks ``(rows, blocks, coefficients)`` of one block
     side each, and ``build`` packs each side's stack in one batched call.
@@ -982,9 +959,9 @@ class HermitianBlockBuilder:
 
     def build(self) -> SdpProblem:
         """Pack each side's terms at once: the real (imaginary) row of ``sum_k
-        tr(E_k H_k) = rhs`` takes ``0.5 embed(H)`` for the Hermitian part ``H`` of
+        tr(E_k H_k) = rhs`` takes ``svec(H)`` for the Hermitian part ``H`` of
         ``E_k`` (of ``-i E_k``), unless its terms and right-hand side are negligible."""
-        dims = tuple(2 * d for d in self._dims)
+        dims = tuple(self._dims)
         offsets = _block_offsets(dims)
         count = len(self._rhs)
         # The objective Re tr(F H) is the real part of one more row.
@@ -1003,7 +980,7 @@ class HermitianBlockBuilder:
             parts = np.stack([_hermitian_part(coeffs), _hermitian_part(-1j * coeffs)])
             for part, part_norms in enumerate(np.linalg.norm(parts, axis=(-2, -1))):
                 norms[:, part] += np.bincount(rows, weights=part_norms, minlength=count + 1)
-            stacks.append((rows, blocks, svec(0.5 * embed_hermitian(parts))))
+            stacks.append((rows, blocks, svec(parts)))
         rhs = np.array(self._rhs + [0.0], dtype=complex).view(float).reshape(-1, 2)
         keep = (norms > self._NEGLIGIBLE) | (np.abs(rhs) > self._NEGLIGIBLE)
         keep[count] = (True, False)
@@ -1020,5 +997,5 @@ class HermitianBlockBuilder:
         return SdpProblem(dims, c=table[-1], a=table[:-1], b=rhs[keep][:-1], sense=self.sense)
 
     def extract(self, block_values: Sequence[Array], name: str) -> Array:
-        """Complex Hermitian value of the named block from solved real blocks."""
-        return extract_hermitian(block_values[self._names[name]])
+        """Value of the named block among the solved blocks."""
+        return block_values[self._names[name]]

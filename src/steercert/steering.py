@@ -318,6 +318,7 @@ def lhs_membership(
         witness=witness,
         certificate_y=result.certificate_y,
         rows_kept=result.rows_kept,
+        iterations=result.iterations,
     )
 
 
@@ -373,7 +374,10 @@ class MomentMatrix:
 
     @property
     def embedded_side(self) -> int:
-        """Side of the real symmetric block the solver works on: twice ``gamma``'s."""
+        """Twice ``gamma``'s side: the relaxation's size as a real symmetric program.
+
+        The solver works on ``gamma`` itself, a complex Hermitian block.
+        """
         return 2 * self.gamma.shape[0]
 
     def _index(self, word: tuple) -> int:
@@ -613,8 +617,8 @@ def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
     moments, and the problem is its linear matrix inequality as built by
     :func:`steercert.sdp.hermitian_lmi`: one row per free moment, with the
     negated functional as the dual objective.  The first block is the
-    embedded moment block of side ``2 d (1 + m_a + m_b + m_a m_b)``, followed
-    by one block per outcome-1 member.
+    complex moment block of side ``d (1 + m_a + m_b + m_a m_b)``, followed by
+    one block of side ``d`` per outcome-1 member.
     """
     terms = [(coeff, *key) for key, coeff in functional.coeffs.items()]
     return _bound_problem(_MomentForm(functional.shape), terms)[0]
@@ -754,4 +758,5 @@ def qtilde_membership(
         problem=problem,
         witness=form.moment(solution.y[:-1]) if feasible else None,
         rows_kept=solution.rows_kept,
+        iterations=solution.iterations,
     )

@@ -324,6 +324,18 @@ class TestCertify:
         assert kept["relaxation membership"] == qtilde_membership(asm).problem.num_rows
         assert 0 < kept["hidden-state membership"] < lhs_membership(asm).problem.num_rows
 
+    def test_solver_log_reports_the_iterations_of_each_membership(self, capsys):
+        # Solves repeat bit for bit, so the log matches a fresh solve exactly.
+        code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose")
+        assert code == 0
+        counts = {entry["context"]: entry["iterations"] for entry in doc["solver"]}
+        asm = pauli_transpose_assemblage()
+        assert counts == {
+            "hidden-state membership": lhs_membership(asm).iterations,
+            "relaxation membership": qtilde_membership(asm).iterations,
+        }
+        assert all(count > 0 for count in counts.values())
+
     def test_hidden_state_margin_near_the_boundary_is_no_verdict(self, capsys, monkeypatch):
         # Outside by more than tol but not by DECISIVE_MARGIN: undecided.
         def run_membership(asm, tol=1e-8):

@@ -32,18 +32,26 @@ def unit(n, i, j):
     return out
 
 
+def assert_real_blocks(solution):
+    """A problem with real data is solved with real iterates: no imaginary part at all."""
+    assert solution.block_values is not None
+    assert all(np.all(block.imag == 0.0) for block in solution.block_values)
+
+
 def packed(*blocks):
-    """One row of problem data: the svec of each block, concatenated."""
+    """One row of problem data, or a point: the svec of each block, concatenated."""
     return np.concatenate([svec(block) for block in blocks])
 
 
 # ---------------------------------------------------------------------------
-# Packing and embedding
+# Packing
 # ---------------------------------------------------------------------------
 
 
 def test_svec_dim_matches_triangle_count():
-    assert [sdp.svec_dim(n) for n in range(1, 6)] == [1, 3, 6, 10, 15]
+    # The lower triangle's real parts, then the strict lower triangle's imaginary parts.
+    triangles = [n * (n + 1) // 2 + n * (n - 1) // 2 for n in range(1, 6)]
+    assert [sdp.svec_dim(n) for n in range(1, 6)] == triangles == [1, 4, 9, 16, 25]
 
 
 @settings(max_examples=50, deadline=None)
@@ -58,25 +66,32 @@ def test_svec_smat_roundtrip_and_inner_product(seed, dim):
 
 def test_smat_rejects_non_triangular_length():
     with pytest.raises(ValueError):
-        sdp.smat(np.zeros(4))
+        sdp.smat(np.zeros(2))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=5))
-def test_hermitian_embedding_doubles_spectrum(seed, dim):
+def test_hermitian_svec_roundtrip_and_inner_product(seed, dim):
     rng = np.random.default_rng(seed)
-    herm = random_hermitian(rng, dim)
-    embedded = sdp.embed_hermitian(herm)
-    assert embedded.shape == (2 * dim, 2 * dim)
-    assert np.allclose(embedded, embedded.T, atol=1e-13)
-    doubled = np.sort(np.concatenate([np.linalg.eigvalsh(herm)] * 2))
-    assert np.allclose(np.linalg.eigvalsh(embedded), doubled, atol=1e-10)
-    assert np.allclose(sdp.extract_hermitian(embedded), herm, atol=1e-13)
+    a = random_hermitian(rng, dim)
+    b = random_hermitian(rng, dim)
+    assert sdp.svec_dim(dim) == dim**2 == len(sdp.svec(a))
+    assert np.allclose(sdp.smat(sdp.svec(a)), a, atol=1e-13)
+    assert np.isclose(sdp.svec(a) @ sdp.svec(b), np.trace(a @ b).real, atol=1e-10)
+    # A real symmetric matrix packs to its real svec (the lower triangle row by
+    # row, sqrt(2) off the diagonal), then zero imaginary coordinates.
+    rows, cols = np.tril_indices(dim)
+    weights = np.where(rows == cols, 1.0, np.sqrt(2.0))
+    real = sdp.svec(a.real)
+    assert np.array_equal(real[: len(rows)], a.real[rows, cols] * weights)
+    assert np.array_equal(real[len(rows) :], np.zeros(dim * (dim - 1) // 2))
 
 
-def test_extract_hermitian_rejects_odd_side():
-    with pytest.raises(ValueError):
-        sdp.extract_hermitian(np.zeros((3, 3)))
+def test_smat_rejects_a_length_that_is_not_a_square():
+    # A real symmetric svec (a triangular length) is not a Hermitian one.
+    for length in (3, 6, 10):
+        with pytest.raises(ValueError):
+            sdp.smat(np.zeros(length))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +126,7 @@ def test_maximize_pauli_z_on_unit_trace():
     assert solution.status == sdp.OPTIMAL
     assert solution.primal_value == pytest.approx(1.0, abs=1e-7)
     assert solution.dual_value == pytest.approx(1.0, abs=1e-7)
+    assert_real_blocks(solution)
 
 
 def test_two_block_coupling():
@@ -128,7 +144,7 @@ def test_two_block_coupling():
 
 
 def test_unconstrained_psd_objective_is_zero():
-    problem = SdpProblem(block_dims=(3,), c=svec(np.eye(3)), a=np.zeros((0, 6)), b=[])
+    problem = SdpProblem(block_dims=(3,), c=svec(np.eye(3)), a=np.zeros((0, 9)), b=[])
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
     assert solution.primal_value == 0.0
@@ -136,7 +152,7 @@ def test_unconstrained_psd_objective_is_zero():
 
 def test_unconstrained_indefinite_objective_is_unbounded():
     problem = SdpProblem(
-        block_dims=(2,), c=svec(np.diag([1.0, -1.0])), a=np.zeros((0, 3)), b=[]
+        block_dims=(2,), c=svec(np.diag([1.0, -1.0])), a=np.zeros((0, 4)), b=[]
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.NUMERICAL_TROUBLE
@@ -176,6 +192,7 @@ def test_constructed_optimum_is_reached(seed):
     assert solution.dual_value == pytest.approx(value, abs=2e-6)
     assert np.max(np.abs(sdp.equality_residuals(problem, solution.block_values))) < 1e-6
     assert np.linalg.eigvalsh(solution.block_values[0]).min() > -1e-8
+    assert_real_blocks(solution)
 
 
 MIXED_SIDES = (2, 1, 3, 2, 1, 3)
@@ -286,6 +303,7 @@ def test_linear_programs_match_vertex_enumeration(seed):
     problem, a, b, c = lp_instance(seed)
     oracle = lp_vertex_optimum(a, b, c)
     solution = sdp.solve(problem)
+    assert_real_blocks(solution)
     if oracle == -np.inf:
         assert solution.status != sdp.OPTIMAL
         assert "unbounded" in solution.note
@@ -549,7 +567,7 @@ def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries)
 def test_phase1_reports_interior_margin():
     problem = SdpProblem(
         block_dims=(2,),
-        c=np.zeros(3),
+        c=np.zeros(4),
         a=[svec(np.eye(2))],
         b=[1.0],
     )
@@ -563,7 +581,7 @@ def test_phase1_reports_interior_margin():
 def test_phase1_detects_forced_negative_eigenvalue():
     problem = SdpProblem(
         block_dims=(2,),
-        c=np.zeros(3),
+        c=np.zeros(4),
         a=[svec(unit(2, 0, 0)), svec(unit(2, 1, 1))],
         b=[1.0, -0.5],
     )
@@ -683,7 +701,7 @@ def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
 def test_dump_lists_blocks_objective_and_rows():
     problem = SdpProblem(
         block_dims=(2, 1),
-        c=packed(np.diag([1.0, 0.0]), np.zeros((1, 1))),
+        c=packed(np.array([[1.0, -0.5j], [0.5j, 0.0]]), np.zeros((1, 1))),
         a=[packed(np.zeros((2, 2)), np.array([[2.0]]))],
         b=[3.0],
     )
@@ -693,6 +711,7 @@ def test_dump_lists_blocks_objective_and_rows():
     assert lines[1] == "blocks 2 1"
     assert "objective" in lines
     assert "  0 0 0 1.0" in lines
+    assert "  0 1 0 0.5j" in lines
     assert "equality 0 rhs 3.0" in lines
     assert "  1 0 0 2.0" in lines
 
@@ -724,11 +743,6 @@ def random_complex(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
-def embedded_point(*blocks):
-    """The solver's point for complex Hermitian block values."""
-    return packed(*(sdp.embed_hermitian(block) for block in blocks))
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_builder_rows_read_the_complex_equalities(seed):
     rng = np.random.default_rng(seed)
@@ -750,7 +764,7 @@ def test_builder_rows_read_the_complex_equalities(seed):
     for name, coeff in objective.items():
         builder.add_objective_term(name, coeff)
     problem = builder.build()
-    x = embedded_point(values["h"], values["k"])
+    x = packed(values["h"], values["k"])
     assert problem.num_rows == len(expected)
     assert np.allclose(problem.a @ x, expected, atol=1e-12)
     value = sum(np.trace(coeff @ values[name]) for name, coeff in objective.items()).real
@@ -777,7 +791,7 @@ def test_matrix_equality_rows_pin_every_upper_entry(scalars):
         parts = [np.real] + ([np.imag] if complex_scalars or i != j else [])
         expected += [part(total[i, j]) for part in parts]
         rhs += [part(target[i, j]) for part in parts]
-    assert np.allclose(problem.a @ embedded_point(*values), expected, atol=1e-12)
+    assert np.allclose(problem.a @ packed(*values), expected, atol=1e-12)
     assert np.array_equal(problem.b, rhs)
 
 
@@ -788,11 +802,11 @@ def test_hermitian_lmi_slack_is_the_embedded_pencil():
     coefficients = [np.stack([random_hermitian(rng, n) for _ in range(count)]) for n in sides]
     objective = rng.normal(size=count)
     problem = sdp.hermitian_lmi(constant, coefficients, objective)
-    assert problem.block_dims == (4, 6)
+    assert problem.block_dims == sides
     assert np.array_equal(problem.b, objective)
     p = rng.normal(size=count)
     pencil = [f0 + np.tensordot(p, f, axes=1) for f0, f in zip(constant, coefficients)]
-    assert np.allclose(problem.c - problem.a.T @ p, embedded_point(*pencil), atol=1e-12)
+    assert np.allclose(problem.c - problem.a.T @ p, packed(*pencil), atol=1e-12)
 
 
 def test_hermitian_builder_maximizes_pauli_y():
@@ -802,7 +816,7 @@ def test_hermitian_builder_maximizes_pauli_y():
     builder.add_equality([("rho", np.eye(2))], 1.0)
     builder.add_objective_term("rho", pauli_y)
     problem = builder.build()
-    assert problem.block_dims == (4,)
+    assert problem.block_dims == (2,)
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
     assert solution.primal_value == pytest.approx(1.0, abs=1e-7)
@@ -846,7 +860,7 @@ def test_hermitian_lmi_solves_through_the_dual():
     problem = sdp.hermitian_lmi(
         [np.array([[0.0, 1j], [-1j, 0.0]])], [np.eye(2)[None]], np.array([-1.0])
     )
-    assert problem.block_dims == (4,)
+    assert problem.block_dims == (2,)
     assert problem.num_rows == 1
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL

@@ -286,8 +286,10 @@ def test_moment_words_cover_singles_and_pairs():
 
 def test_relaxation_problem_has_the_embedded_moment_block():
     problem = build_qtilde_problem(canonical_functional())
-    assert problem.block_dims[0] == 48
-    assert problem.block_dims[1:] == (4,) * 6
+    # The complex moment block of side 2 (1 + 3 + 2 + 6), then one block per
+    # outcome-1 member.
+    assert problem.block_dims[0] == 24
+    assert problem.block_dims[1:] == (2,) * 6
     assert problem.sense == "min"
 
 
@@ -399,6 +401,8 @@ def test_relaxation_membership_rejects_trusted_to_untrusted_signalling():
     assert not report.feasible
     assert report.margin == -np.inf
     assert report.status == "infeasible"
+    # Decided before any solve.
+    assert report.rows_kept is None and report.iterations is None
 
 
 def test_relaxation_membership_rejects_untrusted_to_trusted_signalling():
