@@ -461,31 +461,6 @@ def instrumental_pauli_assemblage() -> InstrumentalAssemblage:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MembershipReport:
-    """Outcome of a set-membership test decided by a semidefinite program.
-
-    ``margin`` is positive when the instance sits strictly inside the set and
-    negative when no point of the set matches; ``witness`` carries the found
-    element (when feasible) and ``certificate_y`` a separating functional on
-    the problem's equality rows (when infeasible; ``None`` for the relaxation,
-    whose separating functional is the dual block of its LMI ``problem``).
-    ``rows_kept`` counts the rows of ``problem`` left after the solver's
-    presolve and ``iterations`` the solver's iterations; both are ``None``
-    when the verdict needed no solve.
-    """
-
-    feasible: bool
-    margin: float
-    status: str
-    residuals: dict[str, float]
-    problem: sdp.SdpProblem
-    witness: object | None = None
-    certificate_y: Array | None = None
-    rows_kept: int | None = None
-    iterations: int | None = None
-
-
 def ns_variable_blocks(
     builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, prefix: str = "w"
 ) -> dict[tuple[int, int, int], str]:
@@ -524,7 +499,7 @@ def instrumental_membership(
     asm: InstrumentalAssemblage,
     tol: float = 1e-8,
     max_iter: int = 200,
-) -> MembershipReport:
+) -> sdp.MembershipReport:
     """Decide whether wired members extend to a no-signalling assemblage.
 
     Searches for bob-with-input members ``w_{a|x,y}`` satisfying the
@@ -539,27 +514,14 @@ def instrumental_membership(
         for x in range(shape.m_a):
             builder.add_matrix_equality([(names[(a, x, a)], 1.0)], asm.member(a, x))
     problem = builder.build()
-    result = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
-    witness = None
-    if result.feasible and result.block_values is not None:
+    report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
+    if report.feasible:
         members = {
-            key: require_hermitian(
-                builder.extract(result.block_values, name), tol=1e-6
-            )
+            key: require_hermitian(builder.extract(report.witness, name), tol=1e-6)
             for key, name in names.items()
         }
-        witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, d, BWI), members=members)
-    return MembershipReport(
-        feasible=result.feasible,
-        margin=result.margin,
-        status=result.status,
-        residuals=result.residuals,
-        problem=problem,
-        witness=witness,
-        certificate_y=result.certificate_y,
-        rows_kept=result.rows_kept,
-        iterations=result.iterations,
-    )
+        report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, d, BWI), members=members)
+    return report
 
 
 # ---------------------------------------------------------------------------

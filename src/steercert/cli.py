@@ -30,7 +30,6 @@ from steercert.assemblages import (
     VALIDATION_TOL,
     BwiAssemblage,
     InstrumentalAssemblage,
-    MembershipReport,
     ScenarioShape,
     SequentialAssemblage,
     SequentialShape,
@@ -93,10 +92,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
-
-# Membership margins within solver accuracy of zero mean "on the boundary";
-# only a decisively negative margin is accepted as an infeasibility certificate.
-DECISIVE_MARGIN = 1e-6
 
 BUILTIN_ASSEMBLAGES: dict[str, Callable[[], Any]] = {
     "builtin:pr-box": pr_box_assemblage,
@@ -220,15 +215,13 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
             }
         )
         raise CliError(EXIT_SOLVER, f"{context}: {exc}") from exc
-    # Bounds raise unless their solve was optimal; memberships report their
-    # solve's status whatever it was, and decide nothing unless it was final.
     status = getattr(result, "status", sdp.OPTIMAL)
     entry = {
         "context": context,
         "status": status,
         "seconds": round(time.perf_counter() - start, 3),
     }
-    if isinstance(result, MembershipReport):
+    if isinstance(result, sdp.MembershipReport):
         entry["rows_kept"] = result.rows_kept
         entry["iterations"] = result.iterations
     solver_log.append(entry)
@@ -379,6 +372,10 @@ def _computational_basis(d: int) -> list[np.ndarray]:
     return effects
 
 
+def _membership_result(report: sdp.MembershipReport) -> dict[str, Any]:
+    return {"feasible": report.feasible, "margin": float(report.margin), "verdict": report.verdict}
+
+
 def cmd_certify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     asm, inputs = _resolve_assemblage(args.target)
     doc = ReportDocument(inputs=inputs)
@@ -396,21 +393,20 @@ def cmd_certify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     shape = asm.shape
     memberships: dict[str, Any] = {}
     lhs = _timed(doc.solver, "hidden-state membership", lambda: lhs_membership(asm, tol=tol))
-    decisive = max(DECISIVE_MARGIN, tol)
-    if not lhs.feasible and lhs.margin >= -decisive:
+    if lhs.verdict == sdp.UNDECIDED:
         raise CliError(
             EXIT_SOLVER,
-            f"hidden-state membership margin {float(lhs.margin):.3g} is within "
-            f"{decisive:g} of the boundary: no verdict",
+            f"hidden-state membership margin {float(lhs.margin):.3g} lies in the "
+            "boundary band: no verdict",
         )
-    memberships["lhs"] = {"feasible": lhs.feasible, "margin": float(lhs.margin)}
+    memberships["lhs"] = _membership_result(lhs)
     certificates: list[dict[str, Any]] = []
     if lhs.feasible:
         doc.results["classification"] = "LHS"
     else:
         qt = _timed(doc.solver, "relaxation membership", lambda: qtilde_membership(asm, tol=tol))
-        memberships["qtilde"] = {"feasible": qt.feasible, "margin": float(qt.margin)}
-        if qt.margin < -decisive:
+        memberships["qtilde"] = _membership_result(qt)
+        if qt.verdict == sdp.OUTSIDE:
             certificates.append(
                 {"kind": "qtilde-infeasible", "margin": float(qt.margin)}
             )
@@ -650,13 +646,13 @@ def _quantum_samples_stay_inside(ctx: BatteryContext) -> tuple[bool, str]:
         membership = qtilde_membership(sample)
         if membership.feasible:
             feasible += 1
-        # A post-quantum certificate needs a decisive margin, a model-beating
+        # A post-quantum certificate needs an outside verdict, a model-beating
         # probability table, or a negative reconstructed-map eigenvalue; the
         # last is unavailable here because sampled members are mixed.
-        decisively_outside = membership.margin < -DECISIVE_MARGIN
+        outside = membership.verdict == sdp.OUTSIDE
         table = bell_correlations(sample, [basis, basis])
         beats_models = float(chsh_value(table[:, :, :2, :2])) > TSIRELSON + chsh_slack
-        if decisively_outside or beats_models:
+        if outside or beats_models:
             flagged += 1
     return (
         feasible == samples and flagged == 0,
@@ -809,12 +805,23 @@ def cmd_reproduce(args: argparse.Namespace) -> tuple[ReportDocument, int]:
 # ---------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """A finite positive number; argparse reports anything else as a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,6 +33,10 @@ complex equality split into a real and an imaginary row, and linear matrix
 inequalities solved through the dual (:func:`hermitian_lmi`) are packed a
 whole coefficient stack at a time, straight into ``a``.
 
+Every membership test, :func:`feasibility_phase1` among them, returns a
+:class:`MembershipReport`, whose ``verdict`` is the program's one rule from a
+margin to inside, outside or undecided.
+
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
 corrector and the step lengths run as batched LAPACK calls and stacked
@@ -766,29 +770,60 @@ def solve(
 
 
 # ---------------------------------------------------------------------------
-# Feasibility with a margin (phase-one formulation)
+# Membership with a margin (phase-one formulation)
 # ---------------------------------------------------------------------------
+
+INSIDE = "inside"
+OUTSIDE = "outside"
+UNDECIDED = "undecided"
+
+#: A margin must fall this far below zero (or below ``-tol``, if that is
+#: lower) before a membership counts as decided outside; margins between that
+#: and ``-tol`` are within solver accuracy of the boundary.
+DECISIVE_MARGIN = 1e-6
 
 
 @dataclass
-class FeasibilityResult:
-    """Outcome of a feasibility probe.
+class MembershipReport:
+    """Outcome of a set-membership test decided by a semidefinite program.
 
-    ``margin`` is the largest ``t`` such that the equality rows admit a
-    solution with every block at least ``t`` times the identity (negative when
-    only infeasible shifts exist).  ``feasible`` answers against the tolerance;
-    ``certificate_y`` carries the separating functional when infeasible.
-    ``rows_kept`` and ``iterations`` are those of the probe's solve.
+    ``margin`` is positive when the instance sits strictly inside the set and
+    negative when no point of the set matches; it is ``-inf`` when the data
+    alone rule the instance out, and NaN when the solve did not finish.
+    ``verdict`` is the only rule that turns a margin into an answer:
+    ``inside`` when ``margin >= -tol``, ``outside`` when ``margin <
+    -max(DECISIVE_MARGIN, tol)``, and ``undecided`` otherwise, that is, for a
+    NaN margin or one in the band between.  ``tol`` is the feasibility
+    tolerance the solve ran with.  ``witness`` carries the found element
+    (when inside) and ``certificate_y`` a separating functional on the
+    problem's equality rows (when a finished solve found it not inside;
+    ``None`` for the relaxation, whose separating functional is the dual
+    block of its LMI ``problem``).  ``rows_kept`` counts the rows of ``problem`` left after
+    the solver's presolve and ``iterations`` the solver's iterations; both
+    are ``None`` when the verdict needed no solve.
     """
 
-    feasible: bool
     margin: float
     status: str
-    block_values: list[Array] | None
-    certificate_y: Array | None
     residuals: dict[str, float]
-    rows_kept: int
-    iterations: int
+    problem: SdpProblem
+    witness: object | None = None
+    certificate_y: Array | None = None
+    rows_kept: int | None = None
+    iterations: int | None = None
+    tol: float = 1e-8
+
+    @property
+    def verdict(self) -> str:
+        if self.margin >= -self.tol:
+            return INSIDE
+        if self.margin < -max(DECISIVE_MARGIN, self.tol):
+            return OUTSIDE
+        return UNDECIDED
+
+    @property
+    def feasible(self) -> bool:
+        return self.verdict == INSIDE
 
 
 def feasibility_phase1(
@@ -797,13 +832,16 @@ def feasibility_phase1(
     feas_tol: float = 1e-8,
     gap_tol: float = 1e-8,
     max_iter: int = 200,
-) -> FeasibilityResult:
+) -> MembershipReport:
     """Decide whether the equality rows of ``problem`` meet the cone.
 
     The probe minimizes a uniform shift ``t`` with every block constrained to
     ``X_k + t I`` inside the cone, which always has an interior, so boundary
     instances are classified by the sign of the optimal shift instead of by a
-    failed solve.  The objective of ``problem`` is ignored.
+    failed solve.  The margin is ``-t``, and ``feas_tol`` is the report's
+    ``tol``.  When inside, the witness is the list of block values; the
+    report's ``problem`` is ``problem`` itself.  The objective of ``problem``
+    is ignored.
     """
     # The solver's blocks are Z = X + t I with t = t+ - t- (the two last,
     # one-by-one blocks), so row i reads <A_i, Z> - t tr(A_i) = b_i.
@@ -816,17 +854,19 @@ def feasibility_phase1(
         sense="min",
     )
     solution = solve(phase1, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
-    run = dict(status=solution.status, rows_kept=solution.rows_kept, iterations=solution.iterations)
+    report = MembershipReport(
+        margin=np.nan,
+        status=solution.status,
+        residuals=dict(solution.residuals),
+        problem=problem,
+        rows_kept=solution.rows_kept,
+        iterations=solution.iterations,
+        tol=feas_tol,
+    )
+    if solution.status == INFEASIBLE:
+        report.margin, report.certificate_y = -np.inf, solution.y
     if solution.status != OPTIMAL:
-        infeasible = solution.status == INFEASIBLE
-        return FeasibilityResult(
-            feasible=False,
-            margin=-np.inf if infeasible else np.nan,
-            block_values=None,
-            certificate_y=solution.y if infeasible else None,
-            residuals=solution.residuals,
-            **run,
-        )
+        return report
 
     assert solution.block_values is not None
     shift = float(solution.block_values[-2][0, 0].real - solution.block_values[-1][0, 0].real)
@@ -835,17 +875,13 @@ def feasibility_phase1(
         for k, n in enumerate(problem.block_dims)
     ]
     eq_res = equality_residuals(problem, recovered)
-    residuals = dict(solution.residuals)
-    residuals["equality_max"] = float(np.max(np.abs(eq_res))) if eq_res.size else 0.0
-    feasible = shift <= feas_tol
-    return FeasibilityResult(
-        feasible=feasible,
-        margin=-shift,
-        block_values=recovered if feasible else None,
-        certificate_y=None if feasible else solution.y,
-        residuals=residuals,
-        **run,
-    )
+    report.residuals["equality_max"] = float(np.max(np.abs(eq_res))) if eq_res.size else 0.0
+    report.margin = -shift
+    if report.feasible:
+        report.witness = recovered
+    else:
+        report.certificate_y = solution.y
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ back bitwise-equal arrays.
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Mapping
 
 import numpy as np
@@ -32,6 +33,8 @@ from steercert.steering import InstrumentalFunctional, SteeringFunctional
 
 Json = dict[str, Any]
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def _complex_to_json(value: complex) -> list[float]:
     value = complex(value)
@@ -41,10 +44,15 @@ def _complex_to_json(value: complex) -> list[float]:
 def _complex_from_json(data: Any, context: str) -> complex:
     if not isinstance(data, list) or len(data) != 2:
         raise ValueError(f"{context}: expected a [real, imag] pair, got {data!r}")
-    real, imag = data
-    if not isinstance(real, (int, float)) or not isinstance(imag, (int, float)):
-        raise ValueError(f"{context}: entries of a complex pair must be numbers")
-    return complex(real, imag)
+    # ``json`` parses NaN, Infinity and integers beyond any float, and a bool is an int.
+    if not all(
+        isinstance(part, (int, float)) and not isinstance(part, bool) and abs(part) <= _FLOAT_MAX
+        for part in data
+    ):
+        raise ValueError(
+            f"{context}: entries of a complex pair must be finite numbers, got {data!r}"
+        )
+    return complex(*data)
 
 
 def matrix_to_json(matrix: Array) -> list[list[list[float]]]:
@@ -64,7 +72,9 @@ def matrix_from_json(data: Any, context: str = "matrix") -> Array:
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"{context}: row {i} has length {len(row)}, expected {width}")
-        rows.append([_complex_from_json(entry, f"{context}[{i}]") for entry in row])
+        rows.append(
+            [_complex_from_json(entry, f"{context}[{i}][{j}]") for j, entry in enumerate(row)]
+        )
     return np.array(rows, dtype=complex)
 
 

@@ -34,7 +34,6 @@ from steercert.assemblages import (
     INSTRUMENTAL,
     BwiAssemblage,
     InstrumentalAssemblage,
-    MembershipReport,
     ScenarioShape,
     ns_variable_blocks,
 )
@@ -274,7 +273,7 @@ def lhs_bound(
 
 def lhs_membership(
     asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
-) -> MembershipReport:
+) -> sdp.MembershipReport:
     """Decide whether an assemblage admits a hidden-state explanation.
 
     Each strategy carries one block per trusted input, with traces equal
@@ -301,25 +300,11 @@ def lhs_membership(
                 ]
                 builder.add_matrix_equality(terms, asm.member(a, x, y))
     problem = builder.build()
-    result = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
-    witness = None
-    if result.feasible and result.block_values is not None:
-        states = {
-            key: builder.extract(result.block_values, name)
-            for key, name in names.items()
-        }
-        witness = LhsModel(strategies=tuple(strategies), states=states)
-    return MembershipReport(
-        feasible=result.feasible,
-        margin=result.margin,
-        status=result.status,
-        residuals=result.residuals,
-        problem=problem,
-        witness=witness,
-        certificate_y=result.certificate_y,
-        rows_kept=result.rows_kept,
-        iterations=result.iterations,
-    )
+    report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
+    if report.feasible:
+        states = {key: builder.extract(report.witness, name) for key, name in names.items()}
+        report.witness = LhsModel(strategies=tuple(strategies), states=states)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +687,7 @@ def qtilde_instrumental_bound(
 
 def qtilde_membership(
     asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
-) -> MembershipReport:
+) -> sdp.MembershipReport:
     """Decide whether an assemblage admits a feasible moment block.
 
     The first block row is pinned to the assemblage: the untrusted blocks to
@@ -743,20 +728,19 @@ def qtilde_membership(
     scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in pinned.values())))
     inconsistency = float(np.linalg.norm(mismatch))
     if inconsistency > sdp.PRESOLVE_CONSISTENCY_TOL * scale:
-        return MembershipReport(
-            False, -np.inf, sdp.INFEASIBLE, {"trace_mismatch": inconsistency}, problem
+        return sdp.MembershipReport(
+            -np.inf, sdp.INFEASIBLE, {"trace_mismatch": inconsistency}, problem, tol=tol
         )
     solution = sdp.solve(problem, feas_tol=tol, max_iter=max_iter)
-    optimal = solution.status == sdp.OPTIMAL
-    margin = float(solution.y[-1]) if optimal else np.nan
-    feasible = optimal and margin >= -tol
-    return MembershipReport(
-        feasible=feasible,
-        margin=margin,
+    report = sdp.MembershipReport(
+        margin=float(solution.y[-1]) if solution.status == sdp.OPTIMAL else np.nan,
         status=solution.status,
         residuals=solution.residuals,
         problem=problem,
-        witness=form.moment(solution.y[:-1]) if feasible else None,
         rows_kept=solution.rows_kept,
         iterations=solution.iterations,
+        tol=tol,
     )
+    if report.feasible:
+        report.witness = form.moment(solution.y[:-1])
+    return report

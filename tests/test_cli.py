@@ -15,19 +15,21 @@ from steercert.assemblages import (
     INSTRUMENTAL,
     TRADITIONAL,
     BwiAssemblage,
-    MembershipReport,
     ScenarioShape,
     SequentialShape,
     pauli_transpose_assemblage,
+    pr_box_assemblage,
     random_ns_sequential,
     random_ns_traditional,
     random_quantum_bwi,
 )
 from steercert.ghjw import reconstruct_sequential, reconstruct_traditional
 from steercert.matcore import PAULIS
+from steercert.sdp import MembershipReport
 from steercert.steering import (
     InstrumentalFunctional,
     SolverFailure,
+    canonical_functional,
     lhs_membership,
     qtilde_membership,
 )
@@ -127,6 +129,38 @@ class TestValidate:
         code, doc, _ = run_json(capsys, "validate", signalling_file, "--tol", "0.5")
         assert code == 0
         assert doc["results"]["passed"] is True
+
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, signalling_file, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", signalling_file, "--tol", tol])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bounds", "builtin:canonical", "--which", "ns", "--tol", tol])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, 10**400])
+def test_non_finite_input_entries_are_input_errors(capsys, tmp_path, bad):
+    # ``json`` reads NaN, Infinity and integers no float holds, and a bool passes for an int.
+    asm = serialize.assemblage_to_json(pr_box_assemblage())
+    asm["members"]["0|0,0"][0][1][0] = bad
+    functional = serialize.functional_to_json(canonical_functional())
+    functional["coefficients"]["0,0,0"][0][1][0] = bad
+    asm_path, functional_path = tmp_path / "asm.json", tmp_path / "functional.json"
+    asm_path.write_text(json.dumps(asm))
+    functional_path.write_text(json.dumps(functional))
+    for argv, entry in [
+        (["validate", str(asm_path)], "members[0|0,0][0][1]"),
+        (["certify", str(asm_path)], "members[0|0,0][0][1]"),
+        (["bounds", str(functional_path), "--which", "lhs"], "coefficients[0,0,0][0][1]"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert entry in err and "finite" in err
 
 
 class TestBounds:
@@ -287,9 +321,7 @@ class TestCertify:
         # An unfinished membership decides nothing: exit 3 naming the solve.
         def membership(status, margin=np.nan):
             def run_membership(asm, tol=1e-8):
-                return MembershipReport(
-                    feasible=False, margin=margin, status=status, residuals={}, problem=None
-                )
+                return MembershipReport(margin=margin, status=status, residuals={}, problem=None)
 
             return run_membership
 
@@ -339,15 +371,31 @@ class TestCertify:
     def test_hidden_state_margin_near_the_boundary_is_no_verdict(self, capsys, monkeypatch):
         # Outside by more than tol but not by DECISIVE_MARGIN: undecided.
         def run_membership(asm, tol=1e-8):
-            return MembershipReport(
-                feasible=False, margin=-1e-7, status=sdp.OPTIMAL, residuals={}, problem=None
-            )
+            return MembershipReport(margin=-1e-7, status=sdp.OPTIMAL, residuals={}, problem=None)
 
         monkeypatch.setattr(cli, "lhs_membership", run_membership)
         code, out, err = run(capsys, "certify", "builtin:pr-box")
         assert code == cli.EXIT_SOLVER
         assert out == ""
         assert "hidden-state membership" in err and "no verdict" in err
+
+
+    @pytest.mark.parametrize(
+        "make, verdicts",
+        [
+            (pauli_transpose_assemblage, {"lhs": "outside", "qtilde": "outside"}),
+            (pr_box_assemblage, {"lhs": "outside", "qtilde": "inside"}),
+            (lambda: random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7), {"lhs": "inside"}),
+        ],
+    )
+    def test_memberships_report_their_verdicts(self, capsys, tmp_path, make, verdicts):
+        path = write_assemblage(tmp_path / "asm.json", make())
+        code, doc, _ = run_json(capsys, "certify", path)
+        assert code == 0
+        memberships = doc["results"]["memberships"]
+        assert {key: entry["verdict"] for key, entry in memberships.items()} == verdicts
+        for entry in memberships.values():
+            assert entry["feasible"] == (entry["verdict"] == "inside")
 
 
 class TestGhjw:

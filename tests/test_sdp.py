@@ -575,7 +575,7 @@ def test_phase1_reports_interior_margin():
     assert result.feasible
     # The most interior unit-trace point is I/2.
     assert result.margin == pytest.approx(0.5, abs=1e-6)
-    assert np.max(np.abs(sdp.equality_residuals(problem, result.block_values))) < 1e-7
+    assert np.max(np.abs(sdp.equality_residuals(problem, result.witness))) < 1e-7
 
 
 def test_phase1_detects_forced_negative_eigenvalue():
@@ -588,7 +588,7 @@ def test_phase1_detects_forced_negative_eigenvalue():
     result = sdp.feasibility_phase1(problem)
     assert not result.feasible
     assert result.margin == pytest.approx(-0.5, abs=1e-6)
-    assert result.block_values is None
+    assert result.witness is None
 
 
 def test_phase1_passes_through_presolve_infeasibility():
@@ -602,6 +602,33 @@ def test_phase1_passes_through_presolve_infeasibility():
     assert not result.feasible
     assert result.margin == -np.inf
     assert result.certificate_y is not None
+
+
+@pytest.mark.parametrize(
+    "tol, margin, verdict",
+    [
+        # tol = 1e-8: the band [-1e-6, -tol) between inside and outside is non-empty.
+        (1e-8, 0.1, sdp.INSIDE),
+        (1e-8, 0.0, sdp.INSIDE),
+        (1e-8, -0.5e-8, sdp.INSIDE),
+        (1e-8, -2e-8, sdp.UNDECIDED),
+        (1e-8, -2e-6, sdp.OUTSIDE),
+        (1e-8, -np.inf, sdp.OUTSIDE),
+        (1e-8, np.nan, sdp.UNDECIDED),
+        # tol = 1e-5 exceeds DECISIVE_MARGIN: the band is empty.
+        (1e-5, 0.1, sdp.INSIDE),
+        (1e-5, 0.0, sdp.INSIDE),
+        (1e-5, -0.5e-5, sdp.INSIDE),
+        (1e-5, -2e-5, sdp.OUTSIDE),
+        (1e-5, -2e-6, sdp.INSIDE),
+        (1e-5, -np.inf, sdp.OUTSIDE),
+        (1e-5, np.nan, sdp.UNDECIDED),
+    ],
+)
+def test_membership_verdict_rule(tol, margin, verdict):
+    report = sdp.MembershipReport(margin, sdp.OPTIMAL, {}, None, tol=tol)
+    assert report.verdict == verdict
+    assert report.feasible == (verdict == sdp.INSIDE)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,24 @@ def test_relaxation_membership_rejects_untrusted_to_trusted_signalling():
     assert report.witness is None
 
 
+@pytest.mark.parametrize(
+    "membership, make",
+    [
+        (lhs_membership, pauli_transpose_assemblage),
+        (lhs_membership, pr_box_assemblage),
+        (qtilde_membership, pauli_transpose_assemblage),
+        (qtilde_membership, pr_box_assemblage),
+        (assemblages.instrumental_membership, assemblages.instrumental_pauli_assemblage),
+    ],
+)
+def test_unfinished_membership_is_undecided(membership, make):
+    report = membership(make(), max_iter=3)
+    assert report.status == sdp.MAX_ITERATIONS
+    assert report.verdict == sdp.UNDECIDED
+    assert not report.feasible
+    assert report.witness is None and report.certificate_y is None
+
+
 def test_hidden_state_membership_certificate_separates():
     # The signalling input above has no hidden-state model either, and y is
     # a Farkas certificate on the problem's own rows: b.y = 1 and
