@@ -21,8 +21,8 @@ Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
 either near an optimal primal-dual pair or on an explicit Farkas certificate
 of infeasibility.  Equality rows are rank-reduced by a pivoted QR factorization
 before iterating; inconsistent rows already yield a certificate there.  Rows
-that are provably independent (each owns a column no other row touches, with
-a large enough entry there) skip the QR, since it would keep them all.  The
+that one Cholesky factorization of their shifted Gram matrix proves
+independent skip the QR, since it would keep them all.  The
 blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
 Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
 Schur-complement congruence run in complex arithmetic, while the Schur
@@ -55,6 +55,7 @@ problem reproduces the same iterates bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -374,10 +375,12 @@ class _Schur:
 
     For each side group, ``stacks`` holds a ``(K, R, n, n)`` stack: entry
     ``[k, r]`` is block ``k`` of the ``r``-th row touching it, in increasing
-    row order, as a complex Hermitian matrix.  ``R`` is the largest number of
-    rows touching one block of the group; shorter lists are padded with rows
-    that do not touch the block, whose blocks are zero.  ``pairs`` places every entry of every group's
-    ``(K, R, R)`` Gram stack in the flattened ``m x m`` matrix.
+    row order, as a complex Hermitian matrix, laid out in memory as ``(K, n,
+    R, n)`` so that the rows on block ``k`` read as one ``(n, R n)`` matrix.
+    ``R`` is the largest number of rows touching one block of the group;
+    shorter lists are padded with rows that do not touch the block, whose
+    blocks are zero.  ``pairs`` places every entry of every group's ``(K, R,
+    R)`` Gram stack in the flattened ``m x m`` matrix.
     """
 
     stacks: list[Array]
@@ -395,7 +398,8 @@ class _Schur:
             width = int(hit.sum(axis=1).max())
             # A stable sort of the misses puts each block's touching rows first.
             rows = np.argsort(~hit, axis=1, kind="stable")[:, :width]
-            stacks.append(_smat_batch(a_mat[rows[:, :, None], group.gather[:, None]], group.side))
+            stack = _smat_batch(a_mat[rows[:, :, None], group.gather[:, None]], group.side)
+            stacks.append(np.ascontiguousarray(stack.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3))
             pairs.append((rows[:, :, None] * m + rows[:, None, :]).ravel())
         return cls(stacks, np.concatenate(pairs), m)
 
@@ -404,19 +408,24 @@ class _Schur:
 
         With ``w = g g``, ``<A_i, w A_j w> = <g A_i g, g A_j g>``, so block
         ``k`` adds the Gram matrix of the rows ``B_k[r] = svec(g_k A_ik g_k)``
-        over the rows touching it.  The congruence is complex and runs over
-        slices of those rows, so that each temporary holds about
-        ``_SLICE_ENTRIES`` entries however large the stack is; its svec rows,
+        over the rows touching it.  The congruence is complex, in tall form:
+        ``g_k`` times the rows side by side, then those stacked times ``g_k``.
+        It runs over slices of the rows, so that the two temporaries live at
+        once hold about ``_SLICE_ENTRIES`` entries together; its svec rows,
         and so the Gram product, are real.  ``np.bincount`` sums the Gram
         entries in a fixed order, so the result repeats bit for bit.
         """
         grams = []
         for stack, g in zip(self.stacks, roots):
-            g = g[:, None]
-            scaled = np.empty(stack.shape[:2] + (svec_dim(stack.shape[-1]),))
-            step = max(1, _SLICE_ENTRIES // (stack.shape[0] * stack.shape[-1] ** 2))
-            for lo in range(0, stack.shape[1], step):
-                scaled[:, lo : lo + step] = svec(g @ stack[:, lo : lo + step] @ g)
+            k, rows, n = stack.shape[:3]
+            wide = stack.transpose(0, 2, 1, 3).reshape(k, n, rows * n)
+            scaled = np.empty((k, rows, svec_dim(n)))
+            step = max(1, _SLICE_ENTRIES // (2 * k * n * n))
+            for lo in range(0, rows, step):
+                part = (g @ wide[:, :, lo * n : (lo + step) * n]).reshape(k, n, -1, n)
+                part = np.ascontiguousarray(part.transpose(0, 2, 1, 3))
+                part = part.reshape(k, -1, n) @ g
+                scaled[:, lo : lo + step] = svec(part.reshape(k, -1, n, n))
             grams.append((scaled @ _t(scaled)).ravel())
         flat = np.bincount(self.pairs, np.concatenate(grams), minlength=self.m * self.m)
         return flat.reshape(self.m, self.m)
@@ -435,35 +444,28 @@ class _Candidate:
     tau: float = 1.0
 
 
-def _private_entries_dominate(a_full: Array) -> bool:
-    """Whether every row has a column of its own, with an entry above the rank threshold.
-
-    If row ``i`` is the only nonzero of a column, with entry ``d_i`` there,
-    then ``a a^T >= diag(d_i^2)``, so the smallest singular value of ``a`` is
-    at least ``min |d_i|``.  Every pivot of a QR factorization of ``a^T`` is
-    at least that singular value, and the first pivot of a column-pivoted one
-    is the largest row norm; so when ``min |d_i|`` exceeds
-    ``PRESOLVE_RANK_TOL`` times that norm, the pivoted QR keeps every row.
-    """
-    private = np.flatnonzero(np.count_nonzero(a_full, axis=0) == 1)
-    if len(private) < len(a_full):
-        return False
-    largest = np.abs(a_full[:, private]).max(axis=1)
-    return bool(largest.min() > PRESOLVE_RANK_TOL * np.linalg.norm(a_full, axis=1).max())
-
-
 def _rank_reduce(a_full: Array, b_full: Array) -> tuple[Array, Array | None]:
     """The equality rows to keep, and a certificate if the dropped ones are inconsistent.
 
-    Rows that each own a large enough private column are independent, and are
-    all kept without a factorization (:func:`_private_entries_dominate`).
-    Otherwise a pivoted QR factorization of ``a^T`` (its ``R`` only) ranks the
+    For ``m`` rows of ``n`` columns, with ``rho`` the largest row norm, every
+    row is kept without a factorization when Cholesky succeeds on ``a a^T -
+    delta I``, ``delta = (PRESOLVE_RANK_TOL rho)^2 + 2 (m + n) eps tr(a a^T)``.
+    The second term exceeds the rounding error of the Gram product (``gamma_n
+    tr``) plus that of a Cholesky factorization that succeeds (``gamma_(m+1)
+    tr / (1 - gamma_(m+1))``; Rump, *BIT* 46 (2006)), so success proves
+    ``sigma_min(a) > PRESOLVE_RANK_TOL rho``: the pivoted QR below, whose
+    pivots are at least ``sigma_min(a)`` and whose first is ``rho``, would
+    keep every row.  Otherwise that QR of ``a^T`` (its ``R`` only) ranks the
     rows.  The certificate ``y`` combines the dropped rows with the kept rows
     that express them, so that ``a^T y = 0`` and ``b . y != 0``; independent
     rows are always consistent and have none.
     """
-    m_full = len(a_full)
-    if m_full == 0 or _private_entries_dominate(a_full):
+    m_full, n = a_full.shape
+    gram = a_full @ a_full.T
+    rounding = 2 * (m_full + n) * np.finfo(float).eps * np.trace(gram)
+    delta = PRESOLVE_RANK_TOL**2 * gram.diagonal().max(initial=0.0) + rounding
+    with contextlib.suppress(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram - delta * np.eye(m_full))
         return np.arange(m_full), None
     r_fac, piv = sla.qr(a_full.T, mode="r", pivoting=True, check_finite=False)
     r_fac = r_fac[:m_full]

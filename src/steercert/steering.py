@@ -36,6 +36,7 @@ from steercert.assemblages import (
     InstrumentalAssemblage,
     ScenarioShape,
     ns_variable_blocks,
+    validate_ns_bwi,
 )
 from steercert.matcore import PAULIS, Array, require_hermitian
 
@@ -271,40 +272,64 @@ def lhs_bound(
     return float(totals[best]), LhsModel(strategies=(strategies[best],), states=states)
 
 
+def _signalling(asm: BwiAssemblage, rules: Sequence[str]) -> dict[str, float] | None:
+    """The worst named :func:`validate_ns_bwi` residual, when above the presolve's tolerance."""
+    worst = max(validate_ns_bwi(asm).residuals[rule] for rule in rules)
+    scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in asm.members.values())))
+    return {"signalling": worst} if worst > sdp.PRESOLVE_CONSISTENCY_TOL * scale else None
+
+
 def lhs_membership(
     asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
 ) -> sdp.MembershipReport:
     """Decide whether an assemblage admits a hidden-state explanation.
 
-    Each strategy carries one block per trusted input, with traces equal
-    across inputs; each member is pinned to the sum of its strategies' blocks.
+    Each strategy carries one block per trusted input.  The rows pin every
+    member at ``x = 0`` and ``a < n_a - 1`` at ``x >= 1``, and equate each
+    strategy's traces across trusted inputs except for the ``1 + m_a (n_a -
+    1)`` strategies with at most one nonzero entry, over which the pinned
+    ``(a, x)`` have an invertible indicator matrix (a function ``c + sum_x
+    f_x(s(x))`` vanishing there vanishes everywhere).  Only pins touch those
+    strategies' blocks, so the rows are independent; on no-signalling data
+    they imply the omitted rows (the last outcome is the reduced state minus
+    the others, and the pins fix those traces).  Signalling data are
+    infeasible with margin ``-inf``, with no solve: the report's ``problem``
+    then holds every row, and ``certificate_y`` combines them into ``sum_i
+    y_i A_i = 0`` with ``b . y = 1``.
     """
     shape = asm.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
+    table = np.array(strategies)
     builder = sdp.HermitianBlockBuilder()
-    names = {}
-    eye = np.eye(shape.d, dtype=complex)
-    for k in range(len(strategies)):
-        for y in range(shape.m_b):
-            names[(k, y)] = f"omega[{k},{y}]"
-            builder.add_block(names[(k, y)], shape.d)
-        for y in range(1, shape.m_b):
-            builder.add_equality([(names[(k, y)], eye), (names[(k, 0)], -eye)], 0.0)
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                terms = [
-                    (names[(k, y)], 1.0)
-                    for k, strategy in enumerate(strategies)
-                    if strategy[x] == a
-                ]
+    names = {(k, y): f"omega[{k},{y}]" for k in range(len(table)) for y in range(shape.m_b)}
+    for name in names.values():
+        builder.add_block(name, shape.d)
+    sparse = np.count_nonzero(table, axis=1) <= 1
+
+    def add_rows(traced: Array, last: bool) -> sdp.SdpProblem:
+        eye = np.eye(shape.d)
+        for k, y in itertools.product(np.flatnonzero(traced), range(1, shape.m_b)):
+            builder.add_equality([(names[(k, y)], eye), (names[(k, 0)], -eye)])
+        for a, x, y in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
+            if (x > 0 and a == shape.n_a - 1) == last:
+                terms = [(names[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
                 builder.add_matrix_equality(terms, asm.member(a, x, y))
-    problem = builder.build()
-    report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
-    if report.feasible:
-        states = {key: builder.extract(report.witness, name) for key, name in names.items()}
-        report.witness = LhsModel(strategies=tuple(strategies), states=states)
-    return report
+        return builder.build()
+
+    problem = add_rows(~sparse, last=False)
+    signalling = _signalling(asm, ("state_consistency", "trace_consistency"))
+    if signalling is None:
+        report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
+        if report.feasible:
+            states = {key: builder.extract(report.witness, name) for key, name in names.items()}
+            report.witness = LhsModel(strategies=tuple(strategies), states=states)
+        return report
+    # The rows after the first r are combinations of them: a_d = coeffs^T a_r.
+    r, full = problem.num_rows, add_rows(sparse, last=True)
+    coeffs = np.linalg.solve(full.a[:r] @ full.a[:r].T, full.a[:r] @ full.a[r:].T)
+    mismatch = full.b[r:] - coeffs.T @ full.b[:r]
+    y = np.concatenate([-coeffs @ mismatch, mismatch]) / (mismatch @ mismatch)
+    return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, signalling, full, certificate_y=y, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -707,30 +732,18 @@ def qtilde_membership(
     d = shape.d
     weights = [float(np.trace(asm.member(0, x, 0)).real) for x in range(shape.m_a)]
     pinned = {((x,), ()): w * np.eye(d) for x, w in enumerate(weights)}
-    mismatch = []
     for y in range(shape.m_b):
-        reduced = asm.reduced_state(y)
-        mismatch.extend(
-            float(np.linalg.norm(asm.reduced_state(y, x) - reduced)) for x in range(1, shape.m_a)
-        )
-        for x_part, member in [((), reduced)] + [
+        for x_part, member in [((), asm.reduced_state(y))] + [
             ((x,), asm.member(0, x, y)) for x in range(shape.m_a)
         ]:
             pinned[(x_part, (y,))] = 0.5 * (member + member.conj().T).T / d
-            target = weights[x_part[0]] if x_part else 1.0
-            mismatch.append(target - float(np.trace(member).real))
     form = _MomentForm(shape, pinned)
     # The shift t is the last parameter, and the only one in the objective.
     shifted = np.concatenate([form.stack[1:], -np.eye(len(form.stack[0]))[None]])
     problem = sdp.hermitian_lmi([form.stack[0]], [shifted], np.eye(len(shifted))[-1])
-
-    # As in presolve: the mismatch counts relative to the size of the pinned data.
-    scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(b) ** 2) for b in pinned.values())))
-    inconsistency = float(np.linalg.norm(mismatch))
-    if inconsistency > sdp.PRESOLVE_CONSISTENCY_TOL * scale:
-        return sdp.MembershipReport(
-            -np.inf, sdp.INFEASIBLE, {"trace_mismatch": inconsistency}, problem, tol=tol
-        )
+    signalling = _signalling(asm, ("state_consistency", "trace_consistency", "normalization"))
+    if signalling is not None:
+        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, signalling, problem, tol=tol)
     solution = sdp.solve(problem, feas_tol=tol, max_iter=max_iter)
     report = sdp.MembershipReport(
         margin=float(solution.y[-1]) if solution.status == sdp.OPTIMAL else np.nan,

@@ -347,14 +347,14 @@ class TestCertify:
         ]
 
     def test_solver_log_reports_the_rows_kept_by_presolve(self, capsys):
-        # The relaxation's rows are independent; the hidden-state membership
-        # pins dependent members, which presolve drops.
+        # The relaxation and the hidden-state membership both pin only
+        # independent rows, so presolve keeps every row of each.
         code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose")
         assert code == 0
         kept = {entry["context"]: entry["rows_kept"] for entry in doc["solver"]}
         asm = pauli_transpose_assemblage()
         assert kept["relaxation membership"] == qtilde_membership(asm).problem.num_rows
-        assert 0 < kept["hidden-state membership"] < lhs_membership(asm).problem.num_rows
+        assert kept["hidden-state membership"] == lhs_membership(asm).problem.num_rows
 
     def test_solver_log_reports_the_iterations_of_each_membership(self, capsys):
         # Solves repeat bit for bit, so the log matches a fresh solve exactly.

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steercert import sdp
-from steercert.assemblages import ScenarioShape, random_quantum_bwi
+from steercert.assemblages import (
+    ScenarioShape,
+    instrumental_membership,
+    instrumental_pauli_assemblage,
+    random_quantum_bwi,
+)
 from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
 from steercert.steering import canonical_functional, lhs_membership, qtilde_solution
 
@@ -424,14 +429,24 @@ def test_rows_without_dominant_private_columns_go_through_the_qr(seed, rows, sha
     a, b = private_column_rows(seed, rows, shared)
     copied = seed % rows
 
-    # A private entry below the rank threshold: the QR decides, as the reference does.
+    # A private entry below the rank threshold: the shared columns still make
+    # the rows independent, and the Gram test proves it without the QR.
     tiny = a.copy()
     column = np.flatnonzero(np.count_nonzero(a, axis=0) == 1)[0]
     owner = np.flatnonzero(a[:, column])[0]
     tiny[owner, column] = 1e-3 * sdp.PRESOLVE_RANK_TOL * np.linalg.norm(a, axis=1).max()
     keep, _, factored = rank_reduce_spying_on_qr(tiny, b)
-    assert factored
+    assert not factored
     assert np.array_equal(keep, reference_keep(tiny))
+
+    # A near-duplicate row, a copy perturbed by about 1e-9 of its norm: the
+    # Gram test cannot certify it, so the QR decides, as the reference does.
+    noise = np.random.default_rng(seed).normal(size=a.shape[1])
+    near = a[copied] + 1e-9 * np.linalg.norm(a[copied]) * noise / np.linalg.norm(noise)
+    near_duplicate = np.vstack([a, near])
+    keep, _, factored = rank_reduce_spying_on_qr(near_duplicate, np.append(b, b[copied]))
+    assert factored
+    assert np.array_equal(keep, reference_keep(near_duplicate))
 
     # A duplicated row with the same right-hand side is dropped.
     duplicated = np.vstack([a, a[copied]])
@@ -448,6 +463,35 @@ def test_rows_without_dominant_private_columns_go_through_the_qr(seed, rows, sha
     assert certificate is not None
     assert np.linalg.norm(duplicated.T @ certificate) <= 1e-9 * np.linalg.norm(certificate)
     assert abs(rhs @ certificate) > 1e-6 * np.linalg.norm(certificate)
+
+
+def documented_floor(a):
+    """The ``delta`` of ``_rank_reduce``'s docstring."""
+    gram = a @ a.T
+    rounding = 2 * sum(a.shape) * np.finfo(float).eps * np.trace(gram)
+    return (sdp.PRESOLVE_RANK_TOL**2) * gram.diagonal().max() + rounding
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("ratio, factored", [(1.02, False), (0.98, True)])
+def test_gram_proof_skips_the_qr_exactly_above_its_floor(seed, ratio, factored):
+    # Rows with singular values 1, ..., 1, s: the Cholesky factorization of
+    # a a^T - delta I succeeds, and the QR is skipped, when s^2 is just above
+    # delta; just below, the QR runs.  Either way every row is kept.
+    rng = np.random.default_rng(seed)
+    rows, cols = 20, 200
+    left = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
+    right = np.linalg.qr(rng.normal(size=(cols, rows)))[0]
+    values = np.ones(rows)
+    values[-1] = 0.0
+    values[-1] = np.sqrt(ratio * documented_floor((left * values) @ right.T))
+    a = (left * values) @ right.T
+    assert (values[-1] ** 2 > documented_floor(a)) == (ratio > 1.0)
+    keep, certificate, ran_qr = rank_reduce_spying_on_qr(a, rng.normal(size=rows))
+    assert ran_qr == factored
+    assert certificate is None
+    assert np.array_equal(keep, np.arange(rows))
+    assert np.array_equal(keep, reference_keep(a))
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +750,10 @@ def test_lost_definiteness_of_the_schur_complement_is_reported(monkeypatch):
 
 
 def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
-    # The hidden-state membership at m_a = 8 pins dependent members: its
-    # phase-1 problem keeps only as many rows as its rows have rank.  The
-    # phase-1 shift columns are combinations of the columns of ``a``, so they
-    # leave the rank unchanged.
+    # The wired membership pins members that the no-signalling rows already
+    # tie together: its phase-1 problem keeps only as many rows as its rows
+    # have rank.  The phase-1 shift columns are combinations of the columns
+    # of ``a``, so they leave the rank unchanged.
     results = []
     phase1 = sdp.feasibility_phase1
 
@@ -718,7 +762,7 @@ def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
         return results[-1][1]
 
     monkeypatch.setattr(sdp, "feasibility_phase1", recording_phase1)
-    lhs_membership(random_quantum_bwi(ScenarioShape(2, 8, 2, 2), seed=1))
+    instrumental_membership(instrumental_pauli_assemblage())
     (problem, result), = results
     rank = np.linalg.matrix_rank(problem.a)
     assert rank < problem.num_rows

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from steercert import assemblages, sdp, steering
 from steercert.assemblages import (
@@ -453,6 +454,64 @@ def test_hidden_state_membership_certificate_separates():
     b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
     assert b_dot_y == pytest.approx(1.0, abs=1e-9)
     assert max_eig <= 1e-9
+
+
+def test_hidden_state_membership_rejects_trusted_to_untrusted_signalling():
+    # Member traces that depend on the trusted input, with every reduced
+    # state unchanged: caught before any solve, with a certificate on the
+    # problem that pins every member.
+    asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
+    members = dict(asm.members)
+    for x in range(2):
+        members[(0, x, 1)] = members[(0, x, 1)] + 0.025 * np.eye(2)
+        members[(1, x, 1)] = members[(1, x, 1)] - 0.025 * np.eye(2)
+    signalling = assemblages.BwiAssemblage(asm.shape, members)
+    assert validate_ns_bwi(signalling).residuals["state_consistency"] <= 1e-12
+    report = lhs_membership(signalling)
+    assert report.status == "infeasible"
+    assert report.margin == -np.inf
+    assert report.rows_kept is None and report.iterations is None
+    b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
+    assert b_dot_y == pytest.approx(1.0, abs=1e-9)
+    assert max_eig <= 1e-9
+
+
+def pin_every_member(asm):
+    """Reference membership: every member pinned and every strategy's traces equated."""
+    shape = asm.shape
+    strategies = deterministic_strategies(shape.n_a, shape.m_a)
+    eye = np.eye(shape.d)
+    builder = sdp.HermitianBlockBuilder()
+    for k in range(len(strategies)):
+        for y in range(shape.m_b):
+            builder.add_block(f"omega[{k},{y}]", shape.d)
+        for y in range(1, shape.m_b):
+            builder.add_equality([(f"omega[{k},{y}]", eye), (f"omega[{k},0]", -eye)], 0.0)
+    for a, x, y in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
+        terms = [(f"omega[{k},{y}]", 1.0) for k, s in enumerate(strategies) if s[x] == a]
+        builder.add_matrix_equality(terms, asm.member(a, x, y))
+    return sdp.feasibility_phase1(builder.build())
+
+
+@pytest.mark.parametrize(
+    "n_a, m_a, m_b, d", list(itertools.product((2, 3), (1, 2, 3, 5), (1, 2, 3), (1, 2, 3)))
+)
+def test_hidden_state_membership_pins_only_independent_rows(monkeypatch, n_a, m_a, m_b, d):
+    asm = random_quantum_bwi(ScenarioShape(n_a, m_a, m_b, d), seed=5)
+    reference = pin_every_member(asm)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("independent rows need no pivoted QR")
+
+    monkeypatch.setattr(scipy.linalg, "qr", refuse)
+    report = lhs_membership(asm)
+    if n_a == 2:
+        assert qtilde_membership(asm).feasible
+    monkeypatch.undo()
+    assert np.linalg.matrix_rank(report.problem.a) == report.problem.num_rows
+    assert report.rows_kept == report.problem.num_rows == reference.rows_kept
+    assert report.verdict == reference.verdict
+    assert report.margin == pytest.approx(reference.margin, abs=1e-7)
 
 
 def test_relaxation_membership_witness_reproduces_the_members():
