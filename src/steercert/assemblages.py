@@ -20,13 +20,14 @@ for both quantum-realized and merely no-signalling assemblages.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from steercert import sdp
-from steercert.matcore import PAULIS, Array, is_psd, require_hermitian
+from steercert.matcore import PAULIS, Array, hermitian_part, is_psd, require_hermitian
 
 TRADITIONAL = "traditional"
 BWI = "bwi"
@@ -462,20 +463,24 @@ def instrumental_pauli_assemblage() -> InstrumentalAssemblage:
 
 
 def ns_variable_blocks(
-    builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, prefix: str = "w"
+    builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, wired: bool = False
 ) -> dict[tuple[int, int, int], str]:
-    """Declare one Hermitian block per member and add the no-signalling rows.
+    """Declare one Hermitian block per member and add independent no-signalling rows.
 
     Returns the block names keyed by (outcome, untrusted input, trusted input).
     The rows are: summed state independent of the untrusted input, member
-    traces independent of the trusted input, and total trace one.
+    traces independent of the trusted input, and total trace one.  At ``x >=
+    1`` the trace rows of outcome 0 are omitted: the summed-state rows and the
+    other outcomes' trace rows imply them.  ``wired`` also omits
+    :func:`_wiring_implied_rows`, which pinning ``w_{a|x,y=a}`` to wired
+    members whose weights sum to one implies.
     """
     d = shape.d
     names = {}
     for a in range(shape.n_a):
         for x in range(shape.m_a):
             for y in range(shape.m_b):
-                name = f"{prefix}[{a}|{x},{y}]"
+                name = f"w[{a}|{x},{y}]"
                 builder.add_block(name, d)
                 names[(a, x, y)] = name
     zero = np.zeros((d, d), dtype=complex)
@@ -484,15 +489,32 @@ def ns_variable_blocks(
             terms = [(names[(a, x, y)], 1.0) for a in range(shape.n_a)]
             terms += [(names[(a, 0, y)], -1.0) for a in range(shape.n_a)]
             builder.add_matrix_equality(terms, zero)
-    eye = np.eye(d, dtype=complex)
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            for y in range(1, shape.m_b):
-                builder.add_equality(
-                    [(names[(a, x, y)], eye), (names[(a, x, 0)], -eye)], 0.0
-                )
-    builder.add_equality([(names[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
+    keys = itertools.product(range(shape.n_a), range(shape.m_a), range(1, shape.m_b))
+    kept = [(a, x, y) for a, x, y in keys if x == 0 or (a > 0 and (a, y) != (1, 1))]
+    _trace_rows(builder, names, d, kept)
+    if not wired:
+        _wiring_implied_rows(builder, names, shape)
     return names
+
+
+def _trace_rows(builder: sdp.HermitianBlockBuilder, names: dict, d: int, keys: list) -> None:
+    """``tr w_{a|x,y} = tr w_{a|x,0}`` for each key ``(a, x, y)``."""
+    eye = np.eye(d)
+    for a, x, y in keys:
+        builder.add_equality([(names[(a, x, y)], eye), (names[(a, x, 0)], -eye)])
+
+
+def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, names: dict, shape: ScenarioShape):
+    """The ``(1, x, 1)`` trace rows at ``x >= 1``, then the normalization row.
+
+    With ``w_{a|x,a}`` pinned to members whose traces sum to one at every
+    ``x``, the other rows imply these: the ``x = 0`` trace rows and pins give
+    ``tr sum_a w_{a|0,0} = 1``, the summed-state rows carry that to every
+    ``x``, and there the remaining trace rows and pins fix ``tr w_{1|x,0}``.
+    """
+    _trace_rows(builder, names, shape.d, [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1])
+    eye = np.eye(shape.d)
+    builder.add_equality([(names[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
 
 
 def instrumental_membership(
@@ -503,25 +525,42 @@ def instrumental_membership(
     """Decide whether wired members extend to a no-signalling assemblage.
 
     Searches for bob-with-input members ``w_{a|x,y}`` satisfying the
-    no-signalling rows with ``w_{a|x,y=a}`` pinned to the given members; the
-    wiring map then reproduces the input exactly.
+    no-signalling rows with ``w_{a|x,y=a}`` pinned to the Hermitian parts of
+    the given members; the wiring map then reproduces the input exactly.  The
+    rows are independent: the pins imply the rows that ``wired``
+    :func:`ns_variable_blocks` omits, as long as each input's outcome weights
+    sum to one.  Members that break that normalization are infeasible with
+    margin ``-inf``, with no solve: the report's ``problem`` then holds the
+    omitted rows too, and ``certificate_y`` combines every row into ``sum_i
+    y_i A_i = 0`` with ``b . y = 1``.
     """
     shape = asm.shape
-    d = shape.d
     builder = sdp.HermitianBlockBuilder()
-    names = ns_variable_blocks(builder, shape)
+    names = ns_variable_blocks(builder, shape, wired=True)
     for a in range(shape.n_a):
         for x in range(shape.m_a):
-            builder.add_matrix_equality([(names[(a, x, a)], 1.0)], asm.member(a, x))
+            member = hermitian_part(asm.member(a, x))
+            builder.add_matrix_equality([(names[(a, x, a)], 1.0)], member)
     problem = builder.build()
-    report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
-    if report.feasible:
-        members = {
-            key: require_hermitian(builder.extract(report.witness, name), tol=1e-6)
-            for key, name in names.items()
-        }
-        report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, d, BWI), members=members)
-    return report
+    normalization = validate_instrumental(asm).residuals["normalization"]
+    if consistent(normalization, asm.members.values()):
+        report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
+        if report.feasible:
+            members = {
+                key: require_hermitian(builder.extract(report.witness, name), tol=1e-6)
+                for key, name in names.items()
+            }
+            report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, shape.d, BWI), members=members)
+        return report
+    _wiring_implied_rows(builder, names, shape)
+    residuals = {"normalization": normalization}
+    return sdp.contradiction_report(builder.build(), problem.num_rows, residuals, tol)
+
+
+def consistent(residual: float, members: Iterable[Array]) -> bool:
+    """Whether a data residual is within the presolve's tolerance, relative to the data's size."""
+    scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in members)))
+    return residual <= sdp.PRESOLVE_CONSISTENCY_TOL * scale
 
 
 # ---------------------------------------------------------------------------

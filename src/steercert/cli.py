@@ -222,7 +222,7 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
         "seconds": round(time.perf_counter() - start, 3),
     }
     if isinstance(result, sdp.MembershipReport):
-        entry["rows_kept"] = result.rows_kept
+        entry["rows"] = result.problem.num_rows
         entry["iterations"] = result.iterations
     solver_log.append(entry)
     if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):

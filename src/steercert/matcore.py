@@ -31,6 +31,11 @@ SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SX, SY, SZ)
 
 
+def hermitian_part(mats: Array) -> Array:
+    """``(M + M^H) / 2`` over the last two axes."""
+    return 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+
+
 def require_hermitian(matrix: Array, tol: float = HERM_TOL) -> Array:
     """Return the Hermitian part of ``matrix``, rejecting clearly non-Hermitian input.
 
@@ -41,7 +46,7 @@ def require_hermitian(matrix: Array, tol: float = HERM_TOL) -> Array:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    hermitian = 0.5 * (matrix + matrix.conj().T)
+    hermitian = hermitian_part(matrix)
     scale = max(1.0, float(np.linalg.norm(hermitian)))
     residue = float(np.linalg.norm(matrix - hermitian))
     if residue > tol * scale:

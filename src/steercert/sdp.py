@@ -19,11 +19,10 @@ give zero imaginary coordinates and real iterates.
 The solver runs a homogeneous self-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
 either near an optimal primal-dual pair or on an explicit Farkas certificate
-of infeasibility.  Equality rows are rank-reduced by a pivoted QR factorization
-before iterating; inconsistent rows already yield a certificate there.  Rows
-that one Cholesky factorization of their shifted Gram matrix proves
-independent skip the QR, since it would keep them all.  The
-blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
+of infeasibility.  Every producer emits independent equality rows, and the
+one presolve is the proof: a Cholesky factorization of their shifted Gram
+matrix.  Rows it cannot prove independent are refused with ``ValueError``.
+The blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
 Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
 Schur-complement congruence run in complex arithmetic, while the Schur
 complement and ``x``, ``s``, ``y`` are real.
@@ -55,13 +54,14 @@ problem reproduces the same iterates bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
+
+from steercert.matcore import hermitian_part
 
 Array = np.ndarray
 
@@ -70,10 +70,12 @@ INFEASIBLE = "infeasible"
 MAX_ITERATIONS = "max_iterations"
 NUMERICAL_TROUBLE = "numerical_trouble"
 
-#: Relative pivot threshold for the equality-row rank reduction.
+#: Equality rows count as independent only when their smallest singular value
+#: provably exceeds this times their largest norm (the presolve's one check).
 PRESOLVE_RANK_TOL = 1e-10
 
-#: Relative threshold above which dropped equality rows count as inconsistent.
+#: Relative residual above which a membership's data contradict the rows it
+#: omits as implied, so that it is ruled out before any solve.
 PRESOLVE_CONSISTENCY_TOL = 1e-9
 
 #: Complex entries per temporary of the Schur-complement congruence, which is
@@ -154,10 +156,6 @@ def _t(mats: Array) -> Array:
     return mats.conj().swapaxes(-1, -2)
 
 
-def _hermitian_part(mats: Array) -> Array:
-    return 0.5 * (mats + _t(mats))
-
-
 # ---------------------------------------------------------------------------
 # Problem containers
 # ---------------------------------------------------------------------------
@@ -227,9 +225,7 @@ class SdpSolution:
     """Outcome of a solve: a status, values, block matrices, and audit residuals.
 
     For ``infeasible`` runs ``y`` holds the Farkas certificate (normalized so
-    that ``b . y = 1``) and the block values are absent.  ``rows_kept`` counts
-    the equality rows left after presolve (``problem.num_rows`` counts them
-    before).
+    that ``b . y = 1``) and the block values are absent.
     """
 
     status: str
@@ -239,7 +235,6 @@ class SdpSolution:
     y: Array | None
     residuals: dict[str, float]
     iterations: int
-    rows_kept: int
     note: str = ""
 
 
@@ -338,13 +333,13 @@ def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
     s_root = np.sqrt(s_vals)
     s_half = _spectral(s_root, s_vecs)
     s_half_inv = _spectral(1.0 / s_root, s_vecs)
-    in_vals, in_vecs = _psd_floor_eigh(_hermitian_part(s_half @ x_mats @ s_half))
-    w = _hermitian_part(s_half_inv @ _spectral(np.sqrt(in_vals), in_vecs) @ s_half_inv)
+    in_vals, in_vecs = _psd_floor_eigh(hermitian_part(s_half @ x_mats @ s_half))
+    w = hermitian_part(s_half_inv @ _spectral(np.sqrt(in_vals), in_vecs) @ s_half_inv)
     w_vals, w_vecs = _psd_floor_eigh(w)
     w_root = np.sqrt(w_vals)
     g = _spectral(w_root, w_vecs)
     g_inv = _spectral(1.0 / w_root, w_vecs)
-    v_vals, v_vecs = _psd_floor_eigh(_hermitian_part(g @ s_mats @ g))
+    v_vals, v_vecs = _psd_floor_eigh(hermitian_part(g @ s_mats @ g))
     return _Scaling(w, g, g_inv, v_vals, v_vecs)
 
 
@@ -360,7 +355,7 @@ def _max_step_batch(mats: Array, dmats: Array) -> float:
     except np.linalg.LinAlgError:
         vals, vecs = _psd_floor_eigh(mats)
         factor_inv = _spectral(1.0 / np.sqrt(vals), vecs)
-    scaled = _hermitian_part(factor_inv @ dmats @ _t(factor_inv))
+    scaled = hermitian_part(factor_inv @ dmats @ _t(factor_inv))
     min_eig = float(np.linalg.eigvalsh(scaled).min())
     return -1.0 / min_eig if min_eig < -1e-14 else np.inf
 
@@ -444,49 +439,29 @@ class _Candidate:
     tau: float = 1.0
 
 
-def _rank_reduce(a_full: Array, b_full: Array) -> tuple[Array, Array | None]:
-    """The equality rows to keep, and a certificate if the dropped ones are inconsistent.
+def _require_independent(a: Array) -> None:
+    """Raise ``ValueError`` unless the rows of ``a`` are provably independent.
 
-    For ``m`` rows of ``n`` columns, with ``rho`` the largest row norm, every
-    row is kept without a factorization when Cholesky succeeds on ``a a^T -
-    delta I``, ``delta = (PRESOLVE_RANK_TOL rho)^2 + 2 (m + n) eps tr(a a^T)``.
-    The second term exceeds the rounding error of the Gram product (``gamma_n
-    tr``) plus that of a Cholesky factorization that succeeds (``gamma_(m+1)
-    tr / (1 - gamma_(m+1))``; Rump, *BIT* 46 (2006)), so success proves
-    ``sigma_min(a) > PRESOLVE_RANK_TOL rho``: the pivoted QR below, whose
-    pivots are at least ``sigma_min(a)`` and whose first is ``rho``, would
-    keep every row.  Otherwise that QR of ``a^T`` (its ``R`` only) ranks the
-    rows.  The certificate ``y`` combines the dropped rows with the kept rows
-    that express them, so that ``a^T y = 0`` and ``b . y != 0``; independent
-    rows are always consistent and have none.
+    For ``m`` rows of ``n`` columns, with ``rho`` the largest row norm, the
+    proof is that Cholesky succeeds on ``a a^T - delta I``, ``delta =
+    (PRESOLVE_RANK_TOL rho)^2 + 2 (m + n) eps tr(a a^T)``.  The second term
+    exceeds the rounding error of the Gram product (``gamma_n tr``) plus that
+    of a Cholesky factorization that succeeds (``gamma_(m+1) tr / (1 -
+    gamma_(m+1))``; Rump, *BIT* 46 (2006)), so success proves ``sigma_min(a) >
+    PRESOLVE_RANK_TOL rho``.
     """
-    m_full, n = a_full.shape
-    gram = a_full @ a_full.T
-    rounding = 2 * (m_full + n) * np.finfo(float).eps * np.trace(gram)
+    m, n = a.shape
+    gram = a @ a.T
+    rounding = 2 * (m + n) * np.finfo(float).eps * np.trace(gram)
     delta = PRESOLVE_RANK_TOL**2 * gram.diagonal().max(initial=0.0) + rounding
-    with contextlib.suppress(np.linalg.LinAlgError):
-        np.linalg.cholesky(gram - delta * np.eye(m_full))
-        return np.arange(m_full), None
-    r_fac, piv = sla.qr(a_full.T, mode="r", pivoting=True, check_finite=False)
-    r_fac = r_fac[:m_full]
-    diag = np.abs(np.diag(r_fac))
-    pivot_scale = diag[0] if diag.size and diag[0] > 0.0 else 0.0
-    rank = int(np.sum(diag > PRESOLVE_RANK_TOL * max(pivot_scale, 1e-300)))
-    keep = np.sort(piv[:rank])
-    if rank < m_full:
-        coeffs = sla.solve_triangular(
-            r_fac[:rank, :rank], r_fac[:rank, rank:], lower=False, check_finite=False
-        )
-        # Columns of coeffs express dropped rows in terms of kept rows
-        # (both in pivot order).
-        mismatch = b_full[piv[rank:]] - coeffs.T @ b_full[piv[:rank]]
-        tol_b = PRESOLVE_CONSISTENCY_TOL * (1.0 + float(np.linalg.norm(b_full)))
-        if float(np.linalg.norm(mismatch)) > tol_b:
-            y_full = np.zeros(m_full)
-            y_full[piv[rank:]] = mismatch
-            y_full[piv[:rank]] = -coeffs @ mismatch
-            return keep, y_full
-    return keep, None
+    try:
+        np.linalg.cholesky(gram - delta * np.eye(m))
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"the {m} equality rows are dependent, or not provably independent: their "
+            f"smallest singular value is not above {PRESOLVE_RANK_TOL:.0e} times their "
+            "largest norm by the rounding margin"
+        ) from None
 
 
 def solve(
@@ -499,79 +474,37 @@ def solve(
     """Solve a block semidefinite program.
 
     ``feas_tol`` bounds the scaled primal and dual residuals of the returned
-    point, ``gap_tol`` the relative duality gap.  A problem whose equality
-    rows are inconsistent, or whose iterates reveal an improving dual ray, is
-    reported ``infeasible`` together with the certificate.
+    point, ``gap_tol`` the relative duality gap.  The equality rows must be
+    independent (``ValueError`` otherwise; the check is the only presolve).  A
+    problem whose iterates reveal an improving dual ray is reported
+    ``infeasible`` together with the certificate.
     """
     dims = list(problem.block_dims)
     c = -problem.c if problem.sense == "max" else problem.c
-    a_full, b_full = problem.a, problem.b
     groups = _side_groups(dims)
     sign = -1.0 if problem.sense == "max" else 1.0
-    m_full = a_full.shape[0]
+    _require_independent(problem.a)
 
-    def _finish_infeasible(
-        y_full: Array, note: str, iterations: int, rows_kept: int
-    ) -> SdpSolution:
-        b_dot_y = float(b_full @ y_full)
-        if b_dot_y > 0.0:
-            y_full = y_full / b_dot_y
-        dual_gap = float(np.linalg.norm(a_full.T @ y_full))
-        return SdpSolution(
-            status=INFEASIBLE,
-            primal_value=np.nan,
-            dual_value=np.nan,
-            block_values=None,
-            y=y_full,
-            residuals={"farkas_ray": dual_gap, "b_dot_y": float(b_full @ y_full)},
-            iterations=iterations,
-            rows_kept=rows_kept,
-            note=note,
-        )
-
-    keep, inconsistency = _rank_reduce(a_full, b_full)
-    if inconsistency is not None:
-        return _finish_infeasible(inconsistency, "inconsistent equality rows", 0, len(keep))
-    a_red = a_full[keep]
-    b_red = b_full[keep]
-
-    m = a_red.shape[0]
+    m = problem.num_rows
     if m == 0:
-        # No effective constraints: the optimum is zero at X = 0 when the
-        # (sense-adjusted) objective is blockwise positive semidefinite,
-        # otherwise the problem is unbounded.
+        # No constraints: the optimum is zero at X = 0 when the (sense-adjusted)
+        # objective is blockwise positive semidefinite, otherwise the problem
+        # is unbounded.
         min_obj_eig = min(
             (float(np.linalg.eigvalsh(group.unpack(c)).min()) for group in groups),
             default=0.0,
         )
         if min_obj_eig < -1e-12:
-            return SdpSolution(
-                status=NUMERICAL_TROUBLE,
-                primal_value=np.nan,
-                dual_value=np.nan,
-                block_values=None,
-                y=None,
-                residuals={},
-                iterations=0,
-                rows_kept=0,
-                note="objective unbounded below on the cone",
-            )
+            note = "objective unbounded below on the cone"
+            return SdpSolution(NUMERICAL_TROUBLE, np.nan, np.nan, None, None, {}, 0, note)
         blocks = [np.zeros((n, n), dtype=complex) for n in dims]
-        return SdpSolution(
-            status=OPTIMAL,
-            primal_value=0.0,
-            dual_value=0.0,
-            block_values=blocks,
-            y=np.zeros(m_full),
-            residuals={"primal": 0.0, "dual": 0.0, "gap": 0.0},
-            iterations=0,
-            rows_kept=0,
-        )
+        zero = {"primal": 0.0, "dual": 0.0, "gap": 0.0}
+        return SdpSolution(OPTIMAL, 0.0, 0.0, blocks, np.zeros(0), zero, 0)
 
-    row_norms = np.linalg.norm(a_red, axis=1)
-    row_norms[row_norms == 0.0] = 1.0
-    a_mat = np.divide(a_red, row_norms[:, None], out=a_red)  # a_red is a fresh copy
-    b = b_red / row_norms
+    # Independent rows have nonzero norms.
+    row_norms = np.linalg.norm(problem.a, axis=1)
+    a_mat = problem.a / row_norms[:, None]
+    b = problem.b / row_norms
 
     nu = float(sum(dims))
     schur_rows = _Schur.of(a_mat, groups)
@@ -589,11 +522,6 @@ def solve(
     iterations = 0
     note = ""
     status = MAX_ITERATIONS
-
-    def _restore_y(y_vec: Array) -> Array:
-        y_full = np.zeros(m_full)
-        y_full[keep] = y_vec / row_norms
-        return y_full
 
     for iteration in range(max_iter):
         iterations = iteration
@@ -623,7 +551,15 @@ def solve(
         if b_dot_y > 1e-10:
             ray_res = float(np.linalg.norm(a_mat.T @ (y / b_dot_y) + s / b_dot_y))
             if ray_res <= feas_tol:
-                return _finish_infeasible(_restore_y(y), "improving dual ray", iteration, m)
+                farkas = y / row_norms / b_dot_y
+                residuals = {
+                    "farkas_ray": float(np.linalg.norm(problem.a.T @ farkas)),
+                    "b_dot_y": float(problem.b @ farkas),
+                }
+                note = "improving dual ray"
+                return SdpSolution(
+                    INFEASIBLE, np.nan, np.nan, None, farkas, residuals, iteration, note
+                )
         c_dot_x = float(c @ x)
         if c_dot_x < -1e-10:
             ray_res = float(np.linalg.norm(a_mat @ (x / -c_dot_x)))
@@ -722,7 +658,7 @@ def solve(
             in_basis = _t(sc.v_vecs) @ target @ sc.v_vecs
             in_basis *= 2.0 / (sc.v_vals[..., :, None] + sc.v_vals[..., None, :])
             r_c = sc.v_vecs @ in_basis @ _t(sc.v_vecs)
-            rc[group.gather] = svec(sc.g @ _hermitian_part(r_c) @ sc.g)
+            rc[group.gather] = svec(sc.g @ hermitian_part(r_c) @ sc.g)
         rck = sigma * mu - tau * kappa - dtau_a * dkappa_a
 
         corrected = _newton(rc, rck)
@@ -757,7 +693,7 @@ def solve(
         primal_value=sign * best.primal,
         dual_value=sign * best.dual,
         block_values=None if best.x is None else _unpack_blocks(best.x, groups),
-        y=None if best.y is None else _restore_y(best.y),
+        y=None if best.y is None else best.y / row_norms,
         residuals={
             "primal": best.pres,
             "dual": best.dres,
@@ -766,7 +702,6 @@ def solve(
             "kappa": kappa,
         },
         iterations=iterations,
-        rows_kept=m,
         note=note,
     )
 
@@ -800,9 +735,8 @@ class MembershipReport:
     (when inside) and ``certificate_y`` a separating functional on the
     problem's equality rows (when a finished solve found it not inside;
     ``None`` for the relaxation, whose separating functional is the dual
-    block of its LMI ``problem``).  ``rows_kept`` counts the rows of ``problem`` left after
-    the solver's presolve and ``iterations`` the solver's iterations; both
-    are ``None`` when the verdict needed no solve.
+    block of its LMI ``problem``).  ``iterations`` counts the solver's
+    iterations; it is ``None`` when the verdict needed no solve.
     """
 
     margin: float
@@ -811,7 +745,6 @@ class MembershipReport:
     problem: SdpProblem
     witness: object | None = None
     certificate_y: Array | None = None
-    rows_kept: int | None = None
     iterations: int | None = None
     tol: float = 1e-8
 
@@ -843,7 +776,8 @@ def feasibility_phase1(
     failed solve.  The margin is ``-t``, and ``feas_tol`` is the report's
     ``tol``.  When inside, the witness is the list of block values; the
     report's ``problem`` is ``problem`` itself.  The objective of ``problem``
-    is ignored.
+    is ignored.  Independent rows always meet the shifted cone, so every
+    status but ``optimal`` leaves the margin NaN.
     """
     # The solver's blocks are Z = X + t I with t = t+ - t- (the two last,
     # one-by-one blocks), so row i reads <A_i, Z> - t tr(A_i) = b_i.
@@ -861,12 +795,9 @@ def feasibility_phase1(
         status=solution.status,
         residuals=dict(solution.residuals),
         problem=problem,
-        rows_kept=solution.rows_kept,
         iterations=solution.iterations,
         tol=feas_tol,
     )
-    if solution.status == INFEASIBLE:
-        report.margin, report.certificate_y = -np.inf, solution.y
     if solution.status != OPTIMAL:
         return report
 
@@ -884,6 +815,23 @@ def feasibility_phase1(
     else:
         report.certificate_y = solution.y
     return report
+
+
+def contradiction_report(
+    problem: SdpProblem, independent: int, residuals: dict[str, float], tol: float
+) -> MembershipReport:
+    """Outside, with margin ``-inf`` and no solve: the data contradict implied rows.
+
+    The rows of ``problem`` after the first ``independent`` are combinations
+    of those, ``a_d = coeffs^T a_r``, whose right-hand sides do not combine
+    the same way.  ``certificate_y`` combines every row into ``sum_i y_i A_i
+    = 0`` with ``b . y = 1``.
+    """
+    r, a, b = independent, problem.a, problem.b
+    coeffs = np.linalg.solve(a[:r] @ a[:r].T, a[:r] @ a[r:].T)
+    mismatch = b[r:] - coeffs.T @ b[:r]
+    y = np.concatenate([-coeffs @ mismatch, mismatch]) / (mismatch @ mismatch)
+    return MembershipReport(-np.inf, INFEASIBLE, residuals, problem, certificate_y=y, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +856,8 @@ def hermitian_lmi(
     table = np.empty((1 + len(objective), offsets[-1]))
     for j, (f0, stack) in enumerate(zip(constant, coefficients)):
         cols = slice(offsets[j], offsets[j + 1])
-        table[0, cols] = svec(_hermitian_part(np.asarray(f0)))
-        table[1:, cols] = svec(_hermitian_part(stack))
+        table[0, cols] = svec(hermitian_part(np.asarray(f0)))
+        table[1:, cols] = svec(hermitian_part(stack))
     np.negative(table[1:], out=table[1:])
     return SdpProblem(block_dims=dims, c=table[0], a=table[1:], b=objective)
 
@@ -998,7 +946,12 @@ class HermitianBlockBuilder:
     def build(self) -> SdpProblem:
         """Pack each side's terms at once: the real (imaginary) row of ``sum_k
         tr(E_k H_k) = rhs`` takes ``svec(H)`` for the Hermitian part ``H`` of
-        ``E_k`` (of ``-i E_k``), unless its terms and right-hand side are negligible."""
+        ``E_k`` (of ``-i E_k``), unless its terms are negligible.
+
+        Which rows are kept depends on the coefficients alone.  A dropped row
+        reads ``0 = rhs``, so a right-hand side above ``_NEGLIGIBLE`` there
+        raises ``ValueError``.
+        """
         dims = tuple(self._dims)
         offsets = _block_offsets(dims)
         count = len(self._rhs)
@@ -1015,13 +968,18 @@ class HermitianBlockBuilder:
                 np.concatenate(column)
                 for column in zip(*(term for term in terms if term[2].shape[-1] == side))
             )
-            parts = np.stack([_hermitian_part(coeffs), _hermitian_part(-1j * coeffs)])
+            parts = np.stack([hermitian_part(coeffs), hermitian_part(-1j * coeffs)])
             for part, part_norms in enumerate(np.linalg.norm(parts, axis=(-2, -1))):
                 norms[:, part] += np.bincount(rows, weights=part_norms, minlength=count + 1)
             stacks.append((rows, blocks, svec(parts)))
         rhs = np.array(self._rhs + [0.0], dtype=complex).view(float).reshape(-1, 2)
-        keep = (norms > self._NEGLIGIBLE) | (np.abs(rhs) > self._NEGLIGIBLE)
+        keep = norms > self._NEGLIGIBLE
         keep[count] = (True, False)
+        unmet = np.argwhere(~keep & (np.abs(rhs) > self._NEGLIGIBLE))
+        if len(unmet):
+            row, part = unmet[0]
+            side = ("real", "imaginary")[part]
+            raise ValueError(f"equality {row} reads 0 = {rhs[row, part]:.3e} in its {side} part")
         # Kept parts in order: each row's real part, then its imaginary part.
         position = np.cumsum(keep).reshape(keep.shape) - 1
         table = np.zeros((int(keep.sum()), offsets[-1]))

@@ -35,10 +35,11 @@ from steercert.assemblages import (
     BwiAssemblage,
     InstrumentalAssemblage,
     ScenarioShape,
+    consistent,
     ns_variable_blocks,
     validate_ns_bwi,
 )
-from steercert.matcore import PAULIS, Array, require_hermitian
+from steercert.matcore import PAULIS, Array, hermitian_part, require_hermitian
 
 #: Imaginary residue allowed when a value is asserted real.
 IMAG_TOL = 1e-10
@@ -275,8 +276,7 @@ def lhs_bound(
 def _signalling(asm: BwiAssemblage, rules: Sequence[str]) -> dict[str, float] | None:
     """The worst named :func:`validate_ns_bwi` residual, when above the presolve's tolerance."""
     worst = max(validate_ns_bwi(asm).residuals[rule] for rule in rules)
-    scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in asm.members.values())))
-    return {"signalling": worst} if worst > sdp.PRESOLVE_CONSISTENCY_TOL * scale else None
+    return None if consistent(worst, asm.members.values()) else {"signalling": worst}
 
 
 def lhs_membership(
@@ -284,18 +284,18 @@ def lhs_membership(
 ) -> sdp.MembershipReport:
     """Decide whether an assemblage admits a hidden-state explanation.
 
-    Each strategy carries one block per trusted input.  The rows pin every
-    member at ``x = 0`` and ``a < n_a - 1`` at ``x >= 1``, and equate each
-    strategy's traces across trusted inputs except for the ``1 + m_a (n_a -
-    1)`` strategies with at most one nonzero entry, over which the pinned
-    ``(a, x)`` have an invertible indicator matrix (a function ``c + sum_x
-    f_x(s(x))`` vanishing there vanishes everywhere).  Only pins touch those
-    strategies' blocks, so the rows are independent; on no-signalling data
-    they imply the omitted rows (the last outcome is the reduced state minus
-    the others, and the pins fix those traces).  Signalling data are
-    infeasible with margin ``-inf``, with no solve: the report's ``problem``
-    then holds every row, and ``certificate_y`` combines them into ``sum_i
-    y_i A_i = 0`` with ``b . y = 1``.
+    Each strategy carries one block per trusted input.  The rows pin (the
+    Hermitian part of) every member at ``x = 0`` and ``a < n_a - 1`` at ``x >=
+    1``, and equate each strategy's traces across trusted inputs except for
+    the ``1 + m_a (n_a - 1)`` strategies with at most one nonzero entry, over
+    which the pinned ``(a, x)`` have an invertible indicator matrix (a
+    function ``c + sum_x f_x(s(x))`` vanishing there vanishes everywhere).
+    Only pins touch those strategies' blocks, so the rows are independent; on
+    no-signalling data they imply the omitted rows (the last outcome is the
+    reduced state minus the others, and the pins fix those traces).
+    Signalling data are infeasible with margin ``-inf``, with no solve: the
+    report's ``problem`` then holds every row, and ``certificate_y`` combines
+    them into ``sum_i y_i A_i = 0`` with ``b . y = 1``.
     """
     shape = asm.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
@@ -313,7 +313,7 @@ def lhs_membership(
         for a, x, y in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
             if (x > 0 and a == shape.n_a - 1) == last:
                 terms = [(names[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
-                builder.add_matrix_equality(terms, asm.member(a, x, y))
+                builder.add_matrix_equality(terms, hermitian_part(asm.member(a, x, y)))
         return builder.build()
 
     problem = add_rows(~sparse, last=False)
@@ -324,12 +324,8 @@ def lhs_membership(
             states = {key: builder.extract(report.witness, name) for key, name in names.items()}
             report.witness = LhsModel(strategies=tuple(strategies), states=states)
         return report
-    # The rows after the first r are combinations of them: a_d = coeffs^T a_r.
-    r, full = problem.num_rows, add_rows(sparse, last=True)
-    coeffs = np.linalg.solve(full.a[:r] @ full.a[:r].T, full.a[:r] @ full.a[r:].T)
-    mismatch = full.b[r:] - coeffs.T @ full.b[:r]
-    y = np.concatenate([-coeffs @ mismatch, mismatch]) / (mismatch @ mismatch)
-    return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, signalling, full, certificate_y=y, tol=tol)
+    full = add_rows(sparse, last=True)
+    return sdp.contradiction_report(full, problem.num_rows, signalling, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +732,7 @@ def qtilde_membership(
         for x_part, member in [((), asm.reduced_state(y))] + [
             ((x,), asm.member(0, x, y)) for x in range(shape.m_a)
         ]:
-            pinned[(x_part, (y,))] = 0.5 * (member + member.conj().T).T / d
+            pinned[(x_part, (y,))] = hermitian_part(member).T / d
     form = _MomentForm(shape, pinned)
     # The shift t is the last parameter, and the only one in the objective.
     shifted = np.concatenate([form.stack[1:], -np.eye(len(form.stack[0]))[None]])
@@ -750,7 +746,6 @@ def qtilde_membership(
         status=solution.status,
         residuals=solution.residuals,
         problem=problem,
-        rows_kept=solution.rows_kept,
         iterations=solution.iterations,
         tol=tol,
     )

@@ -252,6 +252,55 @@ def test_subnormalized_wired_members_do_not_extend():
     assert max_eig <= 1e-9
 
 
+@pytest.mark.parametrize("n_a", [2, 3])
+@pytest.mark.parametrize("m_a", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_wired_membership_rows_are_independent(n_a, m_a, d):
+    wired = instrumental_from_bwi(random_quantum_bwi(ScenarioShape(n_a, m_a, n_a, d), seed=m_a))
+    report = instrumental_membership(wired)
+    assert report.feasible
+    assert report.problem.num_rows == np.linalg.matrix_rank(report.problem.a)
+
+
+@pytest.mark.parametrize(
+    "seed, margin",
+    [
+        (None, 5.899247756957493e-11),
+        (0, 0.011117028631011105),
+        (1, 0.01340556973340784),
+        (2, 0.03324998697937853),
+        (3, 0.04266194949335789),
+        (4, 0.01964722334768243),
+        (5, 0.03323868891830961),
+    ],
+)
+def test_wired_membership_keeps_its_margins(seed, margin):
+    # The margins from before the rows that the pins imply were omitted.
+    # Seed None is the wired Pauli example, which sits on the boundary.
+    if seed is None:
+        wired = instrumental_pauli_assemblage()
+    else:
+        wired = instrumental_from_bwi(random_quantum_bwi(ScenarioShape(2, 3, 2, 2), seed))
+    assert instrumental_membership(wired).margin == pytest.approx(margin, abs=1e-9)
+
+
+def test_wired_members_normalized_at_one_input_only_do_not_extend():
+    # Only x = 1 loses weight: the omitted (1, 1, 1) trace row is the one the
+    # data contradict, and the certificate combines the full rows.
+    wired = instrumental_pauli_assemblage()
+    members = dict(wired.members)
+    members[(0, 1)] = 0.9 * members[(0, 1)]
+    report = instrumental_membership(InstrumentalAssemblage(wired.shape, members))
+    assert report.status == sdp.INFEASIBLE
+    assert report.margin == -np.inf
+    assert report.iterations is None
+    assert report.residuals["normalization"] == pytest.approx(0.05, abs=1e-12)
+    b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
+    assert b_dot_y == pytest.approx(1.0, abs=1e-9)
+    assert max_eig <= 1e-9
+    assert np.linalg.norm(report.problem.a.T @ report.certificate_y) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Correlation tables
 # ---------------------------------------------------------------------------

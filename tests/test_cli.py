@@ -25,7 +25,7 @@ from steercert.assemblages import (
 )
 from steercert.ghjw import reconstruct_sequential, reconstruct_traditional
 from steercert.matcore import PAULIS
-from steercert.sdp import MembershipReport
+from steercert.sdp import MembershipReport, SdpProblem
 from steercert.steering import (
     InstrumentalFunctional,
     SolverFailure,
@@ -33,6 +33,9 @@ from steercert.steering import (
     lhs_membership,
     qtilde_membership,
 )
+
+#: A problem with no rows, for stand-in membership reports.
+NO_ROWS = SdpProblem(block_dims=(1,), c=np.zeros(1), a=np.zeros((0, 1)), b=[])
 
 
 def run(capsys, *argv):
@@ -321,7 +324,7 @@ class TestCertify:
         # An unfinished membership decides nothing: exit 3 naming the solve.
         def membership(status, margin=np.nan):
             def run_membership(asm, tol=1e-8):
-                return MembershipReport(margin=margin, status=status, residuals={}, problem=None)
+                return MembershipReport(margin=margin, status=status, residuals={}, problem=NO_ROWS)
 
             return run_membership
 
@@ -347,11 +350,11 @@ class TestCertify:
         ]
 
     def test_solver_log_reports_the_rows_kept_by_presolve(self, capsys):
-        # The relaxation and the hidden-state membership both pin only
-        # independent rows, so presolve keeps every row of each.
+        # Every problem's rows are independent, so presolve keeps them all:
+        # the log reports the row count of each membership's problem.
         code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose")
         assert code == 0
-        kept = {entry["context"]: entry["rows_kept"] for entry in doc["solver"]}
+        kept = {entry["context"]: entry["rows"] for entry in doc["solver"]}
         asm = pauli_transpose_assemblage()
         assert kept["relaxation membership"] == qtilde_membership(asm).problem.num_rows
         assert kept["hidden-state membership"] == lhs_membership(asm).problem.num_rows
@@ -371,7 +374,7 @@ class TestCertify:
     def test_hidden_state_margin_near_the_boundary_is_no_verdict(self, capsys, monkeypatch):
         # Outside by more than tol but not by DECISIVE_MARGIN: undecided.
         def run_membership(asm, tol=1e-8):
-            return MembershipReport(margin=-1e-7, status=sdp.OPTIMAL, residuals={}, problem=None)
+            return MembershipReport(margin=-1e-7, status=sdp.OPTIMAL, residuals={}, problem=NO_ROWS)
 
         monkeypatch.setattr(cli, "lhs_membership", run_membership)
         code, out, err = run(capsys, "certify", "builtin:pr-box")

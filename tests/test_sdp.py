@@ -337,31 +337,25 @@ def test_negative_trace_is_infeasible_with_certificate():
 
 
 def test_contradictory_rows_detected_in_presolve():
+    # A row copied with another right-hand side: the presolve refuses the
+    # rows before any iteration, and contradiction_report, which the
+    # memberships return for data that contradict their implied rows,
+    # certifies that no point meets them.
     problem = SdpProblem(
         block_dims=(2,),
         c=svec(np.eye(2)),
         a=[svec(unit(2, 0, 0))] * 2,
         b=[1.0, 2.0],
     )
-    solution = sdp.solve(problem)
-    assert solution.status == sdp.INFEASIBLE
-    assert solution.note == "inconsistent equality rows"
-    b_dot_y, max_eig = sdp.farkas_terms(problem, solution.y)
+    with pytest.raises(ValueError, match="not provably independent"):
+        sdp.solve(problem)
+    report = sdp.contradiction_report(problem, 1, {}, tol=1e-8)
+    assert report.verdict == sdp.OUTSIDE
+    assert report.margin == -np.inf
+    assert report.iterations is None
+    b_dot_y, max_eig = sdp.farkas_terms(problem, report.certificate_y)
     assert b_dot_y == pytest.approx(1.0, abs=1e-9)
     assert max_eig <= 1e-9
-
-
-def test_redundant_rows_are_harmless():
-    problem = SdpProblem(
-        block_dims=(2,),
-        c=svec(np.eye(2)),
-        a=[svec(unit(2, 0, 0))] * 3,
-        b=[1.0] * 3,
-    )
-    solution = sdp.solve(problem)
-    assert solution.status == sdp.OPTIMAL
-    assert solution.primal_value == pytest.approx(1.0, abs=1e-7)
-    assert solution.y.shape == (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +382,10 @@ def reference_keep(a):
     return np.sort(piv[: int(np.sum(diag > sdp.PRESOLVE_RANK_TOL * diag[0]))])
 
 
-def rank_reduce_spying_on_qr(a, b):
-    """``_rank_reduce`` of the rows, and whether it ran a QR factorization."""
-    calls = []
-    qr = scipy.linalg.qr
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return qr(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sdp.sla, "qr", spy)
-        keep, certificate = sdp._rank_reduce(a, b)
-    return keep, certificate, bool(calls)
+def lp_over_rows(a, rng):
+    """Minimize the sum of ``x >= 0`` subject to ``a x = a x0`` for a positive ``x0``."""
+    cols = a.shape[1]
+    return SdpProblem((1,) * cols, c=np.ones(cols), a=a, b=a @ rng.uniform(0.5, 1.5, size=cols))
 
 
 @settings(max_examples=40, deadline=None)
@@ -410,74 +395,63 @@ def rank_reduce_spying_on_qr(a, b):
     st.integers(min_value=0, max_value=9),
 )
 def test_rows_with_dominant_private_columns_skip_the_qr(seed, rows, shared):
-    a, b = private_column_rows(seed, rows, shared)
+    # Rows that each own a column are independent, as the reference QR
+    # confirms; the presolve proves it with one Cholesky factorization.
+    a, _ = private_column_rows(seed, rows, shared)
     assert np.array_equal(reference_keep(a), np.arange(rows))
     assert np.linalg.matrix_rank(a) == rows
-    keep, certificate, factored = rank_reduce_spying_on_qr(a, b)
-    assert np.array_equal(keep, np.arange(rows))
-    assert certificate is None
-    assert not factored
+    sdp._require_independent(a)
+    assert sdp.solve(lp_over_rows(a, np.random.default_rng(seed))).status == sdp.OPTIMAL
+
+    # A private entry below the rank threshold: the shared columns still make
+    # the rows independent, and the Gram test still proves it.
+    if rows > 1 and shared > 0:
+        tiny = a.copy()
+        column = np.flatnonzero(np.count_nonzero(a, axis=0) == 1)[0]
+        owner = np.flatnonzero(a[:, column])[0]
+        tiny[owner, column] = 1e-3 * sdp.PRESOLVE_RANK_TOL * np.linalg.norm(a, axis=1).max()
+        assert np.array_equal(reference_keep(tiny), np.arange(rows))
+        sdp._require_independent(tiny)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=2, max_value=7),
-    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=9),
 )
-def test_rows_without_dominant_private_columns_go_through_the_qr(seed, rows, shared):
+def test_dependent_rows_are_refused(seed, rows, shared):
+    # A copied row, with its own right-hand side (redundant) or another one
+    # (contradictory), and a copy perturbed by about 1e-9 of its norm, which
+    # the Gram test cannot prove independent: the solver and the phase-one
+    # probe refuse all three, before any iteration.
     a, b = private_column_rows(seed, rows, shared)
     copied = seed % rows
-
-    # A private entry below the rank threshold: the shared columns still make
-    # the rows independent, and the Gram test proves it without the QR.
-    tiny = a.copy()
-    column = np.flatnonzero(np.count_nonzero(a, axis=0) == 1)[0]
-    owner = np.flatnonzero(a[:, column])[0]
-    tiny[owner, column] = 1e-3 * sdp.PRESOLVE_RANK_TOL * np.linalg.norm(a, axis=1).max()
-    keep, _, factored = rank_reduce_spying_on_qr(tiny, b)
-    assert not factored
-    assert np.array_equal(keep, reference_keep(tiny))
-
-    # A near-duplicate row, a copy perturbed by about 1e-9 of its norm: the
-    # Gram test cannot certify it, so the QR decides, as the reference does.
     noise = np.random.default_rng(seed).normal(size=a.shape[1])
     near = a[copied] + 1e-9 * np.linalg.norm(a[copied]) * noise / np.linalg.norm(noise)
-    near_duplicate = np.vstack([a, near])
-    keep, _, factored = rank_reduce_spying_on_qr(near_duplicate, np.append(b, b[copied]))
-    assert factored
-    assert np.array_equal(keep, reference_keep(near_duplicate))
-
-    # A duplicated row with the same right-hand side is dropped.
-    duplicated = np.vstack([a, a[copied]])
-    keep, certificate, factored = rank_reduce_spying_on_qr(duplicated, np.append(b, b[copied]))
-    assert factored
-    assert certificate is None
-    assert len(keep) == rows == np.linalg.matrix_rank(duplicated)
-    assert {copied, rows} - set(keep.tolist()) != set()
-
-    # With another right-hand side the copy is inconsistent: a Farkas certificate.
-    rhs = np.append(b, b[copied] + 1.0)
-    keep, certificate, factored = rank_reduce_spying_on_qr(duplicated, rhs)
-    assert factored
-    assert certificate is not None
-    assert np.linalg.norm(duplicated.T @ certificate) <= 1e-9 * np.linalg.norm(certificate)
-    assert abs(rhs @ certificate) > 1e-6 * np.linalg.norm(certificate)
+    blocks = (1,) * a.shape[1]
+    for extra, rhs in [(a[copied], b[copied]), (a[copied], b[copied] + 1.0), (near, b[copied])]:
+        problem = SdpProblem(blocks, c=np.ones(len(blocks)), a=np.vstack([a, extra]), b=np.append(b, rhs))
+        with pytest.raises(ValueError, match="not provably independent"):
+            sdp.solve(problem)
+        with pytest.raises(ValueError, match="not provably independent"):
+            sdp.feasibility_phase1(problem)
 
 
 def documented_floor(a):
-    """The ``delta`` of ``_rank_reduce``'s docstring."""
+    """The ``delta`` of ``_require_independent``'s docstring."""
     gram = a @ a.T
     rounding = 2 * sum(a.shape) * np.finfo(float).eps * np.trace(gram)
     return (sdp.PRESOLVE_RANK_TOL**2) * gram.diagonal().max() + rounding
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("ratio, factored", [(1.02, False), (0.98, True)])
-def test_gram_proof_skips_the_qr_exactly_above_its_floor(seed, ratio, factored):
+@pytest.mark.parametrize("ratio, raises", [(1.02, False), (0.98, True)])
+def test_gram_proof_skips_the_qr_exactly_above_its_floor(seed, ratio, raises):
     # Rows with singular values 1, ..., 1, s: the Cholesky factorization of
-    # a a^T - delta I succeeds, and the QR is skipped, when s^2 is just above
-    # delta; just below, the QR runs.  Either way every row is kept.
+    # a a^T - delta I succeeds, and the problem is solved, when s^2 is just
+    # above delta; just below, the rows are refused.  The reference QR keeps
+    # every row either way.
     rng = np.random.default_rng(seed)
     rows, cols = 20, 200
     left = np.linalg.qr(rng.normal(size=(rows, rows)))[0]
@@ -487,11 +461,13 @@ def test_gram_proof_skips_the_qr_exactly_above_its_floor(seed, ratio, factored):
     values[-1] = np.sqrt(ratio * documented_floor((left * values) @ right.T))
     a = (left * values) @ right.T
     assert (values[-1] ** 2 > documented_floor(a)) == (ratio > 1.0)
-    keep, certificate, ran_qr = rank_reduce_spying_on_qr(a, rng.normal(size=rows))
-    assert ran_qr == factored
-    assert certificate is None
-    assert np.array_equal(keep, np.arange(rows))
-    assert np.array_equal(keep, reference_keep(a))
+    assert np.array_equal(reference_keep(a), np.arange(rows))
+    problem = lp_over_rows(a, rng)
+    if raises:
+        with pytest.raises(ValueError, match="not provably independent"):
+            sdp.solve(problem)
+    else:
+        assert sdp.solve(problem).status == sdp.OPTIMAL
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +612,18 @@ def test_phase1_detects_forced_negative_eigenvalue():
 
 
 def test_phase1_passes_through_presolve_infeasibility():
+    # The probe runs the solver's presolve on the original rows: contradictory
+    # rows are refused, not shifted into a finite margin, and the report that
+    # stands for them is contradiction_report's.
     problem = SdpProblem(
         block_dims=(1,),
         c=np.zeros(1),
         a=[[1.0], [1.0]],
         b=[1.0, 2.0],
     )
-    result = sdp.feasibility_phase1(problem)
+    with pytest.raises(ValueError, match="not provably independent"):
+        sdp.feasibility_phase1(problem)
+    result = sdp.contradiction_report(problem, 1, {}, tol=1e-8)
     assert not result.feasible
     assert result.margin == -np.inf
     assert result.certificate_y is not None
@@ -717,8 +698,7 @@ def test_many_block_solves_are_bitwise_identical(monkeypatch):
 
 
 def test_relaxation_solves_are_bitwise_identical(monkeypatch):
-    # The canonical (3,2,2) relaxation bound: its rows are independent, so the
-    # presolve keeps all of them without a factorization.
+    # The canonical (3,2,2) relaxation bound: one row per free moment.
     calls = []
     solve = sdp.solve
 
@@ -736,7 +716,7 @@ def test_relaxation_solves_are_bitwise_identical(monkeypatch):
     assert first == second
     assert one.iterations == two.iterations
     assert np.array_equal(one.y, two.y)
-    assert one.rows_kept == problem.num_rows
+    assert one.y.shape == (problem.num_rows,)
 
 
 def test_lost_definiteness_of_the_schur_complement_is_reported(monkeypatch):
@@ -751,9 +731,9 @@ def test_lost_definiteness_of_the_schur_complement_is_reported(monkeypatch):
 
 def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
     # The wired membership pins members that the no-signalling rows already
-    # tie together: its phase-1 problem keeps only as many rows as its rows
-    # have rank.  The phase-1 shift columns are combinations of the columns
-    # of ``a``, so they leave the rank unchanged.
+    # tie together, so it omits the rows that the pins imply: the problem
+    # it hands to the phase-1 probe has as many rows as rank, and the
+    # presolve keeps them all.
     results = []
     phase1 = sdp.feasibility_phase1
 
@@ -764,9 +744,8 @@ def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
     monkeypatch.setattr(sdp, "feasibility_phase1", recording_phase1)
     instrumental_membership(instrumental_pauli_assemblage())
     (problem, result), = results
-    rank = np.linalg.matrix_rank(problem.a)
-    assert rank < problem.num_rows
-    assert result.rows_kept == rank
+    assert result.feasible
+    assert problem.num_rows == np.linalg.matrix_rank(problem.a) == 42
 
 
 def test_dump_lists_blocks_objective_and_rows():
@@ -910,6 +889,26 @@ def test_hermitian_builder_imaginary_rows_bind():
     assert solution.status == sdp.OPTIMAL
     value = builder.extract(solution.block_values, "h")
     assert value[0, 1] == pytest.approx(0.25 + 0.125j, abs=1e-7)
+
+
+def test_builder_rows_depend_only_on_the_coefficients():
+    # Real coefficients on a Hermitian block give no imaginary row, whatever
+    # the right-hand side: a negligible imaginary part is dropped with the
+    # row, and a larger one would read 0 = rhs, which is refused.
+    for rhs in (1.0, 1.0 + 1e-15j):
+        builder = HermitianBlockBuilder()
+        builder.add_block("h", 2)
+        builder.add_equality([("h", np.eye(2))], rhs)
+        assert builder.build().num_rows == 1
+    builder.add_equality([("h", np.eye(2))], 1.0 + 1e-12j)
+    with pytest.raises(ValueError, match="equality 1 reads 0 = 1.000e-12 in its imaginary part"):
+        builder.build()
+    # A pinned matrix with an imaginary diagonal is not Hermitian: refused too.
+    builder = HermitianBlockBuilder()
+    builder.add_block("h", 2)
+    builder.add_matrix_equality([("h", 1.0)], np.eye(2) + 1e-12j * np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="imaginary part"):
+        builder.build()
 
 
 def test_hermitian_builder_rejects_duplicates_and_bad_shapes():

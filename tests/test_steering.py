@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from steercert import assemblages, sdp, steering
+from steercert import assemblages, cli, sdp, steering
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
@@ -403,7 +403,7 @@ def test_relaxation_membership_rejects_trusted_to_untrusted_signalling():
     assert report.margin == -np.inf
     assert report.status == "infeasible"
     # Decided before any solve.
-    assert report.rows_kept is None and report.iterations is None
+    assert report.iterations is None
 
 
 def test_relaxation_membership_rejects_untrusted_to_trusted_signalling():
@@ -470,14 +470,18 @@ def test_hidden_state_membership_rejects_trusted_to_untrusted_signalling():
     report = lhs_membership(signalling)
     assert report.status == "infeasible"
     assert report.margin == -np.inf
-    assert report.rows_kept is None and report.iterations is None
+    assert report.iterations is None
     b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
     assert b_dot_y == pytest.approx(1.0, abs=1e-9)
     assert max_eig <= 1e-9
 
 
 def pin_every_member(asm):
-    """Reference membership: every member pinned and every strategy's traces equated."""
+    """Reference membership: every member pinned and every strategy's traces equated.
+
+    The solver takes only independent rows, so a pivoted QR of ``a^T`` picks
+    them here, with the threshold the presolve's proof uses.
+    """
     shape = asm.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
     eye = np.eye(shape.d)
@@ -490,7 +494,13 @@ def pin_every_member(asm):
     for a, x, y in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
         terms = [(f"omega[{k},{y}]", 1.0) for k, s in enumerate(strategies) if s[x] == a]
         builder.add_matrix_equality(terms, asm.member(a, x, y))
-    return sdp.feasibility_phase1(builder.build())
+    problem = builder.build()
+    r_fac, piv = scipy.linalg.qr(problem.a.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r_fac[: problem.num_rows]))
+    keep = np.sort(piv[: int(np.sum(diag > sdp.PRESOLVE_RANK_TOL * diag[0]))])
+    return sdp.feasibility_phase1(
+        sdp.SdpProblem(problem.block_dims, problem.c, problem.a[keep], problem.b[keep])
+    )
 
 
 @pytest.mark.parametrize(
@@ -509,9 +519,25 @@ def test_hidden_state_membership_pins_only_independent_rows(monkeypatch, n_a, m_
         assert qtilde_membership(asm).feasible
     monkeypatch.undo()
     assert np.linalg.matrix_rank(report.problem.a) == report.problem.num_rows
-    assert report.rows_kept == report.problem.num_rows == reference.rows_kept
+    assert report.problem.num_rows == reference.problem.num_rows
     assert report.verdict == reference.verdict
     assert report.margin == pytest.approx(reference.margin, abs=1e-7)
+
+
+def test_hidden_state_rows_depend_only_on_the_shape():
+    # An anti-Hermitian residue of 1e-12 on one member passes validation.  The
+    # membership pins the Hermitian part, so the rows and the margin are
+    # those of the clean input.
+    asm = random_quantum_bwi(ScenarioShape(2, 3, 2, 2), seed=3)
+    members = dict(asm.members)
+    members[(0, 1, 0)] = members[(0, 1, 0)] + 1e-12j * np.diag([1.0, -1.0])
+    perturbed = assemblages.BwiAssemblage(asm.shape, members)
+    assert validate_ns_bwi(perturbed).passed
+    clean, report = lhs_membership(asm), lhs_membership(perturbed)
+    assert report.problem.num_rows == clean.problem.num_rows == 36
+    assert report.verdict == sdp.INSIDE
+    assert report.margin == pytest.approx(0.0074879, abs=1e-7)
+    assert report.margin == pytest.approx(clean.margin, abs=1e-9)
 
 
 def test_relaxation_membership_witness_reproduces_the_members():
@@ -533,6 +559,33 @@ def test_wired_relaxation_bound_is_below_wired_values():
     bound = qtilde_instrumental_bound(functional)
     realized = evaluate(functional, assemblages.instrumental_pauli_assemblage())
     assert bound <= realized + 1e-6
+
+
+@pytest.mark.parametrize(
+    "n_a, m_a, m_b, d", list(itertools.product((2, 3), (1, 2, 3), (1, 2, 3), (1, 2)))
+)
+def test_no_signalling_bound_rows_are_independent(monkeypatch, n_a, m_a, m_b, d):
+    shape = ScenarioShape(n_a, m_a, m_b, d)
+    problems = []
+    solve = sdp.solve
+
+    def recording_solve(problem, **kwargs):
+        problems.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    ns_bound(random_psd_functional(n_a * 100 + m_a * 10 + m_b, shape))
+    (problem,) = problems
+    assert problem.num_rows == np.linalg.matrix_rank(problem.a)
+
+
+@pytest.mark.parametrize(
+    "seed, value", enumerate([4.7679057, 2.2393660, 3.8792845, 7.6204675])
+)
+def test_no_signalling_bound_keeps_its_values(seed, value):
+    # The values before the implied trace rows were omitted.
+    functional = cli._random_psd_functional(ScenarioShape(2, 3, 2, 2), seed)
+    assert ns_bound(functional) == pytest.approx(value, abs=1e-6)
 
 
 def test_solver_failure_carries_the_solution():
