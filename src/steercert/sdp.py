@@ -24,8 +24,8 @@ one presolve is the proof: a Cholesky factorization of their shifted Gram
 matrix.  Rows it cannot prove independent are refused with ``ValueError``.
 The blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
 Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
-Schur-complement congruence run in complex arithmetic, while the Schur
-complement and ``x``, ``s``, ``y`` are real.
+congruences ``W A W`` run in complex arithmetic, while the Schur complement
+and ``x``, ``s``, ``y`` are real.
 
 Named blocks tied by equality rows (:class:`HermitianBlockBuilder`), a
 complex equality split into a real and an imaginary row, and linear matrix
@@ -39,31 +39,42 @@ margin to inside, outside or undecided.
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
 corrector and the step lengths run as batched LAPACK calls and stacked
-products over each stack.  The Schur complement is block-sparse: each solve
-records which rows touch each block, and each iteration scales a row only on
-the blocks it touches and adds up the per-block Gram matrices ``B_k B_k^T``
-by flat index (the per-block half of the SDPA approach; Fujisawa, Kojima &
-Nakata, *Math. Program.* 79 (1997)).  The Schur complement is factored by
-numpy's LAPACK, like the batched calls, so the iteration's matrix-matrix work
-runs in one BLAS thread pool (numpy and scipy may each load their own); only
-the one-vector triangular solves against that factor go through scipy.
+products over each stack.  The Schur complement is formed from the rows'
+entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k`` the NT scaling
+matrix (SDPA's formula for sparse rows; Fujisawa, Kojima & Nakata, *Math.
+Program.* 79 (1997)).  Each solve reads the nonzeros of its rows once; each
+iteration builds ``W A W`` for every row on the blocks it touches, as a sum
+of one outer product of a column and a row of ``W`` per entry, and pairs it
+with the other rows' entries in one sparse product per side group.  No row
+is scaled densely, and there is no Gram product.  The Schur complement is
+factored by numpy's LAPACK, like the batched calls, so the iteration's
+matrix-matrix work runs in one BLAS thread pool (numpy and scipy may each
+load their own); only the one-vector triangular solves against that factor
+go through scipy.
 
-Everything is dense, small-scale, and deterministic: re-solving the same
-problem reproduces the same iterates bit for bit.
+Problems are dense and small-scale, and the solver is deterministic:
+re-solving the same problem reproduces the same iterates bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 
 from steercert.matcore import hermitian_part
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 Array = np.ndarray
+
+#: The phases of an interior-point iteration that :attr:`SdpSolution.phase_seconds` times.
+PHASES = ("scaling", "schur", "cholesky", "step")
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,15 +83,14 @@ NUMERICAL_TROUBLE = "numerical_trouble"
 
 #: Equality rows count as independent only when their smallest singular value
 #: provably exceeds this times their largest norm (the presolve's one check).
+#: The rounding margin of that proof binds first: ``m`` rows of ``n`` columns
+#: are refused when ``sigma_min(a)**2 <= 2 (m + n) eps tr(a a^T)``, up to
+#: ``2.5e-5`` times the largest row norm for a (4,3,2) relaxation bound.
 PRESOLVE_RANK_TOL = 1e-10
 
 #: Relative residual above which a membership's data contradict the rows it
 #: omits as implied, so that it is ruled out before any solve.
 PRESOLVE_CONSISTENCY_TOL = 1e-9
-
-#: Complex entries per temporary of the Schur-complement congruence, which is
-#: sliced over stacked rows (4 MiB).
-_SLICE_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,11 @@ class SdpSolution:
     """Outcome of a solve: a status, values, block matrices, and audit residuals.
 
     For ``infeasible`` runs ``y`` holds the Farkas certificate (normalized so
-    that ``b . y = 1``) and the block values are absent.
+    that ``b . y = 1``) and the block values are absent.  ``phase_seconds``
+    sums, over the iterations, the seconds spent in each of :data:`PHASES`:
+    the Nesterov-Todd scaling, the Schur complement's assembly, its Cholesky
+    factorization, and the rest of the step (the Newton solves, the
+    corrector and the step lengths).
     """
 
     status: str
@@ -236,6 +250,7 @@ class SdpSolution:
     residuals: dict[str, float]
     iterations: int
     note: str = ""
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def equality_residuals(problem: SdpProblem, block_values: Sequence[Array]) -> Array:
@@ -365,65 +380,170 @@ def _scalar_step(value: float, delta: float) -> float:
 
 
 @dataclass(frozen=True)
-class _Schur:
-    """The equality rows block by block, as the Schur complement reads them.
+class _EntryGroup:
+    """The rows of one side group entry by entry, as the Schur complement reads them.
 
-    For each side group, ``stacks`` holds a ``(K, R, n, n)`` stack: entry
-    ``[k, r]`` is block ``k`` of the ``r``-th row touching it, in increasing
-    row order, as a complex Hermitian matrix, laid out in memory as ``(K, n,
-    R, n)`` so that the rows on block ``k`` read as one ``(n, R n)`` matrix.
-    ``R`` is the largest number of rows touching one block of the group;
-    shorter lists are padded with rows that do not touch the block, whose
-    blocks are zero.  ``pairs`` places every entry of every group's ``(K, R,
-    R)`` Gram stack in the flattened ``m x m`` matrix.
+    Row ``i`` touches block ``k`` where it has a nonzero coordinate there,
+    and its block is ``A = L + L^H``, with ``L`` the lower triangle and half
+    the diagonal.  The rows touching block ``k`` take ranks ``0, 1, ...`` by
+    decreasing entry count; ``width`` is the most rows touching one block.
+    Each iteration writes ``W_k L W_k`` for the row at rank ``r`` of block
+    ``k`` to ``[:, :, k, r]`` of an ``(n, n, K, width)`` buffer, so that each
+    block's partner rows come last; ranks a block has no row at stay zero.
+
+    ``ranges`` splits the ranks into runs ``(lo, hi, columns, rows, coef)``
+    whose rows have at most ``E`` entries.  ``coef`` holds each row's
+    entries ``L[p, q]`` (zero past its last), and ``columns`` and ``rows``
+    index ``W[:, p]`` and ``W[q, :]`` in the flattened ``(K, n, n)`` stack:
+    shaped ``(n, K, G)`` when ``E`` is one, and ``(K, G, n, E)`` and ``(K, G,
+    E, n)`` otherwise.  ``pairing`` has one row per (row, block) touch and
+    one column per buffer entry of ``(n, n, K)``: ``2 A[a, b]`` at ``(b, a,
+    k)`` for each nonzero ``A[a, b]``, so that its product with the buffer
+    is ``2 Re tr(A_jk W_k L_ik W_k) = <A_jk, W_k A_ik W_k>`` for every rank.
     """
 
-    stacks: list[Array]
+    width: int
+    ranges: list[tuple[int, int, Array, Array, Array]]
+    pairing: sparse.csr_matrix
+
+    @classmethod
+    def of(
+        cls, row: Array, block: Array, coord: Array, value: Array, n: int, count: int, m: int
+    ) -> tuple[_EntryGroup, Array]:
+        """The group of ``count`` side-``n`` blocks from its nonzeros in ``a``, and the
+        flat ``m x m`` index of each entry of its pairing product.
+
+        ``row``, ``block`` and ``coord`` place each nonzero ``value``: its
+        row, its block within the group, and its svec coordinate there.
+        """
+        # scipy.sparse takes about 20 ms to import: the first solve loads it, not
+        # the program's start.
+        from scipy import sparse
+
+        lower, _, weights, _ = _layout(n)
+        left, right = np.divmod(lower[coord] // 2, n)
+        # Each nonzero is the real or the imaginary part of A[left, right], on or
+        # below the diagonal; A[right, left] is its conjugate.
+        part = value / weights[coord] * np.where(lower[coord] % 2, 1j, 1.0)
+        keys, merged = np.unique(((block * m + row) * n + left) * n + right, return_inverse=True)
+        entry = np.bincount(merged, part.real) + 1j * np.bincount(merged, part.imag)
+        left, right = keys // n % n, keys % n
+        touches, touch, sizes = np.unique(keys // (n * n), return_inverse=True, return_counts=True)
+        touch_block, touch_row = np.divmod(touches, m)
+        block = touch_block[touch]
+        order = np.lexsort((touch_row, -sizes, touch_block))
+        rank = np.empty_like(order)
+        ordered = touch_block[order]
+        rank[order] = np.arange(len(order)) - np.searchsorted(ordered, ordered)
+        # The entries come sorted by touch; each one's place among its touch's.
+        slot = np.arange(len(touch)) - np.searchsorted(touch, touch)
+        width = int(rank.max(initial=-1)) + 1
+        most = np.zeros(width, dtype=int)
+        np.maximum.at(most, rank, sizes)
+        half = np.where(left == right, 0.5, 1.0) * entry
+        stack, side = np.arange(count)[:, None, None] * n * n, np.arange(n)
+        ranges = []
+        starts = np.flatnonzero(np.diff(most, prepend=-1)).tolist()
+        entry_rank = rank[touch]
+        for lo, hi in zip(starts, starts[1:] + [width]):
+            at = np.flatnonzero((entry_rank >= lo) & (entry_rank < hi))
+            where = (block[at], entry_rank[at] - lo, slot[at])
+            p, q = np.zeros((2, count, hi - lo, most[lo]), dtype=int)
+            coef = np.zeros((count, hi - lo, most[lo]), dtype=complex)
+            p[where], q[where], coef[where] = left[at], right[at], half[at]
+            if most[lo] == 1:
+                columns = (stack + p)[..., 0] + n * side[:, None, None]
+                rows = (stack + n * q)[..., 0] + side[:, None, None]
+                ranges.append((lo, hi, columns, rows, coef[..., 0]))
+            else:
+                columns = (stack + p)[:, :, None, :] + n * side[:, None]
+                rows = (stack + n * q)[..., None] + side
+                ranges.append((lo, hi, columns, rows, coef[:, :, None, :]))
+        mirror = left != right
+        position = np.concatenate([right * n + left, (left * n + right)[mirror]])
+        column = position * count + np.concatenate([block, block[mirror]])
+        pairing = sparse.csr_matrix(
+            (
+                2 * np.concatenate([entry, entry[mirror].conj()]),
+                (np.concatenate([touch, touch[mirror]]), column),
+            ),
+            shape=(len(touches), n * n * count),
+        )
+        # The buffer is zero at ranks no row holds, so those may pair with any row.
+        partner = np.zeros((count, width), dtype=int)
+        partner[touch_block, rank] = touch_row
+        return cls(width, ranges, pairing), (touch_row[:, None] * m + partner[touch_block]).ravel()
+
+    def pair(self, w: Array) -> Array:
+        """Per touch and rank, ``<A_jk, W_k A_ik W_k>`` as the real part, for the stack ``w``.
+
+        A run is one stacked product ``sum_e coef_e W[:, p_e] W[q_e, :]``
+        (an outer product when its rows have one entry), written straight
+        into the buffer; one sparse product pairs the buffer with the rows.
+        """
+        count, n = w.shape[:2]
+        congruence = np.empty((n, n, count, self.width), dtype=complex)
+        flat = w.ravel()
+        for lo, hi, columns, rows, coef in self.ranges:
+            if coef.ndim == 2:
+                by_entry = congruence[..., lo:hi]
+                np.multiply((flat[columns] * coef)[:, None], flat[rows][None], out=by_entry)
+            else:
+                by_rank = congruence.transpose(2, 3, 0, 1)[:, lo:hi]
+                np.matmul(flat[columns] * coef, flat[rows], out=by_rank)
+        return self.pairing @ congruence.reshape(n * n * count, self.width)
+
+
+@dataclass(frozen=True)
+class _Schur:
+    """The equality rows entry by entry, one :class:`_EntryGroup` per side group.
+
+    ``pairs`` places every entry of every group's pairing product in the
+    flattened ``m x m`` matrix.
+    """
+
+    groups: list[_EntryGroup]
     pairs: Array
     m: int
 
     @classmethod
     def of(cls, a_mat: Array, groups: list[_SideGroup]) -> _Schur:
         m = len(a_mat)
-        starts = np.sort(np.concatenate([group.gather[:, 0] for group in groups]))
-        touch = np.logical_or.reduceat(a_mat != 0.0, starts, axis=1)
-        stacks, pairs = [], []
-        for group in groups:
-            hit = touch[:, group.blocks].T
-            width = int(hit.sum(axis=1).max())
-            # A stable sort of the misses puts each block's touching rows first.
-            rows = np.argsort(~hit, axis=1, kind="stable")[:, :width]
-            stack = _smat_batch(a_mat[rows[:, :, None], group.gather[:, None]], group.side)
-            stacks.append(np.ascontiguousarray(stack.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3))
-            pairs.append((rows[:, :, None] * m + rows[:, None, :]).ravel())
-        return cls(stacks, np.concatenate(pairs), m)
+        rows, cols = np.nonzero(a_mat)
+        values = a_mat[rows, cols]
+        # Each column's side group, block within the group, and svec coordinate.
+        owner = np.empty((3, a_mat.shape[1]), dtype=int)
+        for index, group in enumerate(groups):
+            owner[0, group.gather] = index
+            owner[1, group.gather] = np.arange(len(group.blocks))[:, None]
+            owner[2, group.gather] = np.arange(svec_dim(group.side))
+        entries, pairs = [], []
+        for index, group in enumerate(groups):
+            mine = owner[0, cols] == index
+            entry_group, group_pairs = _EntryGroup.of(
+                rows[mine], owner[1, cols[mine]], owner[2, cols[mine]], values[mine],
+                group.side, len(group.blocks), m,
+            )
+            entries.append(entry_group)
+            pairs.append(group_pairs)
+        return cls(entries, np.concatenate(pairs), m)
 
-    def assemble(self, roots: list[Array]) -> Array:
-        """``sum_k B_k B_k^T`` for the NT scaling with root ``g_k`` on block ``k``.
+    def assemble(self, ws: list[Array]) -> Array:
+        """``S_ij = sum_k <A_jk, W_k A_ik W_k>`` for the NT scaling matrices ``W_k``.
 
-        With ``w = g g``, ``<A_i, w A_j w> = <g A_i g, g A_j g>``, so block
-        ``k`` adds the Gram matrix of the rows ``B_k[r] = svec(g_k A_ik g_k)``
-        over the rows touching it.  The congruence is complex, in tall form:
-        ``g_k`` times the rows side by side, then those stacked times ``g_k``.
-        It runs over slices of the rows, so that the two temporaries live at
-        once hold about ``_SLICE_ENTRIES`` entries together; its svec rows,
-        and so the Gram product, are real.  ``np.bincount`` sums the Gram
-        entries in a fixed order, so the result repeats bit for bit.
+        This is SDPA's formula for sparse rows (Fujisawa, Kojima & Nakata,
+        *Math. Program.* 79 (1997)): no row is scaled densely and there is no
+        Gram product.  ``np.bincount`` sums the pairs in a fixed order, so the
+        result repeats bit for bit, and ``(S + S^T) / 2`` is exactly symmetric.
         """
-        grams = []
-        for stack, g in zip(self.stacks, roots):
-            k, rows, n = stack.shape[:3]
-            wide = stack.transpose(0, 2, 1, 3).reshape(k, n, rows * n)
-            scaled = np.empty((k, rows, svec_dim(n)))
-            step = max(1, _SLICE_ENTRIES // (2 * k * n * n))
-            for lo in range(0, rows, step):
-                part = (g @ wide[:, :, lo * n : (lo + step) * n]).reshape(k, n, -1, n)
-                part = np.ascontiguousarray(part.transpose(0, 2, 1, 3))
-                part = part.reshape(k, -1, n) @ g
-                scaled[:, lo : lo + step] = svec(part.reshape(k, -1, n, n))
-            grams.append((scaled @ _t(scaled)).ravel())
-        flat = np.bincount(self.pairs, np.concatenate(grams), minlength=self.m * self.m)
-        return flat.reshape(self.m, self.m)
+        paired, start = np.empty(len(self.pairs)), 0
+        for group, w in zip(self.groups, ws):
+            product = group.pair(w)
+            np.copyto(paired[start : start + product.size].reshape(product.shape), product.real)
+            start += product.size
+        flat = np.bincount(self.pairs, paired, minlength=self.m * self.m)
+        schur = flat.reshape(self.m, self.m)
+        return (schur + schur.T) / 2
 
 
 @dataclass
@@ -439,6 +559,13 @@ class _Candidate:
     tau: float = 1.0
 
 
+def _lap(seconds: dict[str, float], phase: str, since: float) -> float:
+    """Add the time since ``since`` to ``seconds[phase]``, and return the time now."""
+    now = time.perf_counter()
+    seconds[phase] += now - since
+    return now
+
+
 def _require_independent(a: Array) -> None:
     """Raise ``ValueError`` unless the rows of ``a`` are provably independent.
 
@@ -448,7 +575,13 @@ def _require_independent(a: Array) -> None:
     exceeds the rounding error of the Gram product (``gamma_n tr``) plus that
     of a Cholesky factorization that succeeds (``gamma_(m+1) tr / (1 -
     gamma_(m+1))``; Rump, *BIT* 46 (2006)), so success proves ``sigma_min(a) >
-    PRESOLVE_RANK_TOL rho``.
+    PRESOLVE_RANK_TOL rho``.  That second term is the floor that binds: rows
+    with ``sigma_min(a)**2 <= 2 (m + n) eps tr(a a^T)``, at most ``2 (m + n) m
+    eps rho**2``, are refused even when ``sigma_min(a)`` is far above
+    ``PRESOLVE_RANK_TOL rho``: for the 613 rows and 1,600 columns of a
+    (4,3,2) relaxation bound that floor is up to ``2.5e-5 rho``, and
+    ``1.3e-5 rho`` for the functional ``cli._random_psd_functional`` draws
+    with seed 3.
     """
     m, n = a.shape
     gram = a @ a.T
@@ -484,6 +617,7 @@ def solve(
     groups = _side_groups(dims)
     sign = -1.0 if problem.sense == "max" else 1.0
     _require_independent(problem.a)
+    phase_seconds = dict.fromkeys(PHASES, 0.0)
 
     m = problem.num_rows
     if m == 0:
@@ -496,10 +630,12 @@ def solve(
         )
         if min_obj_eig < -1e-12:
             note = "objective unbounded below on the cone"
-            return SdpSolution(NUMERICAL_TROUBLE, np.nan, np.nan, None, None, {}, 0, note)
+            return SdpSolution(
+                NUMERICAL_TROUBLE, np.nan, np.nan, None, None, {}, 0, note, phase_seconds
+            )
         blocks = [np.zeros((n, n), dtype=complex) for n in dims]
         zero = {"primal": 0.0, "dual": 0.0, "gap": 0.0}
-        return SdpSolution(OPTIMAL, 0.0, 0.0, blocks, np.zeros(0), zero, 0)
+        return SdpSolution(OPTIMAL, 0.0, 0.0, blocks, np.zeros(0), zero, 0, "", phase_seconds)
 
     # Independent rows have nonzero norms.
     row_norms = np.linalg.norm(problem.a, axis=1)
@@ -558,7 +694,8 @@ def solve(
                 }
                 note = "improving dual ray"
                 return SdpSolution(
-                    INFEASIBLE, np.nan, np.nan, None, farkas, residuals, iteration, note
+                    INFEASIBLE, np.nan, np.nan, None, farkas, residuals, iteration, note,
+                    phase_seconds,
                 )
         c_dot_x = float(c @ x)
         if c_dot_x < -1e-10:
@@ -575,7 +712,9 @@ def solve(
             break
 
         # Nesterov-Todd scaling per group of same-side blocks.
+        clock = time.perf_counter()
         scal = [_nt_scaling_batch(xm, sm) for xm, sm in zip(x_mats, s_mats)]
+        clock = _lap(phase_seconds, "scaling", clock)
 
         def _apply_d(vec: Array) -> Array:
             out = np.empty_like(vec)
@@ -583,7 +722,8 @@ def solve(
                 out[group.gather] = svec(sc.w @ group.unpack(vec) @ sc.w)
             return out
 
-        schur = schur_rows.assemble([sc.g for sc in scal])
+        schur = schur_rows.assemble([sc.w for sc in scal])
+        clock = _lap(phase_seconds, "schur", clock)
 
         chol_fac = None
         jitter = 0.0
@@ -596,6 +736,7 @@ def solve(
                 break
             except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, 1e-14) * (100.0 ** attempt)
+        clock = _lap(phase_seconds, "cholesky", clock)
         if chol_fac is None:
             status = NUMERICAL_TROUBLE
             note = "Schur complement lost positive definiteness"
@@ -685,6 +826,7 @@ def solve(
         s = s + alpha * ds
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
+        _lap(phase_seconds, "step", clock)
     else:
         iterations = max_iter
 
@@ -703,6 +845,7 @@ def solve(
         },
         iterations=iterations,
         note=note,
+        phase_seconds=phase_seconds,
     )
 
 

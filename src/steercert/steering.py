@@ -604,15 +604,15 @@ def _bound_problem(
     """The bound as an LMI, and the objective per entry of ``form.stack``.
 
     The objective is the sum of ``tr(F sigma_{a|x,y})`` over ``terms``
-    ``(F, a, x, y)``; every outcome-1 member is an LMI block of its own.
+    ``(F, a, x, y)``.  The moment block is the only LMI block: ``Gamma >= 0``
+    already makes every member positive semidefinite, since ``d
+    sigma_{1|x,y}`` is the transpose of ``Gamma`` compressed by ``e_y -
+    e_xy``.
     """
     gain = sum(
         np.einsum("ij,kji->k", coeff, form.member(a, x, y)).real for coeff, a, x, y in terms
     )
-    blocks = [form.stack] + [
-        form.member(1, x, y) for x in range(form.shape.m_a) for y in range(form.shape.m_b)
-    ]
-    problem = sdp.hermitian_lmi([b[0] for b in blocks], [b[1:] for b in blocks], -gain[1:])
+    problem = sdp.hermitian_lmi([form.stack[0]], [form.stack[1:]], -gain[1:])
     return problem, gain
 
 
@@ -622,9 +622,10 @@ def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
     The moment block is ``Gamma = F0 + sum_k p_k F_k`` over the free real
     moments, and the problem is its linear matrix inequality as built by
     :func:`steercert.sdp.hermitian_lmi`: one row per free moment, with the
-    negated functional as the dual objective.  The first block is the
-    complex moment block of side ``d (1 + m_a + m_b + m_a m_b)``, followed by
-    one block of side ``d`` per outcome-1 member.
+    negated functional as the dual objective.  Its one block is the complex
+    moment block of side ``d (1 + m_a + m_b + m_a m_b)``; the members need no
+    blocks of their own, because the moment block's being positive
+    semidefinite implies theirs.
     """
     terms = [(coeff, *key) for key, coeff in functional.coeffs.items()]
     return _bound_problem(_MomentForm(functional.shape), terms)[0]

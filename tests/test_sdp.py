@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ from steercert.assemblages import (
     random_quantum_bwi,
 )
 from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
-from steercert.steering import canonical_functional, lhs_membership, qtilde_solution
+from steercert.steering import (
+    build_qtilde_problem,
+    canonical_functional,
+    lhs_membership,
+    qtilde_solution,
+)
 
 
 def random_symmetric(rng, n):
@@ -521,12 +527,12 @@ def test_batched_step_length_falls_back_on_a_singular_block(seed):
 
 
 # ---------------------------------------------------------------------------
-# Block-sparse Schur complement
+# Entry-wise Schur complement
 # ---------------------------------------------------------------------------
 
 # Which blocks each row touches.  Sides 2 and 3 are interleaved; block 5 and
 # the one-by-one block 3 are touched by no row; row 0 touches no block of side
-# 2; the side-2 blocks are touched by 3, 4 and 0 rows, so lists are padded.
+# 2; the side-2 blocks are touched by 3, 4 and 0 rows, so ranks are padded.
 SCHUR_SIDES = (2, 3, 2, 1, 3, 2)
 SCHUR_TOUCH = np.array(
     [
@@ -539,10 +545,16 @@ SCHUR_TOUCH = np.array(
     dtype=bool,
 )
 
+# The moment-block pattern: one side-8 block whose rows carry 1, 2, 6 and 30
+# complex entries on or below the diagonal, next to a side-2 group no row
+# touches.
+MOMENT_SIDES = (8, 2, 2)
+MOMENT_ENTRIES = (1, 2, 6, 30)
 
-def dense_schur(a_mat, roots):
+
+def dense_schur(a_mat, sides, roots):
     """``B B^T`` over the rows ``B_i``, each the svec of ``g_k A_ik g_k`` for every block ``k``."""
-    offsets = sdp._block_offsets(SCHUR_SIDES)
+    offsets = sdp._block_offsets(sides)
     rows = [
         np.concatenate(
             [
@@ -555,28 +567,68 @@ def dense_schur(a_mat, roots):
     return np.array(rows) @ np.array(rows).T
 
 
-@pytest.mark.parametrize("slice_entries", [sdp._SLICE_ENTRIES, 8])
-@pytest.mark.parametrize("seed", range(3))
-def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries):
-    # With 8 entries per slice, the congruence runs one row at a time.
-    monkeypatch.setattr(sdp, "_SLICE_ENTRIES", slice_entries)
-    rng = np.random.default_rng(seed)
-    a_mat = np.array(
+def sparse_hermitian(rng, n, count):
+    """A Hermitian matrix with ``count`` random complex entries on or below the diagonal."""
+    rows, cols = np.tril_indices(n)
+    mat = np.zeros((n, n), dtype=complex)
+    for at in rng.choice(len(rows), size=count, replace=False):
+        i, j = rows[at], cols[at]
+        mat[i, j] = rng.normal() + 1j * rng.normal() * (i != j)
+    return mat + np.tril(mat, -1).conj().T
+
+
+def schur_rows(rng, pattern):
+    if pattern == "sides":
+        return SCHUR_SIDES, np.array(
+            [
+                packed(*(random_symmetric(rng, n) * hit for n, hit in zip(SCHUR_SIDES, row)))
+                for row in SCHUR_TOUCH
+            ]
+        )
+    untouched = [np.zeros((n, n)) for n in MOMENT_SIDES[1:]]
+    return MOMENT_SIDES, np.array(
         [
-            packed(*(random_symmetric(rng, n) * hit for n, hit in zip(SCHUR_SIDES, row)))
-            for row in SCHUR_TOUCH
+            packed(sparse_hermitian(rng, MOMENT_SIDES[0], count), *untouched)
+            for count in MOMENT_ENTRIES
         ]
     )
+
+
+# Per side group: its width (the most rows touching one block), the shape of
+# its pairing (touches x entries of the group's blocks), and the rank runs
+# (lo, hi, entries).
+SCHUR_STRUCTURE = {
+    "sides": [(0, (0, 1), []), (4, (7, 12), [(0, 4, 3)]), (3, (5, 18), [(0, 3, 6)])],
+    "moment": [(0, (0, 8), []), (4, (4, 64), [(0, 1, 30), (1, 2, 6), (2, 3, 2), (3, 4, 1)])],
+}
+
+
+@pytest.mark.parametrize("pattern", ["sides", "moment"])
+@pytest.mark.parametrize("seed", range(3))
+def test_block_sparse_schur_matches_dense_rows(seed, pattern):
+    rng = np.random.default_rng(seed)
+    sides, a_mat = schur_rows(rng, pattern)
     roots = []
-    for n in SCHUR_SIDES:
-        factor = rng.normal(size=(n, n))
-        roots.append(factor @ factor.T + np.eye(n))
-    groups = sdp._side_groups(SCHUR_SIDES)
+    for n in sides:
+        factor = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        roots.append(factor @ factor.conj().T + np.eye(n))
+    groups = sdp._side_groups(sides)
     schur = sdp._Schur.of(a_mat, groups)
-    assert [stack.shape for stack in schur.stacks] == [(1, 0, 1, 1), (3, 4, 2, 2), (2, 3, 3, 3)]
-    assembled = schur.assemble([np.stack([roots[k] for k in group.blocks]) for group in groups])
-    reference = dense_schur(a_mat, roots)
+    structure = [
+        (
+            group.width,
+            group.pairing.shape,
+            [(lo, hi, 1 if coef.ndim == 2 else coef.shape[-1]) for lo, hi, *_, coef in group.ranges],
+        )
+        for group in schur.groups
+    ]
+    assert structure == SCHUR_STRUCTURE[pattern]
+    ws = [np.stack([roots[k] @ roots[k] for k in group.blocks]) for group in groups]
+    assembled = schur.assemble(ws)
+    reference = dense_schur(a_mat, sides, roots)
     assert np.max(np.abs(assembled - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.array_equal(assembled, assembled.T)
+    assert np.array_equal(assembled, schur.assemble(ws))
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +769,18 @@ def test_relaxation_solves_are_bitwise_identical(monkeypatch):
     assert one.iterations == two.iterations
     assert np.array_equal(one.y, two.y)
     assert one.y.shape == (problem.num_rows,)
+
+
+def test_phase_seconds_cover_each_phase_within_the_wall_time():
+    problem = build_qtilde_problem(canonical_functional())
+    start = time.perf_counter()
+    solution = sdp.solve(problem)
+    wall = time.perf_counter() - start
+    assert solution.status == sdp.OPTIMAL
+    assert set(solution.phase_seconds) == {"scaling", "schur", "cholesky", "step"}
+    assert set(sdp.PHASES) == set(solution.phase_seconds)
+    assert all(seconds > 0.0 for seconds in solution.phase_seconds.values())
+    assert sum(solution.phase_seconds.values()) <= wall
 
 
 def test_lost_definiteness_of_the_schur_complement_is_reported(monkeypatch):

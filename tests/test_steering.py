@@ -287,11 +287,34 @@ def test_moment_words_cover_singles_and_pairs():
 
 def test_relaxation_problem_has_the_embedded_moment_block():
     problem = build_qtilde_problem(canonical_functional())
-    # The complex moment block of side 2 (1 + 3 + 2 + 6), then one block per
-    # outcome-1 member.
-    assert problem.block_dims[0] == 24
-    assert problem.block_dims[1:] == (2,) * 6
+    # The complex moment block of side 2 (1 + 3 + 2 + 6) is the only block.
+    assert problem.block_dims == (24,)
     assert problem.sense == "min"
+
+
+# Relaxation bounds solved with one more LMI block per outcome-1 member, which
+# the moment block's positivity implies: the canonical functional, then
+# cli._random_psd_functional(shape, 3) at (n_a, m_a, m_b, d) = (2, 2, 2, 2),
+# (2, 3, 2, 2) and (2, 3, 3, 2).
+BOUNDS_WITH_MEMBER_BLOCKS = [
+    (None, 0.413493565),
+    ((2, 2, 2, 2), 3.23352517),
+    ((2, 3, 2, 2), 7.62046736),
+    ((2, 3, 3, 2), 8.46010440),
+]
+
+
+@pytest.mark.parametrize("shape, bound", BOUNDS_WITH_MEMBER_BLOCKS)
+def test_relaxation_members_are_positive_without_blocks_of_their_own(shape, bound):
+    if shape is None:
+        functional = canonical_functional()
+    else:
+        functional = cli._random_psd_functional(ScenarioShape(*shape), 3)
+    value, moment = qtilde_solution(functional)
+    assert value == pytest.approx(bound, rel=1e-7)
+    inputs = itertools.product(range(functional.shape.m_a), range(functional.shape.m_b))
+    for x, y in inputs:
+        assert np.linalg.eigvalsh(moment.member(1, x, y)).min() >= -1e-7
 
 
 def test_relaxation_bound_reproduces_the_reference_value():
