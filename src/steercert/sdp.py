@@ -92,6 +92,10 @@ PRESOLVE_RANK_TOL = 1e-10
 #: omits as implied, so that it is ruled out before any solve.
 PRESOLVE_CONSISTENCY_TOL = 1e-9
 
+#: Complex entries per piece of the Schur complement's ``W A W`` buffer, which
+#: is filled and paired a run of ranks at a time (4 MiB).
+_SLICE_ENTRIES = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Hermitian vectorization
@@ -388,8 +392,9 @@ class _EntryGroup:
     the diagonal.  The rows touching block ``k`` take ranks ``0, 1, ...`` by
     decreasing entry count; ``width`` is the most rows touching one block.
     Each iteration writes ``W_k L W_k`` for the row at rank ``r`` of block
-    ``k`` to ``[:, :, k, r]`` of an ``(n, n, K, width)`` buffer, so that each
-    block's partner rows come last; ranks a block has no row at stay zero.
+    ``k`` to ``[:, :, k, r]`` of an ``(n, n, K, width)`` buffer, a piece of
+    ranks at a time, so that each block's partner rows come last; ranks a
+    block has no row at stay zero.
 
     ``ranges`` splits the ranks into runs ``(lo, hi, columns, rows, coef)``
     whose rows have at most ``E`` entries.  ``coef`` holds each row's
@@ -474,24 +479,36 @@ class _EntryGroup:
         partner[touch_block, rank] = touch_row
         return cls(width, ranges, pairing), (touch_row[:, None] * m + partner[touch_block]).ravel()
 
-    def pair(self, w: Array) -> Array:
-        """Per touch and rank, ``<A_jk, W_k A_ik W_k>`` as the real part, for the stack ``w``.
+    def pair(self, w: Array, out: Array) -> None:
+        """Per touch and rank, ``<A_jk, W_k A_ik W_k>`` into ``out``, for the stack ``w``.
 
-        A run is one stacked product ``sum_e coef_e W[:, p_e] W[q_e, :]``
-        (an outer product when its rows have one entry), written straight
-        into the buffer; one sparse product pairs the buffer with the rows.
+        The buffer holds about ``_SLICE_ENTRIES`` entries, as many ranks as
+        fit and at least one; each piece of ranks is filled and paired in
+        turn.  A run is one stacked product ``sum_e coef_e W[:, p_e] W[q_e,
+        :]`` (an outer product when its rows have one entry), written
+        straight into the buffer; one sparse product pairs it with the rows.
         """
         count, n = w.shape[:2]
-        congruence = np.empty((n, n, count, self.width), dtype=complex)
+        step = max(1, _SLICE_ENTRIES // (n * n * count))
         flat = w.ravel()
-        for lo, hi, columns, rows, coef in self.ranges:
-            if coef.ndim == 2:
-                by_entry = congruence[..., lo:hi]
-                np.multiply((flat[columns] * coef)[:, None], flat[rows][None], out=by_entry)
-            else:
-                by_rank = congruence.transpose(2, 3, 0, 1)[:, lo:hi]
-                np.matmul(flat[columns] * coef, flat[rows], out=by_rank)
-        return self.pairing @ congruence.reshape(n * n * count, self.width)
+        for start in range(0, self.width, step):
+            stop = min(start + step, self.width)
+            congruence = np.empty((n, n, count, stop - start), dtype=complex)
+            for lo, hi, columns, rows, coef in self.ranges:
+                first, last = max(lo, start), min(hi, stop)
+                if first >= last:
+                    continue
+                ranks, into = slice(first - lo, last - lo), slice(first - start, last - start)
+                if coef.ndim == 2:
+                    by_entry = congruence[..., into]
+                    picked = flat[columns[..., ranks]] * coef[:, ranks]
+                    np.multiply(picked[:, None], flat[rows[..., ranks]][None], out=by_entry)
+                else:
+                    by_rank = congruence.transpose(2, 3, 0, 1)[:, into]
+                    picked = flat[columns[:, ranks]] * coef[:, ranks]
+                    np.matmul(picked, flat[rows[:, ranks]], out=by_rank)
+            product = self.pairing @ congruence.reshape(n * n * count, -1)
+            out[:, start:stop] = product.real
 
 
 @dataclass(frozen=True)
@@ -538,9 +555,10 @@ class _Schur:
         """
         paired, start = np.empty(len(self.pairs)), 0
         for group, w in zip(self.groups, ws):
-            product = group.pair(w)
-            np.copyto(paired[start : start + product.size].reshape(product.shape), product.real)
-            start += product.size
+            shape = (group.pairing.shape[0], group.width)
+            size = shape[0] * shape[1]
+            group.pair(w, paired[start : start + size].reshape(shape))
+            start += size
         flat = np.bincount(self.pairs, paired, minlength=self.m * self.m)
         schur = flat.reshape(self.m, self.m)
         return (schur + schur.T) / 2

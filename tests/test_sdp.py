@@ -603,32 +603,35 @@ SCHUR_STRUCTURE = {
 }
 
 
-@pytest.mark.parametrize("pattern", ["sides", "moment"])
+@pytest.mark.parametrize("slice_entries", [sdp._SLICE_ENTRIES, 8])
 @pytest.mark.parametrize("seed", range(3))
-def test_block_sparse_schur_matches_dense_rows(seed, pattern):
+def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries):
+    # With 8 entries per slice, the buffer holds one rank at a time.
+    monkeypatch.setattr(sdp, "_SLICE_ENTRIES", slice_entries)
     rng = np.random.default_rng(seed)
-    sides, a_mat = schur_rows(rng, pattern)
-    roots = []
-    for n in sides:
-        factor = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        roots.append(factor @ factor.conj().T + np.eye(n))
-    groups = sdp._side_groups(sides)
-    schur = sdp._Schur.of(a_mat, groups)
-    structure = [
-        (
-            group.width,
-            group.pairing.shape,
-            [(lo, hi, 1 if coef.ndim == 2 else coef.shape[-1]) for lo, hi, *_, coef in group.ranges],
-        )
-        for group in schur.groups
-    ]
-    assert structure == SCHUR_STRUCTURE[pattern]
-    ws = [np.stack([roots[k] @ roots[k] for k in group.blocks]) for group in groups]
-    assembled = schur.assemble(ws)
-    reference = dense_schur(a_mat, sides, roots)
-    assert np.max(np.abs(assembled - reference)) <= 1e-12 * np.max(np.abs(reference))
-    assert np.array_equal(assembled, assembled.T)
-    assert np.array_equal(assembled, schur.assemble(ws))
+    for pattern in SCHUR_STRUCTURE:
+        sides, a_mat = schur_rows(rng, pattern)
+        roots = []
+        for n in sides:
+            factor = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            roots.append(factor @ factor.conj().T + np.eye(n))
+        groups = sdp._side_groups(sides)
+        schur = sdp._Schur.of(a_mat, groups)
+        structure = [
+            (
+                group.width,
+                group.pairing.shape,
+                [(lo, hi, 1 if coef.ndim == 2 else coef.shape[-1]) for lo, hi, *_, coef in group.ranges],
+            )
+            for group in schur.groups
+        ]
+        assert structure == SCHUR_STRUCTURE[pattern]
+        ws = [np.stack([roots[k] @ roots[k] for k in group.blocks]) for group in groups]
+        assembled = schur.assemble(ws)
+        reference = dense_schur(a_mat, sides, roots)
+        assert np.max(np.abs(assembled - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.array_equal(assembled, assembled.T)
+        assert np.array_equal(assembled, schur.assemble(ws))
 
 
 # ---------------------------------------------------------------------------
