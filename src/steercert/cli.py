@@ -224,6 +224,9 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
     if isinstance(result, sdp.MembershipReport):
         entry["rows"] = result.problem.num_rows
         entry["iterations"] = result.iterations
+        entry["phase_seconds"] = {
+            phase: round(seconds, 6) for phase, seconds in result.phase_seconds.items()
+        }
     solver_log.append(entry)
     if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
         raise CliError(EXIT_SOLVER, f"{context} ended with status {status}: no verdict")

@@ -25,7 +25,9 @@ matrix.  Rows it cannot prove independent are refused with ``ValueError``.
 The blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
 Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
 congruences ``W A W`` run in complex arithmetic, while the Schur complement
-and ``x``, ``s``, ``y`` are real.
+and ``x``, ``s``, ``y`` are real.  The NT scaling is Todd, Toh & Tutuncu's
+factored form (:class:`_Scaling`); an iterate it cannot factor ends the
+solve ``numerical_trouble``.
 
 Named blocks tied by equality rows (:class:`HermitianBlockBuilder`), a
 complex equality split into a real and an imaginary row, and linear matrix
@@ -38,15 +40,15 @@ margin to inside, outside or undecided.
 
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
-corrector and the step lengths run as batched LAPACK calls and stacked
-products over each stack.  The Schur complement is formed from the rows'
-entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k`` the NT scaling
-matrix (SDPA's formula for sparse rows; Fujisawa, Kojima & Nakata, *Math.
-Program.* 79 (1997)).  Each solve reads the nonzeros of its rows once; each
-iteration builds ``W A W`` for every row on the blocks it touches, as a sum
-of one outer product of a column and a row of ``W`` per entry, and pairs it
-with the other rows' entries in one sparse product per side group.  No row
-is scaled densely, and there is no Gram product.  The Schur complement is
+corrector, the step lengths and the congruences run as batched LAPACK calls
+and stacked products over each stack.  The Schur complement is formed from
+the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k`` the NT
+scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima & Nakata,
+*Math. Program.* 79 (1997)).  Each solve reads the nonzeros of its rows
+once; each iteration builds ``W A W`` for every row on the blocks it
+touches, as a sum of one outer product of a column and a row of ``W`` per
+entry, and pairs it with the other rows' entries in one sparse product per
+side group.  No row is scaled densely, and there is no Gram product.  The Schur complement is
 factored by numpy's LAPACK, like the batched calls, so the iteration's
 matrix-matrix work runs in one BLAS thread pool (numpy and scipy may each
 load their own); only the one-vector triangular solves against that factor
@@ -320,63 +322,55 @@ def _unpack_blocks(vector: Array, groups: list[_SideGroup]) -> list[Array]:
     return [blocks[k] for k in range(len(blocks))]
 
 
-def _spectral(values: Array, vectors: Array) -> Array:
-    """``V diag(values) V^H`` over a stack of eigensystems."""
-    return (vectors * values[..., None, :]) @ _t(vectors)
-
-
-def _psd_floor_eigh(mats: Array) -> tuple[Array, Array]:
-    values, vectors = np.linalg.eigh(mats)
-    floor = np.maximum(values.max(axis=-1, keepdims=True) * 1e-15, 1e-50)
-    return np.maximum(values, floor), vectors
-
-
 @dataclass
 class _Scaling:
-    """Nesterov-Todd scaling of a ``(K, n, n)`` stack of blocks.
+    """Nesterov-Todd scaling of a ``(K, n, n)`` stack of blocks, in the
+    Todd-Toh-Tutuncu factored form (Todd, Toh & Tutuncu, *SIAM J. Optim.* 8
+    (1998); Toh, Todd & Tutuncu, *Optim. Methods Softw.* 11 (1999)).
 
-    ``w`` is the scaling matrix, ``g`` and ``g_inv`` its Hermitian square
-    root and inverse root, and ``v_vals``, ``v_vecs`` the eigensystem of the
-    scaled point ``v = g s g = g_inv x g_inv``.
+    With Cholesky factors ``x = L_x L_x^H``, ``s = L_s L_s^H`` and the SVD
+    ``L_s^H L_x = U diag(lam) V^H``, ``g = L_x V diag(lam)^-1/2`` and ``g_inv
+    = diag(lam)^-1/2 U^H L_s^H`` is its inverse.  ``w = g g^H`` is the
+    scaling matrix, with ``w s w = x``, and the scaled point ``g_inv x
+    g_inv^H = g^H s g`` is ``diag(lam)``: the corrector and the step lengths
+    read the directions in that diagonal frame, through :meth:`primal` and
+    :meth:`dual`.
     """
 
     w: Array
     g: Array
     g_inv: Array
-    v_vals: Array
-    v_vecs: Array
+    lam: Array
+
+    def primal(self, dmats: Array) -> Array:
+        """A primal direction in the scaled frame, ``g_inv d g_inv^H``."""
+        return self.g_inv @ dmats @ _t(self.g_inv)
+
+    def dual(self, dmats: Array) -> Array:
+        """A dual direction in the scaled frame, ``g^H d g``."""
+        return _t(self.g) @ dmats @ self.g
+
+    def max_step(self, scaled: Array) -> float:
+        """Largest alpha keeping ``diag(lam) + alpha scaled`` positive semidefinite.
+
+        It is ``-1 / lambda_min(diag(lam)^-1/2 scaled diag(lam)^-1/2)`` over the stack.
+        """
+        root_inv = 1.0 / np.sqrt(self.lam)
+        balanced = scaled * (root_inv[..., :, None] * root_inv[..., None, :])
+        min_eig = float(np.linalg.eigvalsh(balanced).min())
+        return -1.0 / min_eig if min_eig < -1e-14 else np.inf
 
 
 def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
-    s_vals, s_vecs = _psd_floor_eigh(s_mats)
-    s_root = np.sqrt(s_vals)
-    s_half = _spectral(s_root, s_vecs)
-    s_half_inv = _spectral(1.0 / s_root, s_vecs)
-    in_vals, in_vecs = _psd_floor_eigh(hermitian_part(s_half @ x_mats @ s_half))
-    w = hermitian_part(s_half_inv @ _spectral(np.sqrt(in_vals), in_vecs) @ s_half_inv)
-    w_vals, w_vecs = _psd_floor_eigh(w)
-    w_root = np.sqrt(w_vals)
-    g = _spectral(w_root, w_vecs)
-    g_inv = _spectral(1.0 / w_root, w_vecs)
-    v_vals, v_vecs = _psd_floor_eigh(hermitian_part(g @ s_mats @ g))
-    return _Scaling(w, g, g_inv, v_vals, v_vecs)
-
-
-def _max_step_batch(mats: Array, dmats: Array) -> float:
-    """Largest alpha keeping every matrix of ``mats + alpha dmats`` positive semidefinite.
-
-    With ``mats = F F^H`` it is ``-1 / lambda_min(F^-1 dmats F^-H)``.  ``F`` is
-    the Cholesky factor; when that fails for any matrix of the stack, it is
-    the eigen-root of every matrix, with the eigenvalues floored.
-    """
-    try:
-        factor_inv = np.linalg.inv(np.linalg.cholesky(mats))
-    except np.linalg.LinAlgError:
-        vals, vecs = _psd_floor_eigh(mats)
-        factor_inv = _spectral(1.0 / np.sqrt(vals), vecs)
-    scaled = hermitian_part(factor_inv @ dmats @ _t(factor_inv))
-    min_eig = float(np.linalg.eigvalsh(scaled).min())
-    return -1.0 / min_eig if min_eig < -1e-14 else np.inf
+    """The :class:`_Scaling` of a stack of iterates; ``np.linalg.LinAlgError``
+    when a Cholesky factorization finds one not positive definite."""
+    lx = np.linalg.cholesky(x_mats)
+    ls = np.linalg.cholesky(s_mats)
+    u, lam, vh = np.linalg.svd(_t(ls) @ lx)
+    root_inv = 1.0 / np.sqrt(lam)
+    g = lx @ _t(vh) * root_inv[..., None, :]
+    g_inv = root_inv[..., :, None] * _t(ls @ u)
+    return _Scaling(hermitian_part(g @ _t(g)), g, g_inv, lam)
 
 
 def _scalar_step(value: float, delta: float) -> float:
@@ -679,9 +673,6 @@ def solve(
 
     for iteration in range(max_iter):
         iterations = iteration
-        x_mats = [group.unpack(x) for group in groups]
-        s_mats = [group.unpack(s) for group in groups]
-
         # Convergence metrics for the de-homogenized candidate.
         x_hat = x / tau
         y_hat = y / tau
@@ -731,7 +722,12 @@ def solve(
 
         # Nesterov-Todd scaling per group of same-side blocks.
         clock = time.perf_counter()
-        scal = [_nt_scaling_batch(xm, sm) for xm, sm in zip(x_mats, s_mats)]
+        try:
+            scal = [_nt_scaling_batch(group.unpack(x), group.unpack(s)) for group in groups]
+        except np.linalg.LinAlgError:
+            status = NUMERICAL_TROUBLE
+            note = "an iterate lost positive definiteness"
+            break
         clock = _lap(phase_seconds, "scaling", clock)
 
         def _apply_d(vec: Array) -> Array:
@@ -791,11 +787,13 @@ def solve(
             break
         dx_a, dy_a, ds_a, dtau_a, dkappa_a = affine
 
-        dx_a_mats = [group.unpack(dx_a) for group in groups]
-        ds_a_mats = [group.unpack(ds_a) for group in groups]
+        # The affine directions in each group's scaled frame, where the
+        # iterates are diag(lam).
+        dx_a_t = [sc.primal(group.unpack(dx_a)) for group, sc in zip(groups, scal)]
+        ds_a_t = [sc.dual(group.unpack(ds_a)) for group, sc in zip(groups, scal)]
         alpha_aff = min(
-            min(map(_max_step_batch, x_mats, dx_a_mats)),
-            min(map(_max_step_batch, s_mats, ds_a_mats)),
+            min(sc.max_step(d) for sc, d in zip(scal, dx_a_t)),
+            min(sc.max_step(d) for sc, d in zip(scal, ds_a_t)),
             _scalar_step(tau, dtau_a),
             _scalar_step(kappa, dkappa_a),
             1.0,
@@ -806,18 +804,18 @@ def solve(
         ) * (kappa + alpha_aff * dkappa_a)
         sigma = float(np.clip((max(gap_aff, 0.0) / gap_now) ** 3, 1e-9, 0.99999))
 
-        # Corrector right-hand side, group by group in the scaled space.
-        rc = np.empty_like(x)
-        for group, sc, dxa, dsa in zip(groups, scal, dx_a_mats, ds_a_mats):
-            dxa_t = sc.g_inv @ dxa @ sc.g_inv
-            dsa_t = sc.g @ dsa @ sc.g
-            cross = 0.5 * (dxa_t @ dsa_t + dsa_t @ dxa_t)
-            v_sq = _spectral(sc.v_vals**2, sc.v_vecs)
-            target = sigma * mu * np.eye(group.side) - v_sq - cross
-            in_basis = _t(sc.v_vecs) @ target @ sc.v_vecs
-            in_basis *= 2.0 / (sc.v_vals[..., :, None] + sc.v_vals[..., None, :])
-            r_c = sc.v_vecs @ in_basis @ _t(sc.v_vecs)
-            rc[group.gather] = svec(sc.g @ hermitian_part(r_c) @ sc.g)
+        # Corrector right-hand side g r g^H, with r solving the Lyapunov
+        # equation (lam r + r lam) / 2 = sigma mu I - lam^2 - cross in the
+        # scaled frame, where it is elementwise.  Its -lam part maps to -x,
+        # which is taken exactly, as in the predictor: through g, its
+        # rounding is not small against x's smallest eigenvalues, and the
+        # endgame jams on them.
+        rc = -x
+        for group, sc, dxa_t, dsa_t in zip(groups, scal, dx_a_t, ds_a_t):
+            cross = hermitian_part(dxa_t @ dsa_t)
+            lyapunov = 2.0 / (sc.lam[..., :, None] + sc.lam[..., None, :])
+            r_c = np.eye(group.side) * (sigma * mu / sc.lam)[..., None] - cross * lyapunov
+            rc[group.gather] += svec(sc.g @ r_c @ _t(sc.g))
         rck = sigma * mu - tau * kappa - dtau_a * dkappa_a
 
         corrected = _newton(rc, rck)
@@ -828,8 +826,8 @@ def solve(
         dx, dy, ds, dtau, dkappa = corrected
 
         alpha_max = min(
-            min(map(_max_step_batch, x_mats, [group.unpack(dx) for group in groups])),
-            min(map(_max_step_batch, s_mats, [group.unpack(ds) for group in groups])),
+            min(sc.max_step(sc.primal(group.unpack(dx))) for group, sc in zip(groups, scal)),
+            min(sc.max_step(sc.dual(group.unpack(ds))) for group, sc in zip(groups, scal)),
             _scalar_step(tau, dtau),
             _scalar_step(kappa, dkappa),
         )
@@ -898,6 +896,8 @@ class MembershipReport:
     ``None`` for the relaxation, whose separating functional is the dual
     block of its LMI ``problem``).  ``iterations`` counts the solver's
     iterations; it is ``None`` when the verdict needed no solve.
+    ``phase_seconds`` is the solve's :attr:`SdpSolution.phase_seconds`, empty
+    when there was no solve.
     """
 
     margin: float
@@ -908,6 +908,7 @@ class MembershipReport:
     certificate_y: Array | None = None
     iterations: int | None = None
     tol: float = 1e-8
+    phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def verdict(self) -> str:
@@ -958,6 +959,7 @@ def feasibility_phase1(
         problem=problem,
         iterations=solution.iterations,
         tol=feas_tol,
+        phase_seconds=solution.phase_seconds,
     )
     if solution.status != OPTIMAL:
         return report

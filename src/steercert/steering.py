@@ -749,6 +749,7 @@ def qtilde_membership(
         problem=problem,
         iterations=solution.iterations,
         tol=tol,
+        phase_seconds=solution.phase_seconds,
     )
     if report.feasible:
         report.witness = form.moment(solution.y[:-1])

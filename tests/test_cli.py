@@ -371,6 +371,29 @@ class TestCertify:
         }
         assert all(count > 0 for count in counts.values())
 
+    def test_solver_log_reports_the_phase_seconds_of_each_membership(self, capsys):
+        code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose")
+        assert code == 0
+        assert len(doc["solver"]) == 2
+        for entry in doc["solver"]:
+            phases = entry["phase_seconds"]
+            assert set(phases) == set(sdp.PHASES)
+            assert all(seconds >= 0.0 for seconds in phases.values())
+            # ``seconds`` is rounded to the millisecond.
+            assert sum(phases.values()) <= entry["seconds"] + 5e-4
+
+    def test_failed_scaling_is_no_verdict(self, capsys, monkeypatch):
+        # An iterate whose Cholesky factorization fails ends the solve
+        # undecided: exit 3, never a verdict.
+        def fail(x_mats, s_mats):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(sdp, "_nt_scaling_batch", fail)
+        code, out, err = run(capsys, "certify", "builtin:pauli-transpose")
+        assert code == cli.EXIT_SOLVER == 3
+        assert out == ""
+        assert "hidden-state membership" in err and sdp.NUMERICAL_TROUBLE in err
+
     def test_hidden_state_margin_near_the_boundary_is_no_verdict(self, capsys, monkeypatch):
         # Outside by more than tol but not by DECISIVE_MARGIN: undecided.
         def run_membership(asm, tol=1e-8):
@@ -504,6 +527,7 @@ class TestReportDocument:
             doc.pop("wall_time_s")
             for entry in doc["solver"]:
                 entry.pop("seconds")
+                entry.pop("phase_seconds")
             return doc
 
         assert snapshot() == snapshot()

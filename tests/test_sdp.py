@@ -477,12 +477,50 @@ def test_gram_proof_skips_the_qr_exactly_above_its_floor(seed, ratio, raises):
 
 
 # ---------------------------------------------------------------------------
-# Batched step length
+# Nesterov-Todd scaling and the step length in its frame
 # ---------------------------------------------------------------------------
 
 
+def reference_nt_matrix(x_mat, s_mat):
+    """``s^-1/2 (s^1/2 x s^1/2)^1/2 s^-1/2``, from eigensystems."""
+
+    def power(mat, exponent):
+        values, vectors = np.linalg.eigh(mat)
+        return (vectors * values**exponent) @ vectors.conj().T
+
+    s_half = power(s_mat, 0.5)
+    s_half_inv = power(s_mat, -0.5)
+    return s_half_inv @ power(s_half @ x_mat @ s_half, 0.5) @ s_half_inv
+
+
+def random_positive_stack(rng, count, n):
+    factors = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return factors @ factors.conj().swapaxes(1, 2) / n + 0.1 * np.eye(n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from([1, 2, 3, 8, 24]))
+def test_nt_scaling_factors_the_nt_matrix_with_a_diagonal_scaled_point(seed, n):
+    rng = np.random.default_rng(seed)
+    x_mats, s_mats = random_positive_stack(rng, 3, n), random_positive_stack(rng, 3, n)
+    scaling = sdp._nt_scaling_batch(x_mats, s_mats)
+    w, g, g_inv = scaling.w, scaling.g, scaling.g_inv
+
+    def close(mats, expected, tol=1e-10):
+        return np.linalg.norm(mats - expected) <= tol * np.linalg.norm(expected)
+
+    assert close(w @ s_mats @ w, x_mats)
+    assert close(g_inv @ g, np.broadcast_to(np.eye(n), g.shape))
+    point = np.eye(n) * scaling.lam[:, None, :]
+    assert np.all(scaling.lam > 0.0)
+    assert close(scaling.primal(x_mats), point)
+    assert close(scaling.dual(s_mats), point)
+    reference = np.stack([reference_nt_matrix(xm, sm) for xm, sm in zip(x_mats, s_mats)])
+    assert close(w, reference)
+
+
 def reference_max_step(mats, dmats):
-    """Matrix by matrix: ``-1 / lambda_min(X^-1/2 D X^-1/2)``, eigenvalues floored as in the solver."""
+    """Matrix by matrix: ``-1 / lambda_min(X^-1/2 D X^-1/2)``, eigenvalues floored."""
     alpha = np.inf
     for x_mat, d_mat in zip(mats, dmats):
         values, vectors = np.linalg.eigh(x_mat)
@@ -504,26 +542,45 @@ def step_stack(seed, count=6, n=3):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_step_length_matches_per_matrix_reference(seed):
+    # The step is taken in the scaled frame of a primal-dual pair, on both sides.
     mats, dmats = step_stack(seed)
-    alpha = sdp._max_step_batch(mats, dmats)
+    duals, _ = step_stack(seed + 3)
+    scaling = sdp._nt_scaling_batch(mats, duals)
+    alpha = scaling.max_step(scaling.primal(dmats))
     assert np.isfinite(alpha)
     assert alpha == pytest.approx(reference_max_step(mats, dmats), rel=1e-12)
+    dual_alpha = scaling.max_step(scaling.dual(dmats))
+    assert dual_alpha == pytest.approx(reference_max_step(duals, dmats), rel=1e-12)
     # Along a positive semidefinite direction the step is unbounded.
-    assert sdp._max_step_batch(mats, np.broadcast_to(np.eye(3), mats.shape)) == np.inf
+    assert scaling.max_step(scaling.primal(np.broadcast_to(np.eye(3), mats.shape))) == np.inf
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_batched_step_length_falls_back_on_a_singular_block(seed):
-    mats, dmats = step_stack(seed)
-    # A singular PSD block that binds the step: on its range the direction
-    # leaves the cone at alpha = 1/2, on its kernel it does not move.
+def test_singular_iterate_ends_the_solve_undecided(seed, monkeypatch):
+    mats, _ = step_stack(seed)
     mats[2] = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
-    dmats[2] = np.array([[-4.0, -2.0, 0.0], [-2.0, -4.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(mats)
-    alpha = sdp._max_step_batch(mats, dmats)
-    assert alpha == pytest.approx(reference_max_step(mats, dmats), rel=1e-12)
-    assert alpha == pytest.approx(0.5, rel=1e-12)
+    identity = np.broadcast_to(np.eye(3), mats.shape)
+    for x_mats, s_mats in ((mats, identity), (identity, mats)):
+        with pytest.raises(np.linalg.LinAlgError):
+            sdp._nt_scaling_batch(x_mats, s_mats)
+
+    # Every primal iterate loses its last row and column: the solve stops
+    # with a status, and the membership it decides is undecided.
+    scaling = sdp._nt_scaling_batch
+
+    def singular_primal(x_mats, s_mats):
+        x_mats = x_mats.copy()
+        x_mats[..., -1, :] = x_mats[..., :, -1] = 0.0
+        return scaling(x_mats, s_mats)
+
+    monkeypatch.setattr(sdp, "_nt_scaling_batch", singular_primal)
+    problem, _ = constructed_instance(seed)
+    solution = sdp.solve(problem)
+    assert solution.status == sdp.NUMERICAL_TROUBLE
+    assert solution.note == "an iterate lost positive definiteness"
+    report = sdp.feasibility_phase1(problem)
+    assert report.status == sdp.NUMERICAL_TROUBLE
+    assert report.verdict == sdp.UNDECIDED
 
 
 # ---------------------------------------------------------------------------
