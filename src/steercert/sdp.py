@@ -48,11 +48,11 @@ scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima & Nakata,
 once; each iteration builds ``W A W`` for every row on the blocks it
 touches, as a sum of one outer product of a column and a row of ``W`` per
 entry, and pairs it with the other rows' entries in one sparse product per
-side group.  No row is scaled densely, and there is no Gram product.  The Schur complement is
-factored by numpy's LAPACK, like the batched calls, so the iteration's
-matrix-matrix work runs in one BLAS thread pool (numpy and scipy may each
-load their own); only the one-vector triangular solves against that factor
-go through scipy.
+side group.  No row is scaled densely, and there is no Gram product.  The
+Schur complement is factored by numpy's LAPACK, like the batched calls, so
+the iteration's matrix-matrix work runs in one BLAS thread pool (numpy and
+scipy may each load their own); only the one-vector triangular solves
+against that factor go through scipy.
 
 Problems are dense and small-scale, and the solver is deterministic:
 re-solving the same problem reproduces the same iterates bit for bit.
@@ -787,8 +787,7 @@ def solve(
             break
         dx_a, dy_a, ds_a, dtau_a, dkappa_a = affine
 
-        # The affine directions in each group's scaled frame, where the
-        # iterates are diag(lam).
+        # The affine directions in each group's scaled frame.
         dx_a_t = [sc.primal(group.unpack(dx_a)) for group, sc in zip(groups, scal)]
         ds_a_t = [sc.dual(group.unpack(ds_a)) for group, sc in zip(groups, scal)]
         alpha_aff = min(
@@ -804,12 +803,10 @@ def solve(
         ) * (kappa + alpha_aff * dkappa_a)
         sigma = float(np.clip((max(gap_aff, 0.0) / gap_now) ** 3, 1e-9, 0.99999))
 
-        # Corrector right-hand side g r g^H, with r solving the Lyapunov
-        # equation (lam r + r lam) / 2 = sigma mu I - lam^2 - cross in the
-        # scaled frame, where it is elementwise.  Its -lam part maps to -x,
-        # which is taken exactly, as in the predictor: through g, its
-        # rounding is not small against x's smallest eigenvalues, and the
-        # endgame jams on them.
+        # Corrector g r g^H: r solves (lam r + r lam) / 2 = sigma mu I - lam^2
+        # - cross, elementwise in the scaled frame.  Its -lam part maps to -x,
+        # taken as is like the predictor's: formed through g, its rounding
+        # swamps x's smallest eigenvalues near the optimum and the steps collapse.
         rc = -x
         for group, sc, dxa_t, dsa_t in zip(groups, scal, dx_a_t, ds_a_t):
             cross = hermitian_part(dxa_t @ dsa_t)
