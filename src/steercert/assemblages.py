@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from steercert import sdp
-from steercert.matcore import PAULIS, Array, hermitian_part, is_psd, require_hermitian
+from steercert.matcore import PAULIS, Array, is_psd, require_hermitian
 
 TRADITIONAL = "traditional"
 BWI = "bwi"
@@ -464,10 +464,10 @@ def instrumental_pauli_assemblage() -> InstrumentalAssemblage:
 
 def ns_variable_blocks(
     builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, wired: bool = False
-) -> dict[tuple[int, int, int], str]:
+) -> dict[tuple[int, int, int], int]:
     """Declare one Hermitian block per member and add independent no-signalling rows.
 
-    Returns the block names keyed by (outcome, untrusted input, trusted input).
+    Returns the block indices keyed by (outcome, untrusted input, trusted input).
     The rows are: summed state independent of the untrusted input, member
     traces independent of the trusted input, and total trace one.  At ``x >=
     1`` the trace rows of outcome 0 are omitted: the summed-state rows and the
@@ -476,35 +476,32 @@ def ns_variable_blocks(
     members whose weights sum to one implies.
     """
     d = shape.d
-    names = {}
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                name = f"w[{a}|{x},{y}]"
-                builder.add_block(name, d)
-                names[(a, x, y)] = name
+    blocks = {
+        key: builder.add_block(d)
+        for key in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b))
+    }
     zero = np.zeros((d, d), dtype=complex)
     for y in range(shape.m_b):
         for x in range(1, shape.m_a):
-            terms = [(names[(a, x, y)], 1.0) for a in range(shape.n_a)]
-            terms += [(names[(a, 0, y)], -1.0) for a in range(shape.n_a)]
+            terms = [(blocks[(a, x, y)], 1.0) for a in range(shape.n_a)]
+            terms += [(blocks[(a, 0, y)], -1.0) for a in range(shape.n_a)]
             builder.add_matrix_equality(terms, zero)
     keys = itertools.product(range(shape.n_a), range(shape.m_a), range(1, shape.m_b))
     kept = [(a, x, y) for a, x, y in keys if x == 0 or (a > 0 and (a, y) != (1, 1))]
-    _trace_rows(builder, names, d, kept)
+    _trace_rows(builder, blocks, d, kept)
     if not wired:
-        _wiring_implied_rows(builder, names, shape)
-    return names
+        _wiring_implied_rows(builder, blocks, shape)
+    return blocks
 
 
-def _trace_rows(builder: sdp.HermitianBlockBuilder, names: dict, d: int, keys: list) -> None:
+def _trace_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, d: int, keys: list) -> None:
     """``tr w_{a|x,y} = tr w_{a|x,0}`` for each key ``(a, x, y)``."""
     eye = np.eye(d)
     for a, x, y in keys:
-        builder.add_equality([(names[(a, x, y)], eye), (names[(a, x, 0)], -eye)])
+        builder.add_equality([(blocks[(a, x, y)], eye), (blocks[(a, x, 0)], -eye)])
 
 
-def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, names: dict, shape: ScenarioShape):
+def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape):
     """The ``(1, x, 1)`` trace rows at ``x >= 1``, then the normalization row.
 
     With ``w_{a|x,a}`` pinned to members whose traces sum to one at every
@@ -512,9 +509,9 @@ def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, names: dict, shape:
     ``tr sum_a w_{a|0,0} = 1``, the summed-state rows carry that to every
     ``x``, and there the remaining trace rows and pins fix ``tr w_{1|x,0}``.
     """
-    _trace_rows(builder, names, shape.d, [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1])
+    _trace_rows(builder, blocks, shape.d, [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1])
     eye = np.eye(shape.d)
-    builder.add_equality([(names[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
+    builder.add_equality([(blocks[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
 
 
 def instrumental_membership(
@@ -536,23 +533,22 @@ def instrumental_membership(
     """
     shape = asm.shape
     builder = sdp.HermitianBlockBuilder()
-    names = ns_variable_blocks(builder, shape, wired=True)
+    blocks = ns_variable_blocks(builder, shape, wired=True)
     for a in range(shape.n_a):
         for x in range(shape.m_a):
-            member = hermitian_part(asm.member(a, x))
-            builder.add_matrix_equality([(names[(a, x, a)], 1.0)], member)
+            builder.add_matrix_equality([(blocks[(a, x, a)], 1.0)], asm.member(a, x))
     problem = builder.build()
     normalization = validate_instrumental(asm).residuals["normalization"]
     if consistent(normalization, asm.members.values()):
         report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
         if report.feasible:
             members = {
-                key: require_hermitian(builder.extract(report.witness, name), tol=1e-6)
-                for key, name in names.items()
+                key: require_hermitian(report.witness[index], tol=1e-6)
+                for key, index in blocks.items()
             }
             report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, shape.d, BWI), members=members)
         return report
-    _wiring_implied_rows(builder, names, shape)
+    _wiring_implied_rows(builder, blocks, shape)
     residuals = {"normalization": normalization}
     return sdp.contradiction_report(builder.build(), problem.num_rows, residuals, tol)
 

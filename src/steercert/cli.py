@@ -69,11 +69,11 @@ from steercert.ptp import (
 # ``build_qtilde_problem`` is not called here, but ``perfbench/tracing.py``
 # wraps it as ``cli.build_qtilde_problem``, so the name stays importable.
 from steercert.steering import (  # noqa: F401
-    BinaryOutcomesRequired,
     InstrumentalFunctional,
     MomentMatrix,
     SolverFailure,
     SteeringFunctional,
+    UnsupportedInput,
     build_qtilde_problem,
     canonical_functional,
     canonical_instrumental_functional,
@@ -890,7 +890,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except BinaryOutcomesRequired as exc:
+    except UnsupportedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SolverFailure as exc:

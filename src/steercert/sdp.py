@@ -29,10 +29,10 @@ and ``x``, ``s``, ``y`` are real.  The NT scaling is Todd, Toh & Tutuncu's
 factored form (:class:`_Scaling`); an iterate it cannot factor ends the
 solve ``numerical_trouble``.
 
-Named blocks tied by equality rows (:class:`HermitianBlockBuilder`), a
-complex equality split into a real and an imaginary row, and linear matrix
-inequalities solved through the dual (:func:`hermitian_lmi`) are packed a
-whole coefficient stack at a time, straight into ``a``.
+Indexed blocks tied by real rows (:class:`HermitianBlockBuilder`: one row
+per trace equality, one per svec coordinate of a matrix equality) and linear
+matrix inequalities solved through the dual (:func:`hermitian_lmi`) are
+packed a whole coefficient stack at a time, straight into ``a``.
 
 Every membership test, :func:`feasibility_phase1` among them, returns a
 :class:`MembershipReport`, whose ``verdict`` is the program's one rule from a
@@ -182,8 +182,8 @@ class SdpProblem:
     """A block semidefinite program over complex Hermitian variables, in svec coordinates.
 
     ``c`` and every row of ``a`` concatenate one :func:`svec` per block of
-    ``block_dims``: the program optimizes ``c . x`` in ``sense`` subject to
-    ``a x = b``, with every block of ``x`` positive semidefinite.  Block ``k``
+    ``block_dims``: the program minimizes ``c . x`` subject to ``a x = b``,
+    with every block of ``x`` positive semidefinite.  Block ``k``
     of side ``n`` owns ``n**2`` coordinates; with real data, the imaginary
     ones are zero.
     """
@@ -192,11 +192,8 @@ class SdpProblem:
     c: Array
     a: Array
     b: Array
-    sense: str = "min"
 
     def __post_init__(self) -> None:
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {self.sense!r}")
         self.block_dims = tuple(int(n) for n in self.block_dims)
         for k, dim in enumerate(self.block_dims):
             if dim < 1:
@@ -226,7 +223,7 @@ class SdpProblem:
             rows, cols = np.divmod(lower // 2, n)
             parts = zip(rows, cols, weights, lower % 2)
             coords += [(k, i, j, w, "j" * imag) for i, j, w, imag in parts]
-        lines = [f"sense {self.sense}", "blocks " + " ".join(str(d) for d in dims)]
+        lines = ["blocks " + " ".join(str(d) for d in dims)]
         heads = ["objective"] + [f"equality {r} rhs {float(v)!r}" for r, v in enumerate(self.b)]
         for head, vector in zip(heads, [self.c, *self.a]):
             lines.append(head)
@@ -625,17 +622,15 @@ def solve(
     ``infeasible`` together with the certificate.
     """
     dims = list(problem.block_dims)
-    c = -problem.c if problem.sense == "max" else problem.c
+    c = problem.c
     groups = _side_groups(dims)
-    sign = -1.0 if problem.sense == "max" else 1.0
     _require_independent(problem.a)
     phase_seconds = dict.fromkeys(PHASES, 0.0)
 
     m = problem.num_rows
     if m == 0:
-        # No constraints: the optimum is zero at X = 0 when the (sense-adjusted)
-        # objective is blockwise positive semidefinite, otherwise the problem
-        # is unbounded.
+        # No constraints: the optimum is zero at X = 0 when the objective is
+        # blockwise positive semidefinite, otherwise the problem is unbounded.
         min_obj_eig = min(
             (float(np.linalg.eigvalsh(group.unpack(c)).min()) for group in groups),
             default=0.0,
@@ -845,8 +840,8 @@ def solve(
 
     return SdpSolution(
         status=status,
-        primal_value=sign * best.primal,
-        dual_value=sign * best.dual,
+        primal_value=best.primal,
+        dual_value=best.dual,
         block_values=None if best.x is None else _unpack_blocks(best.x, groups),
         y=None if best.y is None else best.y / row_norms,
         residuals={
@@ -946,7 +941,6 @@ def feasibility_phase1(
         c=np.concatenate([np.zeros_like(problem.c), [1.0, -1.0]]),
         a=np.column_stack([problem.a, -trace, trace]),
         b=problem.b,
-        sense="min",
     )
     solution = solve(phase1, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
     report = MembershipReport(
@@ -1023,135 +1017,95 @@ def hermitian_lmi(
 
 
 class HermitianBlockBuilder:
-    """Assemble a problem over complex Hermitian blocks.
+    """Assemble a problem over complex Hermitian blocks, one real row per constraint.
 
-    Each block is a solver block of its own side; a complex equality splits
-    into a real row and an imaginary row.  ``extract`` reads a solved block
-    by name.
-
-    Terms are kept as stacks ``(rows, blocks, coefficients)`` of one block
-    side each, and ``build`` packs each side's stack in one batched call.
+    ``add_block`` returns each block's index.  Every constraint is a real row
+    in svec coordinates, as in SDPA's data format (Fujisawa, Kojima & Nakata,
+    *Math. Program.* 79 (1997)): ``add_equality`` adds one, and
+    ``add_matrix_equality`` one per coordinate of its side.  ``build`` packs
+    each side's trace coefficients in one batched :func:`svec` and scatters
+    every entry into ``a`` at once.
     """
 
-    _NEGLIGIBLE = 1e-14
-
-    def __init__(self, sense: str = "min") -> None:
-        if sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-        self.sense = sense
+    def __init__(self) -> None:
         self._dims: list[int] = []
-        self._names: dict[str, int] = {}
-        self._rhs: list[complex] = []
-        self._terms: list[tuple[Array, Array, Array]] = []
-        self._objective: dict[int, Array] = {}
+        self._offsets: list[int] = [0]
+        self._rhs: list[float] = []
+        # Each coefficient E of a row Re tr(E H) as (row, block, E), and each
+        # matrix equality's scalar entries as (rows, columns, values).
+        self._terms: list[tuple[int, int, Array]] = []
+        self._entries: list[tuple[Array, Array, Array]] = []
+        self._objective: list[tuple[int, Array]] = []
 
-    def add_block(self, name: str, dim: int) -> int:
+    def add_block(self, dim: int) -> int:
         """Declare a complex Hermitian variable block and return its index."""
-        if name in self._names:
-            raise ValueError(f"duplicate block name {name!r}")
         if dim < 1:
-            raise ValueError(f"block {name!r} has non-positive dimension {dim}")
-        index = len(self._dims)
-        self._names[name] = index
+            raise ValueError(f"block {len(self._dims)} has non-positive dimension {dim}")
         self._dims.append(dim)
-        return index
+        self._offsets.append(self._offsets[-1] + svec_dim(dim))
+        return len(self._dims) - 1
 
-    def _block(self, name: str, shape: tuple[int, ...], what: str) -> int:
-        index = self._names[name]
-        if shape != (self._dims[index],) * 2:
+    def _check(self, block: int, shape: tuple[int, ...], what: str) -> None:
+        if shape != (self._dims[block],) * 2:
             raise ValueError(
-                f"{what} for block {name!r} has shape {shape}, expected side {self._dims[index]}"
+                f"{what} for block {block} has shape {shape}, expected side {self._dims[block]}"
             )
-        return index
 
-    def add_equality(
-        self, terms: Sequence[tuple[str, Array]], rhs: complex = 0.0
-    ) -> None:
-        """Require ``sum_k tr(E_k H_k) = rhs`` over the named blocks."""
-        coeffs = [np.asarray(coeff, dtype=complex) for _, coeff in terms]
-        blocks = [self._block(name, c.shape, "coefficient") for (name, _), c in zip(terms, coeffs)]
-        row = np.array([len(self._rhs)])
-        self._terms += [(row, np.array([k]), c[None]) for k, c in zip(blocks, coeffs)]
-        self._rhs.append(complex(rhs))
+    def add_equality(self, terms: Sequence[tuple[int, Array]], rhs: float = 0.0) -> None:
+        """Require ``Re sum_k tr(E_k H_k) = rhs`` over the indexed blocks."""
+        for block, coeff in terms:
+            coeff = np.asarray(coeff, dtype=complex)
+            self._check(block, coeff.shape, "coefficient")
+            self._terms.append((len(self._rhs), block, coeff))
+        self._rhs.append(float(rhs))
 
-    def add_matrix_equality(
-        self, terms: Sequence[tuple[str, complex]], target: Array
-    ) -> None:
-        """Require ``sum_k c_k H_k = target`` over named blocks of ``target``'s side.
+    def add_matrix_equality(self, terms: Sequence[tuple[int, float]], target: Array) -> None:
+        """Require ``sum_k c_k H_k = hermitian_part(target)``, one row per svec coordinate.
 
-        ``terms`` pairs each block name with its scalar ``c_k``.  One row pins
-        entry ``(i, j)`` for each ``i <= j`` in row-major order, which fixes a
-        Hermitian sum entirely.
+        ``terms`` pairs each block index with its real scalar ``c_k``.
         """
         target = np.asarray(target, dtype=complex)
-        upper_i, upper_j = np.triu_indices(len(target))
-        count = len(upper_i)
-        # Row p reads tr(U_p H) = H[i, j] with U_p the unit matrix at (j, i).
-        units = np.zeros((count,) + target.shape, dtype=complex)
-        units[np.arange(count), upper_j, upper_i] = 1.0
-        blocks = [self._block(name, target.shape, "coefficient") for name, _ in terms]
-        scalars = np.array([scalar for _, scalar in terms], dtype=complex)
-        # One stack for all terms, term after term.
-        rows = np.tile(len(self._rhs) + np.arange(count), len(blocks))
-        coeffs = (scalars[:, None, None, None] * units).reshape((-1,) + target.shape)
-        self._terms.append((rows, np.repeat(np.array(blocks, dtype=int), count), coeffs))
-        self._rhs += target[upper_i, upper_j].tolist()
+        for block, _ in terms:
+            self._check(block, target.shape, "target")
+        coords = np.arange(target.size)
+        columns = np.array([self._offsets[block] for block, _ in terms], dtype=int)
+        scalars = np.array([float(scalar) for _, scalar in terms])
+        self._entries.append(
+            (
+                np.tile(len(self._rhs) + coords, len(terms)),
+                (columns[:, None] + coords).ravel(),
+                np.repeat(scalars, target.size),
+            )
+        )
+        self._rhs += svec(hermitian_part(target)).tolist()
 
-    def add_objective_term(self, name: str, coeff: Array) -> None:
+    def add_objective_term(self, block: int, coeff: Array) -> None:
         """Accumulate ``Re tr(F H)`` into the objective."""
         coeff = np.asarray(coeff, dtype=complex)
-        index = self._block(name, coeff.shape, "objective coefficient")
-        self._objective[index] = self._objective.get(index, 0.0) + coeff
+        self._check(block, coeff.shape, "objective coefficient")
+        self._objective.append((block, coeff))
 
     def build(self) -> SdpProblem:
-        """Pack each side's terms at once: the real (imaginary) row of ``sum_k
-        tr(E_k H_k) = rhs`` takes ``svec(H)`` for the Hermitian part ``H`` of
-        ``E_k`` (of ``-i E_k``), unless its terms are negligible.
+        """The problem minimizing the objective subject to every row.
 
-        Which rows are kept depends on the coefficients alone.  A dropped row
-        reads ``0 = rhs``, so a right-hand side above ``_NEGLIGIBLE`` there
-        raises ``ValueError``.
+        A trace term ``Re tr(E H)`` takes ``svec`` of the Hermitian part of
+        ``E``; the objective is one more such row.
         """
-        dims = tuple(self._dims)
-        offsets = _block_offsets(dims)
         count = len(self._rhs)
-        # The objective Re tr(F H) is the real part of one more row.
-        terms = self._terms + [
-            (np.array([count]), np.array([k]), coeff[None])
-            for k, coeff in sorted(self._objective.items())
-        ]
-        # Per row, the summed norms of its real and of its imaginary terms.
-        norms = np.zeros((count + 1, 2))
-        stacks = []
-        for side in sorted({coeffs.shape[-1] for _, _, coeffs in terms}):
-            rows, blocks, coeffs = (
-                np.concatenate(column)
-                for column in zip(*(term for term in terms if term[2].shape[-1] == side))
-            )
-            parts = np.stack([hermitian_part(coeffs), hermitian_part(-1j * coeffs)])
-            for part, part_norms in enumerate(np.linalg.norm(parts, axis=(-2, -1))):
-                norms[:, part] += np.bincount(rows, weights=part_norms, minlength=count + 1)
-            stacks.append((rows, blocks, svec(parts)))
-        rhs = np.array(self._rhs + [0.0], dtype=complex).view(float).reshape(-1, 2)
-        keep = norms > self._NEGLIGIBLE
-        keep[count] = (True, False)
-        unmet = np.argwhere(~keep & (np.abs(rhs) > self._NEGLIGIBLE))
-        if len(unmet):
-            row, part = unmet[0]
-            side = ("real", "imaginary")[part]
-            raise ValueError(f"equality {row} reads 0 = {rhs[row, part]:.3e} in its {side} part")
-        # Kept parts in order: each row's real part, then its imaginary part.
-        position = np.cumsum(keep).reshape(keep.shape) - 1
-        table = np.zeros((int(keep.sum()), offsets[-1]))
-        for rows, blocks, packed in stacks:
-            cols = offsets[blocks][:, None] + np.arange(packed.shape[-1])
-            for part in (0, 1):
-                kept = keep[rows, part]
-                np.add.at(
-                    table, (position[rows[kept], part][:, None], cols[kept]), packed[part, kept]
+        terms = self._terms + [(count, block, coeff) for block, coeff in self._objective]
+        offsets = np.array(self._offsets)
+        parts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)), *self._entries]
+        for side in sorted({coeff.shape[-1] for _, _, coeff in terms}):
+            rows, blocks, coeffs = zip(*(term for term in terms if term[2].shape[-1] == side))
+            coords = np.arange(svec_dim(side))
+            parts.append(
+                (
+                    np.repeat(rows, len(coords)),
+                    (offsets[list(blocks)][:, None] + coords).ravel(),
+                    svec(hermitian_part(np.stack(coeffs))).ravel(),
                 )
-        return SdpProblem(dims, c=table[-1], a=table[:-1], b=rhs[keep][:-1], sense=self.sense)
-
-    def extract(self, block_values: Sequence[Array], name: str) -> Array:
-        """Value of the named block among the solved blocks."""
-        return block_values[self._names[name]]
+            )
+        rows, columns, values = (np.concatenate(column) for column in zip(*parts))
+        table = np.zeros((count + 1, offsets[-1]))
+        np.add.at(table, (rows, columns), values)
+        return SdpProblem(tuple(self._dims), c=table[-1], a=table[:-1], b=self._rhs)

@@ -56,8 +56,16 @@ class SolverFailure(RuntimeError):
         self.solution = solution
 
 
-class BinaryOutcomesRequired(ValueError):
+class UnsupportedInput(ValueError):
+    """A well-formed input beyond what a computation supports: an input error, not a verdict."""
+
+
+class BinaryOutcomesRequired(UnsupportedInput):
     """The relaxation was asked for an input whose untrusted side has n_a != 2."""
+
+
+class TooManyStrategies(UnsupportedInput):
+    """The hidden-state set was asked for more than ``MAX_STRATEGIES`` deterministic strategies."""
 
 
 def require_binary_outcomes(shape: ScenarioShape) -> None:
@@ -87,17 +95,7 @@ class SteeringFunctional:
             for x in range(self.shape.m_a)
             for y in range(self.shape.m_b)
         }
-        if set(self.coeffs) != expected:
-            raise ValueError("coefficient keys do not match the scenario shape")
-        self.coeffs = {
-            key: require_hermitian(np.asarray(mat, dtype=complex), tol=1e-10)
-            for key, mat in self.coeffs.items()
-        }
-        for key, mat in self.coeffs.items():
-            if mat.shape != (self.shape.d, self.shape.d):
-                raise ValueError(
-                    f"coefficient {key} has shape {mat.shape}, expected side {self.shape.d}"
-                )
+        self.coeffs = _hermitian_coefficients(self.coeffs, expected, self.shape.d)
 
     def term(self, a: int, x: int, y: int) -> Array:
         return self.coeffs[(a, x, y)]
@@ -114,15 +112,23 @@ class InstrumentalFunctional:
         if self.shape.kind != INSTRUMENTAL:
             raise ValueError("shape.kind must be instrumental")
         expected = {(a, x) for a in range(self.shape.n_a) for x in range(self.shape.m_a)}
-        if set(self.coeffs) != expected:
-            raise ValueError("coefficient keys do not match the scenario shape")
-        self.coeffs = {
-            key: require_hermitian(np.asarray(mat, dtype=complex), tol=1e-10)
-            for key, mat in self.coeffs.items()
-        }
+        self.coeffs = _hermitian_coefficients(self.coeffs, expected, self.shape.d)
 
     def term(self, a: int, x: int) -> Array:
         return self.coeffs[(a, x)]
+
+
+def _hermitian_coefficients(coeffs: dict, expected: set, d: int) -> dict:
+    """The Hermitian coefficients of a functional, keyed as ``expected``, each of side ``d``."""
+    if set(coeffs) != expected:
+        raise ValueError("coefficient keys do not match the scenario shape")
+    checked = {}
+    for key, mat in coeffs.items():
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape != (d, d):
+            raise ValueError(f"coefficient {key} has shape {mat.shape}, expected side {d}")
+        checked[key] = require_hermitian(mat, tol=1e-10)
+    return checked
 
 
 def _real_or_raise(value: complex, context: str) -> float:
@@ -201,7 +207,7 @@ def deterministic_strategies(n_a: int, m_a: int) -> list[tuple[int, ...]]:
     """All outcome assignments ``x -> a`` in lexicographic order."""
     count = n_a**m_a
     if count > MAX_STRATEGIES:
-        raise ValueError(
+        raise TooManyStrategies(
             f"{count} deterministic strategies exceed the supported cap {MAX_STRATEGIES}"
         )
     return [tuple(s) for s in itertools.product(range(n_a), repeat=m_a)]
@@ -301,19 +307,19 @@ def lhs_membership(
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
     table = np.array(strategies)
     builder = sdp.HermitianBlockBuilder()
-    names = {(k, y): f"omega[{k},{y}]" for k in range(len(table)) for y in range(shape.m_b)}
-    for name in names.values():
-        builder.add_block(name, shape.d)
+    blocks = {
+        (k, y): builder.add_block(shape.d) for k in range(len(table)) for y in range(shape.m_b)
+    }
     sparse = np.count_nonzero(table, axis=1) <= 1
 
     def add_rows(traced: Array, last: bool) -> sdp.SdpProblem:
         eye = np.eye(shape.d)
         for k, y in itertools.product(np.flatnonzero(traced), range(1, shape.m_b)):
-            builder.add_equality([(names[(k, y)], eye), (names[(k, 0)], -eye)])
+            builder.add_equality([(blocks[(k, y)], eye), (blocks[(k, 0)], -eye)])
         for a, x, y in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
             if (x > 0 and a == shape.n_a - 1) == last:
-                terms = [(names[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
-                builder.add_matrix_equality(terms, hermitian_part(asm.member(a, x, y)))
+                terms = [(blocks[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
+                builder.add_matrix_equality(terms, asm.member(a, x, y))
         return builder.build()
 
     problem = add_rows(~sparse, last=False)
@@ -321,7 +327,7 @@ def lhs_membership(
     if signalling is None:
         report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
         if report.feasible:
-            states = {key: builder.extract(report.witness, name) for key, name in names.items()}
+            states = {key: report.witness[index] for key, index in blocks.items()}
             report.witness = LhsModel(strategies=tuple(strategies), states=states)
         return report
     full = add_rows(sparse, last=True)
@@ -343,9 +349,8 @@ def ns_bound(
     """Minimum of the functional over all no-signalling assemblages."""
     shape = functional.shape
     builder = sdp.HermitianBlockBuilder()
-    names = ns_variable_blocks(builder, shape)
-    for key, name in names.items():
-        builder.add_objective_term(name, functional.term(*key))
+    for key, index in ns_variable_blocks(builder, shape).items():
+        builder.add_objective_term(index, functional.term(*key))
     problem = builder.build()
     solution = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
     if solution.status != sdp.OPTIMAL:

@@ -30,6 +30,7 @@ from steercert.steering import (
     InstrumentalFunctional,
     SolverFailure,
     canonical_functional,
+    canonical_instrumental_functional,
     lhs_membership,
     qtilde_membership,
 )
@@ -240,6 +241,23 @@ class TestBounds:
         assert code == 2
         assert "binary outcomes" in err
 
+    def test_wired_coefficient_of_the_wrong_side_is_input_error(self, capsys, tmp_path):
+        data = serialize.functional_to_json(canonical_instrumental_functional())
+        data["coefficients"]["0,0"] = serialize.matrix_to_json(np.eye(3))
+        path = tmp_path / "wired.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "bounds", str(path), "--which", "qtilde-instrumental")
+        assert code == 2
+        assert "expected side 2" in err
+
+    def test_too_many_strategies_is_input_error(self, capsys, tmp_path):
+        functional = cli._random_psd_functional(ScenarioShape(2, 13, 1, 1, BWI), seed=0)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(serialize.functional_to_json(functional)))
+        code, _, err = run(capsys, "bounds", str(path), "--which", "lhs")
+        assert code == 2
+        assert "exceed the supported cap" in err
+
 
 class TestCertify:
     def test_transpose_example_has_both_certificates(self, capsys):
@@ -314,6 +332,13 @@ class TestCertify:
         code, _, err = run(capsys, "certify", path)
         assert code == 2
         assert "binary outcomes" in err
+
+    def test_too_many_strategies_is_input_error(self, capsys, tmp_path):
+        shape = ScenarioShape(n_a=2, m_a=13, m_b=1, d=1, kind=BWI)
+        path = write_assemblage(tmp_path / "wide.json", random_quantum_bwi(shape, seed=0))
+        code, _, err = run(capsys, "certify", path)
+        assert code == 2
+        assert "exceed the supported cap" in err
 
     def test_instrumental_input_rejected(self, capsys):
         code, _, err = run(capsys, "certify", "builtin:instrumental-pauli")
@@ -533,15 +558,23 @@ class TestReportDocument:
         assert snapshot() == snapshot()
 
 
-def test_module_entry_point_runs_without_runtime_warnings():
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's ``steercert``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "steercert.cli", "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_module_entry_point_runs_without_runtime_warnings():
+    result = run_python("-W", "error::RuntimeWarning", "-m", "steercert.cli", "--help")
     assert result.returncode == 0, result.stderr
     assert "usage: steercert" in result.stdout
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse takes tens of milliseconds to import; the first solve loads it.
+    check = "import steercert.cli, sys; assert 'scipy.sparse' not in sys.modules"
+    result = run_python("-c", check)
+    assert result.returncode == 0, result.stderr

@@ -125,18 +125,18 @@ def test_minimize_trace_with_pinned_corner():
 
 
 def test_maximize_pauli_z_on_unit_trace():
+    # Every problem minimizes: the maximum of Z is minus the minimum of -Z.
     pauli_z = np.diag([1.0, -1.0])
     problem = SdpProblem(
         block_dims=(2,),
-        c=svec(pauli_z),
+        c=svec(-pauli_z),
         a=[svec(np.eye(2))],
         b=[1.0],
-        sense="max",
     )
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
-    assert solution.primal_value == pytest.approx(1.0, abs=1e-7)
-    assert solution.dual_value == pytest.approx(1.0, abs=1e-7)
+    assert solution.primal_value == pytest.approx(-1.0, abs=1e-7)
+    assert solution.dual_value == pytest.approx(-1.0, abs=1e-7)
     assert_real_blocks(solution)
 
 
@@ -881,8 +881,7 @@ def test_dump_lists_blocks_objective_and_rows():
     )
     text = problem.dump()
     lines = text.splitlines()
-    assert lines[0] == "sense min"
-    assert lines[1] == "blocks 2 1"
+    assert lines[0] == "blocks 2 1"
     assert "objective" in lines
     assert "  0 0 0 1.0" in lines
     assert "  0 1 0 0.5j" in lines
@@ -890,9 +889,7 @@ def test_dump_lists_blocks_objective_and_rows():
     assert "  1 0 0 2.0" in lines
 
 
-def test_problem_rejects_bad_sense_and_dims():
-    with pytest.raises(ValueError):
-        SdpProblem(block_dims=(2,), c=np.zeros(3), a=np.zeros((0, 3)), b=[], sense="maximize")
+def test_problem_rejects_bad_dims():
     with pytest.raises(ValueError):
         SdpProblem(block_dims=(0,), c=np.zeros(0), a=np.zeros((0, 0)), b=[])
 
@@ -917,56 +914,80 @@ def random_complex(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4),
+)
+def test_builder_rows_are_real_svec_rows(seed, sides):
+    # Row by row: Re sum_k tr(E_k H_k) for Hermitian E_k, then the svec
+    # coordinates of sum_k c_k H_k for real c_k, pinned to the svec of the
+    # target's Hermitian part.
+    rng = np.random.default_rng(seed)
+    builder = HermitianBlockBuilder()
+    blocks = [builder.add_block(n) for n in sides]
+    values = [random_hermitian(rng, n) for n in sides]
+    coeffs = [random_hermitian(rng, n) for n in sides]
+    rhs = float(rng.normal())
+    builder.add_equality(list(zip(blocks, coeffs)), rhs)
+    side = sides[0]
+    same = [k for k, n in zip(blocks, sides) if n == side]
+    scalars = rng.normal(size=len(same))
+    target = random_complex(rng, side)
+    builder.add_matrix_equality(list(zip(same, scalars)), target)
+    problem = builder.build()
+    assert problem.block_dims == tuple(sides)
+    assert problem.num_rows == 1 + side**2
+    row = sum(np.trace(e @ h) for e, h in zip(coeffs, values)).real
+    total = sum(c * values[k] for c, k in zip(scalars, same))
+    x = packed(*values)
+    assert np.allclose(problem.a @ x, np.concatenate([[row], svec(total)]), atol=1e-12)
+    hermitian = 0.5 * (target + target.conj().T)
+    assert np.allclose(problem.b, np.concatenate([[rhs], svec(hermitian)]), atol=1e-15)
+    with pytest.raises(ValueError):
+        builder.add_equality([(blocks[0], np.eye(side + 1))], 1.0)
+    with pytest.raises(ValueError):
+        builder.add_matrix_equality([(blocks[0], 1.0)], np.eye(side + 1))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_builder_rows_read_the_complex_equalities(seed):
+    # A row reads the real part of sum_k tr(E_k H_k) for any complex E_k; the
+    # objective is one more such row.
     rng = np.random.default_rng(seed)
-    sides = {"h": 2, "k": 3}
-    values = {name: random_hermitian(rng, n) for name, n in sides.items()}
+    sides = (2, 3)
+    values = [random_hermitian(rng, n) for n in sides]
     builder = HermitianBlockBuilder()
+    blocks = [builder.add_block(n) for n in sides]
     expected = []
-    for name, n in sides.items():
-        builder.add_block(name, n)
     for _ in range(3):
-        terms = [(name, random_complex(rng, n)) for name, n in sides.items()]
-        builder.add_equality(terms, complex(*rng.normal(size=2)))
-        total = sum(np.trace(coeff @ values[name]) for name, coeff in terms)
-        expected += [total.real, total.imag]
-    # Real coefficients on Hermitian blocks: the imaginary row is dropped.
-    builder.add_equality([("k", np.eye(3))], 1.0)
-    expected.append(np.trace(values["k"]).real)
-    objective = {name: random_complex(rng, n) for name, n in sides.items()}
-    for name, coeff in objective.items():
-        builder.add_objective_term(name, coeff)
+        coeffs = [random_complex(rng, n) for n in sides]
+        builder.add_equality(list(zip(blocks, coeffs)), rng.normal())
+        expected.append(sum(np.trace(e @ h) for e, h in zip(coeffs, values)).real)
+    objective = [random_complex(rng, n) for n in sides]
+    for block, coeff in zip(blocks, objective):
+        builder.add_objective_term(block, coeff)
     problem = builder.build()
-    x = packed(values["h"], values["k"])
-    assert problem.num_rows == len(expected)
+    x = packed(*values)
     assert np.allclose(problem.a @ x, expected, atol=1e-12)
-    value = sum(np.trace(coeff @ values[name]) for name, coeff in objective.items()).real
+    value = sum(np.trace(f @ h) for f, h in zip(objective, values)).real
     assert problem.c @ x == pytest.approx(value, abs=1e-12)
 
 
-@pytest.mark.parametrize("scalars", [(0.5 - 2j, 1.5 + 1j), (1.0, -1.0)])
+@pytest.mark.parametrize("scalars", [(0.5, -2.0), (1.0, -1.0)])
 def test_matrix_equality_rows_pin_every_upper_entry(scalars):
+    # One row per svec coordinate: the rows' values unpack to the whole sum.
     rng = np.random.default_rng(5)
     values = [random_hermitian(rng, 3) for _ in scalars]
     target = random_hermitian(rng, 3)
     builder = HermitianBlockBuilder()
-    builder.add_block("p", 3)
-    builder.add_block("q", 3)
-    builder.add_matrix_equality(list(zip("pq", scalars)), target)
+    blocks = [builder.add_block(3) for _ in scalars]
+    builder.add_matrix_equality(list(zip(blocks, scalars)), target)
     problem = builder.build()
     total = sum(s * v for s, v in zip(scalars, values))
-    # Entries (i, j), i <= j, in row-major order, each as its real then its
-    # imaginary row.  With real scalars and a Hermitian target the diagonal's
-    # imaginary rows read 0 = 0 and are dropped.
-    complex_scalars = any(np.iscomplex(s) for s in scalars)
-    expected, rhs = [], []
-    for i, j in zip(*np.triu_indices(3)):
-        parts = [np.real] + ([np.imag] if complex_scalars or i != j else [])
-        expected += [part(total[i, j]) for part in parts]
-        rhs += [part(target[i, j]) for part in parts]
-    assert np.allclose(problem.a @ packed(*values), expected, atol=1e-12)
-    assert np.array_equal(problem.b, rhs)
+    assert problem.num_rows == 9
+    assert np.allclose(sdp.smat(problem.a @ packed(*values)), total, atol=1e-12)
+    assert np.allclose(sdp.smat(problem.b), target, atol=1e-15)
 
 
 def test_hermitian_lmi_slack_is_the_embedded_pencil():
@@ -985,67 +1006,68 @@ def test_hermitian_lmi_slack_is_the_embedded_pencil():
 
 def test_hermitian_builder_maximizes_pauli_y():
     pauli_y = np.array([[0.0, -1j], [1j, 0.0]])
-    builder = HermitianBlockBuilder(sense="max")
-    builder.add_block("rho", 2)
-    builder.add_equality([("rho", np.eye(2))], 1.0)
-    builder.add_objective_term("rho", pauli_y)
+    builder = HermitianBlockBuilder()
+    rho = builder.add_block(2)
+    builder.add_equality([(rho, np.eye(2))], 1.0)
+    builder.add_objective_term(rho, -pauli_y)
     problem = builder.build()
     assert problem.block_dims == (2,)
     solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
-    assert solution.primal_value == pytest.approx(1.0, abs=1e-7)
-    rho = builder.extract(solution.block_values, "rho")
-    assert np.allclose(rho, rho.conj().T, atol=1e-12)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-7)
-    assert np.trace(pauli_y @ rho).real == pytest.approx(1.0, abs=1e-6)
+    assert solution.primal_value == pytest.approx(-1.0, abs=1e-7)
+    value = solution.block_values[rho]
+    assert np.allclose(value, value.conj().T, atol=1e-12)
+    assert np.trace(value).real == pytest.approx(1.0, abs=1e-7)
+    assert np.trace(pauli_y @ value).real == pytest.approx(1.0, abs=1e-6)
 
 
 def test_hermitian_builder_imaginary_rows_bind():
-    # Pin a genuinely complex entry and read it back.
+    # Pin a genuinely complex entry, one real row per part, and read it back.
     builder = HermitianBlockBuilder()
-    builder.add_block("h", 2)
-    target = np.zeros((2, 2), dtype=complex)
-    target[1, 0] = 1.0
-    builder.add_equality([("h", target)], 0.25 + 0.125j)
-    builder.add_equality([("h", np.eye(2))], 1.0)
-    builder.add_objective_term("h", np.eye(2))
+    h = builder.add_block(2)
+    entry = np.zeros((2, 2), dtype=complex)
+    entry[1, 0] = 1.0
+    builder.add_equality([(h, entry)], 0.25)
+    builder.add_equality([(h, -1j * entry)], 0.125)
+    builder.add_equality([(h, np.eye(2))], 1.0)
+    builder.add_objective_term(h, np.eye(2))
     solution = sdp.solve(builder.build())
     assert solution.status == sdp.OPTIMAL
-    value = builder.extract(solution.block_values, "h")
-    assert value[0, 1] == pytest.approx(0.25 + 0.125j, abs=1e-7)
+    assert solution.block_values[h][0, 1] == pytest.approx(0.25 + 0.125j, abs=1e-7)
 
 
 def test_builder_rows_depend_only_on_the_coefficients():
-    # Real coefficients on a Hermitian block give no imaginary row, whatever
-    # the right-hand side: a negligible imaginary part is dropped with the
-    # row, and a larger one would read 0 = rhs, which is refused.
-    for rhs in (1.0, 1.0 + 1e-15j):
+    # A trace row is one row whatever its right-hand side, and a matrix
+    # equality d**2 rows whatever its target: an anti-Hermitian residue on the
+    # target changes neither the rows nor b.
+    for rhs in (1.0, 0.0, -3.5):
         builder = HermitianBlockBuilder()
-        builder.add_block("h", 2)
-        builder.add_equality([("h", np.eye(2))], rhs)
+        h = builder.add_block(2)
+        builder.add_equality([(h, np.eye(2))], rhs)
         assert builder.build().num_rows == 1
-    builder.add_equality([("h", np.eye(2))], 1.0 + 1e-12j)
-    with pytest.raises(ValueError, match="equality 1 reads 0 = 1.000e-12 in its imaginary part"):
-        builder.build()
-    # A pinned matrix with an imaginary diagonal is not Hermitian: refused too.
-    builder = HermitianBlockBuilder()
-    builder.add_block("h", 2)
-    builder.add_matrix_equality([("h", 1.0)], np.eye(2) + 1e-12j * np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="imaginary part"):
-        builder.build()
+    problems = []
+    for residue in (0.0, 1e-12j, 0.5j):
+        builder = HermitianBlockBuilder()
+        h = builder.add_block(2)
+        builder.add_matrix_equality([(h, 1.0)], np.eye(2) + residue * np.diag([1.0, -1.0]))
+        problems.append(builder.build())
+    for problem in problems:
+        assert problem.num_rows == 4
+        assert np.array_equal(problem.a, problems[0].a)
+        assert np.array_equal(problem.b, problems[0].b)
 
 
-def test_hermitian_builder_rejects_duplicates_and_bad_shapes():
+def test_hermitian_builder_rejects_bad_shapes():
     builder = HermitianBlockBuilder()
-    builder.add_block("h", 2)
+    h = builder.add_block(2)
     with pytest.raises(ValueError):
-        builder.add_block("h", 3)
+        builder.add_block(0)
     with pytest.raises(ValueError):
-        builder.add_equality([("h", np.eye(3))], 1.0)
+        builder.add_equality([(h, np.eye(3))], 1.0)
     with pytest.raises(ValueError):
-        builder.add_objective_term("h", np.eye(3))
+        builder.add_matrix_equality([(h, 1.0)], np.eye(3))
     with pytest.raises(ValueError):
-        HermitianBlockBuilder(sense="other")
+        builder.add_objective_term(h, np.eye(3))
 
 
 def test_hermitian_lmi_solves_through_the_dual():
@@ -1068,9 +1090,9 @@ def test_hermitian_ground_energy_matches_eigenvalue(seed):
     rng = np.random.default_rng(seed)
     ham = random_hermitian(rng, 3)
     builder = HermitianBlockBuilder()
-    builder.add_block("rho", 3)
-    builder.add_equality([("rho", np.eye(3))], 1.0)
-    builder.add_objective_term("rho", ham)
+    rho = builder.add_block(3)
+    builder.add_equality([(rho, np.eye(3))], 1.0)
+    builder.add_objective_term(rho, ham)
     solution = sdp.solve(builder.build())
     assert solution.status == sdp.OPTIMAL
     assert solution.primal_value == pytest.approx(
