@@ -6,11 +6,16 @@ scenarios treated here, also by an input on the trusted side:
 
 * bob-with-input members ``sigma_{a|x,y}`` carry the untrusted input ``x``,
   outcome ``a``, and trusted input ``y``;
-* traditional members are the ``m_b = 1`` special case;
+* traditional members are the ``m_b = 1`` special case, keyed at ``y = 0``;
 * sequential members ``sigma_{a1 a2|x1 x2}`` arise from two rounds of inputs
   and outcomes on the untrusted side;
 * instrumental members ``sigma_{a|x}`` arise when the trusted input is wired
   to equal the untrusted outcome.
+
+Every shape names its ``kind``, and :func:`member_keys` lists its keys: the
+one source of the keys that the containers, the functionals in
+:mod:`steercert.steering` and the JSON labels in :mod:`steercert.serialize`
+use.  :func:`checked_members` is the one check of a table against them.
 
 The module also provides the box-like and transpose-based example assemblages,
 no-signalling extension tests backed by the in-house semidefinite solver,
@@ -22,12 +27,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from steercert import sdp
-from steercert.matcore import PAULIS, Array, is_psd, require_hermitian
+from steercert.matcore import PAULIS, Array, check_povm, hermitian_part, is_psd, require_hermitian
 
 TRADITIONAL = "traditional"
 BWI = "bwi"
@@ -38,6 +43,11 @@ KINDS = (TRADITIONAL, BWI, SEQUENTIAL, INSTRUMENTAL)
 
 #: Default tolerance for validation residuals.
 VALIDATION_TOL = 1e-9
+
+#: Normalization drift per untrusted input that wiring accepts: it admits
+#: numerically solved parents while still rejecting inputs whose outcome
+#: weights do not sum to one.
+WIRING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,8 @@ class ScenarioShape:
     kind: str = BWI
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
+        if self.kind not in (TRADITIONAL, BWI, INSTRUMENTAL):
+            raise ValueError(f"unknown single-round scenario kind {self.kind!r}")
         for label, value in (("n_a", self.n_a), ("m_a", self.m_a), ("m_b", self.m_b), ("d", self.d)):
             if value < 1:
                 raise ValueError(f"{label} must be positive, got {value}")
@@ -74,6 +84,8 @@ class ScenarioShape:
 @dataclass(frozen=True)
 class SequentialShape:
     """Index ranges of a two-round scenario on the untrusted side."""
+
+    kind: ClassVar[str] = SEQUENTIAL
 
     n_a1: int
     m_x1: int
@@ -93,11 +105,47 @@ class SequentialShape:
                 raise ValueError(f"{label} must be positive, got {value}")
 
 
-def _as_member(matrix: Array, d: int) -> Array:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (d, d):
-        raise ValueError(f"member has shape {matrix.shape}, expected {(d, d)}")
-    return matrix
+Shape = ScenarioShape | SequentialShape
+
+
+def member_keys(shape: Shape) -> list[tuple[int, ...]]:
+    """Every member key of ``shape``, in lexicographic order.
+
+    Keys are ``(a1, a2, x1, x2)`` for two rounds, ``(a, x)`` when the trusted
+    input is wired to the outcome, and ``(a, x, y)`` otherwise (``y = 0``
+    throughout a traditional scenario).
+    """
+    if shape.kind == SEQUENTIAL:
+        ranges = (shape.n_a1, shape.n_a2, shape.m_x1, shape.m_x2)
+    elif shape.kind == INSTRUMENTAL:
+        ranges = (shape.n_a, shape.m_a)
+    else:
+        ranges = (shape.n_a, shape.m_a, shape.m_b)
+    return list(itertools.product(*map(range, ranges)))
+
+
+def checked_members(
+    shape: Shape, table: Mapping[tuple[int, ...], Array], name: str = "member"
+) -> dict[tuple[int, ...], Array]:
+    """``table`` as complex ``d x d`` matrices, in :func:`member_keys` order.
+
+    Raises ``ValueError``, naming the first offending key, unless the keys
+    are exactly those of ``shape`` and every matrix has side ``d``.
+    """
+    keys = member_keys(shape)
+    expected = set(keys)
+    if set(table) != expected:
+        missing = [key for key in keys if key not in table]
+        stray = [key for key in table if key not in expected]
+        problem = f"{missing[0]} is missing" if missing else f"{stray[0]!r} is stray"
+        raise ValueError(f"{name} keys do not match the scenario shape: {problem}")
+    out = {}
+    for key in keys:
+        matrix = np.asarray(table[key], dtype=complex)
+        if matrix.shape != (shape.d, shape.d):
+            raise ValueError(f"{name} {key} has shape {matrix.shape}, expected side {shape.d}")
+        out[key] = matrix
+    return out
 
 
 @dataclass
@@ -108,17 +156,9 @@ class BwiAssemblage:
     members: dict[tuple[int, int, int], Array]
 
     def __post_init__(self) -> None:
-        expected = {
-            (a, x, y)
-            for a in range(self.shape.n_a)
-            for x in range(self.shape.m_a)
-            for y in range(self.shape.m_b)
-        }
-        if set(self.members) != expected:
-            raise ValueError("member keys do not match the scenario shape")
-        self.members = {
-            key: _as_member(mat, self.shape.d) for key, mat in self.members.items()
-        }
+        if self.shape.kind == INSTRUMENTAL:
+            raise ValueError("wired members belong in an InstrumentalAssemblage")
+        self.members = checked_members(self.shape, self.members)
 
     def member(self, a: int, x: int, y: int) -> Array:
         return self.members[(a, x, y)]
@@ -165,18 +205,7 @@ class SequentialAssemblage:
     members: dict[tuple[int, int, int, int], Array]
 
     def __post_init__(self) -> None:
-        expected = {
-            (a1, a2, x1, x2)
-            for a1 in range(self.shape.n_a1)
-            for a2 in range(self.shape.n_a2)
-            for x1 in range(self.shape.m_x1)
-            for x2 in range(self.shape.m_x2)
-        }
-        if set(self.members) != expected:
-            raise ValueError("member keys do not match the scenario shape")
-        self.members = {
-            key: _as_member(mat, self.shape.d) for key, mat in self.members.items()
-        }
+        self.members = checked_members(self.shape, self.members)
 
     def member(self, a1: int, a2: int, x1: int, x2: int) -> Array:
         return self.members[(a1, a2, x1, x2)]
@@ -204,12 +233,7 @@ class InstrumentalAssemblage:
     def __post_init__(self) -> None:
         if self.shape.kind != INSTRUMENTAL:
             raise ValueError("shape.kind must be instrumental")
-        expected = {(a, x) for a in range(self.shape.n_a) for x in range(self.shape.m_a)}
-        if set(self.members) != expected:
-            raise ValueError("member keys do not match the scenario shape")
-        self.members = {
-            key: _as_member(mat, self.shape.d) for key, mat in self.members.items()
-        }
+        self.members = checked_members(self.shape, self.members)
 
     def member(self, a: int, x: int) -> Array:
         return self.members[(a, x)]
@@ -379,12 +403,7 @@ def pr_box_assemblage() -> BwiAssemblage:
     onto the computational state ``a XOR (x AND y)``.
     """
     shape = ScenarioShape(n_a=2, m_a=2, m_b=2, d=2, kind=BWI)
-    members = {
-        (a, x, y): 0.5 * _basis_state(2, a ^ (x & y))
-        for a in range(2)
-        for x in range(2)
-        for y in range(2)
-    }
+    members = {(a, x, y): 0.5 * _basis_state(2, a ^ (x & y)) for a, x, y in member_keys(shape)}
     return BwiAssemblage(shape=shape, members=members)
 
 
@@ -399,12 +418,10 @@ def pauli_transpose_assemblage() -> BwiAssemblage:
     being half a rank-one projector.
     """
     shape = ScenarioShape(n_a=2, m_a=3, m_b=2, d=2, kind=BWI)
-    members: dict[tuple[int, int, int], Array] = {}
-    for a in range(2):
-        for x, pauli in enumerate(PAULIS):
-            for y in range(2):
-                flip = 1 if (x == 1 and y == 1) else 0
-                members[(a, x, y)] = 0.25 * (np.eye(2) + (-1.0) ** (a + flip) * pauli)
+    members = {
+        (a, x, y): 0.25 * (np.eye(2) + (-1.0) ** (a + (x == 1 and y == 1)) * PAULIS[x])
+        for a, x, y in member_keys(shape)
+    }
     for a in range(2):
         for x in range(3):
             if not np.allclose(members[(a, x, 1)], members[(a, x, 0)].T, atol=1e-14):
@@ -415,12 +432,11 @@ def pauli_transpose_assemblage() -> BwiAssemblage:
     return BwiAssemblage(shape=shape, members=members)
 
 
-def instrumental_from_bwi(asm: BwiAssemblage, tol: float = 1e-6) -> InstrumentalAssemblage:
+def instrumental_from_bwi(asm: BwiAssemblage) -> InstrumentalAssemblage:
     """Wire the trusted input to the untrusted outcome: keep ``sigma_{a|x,y=a}``.
 
-    ``tol`` bounds the normalization drift accepted per untrusted input; the
-    default admits numerically solved parents while still rejecting inputs
-    whose outcome weights do not sum to one.
+    Each untrusted input's wired weights must sum to one within
+    :data:`WIRING_TOL`.
     """
     shape = asm.shape
     if shape.m_b < shape.n_a:
@@ -428,18 +444,14 @@ def instrumental_from_bwi(asm: BwiAssemblage, tol: float = 1e-6) -> Instrumental
             "wiring needs a trusted input for every outcome "
             f"(m_b={shape.m_b} < n_a={shape.n_a})"
         )
-    members = {
-        (a, x): asm.member(a, x, a)
-        for a in range(shape.n_a)
-        for x in range(shape.m_a)
-    }
     out_shape = ScenarioShape(
         n_a=shape.n_a, m_a=shape.m_a, m_b=shape.n_a, d=shape.d, kind=INSTRUMENTAL
     )
+    members = {(a, x): asm.member(a, x, a) for a, x in member_keys(out_shape)}
     out = InstrumentalAssemblage(shape=out_shape, members=members)
     for x in range(shape.m_a):
         total = sum(np.trace(out.member(a, x)) for a in range(shape.n_a))
-        if abs(complex(total) - 1.0) > tol:
+        if abs(complex(total) - 1.0) > WIRING_TOL:
             raise ValueError(
                 "wired members lost normalization; the input assemblage is not "
                 "no-signalling"
@@ -480,18 +492,24 @@ def ns_variable_blocks(
         key: builder.add_block(d)
         for key in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b))
     }
-    zero = np.zeros((d, d), dtype=complex)
-    for y in range(shape.m_b):
-        for x in range(1, shape.m_a):
-            terms = [(blocks[(a, x, y)], 1.0) for a in range(shape.n_a)]
-            terms += [(blocks[(a, 0, y)], -1.0) for a in range(shape.n_a)]
-            builder.add_matrix_equality(terms, zero)
+    if shape.n_a > 1:
+        _state_rows(builder, blocks, shape)
     keys = itertools.product(range(shape.n_a), range(shape.m_a), range(1, shape.m_b))
     kept = [(a, x, y) for a, x, y in keys if x == 0 or (a > 0 and (a, y) != (1, 1))]
     _trace_rows(builder, blocks, d, kept)
     if not wired:
         _wiring_implied_rows(builder, blocks, shape)
     return blocks
+
+
+def _state_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape) -> None:
+    """``sum_a w_{a|x,y} = sum_a w_{a|0,y}`` at each ``x >= 1``."""
+    zero = np.zeros((shape.d, shape.d), dtype=complex)
+    for y in range(shape.m_b):
+        for x in range(1, shape.m_a):
+            terms = [(blocks[(a, x, y)], 1.0) for a in range(shape.n_a)]
+            terms += [(blocks[(a, 0, y)], -1.0) for a in range(shape.n_a)]
+            builder.add_matrix_equality(terms, zero)
 
 
 def _trace_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, d: int, keys: list) -> None:
@@ -502,14 +520,21 @@ def _trace_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, d: int, keys: 
 
 
 def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape):
-    """The ``(1, x, 1)`` trace rows at ``x >= 1``, then the normalization row.
+    """The rows that pins of ``w_{a|x,a}`` imply, then the normalization row.
 
-    With ``w_{a|x,a}`` pinned to members whose traces sum to one at every
-    ``x``, the other rows imply these: the ``x = 0`` trace rows and pins give
-    ``tr sum_a w_{a|0,0} = 1``, the summed-state rows carry that to every
-    ``x``, and there the remaining trace rows and pins fix ``tr w_{1|x,0}``.
+    With one outcome every block is pinned, so the pins imply the
+    summed-state rows when the members agree.  Otherwise these are the ``(1,
+    x, 1)`` trace rows at ``x >= 1``: with ``w_{a|x,a}`` pinned to members
+    whose traces sum to one at every ``x``, the ``x = 0`` trace rows and pins
+    give ``tr sum_a w_{a|0,0} = 1``, the summed-state rows carry that to
+    every ``x``, and there the remaining trace rows and pins fix ``tr
+    w_{1|x,0}``.
     """
-    _trace_rows(builder, blocks, shape.d, [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1])
+    if shape.n_a == 1:
+        _state_rows(builder, blocks, shape)
+    else:
+        keys = [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1]
+        _trace_rows(builder, blocks, shape.d, keys)
     eye = np.eye(shape.d)
     builder.add_equality([(blocks[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
 
@@ -526,10 +551,11 @@ def instrumental_membership(
     the given members; the wiring map then reproduces the input exactly.  The
     rows are independent: the pins imply the rows that ``wired``
     :func:`ns_variable_blocks` omits, as long as each input's outcome weights
-    sum to one.  Members that break that normalization are infeasible with
-    margin ``-inf``, with no solve: the report's ``problem`` then holds the
-    omitted rows too, and ``certificate_y`` combines every row into ``sum_i
-    y_i A_i = 0`` with ``b . y = 1``.
+    sum to one and, with one outcome, the members agree across inputs.
+    Members that break either are infeasible with margin ``-inf``, with no
+    solve: the report's ``problem`` then holds the omitted rows too, and
+    ``certificate_y`` combines every row into ``sum_i y_i A_i = 0`` with ``b
+    . y = 1``.
     """
     shape = asm.shape
     builder = sdp.HermitianBlockBuilder()
@@ -538,8 +564,13 @@ def instrumental_membership(
         for x in range(shape.m_a):
             builder.add_matrix_equality([(blocks[(a, x, a)], 1.0)], asm.member(a, x))
     problem = builder.build()
-    normalization = validate_instrumental(asm).residuals["normalization"]
-    if consistent(normalization, asm.members.values()):
+    residuals = {"normalization": validate_instrumental(asm).residuals["normalization"]}
+    if shape.n_a == 1:
+        residuals["state_consistency"] = max(
+            float(np.linalg.norm(hermitian_part(asm.member(0, x) - asm.member(0, 0))))
+            for x in range(shape.m_a)
+        )
+    if consistent(max(residuals.values()), asm.members.values()):
         report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
         if report.feasible:
             members = {
@@ -549,7 +580,6 @@ def instrumental_membership(
             report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, shape.d, BWI), members=members)
         return report
     _wiring_implied_rows(builder, blocks, shape)
-    residuals = {"normalization": normalization}
     return sdp.contradiction_report(builder.build(), problem.num_rows, residuals, tol)
 
 
@@ -564,36 +594,27 @@ def consistent(residual: float, members: Iterable[Array]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def bell_correlations(
-    asm: BwiAssemblage, povms: Sequence[Sequence[Array]], tol: float = 1e-9
-) -> Array:
+def bell_correlations(asm: BwiAssemblage, povms: Sequence[Sequence[Array]]) -> Array:
     """Joint table ``p(a, b|x, y)`` from measuring the members.
 
-    ``povms[y]`` lists the trusted effects for input ``y``; each list must sum
-    to the identity.  A single trivial effect reproduces the outcome
-    distribution ``p(a|x)`` in the ``b = 0`` slice.
+    ``povms[y]`` lists the trusted effects for input ``y``, checked by
+    :func:`~steercert.matcore.check_povm`.  A single trivial effect reproduces
+    the outcome distribution ``p(a|x)`` in the ``b = 0`` slice.
     """
     shape = asm.shape
     if len(povms) != shape.m_b:
         raise ValueError(f"need one effect list per trusted input ({shape.m_b})")
+    povms = [check_povm(effects, f"trusted input {y}") for y, effects in enumerate(povms)]
     n_b = len(povms[0])
-    eye = np.eye(shape.d)
-    for y, effects in enumerate(povms):
-        if len(effects) != n_b:
-            raise ValueError("every trusted input needs the same number of effects")
-        total = sum(np.asarray(e, dtype=complex) for e in effects)
-        if np.linalg.norm(total - eye) > tol:
-            raise ValueError(f"effects for trusted input {y} do not sum to identity")
-        for b, effect in enumerate(effects):
-            if not is_psd(np.asarray(effect, dtype=complex), tol=tol):
-                raise ValueError(f"effect {b} for trusted input {y} is not positive")
+    if any(len(effects) != n_b for effects in povms):
+        raise ValueError("every trusted input needs the same number of effects")
     table = np.zeros((shape.n_a, n_b, shape.m_a, shape.m_b))
     for a in range(shape.n_a):
         for x in range(shape.m_a):
             for y in range(shape.m_b):
                 member = asm.member(a, x, y)
                 for b, effect in enumerate(povms[y]):
-                    value = complex(np.trace(np.asarray(effect, dtype=complex) @ member))
+                    value = complex(np.trace(effect @ member))
                     if abs(value.imag) > 1e-10:
                         raise ValueError(
                             f"correlation ({a},{b}|{x},{y}) has imaginary part {value.imag:.3e}"
@@ -714,6 +735,11 @@ def random_quantum_sequential(shape: SequentialShape, seed: int) -> SequentialAs
     return SequentialAssemblage(shape=shape, members=members)
 
 
+#: Weight of the maximally mixed state in the no-signalling samplers' drafts.
+TRADITIONAL_MIX = 0.35
+SEQUENTIAL_MIX = 0.5
+
+
 def _random_psd(rng: np.random.Generator, d: int, mix: float) -> Array:
     gauss = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     raw = gauss @ gauss.conj().T
@@ -721,7 +747,7 @@ def _random_psd(rng: np.random.Generator, d: int, mix: float) -> Array:
     return (1.0 - mix) * raw + mix * np.eye(d) / d
 
 
-def random_ns_traditional(shape: ScenarioShape, seed: int, mix: float = 0.35) -> TraditionalAssemblage:
+def random_ns_traditional(shape: ScenarioShape, seed: int) -> TraditionalAssemblage:
     """No-signalling traditional assemblage sampled around the maximally mixed one.
 
     Random positive drafts are projected onto the equal-state rows by shifting
@@ -734,7 +760,7 @@ def random_ns_traditional(shape: ScenarioShape, seed: int, mix: float = 0.35) ->
     d = shape.d
     for _ in range(1000):
         draft = {
-            (a, x): _random_psd(rng, d, mix) / shape.n_a
+            (a, x): _random_psd(rng, d, TRADITIONAL_MIX) / shape.n_a
             for a in range(shape.n_a)
             for x in range(shape.m_a)
         }
@@ -748,10 +774,10 @@ def random_ns_traditional(shape: ScenarioShape, seed: int, mix: float = 0.35) ->
         members = {key: mat / scale for key, mat in members.items()}
         if all(is_psd(mat, tol=1e-12) for mat in members.values()):
             return TraditionalAssemblage.from_members(members, d)
-    raise RuntimeError("sampling did not produce a positive assemblage; raise mix")
+    raise RuntimeError("sampling did not produce a positive assemblage")
 
 
-def random_ns_sequential(shape: SequentialShape, seed: int, mix: float = 0.5) -> SequentialAssemblage:
+def random_ns_sequential(shape: SequentialShape, seed: int) -> SequentialAssemblage:
     """No-signalling two-round assemblage sampled around the maximally mixed one.
 
     Drafts are projected onto the two no-signalling row families (round-one
@@ -762,13 +788,7 @@ def random_ns_sequential(shape: SequentialShape, seed: int, mix: float = 0.5) ->
     d = shape.d
     n_pairs = shape.n_a1 * shape.n_a2
     for _ in range(1000):
-        draft = {
-            (a1, a2, x1, x2): _random_psd(rng, d, mix) / n_pairs
-            for a1 in range(shape.n_a1)
-            for a2 in range(shape.n_a2)
-            for x1 in range(shape.m_x1)
-            for x2 in range(shape.m_x2)
-        }
+        draft = {key: _random_psd(rng, d, SEQUENTIAL_MIX) / n_pairs for key in member_keys(shape)}
         # Round-one targets: average over x2 of the round-one marginals.
         round_one = {}
         for a1 in range(shape.n_a1):
@@ -799,4 +819,4 @@ def random_ns_sequential(shape: SequentialShape, seed: int, mix: float = 0.5) ->
         members = {key: mat / scale for key, mat in members.items()}
         if all(is_psd(mat, tol=1e-12) for mat in members.values()):
             return SequentialAssemblage(shape=shape, members=members)
-    raise RuntimeError("sampling did not produce a positive assemblage; raise mix")
+    raise RuntimeError("sampling did not produce a positive assemblage")

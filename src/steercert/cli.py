@@ -39,6 +39,7 @@ from steercert.assemblages import (
     instrumental_from_bwi,
     instrumental_membership,
     instrumental_pauli_assemblage,
+    member_keys,
     pauli_transpose_assemblage,
     pr_box_assemblage,
     random_ns_sequential,
@@ -289,12 +290,6 @@ def _resolve_functional(ref: str, which: str) -> tuple[Any, dict[str, str]]:
     return functional, {ref: _digest_file(ref)}
 
 
-def _scenario_kind(asm: Any) -> str:
-    if isinstance(asm, SequentialAssemblage):
-        return SEQUENTIAL
-    return asm.shape.kind
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -303,7 +298,7 @@ def _scenario_kind(asm: Any) -> str:
 def cmd_validate(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     asm, inputs = _resolve_assemblage(args.target)
     doc = ReportDocument(inputs=inputs)
-    kind = _scenario_kind(asm)
+    kind = asm.shape.kind
     if args.scenario is not None and args.scenario != kind:
         raise CliError(
             EXIT_INPUT, f"input is a {kind} assemblage, not {args.scenario}"
@@ -453,26 +448,16 @@ def _realization_residuals(asm: Any, realization: Any) -> tuple[float, float]:
     eye = np.eye(realization.d)
     if isinstance(asm, SequentialAssemblage):
         rebuilt = reconstruct_sequential(realization)
-        roundtrip = max(
-            float(np.linalg.norm(rebuilt.member(*key) - asm.member(*key)))
-            for key in asm.members
-        )
         totals = [
             sum(el.conj().T @ el for el in elements)
             for elements in realization.kraus.values()
         ]
     else:
         rebuilt = reconstruct_traditional(realization)
-        roundtrip = max(
-            float(
-                np.linalg.norm(
-                    rebuilt.traditional_member(a, x) - asm.traditional_member(a, x)
-                )
-            )
-            for a in range(asm.shape.n_a)
-            for x in range(asm.shape.m_a)
-        )
         totals = []
+    roundtrip = max(
+        float(np.linalg.norm(rebuilt.members[key] - member)) for key, member in asm.members.items()
+    )
     totals.extend(sum(effects) for effects in realization.povms.values())
     completeness = max(float(np.linalg.norm(total - eye)) for total in totals)
     return roundtrip, completeness
@@ -481,7 +466,7 @@ def _realization_residuals(asm: Any, realization: Any) -> tuple[float, float]:
 def cmd_ghjw(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     asm, inputs = _resolve_assemblage(args.target)
     doc = ReportDocument(inputs=inputs)
-    kind = _scenario_kind(asm)
+    kind = asm.shape.kind
     wanted = args.scenario
     if wanted is not None and wanted != kind:
         raise CliError(EXIT_INPUT, f"input is a {kind} assemblage, not {wanted}")
@@ -548,13 +533,9 @@ def _exp(bound: float) -> str:
 def _random_psd_functional(shape: ScenarioShape, seed: int) -> SteeringFunctional:
     rng = np.random.default_rng(seed)
     coeffs = {}
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                g = rng.normal(size=(shape.d, shape.d)) + 1j * rng.normal(
-                    size=(shape.d, shape.d)
-                )
-                coeffs[(a, x, y)] = g @ g.conj().T / shape.d
+    for key in member_keys(shape):
+        g = rng.normal(size=(shape.d, shape.d)) + 1j * rng.normal(size=(shape.d, shape.d))
+        coeffs[key] = g @ g.conj().T / shape.d
     return SteeringFunctional(shape=shape, coeffs=coeffs)
 
 

@@ -31,6 +31,7 @@ from steercert.assemblages import (
 )
 from steercert.matcore import (
     PAULIS,
+    RANK_TOL,
     Array,
     kron,
     partial_trace,
@@ -38,14 +39,14 @@ from steercert.matcore import (
     support_ops,
 )
 
-#: Default rank cutoff used when whitening members against reduced states.
-RANK_TOL = 1e-9
+#: Largest norm of a member outside the support of the state it sums to.
+SUPPORT_TOL = 10.0 * RANK_TOL
 
 
-def _check_support(member: Array, kernel_projector: Array, context: str, tol: float) -> None:
+def _check_support(member: Array, kernel_projector: Array, context: str) -> None:
     """Members must live on the support of the state they sum to."""
     leak = float(np.linalg.norm(kernel_projector @ member @ kernel_projector))
-    if leak > tol:
+    if leak > SUPPORT_TOL:
         raise ValueError(
             f"{context} leaks {leak:.3e} outside the reduced state's support; "
             "the input is not a consistent assemblage"
@@ -77,9 +78,7 @@ class QuantumRealizationTraditional:
     povms: dict[int, list[Array]]
 
 
-def ghjw_traditional(
-    asm: TraditionalAssemblage, rank_tol: float = RANK_TOL
-) -> QuantumRealizationTraditional:
+def ghjw_traditional(asm: TraditionalAssemblage) -> QuantumRealizationTraditional:
     """Realize a no-signalling traditional assemblage by measuring a pure state.
 
     The shared state purifies the reduced state over the computational basis;
@@ -90,15 +89,15 @@ def ghjw_traditional(
     shape = asm.shape
     d = shape.d
     sigma_r = asm.reduced_state(0)
-    ops = support_ops(sigma_r, rank_tol=rank_tol)
+    ops = support_ops(sigma_r)
     kernel_t = ops.kernel.T
-    state = _entangled_vector(sqrt_psd(sigma_r, rank_tol=rank_tol))
+    state = _entangled_vector(sqrt_psd(sigma_r))
     povms: dict[int, list[Array]] = {}
     for x in range(shape.m_a):
         effects = []
         for a in range(shape.n_a):
             member = asm.traditional_member(a, x)
-            _check_support(member, ops.kernel, f"member ({a}|{x})", 10.0 * rank_tol)
+            _check_support(member, ops.kernel, f"member ({a}|{x})")
             effect = (ops.sqrt_pinv @ member @ ops.sqrt_pinv).T
             if a == 0:
                 effect = effect + kernel_t
@@ -189,9 +188,7 @@ class QuantumRealizationSequential:
     povms: dict[tuple[int, int, int], list[Array]]
 
 
-def ghjw_sequential(
-    asm: SequentialAssemblage, rank_tol: float = RANK_TOL
-) -> QuantumRealizationSequential:
+def ghjw_sequential(asm: SequentialAssemblage) -> QuantumRealizationSequential:
     """Realize a no-signalling two-round assemblage on a pure state.
 
     Round one whitens the round-one members against the total state (all on
@@ -203,32 +200,25 @@ def ghjw_sequential(
     d = shape.d
     state_total = asm.state()
     total_t = state_total.T
-    total_ops = support_ops(total_t, rank_tol=rank_tol)
-    state = _entangled_vector(sqrt_psd(state_total, rank_tol=rank_tol))
+    total_ops = support_ops(total_t)
+    state = _entangled_vector(sqrt_psd(state_total))
     kraus: dict[int, list[Array]] = {}
     povms: dict[tuple[int, int, int], list[Array]] = {}
     for x1 in range(shape.m_x1):
         elements = []
         for a1 in range(shape.n_a1):
             first_t = asm.first_round_member(a1, x1).T
-            _check_support(
-                first_t, total_ops.kernel, f"round-one member ({a1}|{x1})", 10.0 * rank_tol
-            )
-            element = sqrt_psd(first_t, rank_tol=rank_tol) @ total_ops.sqrt_pinv
+            _check_support(first_t, total_ops.kernel, f"round-one member ({a1}|{x1})")
+            element = sqrt_psd(first_t) @ total_ops.sqrt_pinv
             if a1 == 0:
                 element = element + total_ops.kernel
             elements.append(element)
-            first_ops = support_ops(first_t, rank_tol=rank_tol)
+            first_ops = support_ops(first_t)
             for x2 in range(shape.m_x2):
                 effects = []
                 for a2 in range(shape.n_a2):
                     member_t = asm.member(a1, a2, x1, x2).T
-                    _check_support(
-                        member_t,
-                        first_ops.kernel,
-                        f"member ({a1},{a2}|{x1},{x2})",
-                        10.0 * rank_tol,
-                    )
+                    _check_support(member_t, first_ops.kernel, f"member ({a1},{a2}|{x1},{x2})")
                     effect = first_ops.sqrt_pinv @ member_t @ first_ops.sqrt_pinv
                     if a2 == 0:
                         effect = effect + first_ops.kernel

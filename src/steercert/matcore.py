@@ -3,8 +3,9 @@
 All operators in this package are small dense complex matrices.  The helpers
 here enforce a single hermiticity policy (symmetrize, then reject inputs whose
 anti-Hermitian part is large), provide tensor-product bookkeeping (partial
-trace, partial transpose), and expose spectral helpers (support projectors,
-pseudo-inverse square roots) with one shared rank tolerance.
+trace, partial transpose), expose spectral helpers (support projectors,
+pseudo-inverse square roots) with one shared rank tolerance, and hold the one
+check that a list of effects is a measurement.
 """
 
 from __future__ import annotations
@@ -16,11 +17,15 @@ import numpy as np
 
 Array = np.ndarray
 
-#: Default relative tolerance for treating an eigenvalue as zero.
+#: Relative tolerance for treating an eigenvalue as zero.
 RANK_TOL = 1e-9
 
 #: Default relative tolerance for hermiticity checks.
 HERM_TOL = 1e-12
+
+#: Tolerance of :func:`check_povm`: on each effect's hermiticity and lowest
+#: eigenvalue, and on the distance of the effects' sum from the identity.
+POVM_TOL = 1e-9
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -132,9 +137,9 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: Array
 
 
-def eigh(matrix: Array, tol: float = HERM_TOL) -> SpectralDecomposition:
+def eigh(matrix: Array) -> SpectralDecomposition:
     """Hermitian eigendecomposition with eigenvalues sorted ascending."""
-    hermitian = require_hermitian(matrix, tol=tol)
+    hermitian = require_hermitian(matrix)
     values, vectors = np.linalg.eigh(hermitian)
     return SpectralDecomposition(values, vectors)
 
@@ -146,6 +151,26 @@ def is_psd(matrix: Array, tol: float = RANK_TOL) -> bool:
     return bool(values.min(initial=0.0) >= -tol)
 
 
+def check_povm(effects: Sequence[Array], context: str) -> list[Array]:
+    """The effects as complex arrays, once each is positive and they sum to the identity.
+
+    Every check runs at :data:`POVM_TOL`; a failure raises ``ValueError``
+    prefixed with ``context``.
+    """
+    out = [np.asarray(effect, dtype=complex) for effect in effects]
+    if not out:
+        raise ValueError(f"{context}: empty effect list")
+    d = out[0].shape[0]
+    for b, effect in enumerate(out):
+        if effect.shape != (d, d):
+            raise ValueError(f"{context}: effect {b} has shape {effect.shape}")
+        if not is_psd(effect, tol=POVM_TOL):
+            raise ValueError(f"{context}: effect {b} is not positive")
+    if float(np.linalg.norm(sum(out) - np.eye(d))) > POVM_TOL:
+        raise ValueError(f"{context}: effects do not sum to the identity")
+    return out
+
+
 class SupportOps(NamedTuple):
     """Support-space companions of a positive semidefinite matrix."""
 
@@ -154,20 +179,20 @@ class SupportOps(NamedTuple):
     kernel: Array
 
 
-def _zero_threshold(values: Array, rank_tol: float) -> float:
+def _zero_threshold(values: Array) -> float:
     scale = float(values.max(initial=0.0))
-    return rank_tol * max(scale, 1.0) if scale <= 1.0 else rank_tol * scale
+    return RANK_TOL * max(scale, 1.0) if scale <= 1.0 else RANK_TOL * scale
 
 
-def support_ops(matrix: Array, rank_tol: float = RANK_TOL) -> SupportOps:
+def support_ops(matrix: Array) -> SupportOps:
     """Pseudo-inverse square root, support projector, and kernel projector.
 
-    Eigenvalues below ``rank_tol`` (relative to the largest eigenvalue) count
+    Eigenvalues below ``RANK_TOL`` (relative to the largest eigenvalue) count
     as zero; eigenvalues more negative than that threshold raise, since the
     input is meant to be positive semidefinite.
     """
     values, vectors = eigh(matrix)
-    threshold = _zero_threshold(values, rank_tol)
+    threshold = _zero_threshold(values)
     if values.min(initial=0.0) < -threshold:
         raise ValueError(
             f"matrix has negative eigenvalue {values.min():.3e}; "
@@ -184,10 +209,10 @@ def support_ops(matrix: Array, rank_tol: float = RANK_TOL) -> SupportOps:
     return SupportOps(sqrt_pinv, support, kernel)
 
 
-def sqrt_psd(matrix: Array, rank_tol: float = RANK_TOL) -> Array:
+def sqrt_psd(matrix: Array) -> Array:
     """Positive semidefinite square root, clipping eigenvalue noise at zero."""
     values, vectors = eigh(matrix)
-    threshold = _zero_threshold(values, rank_tol)
+    threshold = _zero_threshold(values)
     if values.min(initial=0.0) < -threshold:
         raise ValueError(
             f"matrix has negative eigenvalue {values.min():.3e}; "

@@ -23,13 +23,20 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from steercert.assemblages import BWI, BwiAssemblage, ScenarioShape
-from steercert.matcore import PAULIS, Array, partial_trace, require_hermitian
+from steercert.matcore import PAULIS, Array, check_povm, partial_trace, require_hermitian
 
 IDENTITY = "identity"
 TRANSPOSE = "transpose"
 PAULI_ACTION = "pauli-action"
 
 MAP_KINDS = (IDENTITY, TRANSPOSE, PAULI_ACTION)
+
+#: Slack on a positivity test: a Bloch matrix's spectral norm above one, or
+#: a Choi matrix's eigenvalue below zero.
+POSITIVITY_TOL = 1e-9
+
+#: Relative cutoff below which a reference member's weight counts as zero.
+PURITY_RANK_TOL = 1e-9
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")
 _PAULI_BASIS = (np.eye(2, dtype=complex),) + tuple(PAULIS)
@@ -124,7 +131,7 @@ def bloch_matrix(spec: LinearMapSpec) -> Array:
     return transfer_matrix(spec)[1:, 1:]
 
 
-def is_positive_map(spec: LinearMapSpec, tol: float = 1e-9) -> bool:
+def is_positive_map(spec: LinearMapSpec) -> bool:
     """Whether the map sends every state to a positive operator.
 
     For unital trace-preserving qubit maps this is exactly the condition that
@@ -134,7 +141,7 @@ def is_positive_map(spec: LinearMapSpec, tol: float = 1e-9) -> bool:
     if spec.kind in (IDENTITY, TRANSPOSE):
         return True
     norm = float(np.linalg.norm(bloch_matrix(spec), ord=2))
-    return norm <= 1.0 + tol
+    return norm <= 1.0 + POSITIVITY_TOL
 
 
 def dual_map(spec: LinearMapSpec) -> LinearMapSpec:
@@ -154,30 +161,13 @@ def dual_map(spec: LinearMapSpec) -> LinearMapSpec:
     return LinearMapSpec(kind=PAULI_ACTION, pauli_images=images)
 
 
-def _check_povm(effects: Sequence[Array], tol: float, context: str) -> list[Array]:
-    out = [np.asarray(effect, dtype=complex) for effect in effects]
-    if not out:
-        raise ValueError(f"{context}: empty effect list")
-    d = out[0].shape[0]
-    total = np.zeros((d, d), dtype=complex)
-    for b, effect in enumerate(out):
-        if effect.shape != (d, d):
-            raise ValueError(f"{context}: effect {b} has shape {effect.shape}")
-        if float(np.linalg.eigvalsh(require_hermitian(effect, tol=1e-8)).min()) < -tol:
-            raise ValueError(f"{context}: effect {b} is not positive")
-        total += effect
-    if float(np.linalg.norm(total - np.eye(d))) > max(tol, 1e-8):
-        raise ValueError(f"{context}: effects do not sum to the identity")
-    return out
-
-
-def dual_povm(spec: LinearMapSpec, effects: Sequence[Array], tol: float = 1e-9) -> list[Array]:
+def dual_povm(spec: LinearMapSpec, effects: Sequence[Array]) -> list[Array]:
     """Push a measurement through the map's dual.
 
     For a positive unital dual the images form a measurement again; this is
     how a trusted-side map is absorbed into the trusted measurement.
     """
-    checked = _check_povm(effects, tol, "dual_povm input")
+    checked = check_povm(effects, "dual_povm input")
     images = [apply_map(dual_map(spec), effect) for effect in checked]
     return [0.5 * (image + image.conj().T) for image in images]
 
@@ -259,9 +249,7 @@ class BellModelResult:
     assemblage: BwiAssemblage
 
 
-def ptp_bell_model(
-    spec: PtpModelSpec, bob_effects: Sequence[Sequence[Array]], tol: float = 1e-9
-) -> BellModelResult:
+def ptp_bell_model(spec: PtpModelSpec, bob_effects: Sequence[Sequence[Array]]) -> BellModelResult:
     """Bell statistics of a trusted-map model, with their quantum witness.
 
     Rejects maps that are not positive, validates every measurement, and
@@ -270,10 +258,10 @@ def ptp_bell_model(
     model's assemblage members.
     """
     for y, map_spec in enumerate(spec.maps):
-        if not is_positive_map(map_spec, tol=tol):
+        if not is_positive_map(map_spec):
             raise ValueError(f"map for trusted input {y} is not positive")
     checked = [
-        _check_povm(effects, tol, f"trusted measurement {z}")
+        check_povm(effects, f"trusted measurement {z}")
         for z, effects in enumerate(bob_effects)
     ]
     d_a, d_b = spec.dims()
@@ -283,7 +271,7 @@ def ptp_bell_model(
         if len(effects) != n_b:
             raise ValueError("every trusted measurement needs the same outcome count")
     witness = {
-        (y, z): dual_povm(map_spec, effects, tol=tol)
+        (y, z): dual_povm(map_spec, effects)
         for y, map_spec in enumerate(spec.maps)
         for z, effects in enumerate(checked)
     }
@@ -325,8 +313,8 @@ class ChoiMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(require_hermitian(self.matrix, tol=1e-8)).min())
 
-    def is_positive(self, tol: float = 1e-9) -> bool:
-        return self.min_eigenvalue() >= -tol
+    def is_positive(self) -> bool:
+        return self.min_eigenvalue() >= -POSITIVITY_TOL
 
     def trace_residual(self) -> float:
         """Distance of the trace from the trace-preserving value ``d``."""
@@ -387,9 +375,7 @@ def _pauli_coordinates(matrix: Array) -> Array:
     )
 
 
-def pure_state_lemma_check(
-    asm: BwiAssemblage, y_ref: int = 0, rank_tol: float = 1e-9
-) -> CertificateReport:
+def pure_state_lemma_check(asm: BwiAssemblage, y_ref: int = 0) -> CertificateReport:
     """Certificate from members proportional to pure states at one trusted input.
 
     When the reference members are pure (up to weight), any assemblage those
@@ -411,7 +397,7 @@ def pure_state_lemma_check(
             member = require_hermitian(asm.member(a, x, y_ref), tol=1e-8)
             values = np.linalg.eigvalsh(member)
             weight = float(values.max())
-            if weight > rank_tol and values[:-1].max(initial=0.0) > 1e-6 * weight:
+            if weight > PURITY_RANK_TOL and values[:-1].max(initial=0.0) > 1e-6 * weight:
                 raise ValueError(
                     f"reference member ({a}|{x},{y_ref}) is not proportional to a "
                     "pure state"

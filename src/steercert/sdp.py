@@ -9,8 +9,8 @@ Problems are stated over a product of complex Hermitian blocks:
 A problem is its data in svec coordinates (:class:`SdpProblem`): ``c``, a
 dense ``a`` with one row per equality and one column per packed coordinate,
 and ``b``.  There is no other format; every producer writes these arrays and
-every consumer (the solver, the phase-one probe, the audits, the dump) is an
-array operation on them.  A side-``n`` block has ``n**2`` coordinates: the
+every consumer (the solver, the phase-one probe, the audits) is an array
+operation on them.  A side-``n`` block has ``n**2`` coordinates: the
 real symmetric svec of its real part (the diagonal, then ``sqrt(2)`` times
 the strict lower triangle), then ``sqrt(2)`` times the imaginary part of the
 strict lower triangle, so ``svec(A) . svec(B) = Re tr(A B)``.  Real data
@@ -209,28 +209,6 @@ class SdpProblem:
     @property
     def num_rows(self) -> int:
         return len(self.b)
-
-    def dump(self) -> str:
-        """Plain text: block sides, then (block, row, col, value) per nonzero lower entry.
-
-        A real part is written as a float; an imaginary part as a float
-        followed by ``j``.
-        """
-        dims = self.block_dims
-        coords = []
-        for k, n in enumerate(dims):
-            lower, _, weights, _ = _layout(n)
-            rows, cols = np.divmod(lower // 2, n)
-            parts = zip(rows, cols, weights, lower % 2)
-            coords += [(k, i, j, w, "j" * imag) for i, j, w, imag in parts]
-        lines = ["blocks " + " ".join(str(d) for d in dims)]
-        heads = ["objective"] + [f"equality {r} rhs {float(v)!r}" for r, v in enumerate(self.b)]
-        for head, vector in zip(heads, [self.c, *self.a]):
-            lines.append(head)
-            for p in np.flatnonzero(vector):
-                k, i, j, w, imag = coords[p]
-                lines.append(f"  {k} {i} {j} {float(vector[p] / w)!r}{imag}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -1,16 +1,21 @@
 """JSON forms for assemblages, functionals, and quantum realizations.
 
-Complex scalars are two-element ``[real, imag]`` arrays, matrices are nested
-lists of those pairs, and members are keyed by outcome-input labels such as
-``"a|x"``, ``"a|x,y"``, or ``"a1,a2|x1,x2"``.  Every document carries a
-``scenario`` block naming its kind and index ranges, so a file identifies its
-own scenario.  Serialization is lossless: parsing a serialized object gives
-back bitwise-equal arrays.
+Complex scalars are two-element ``[real, imag]`` arrays and matrices are
+nested lists of those pairs.  Members and coefficients are labelled by their
+:func:`~steercert.assemblages.member_keys` key, under one rule for every
+kind: an assemblage label is the outcome indices, ``|``, then the input
+indices, each comma-joined (``"a|x,y"``, ``"a1,a2|x1,x2"``, or ``"a|x"`` when
+wired or traditional, whose key drops its ``y = 0``), and a functional label
+comma-joins the whole key (``"a,x,y"``, or ``"a,x"`` when wired).  Every
+document carries a ``scenario`` block naming its kind and index ranges, so a
+file identifies its own scenario.  Serialization is lossless: parsing a
+serialized object gives back bitwise-equal arrays.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -18,6 +23,7 @@ import numpy as np
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
+    KINDS,
     SEQUENTIAL,
     TRADITIONAL,
     BwiAssemblage,
@@ -25,7 +31,9 @@ from steercert.assemblages import (
     ScenarioShape,
     SequentialAssemblage,
     SequentialShape,
+    Shape,
     TraditionalAssemblage,
+    member_keys,
 )
 from steercert.ghjw import QuantumRealizationSequential, QuantumRealizationTraditional
 from steercert.matcore import Array
@@ -114,11 +122,49 @@ def _index_tuple(label: str, count: int, context: str) -> tuple[int, ...]:
         raise ValueError(f"{context}: non-integer index in {label!r}") from exc
 
 
-def _member_key(label: str, lhs: int, rhs: int, context: str) -> tuple[int, ...]:
-    halves = label.split("|")
-    if len(halves) != 2:
-        raise ValueError(f"{context}: member key {label!r} needs one '|' separator")
-    return _index_tuple(halves[0], lhs, context) + _index_tuple(halves[1], rhs, context)
+def _label_runs(shape: Shape, functional: bool) -> tuple[list[slice], int]:
+    """The slices of a key that its label writes between ``|`` separators, and the key's size.
+
+    A functional label is its whole key.  An assemblage label is the outcome
+    indices, then the input indices; a traditional key drops its ``y = 0``.
+    """
+    size = len(member_keys(shape)[0])
+    if functional:
+        return [slice(0, size)], size
+    outcomes = 2 if shape.kind == SEQUENTIAL else 1
+    return [slice(0, outcomes), slice(outcomes, size - (shape.kind == TRADITIONAL))], size
+
+
+def _member_label(key: tuple[int, ...], runs: list[slice]) -> str:
+    return "|".join(",".join(map(str, key[run])) for run in runs)
+
+
+def _member_key(label: str, runs: list[slice], size: int, context: str) -> tuple[int, ...]:
+    parts = label.split("|")
+    if len(parts) != len(runs):
+        raise ValueError(
+            f"{context}: key {label!r} needs {len(runs) - 1} '|' separator(s), not {len(parts) - 1}"
+        )
+    key: tuple[int, ...] = ()
+    for part, run in zip(parts, runs):
+        key += _index_tuple(part, run.stop - run.start, context)
+    return key + (0,) * (size - len(key))
+
+
+def _table_to_json(shape: Shape, table: Mapping[tuple[int, ...], Array], functional: bool) -> Json:
+    runs, _ = _label_runs(shape, functional)
+    return {_member_label(key, runs): matrix_to_json(matrix) for key, matrix in table.items()}
+
+
+def _table_from_json(shape: Shape, data: Mapping[str, Any], field: str, functional: bool) -> dict:
+    table = data.get(field)
+    if not isinstance(table, dict) or not table:
+        raise ValueError(f"{field}: expected a non-empty object")
+    runs, size = _label_runs(shape, functional)
+    return {
+        _member_key(label, runs, size, field): matrix_from_json(value, f"{field}[{label}]")
+        for label, value in table.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -126,49 +172,29 @@ def _member_key(label: str, lhs: int, rhs: int, context: str) -> tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
-def scenario_to_json(shape: ScenarioShape | SequentialShape) -> Json:
-    if isinstance(shape, SequentialShape):
-        return {
-            "kind": SEQUENTIAL,
-            "n_a1": shape.n_a1,
-            "m_x1": shape.m_x1,
-            "n_a2": shape.n_a2,
-            "m_x2": shape.m_x2,
-            "d": shape.d,
-        }
-    return {
-        "kind": shape.kind,
-        "n_a": shape.n_a,
-        "m_a": shape.m_a,
-        "m_b": shape.m_b,
-        "d": shape.d,
-    }
+def _range_names(kind: Any) -> tuple[str, ...]:
+    if kind == SEQUENTIAL:
+        return tuple(f.name for f in fields(SequentialShape))
+    if kind in KINDS:
+        return tuple(f.name for f in fields(ScenarioShape) if f.name != "kind")
+    raise ValueError(f"scenario: unknown kind {kind!r}")
 
 
-def scenario_from_json(data: Any) -> ScenarioShape | SequentialShape:
+def scenario_to_json(shape: Shape) -> Json:
+    return {"kind": shape.kind, **{name: getattr(shape, name) for name in _range_names(shape.kind)}}
+
+
+def scenario_from_json(data: Any) -> Shape:
     context = "scenario"
     if not isinstance(data, dict):
         raise ValueError(f"{context}: expected an object, got {type(data).__name__}")
     kind = data.get("kind")
+    names = _range_names(kind)
+    _require_keys(data, names, context)
+    ranges = {name: _int_field(data, name, context) for name in names}
     if kind == SEQUENTIAL:
-        _require_keys(data, ("n_a1", "m_x1", "n_a2", "m_x2", "d"), context)
-        return SequentialShape(
-            n_a1=_int_field(data, "n_a1", context),
-            m_x1=_int_field(data, "m_x1", context),
-            n_a2=_int_field(data, "n_a2", context),
-            m_x2=_int_field(data, "m_x2", context),
-            d=_int_field(data, "d", context),
-        )
-    if kind in (BWI, TRADITIONAL, INSTRUMENTAL):
-        _require_keys(data, ("n_a", "m_a", "m_b", "d"), context)
-        return ScenarioShape(
-            n_a=_int_field(data, "n_a", context),
-            m_a=_int_field(data, "m_a", context),
-            m_b=_int_field(data, "m_b", context),
-            d=_int_field(data, "d", context),
-            kind=kind,
-        )
-    raise ValueError(f"{context}: unknown kind {kind!r}")
+        return SequentialShape(**ranges)
+    return ScenarioShape(**ranges, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -177,48 +203,19 @@ def scenario_from_json(data: Any) -> ScenarioShape | SequentialShape:
 
 Assemblage = BwiAssemblage | SequentialAssemblage | InstrumentalAssemblage
 
+_ASSEMBLAGE_TYPES = {
+    BWI: BwiAssemblage,
+    TRADITIONAL: TraditionalAssemblage,
+    SEQUENTIAL: SequentialAssemblage,
+    INSTRUMENTAL: InstrumentalAssemblage,
+}
+
 
 def assemblage_to_json(asm: Assemblage) -> Json:
-    members: dict[str, Any] = {}
-    if isinstance(asm, SequentialAssemblage):
-        shape = asm.shape
-        for x1 in range(shape.m_x1):
-            for x2 in range(shape.m_x2):
-                for a1 in range(shape.n_a1):
-                    for a2 in range(shape.n_a2):
-                        members[f"{a1},{a2}|{x1},{x2}"] = matrix_to_json(
-                            asm.member(a1, a2, x1, x2)
-                        )
-    elif isinstance(asm, InstrumentalAssemblage):
-        shape = asm.shape
-        for x in range(shape.m_a):
-            for a in range(shape.n_a):
-                members[f"{a}|{x}"] = matrix_to_json(asm.member(a, x))
-    elif isinstance(asm, TraditionalAssemblage):
-        shape = asm.shape
-        for x in range(shape.m_a):
-            for a in range(shape.n_a):
-                members[f"{a}|{x}"] = matrix_to_json(asm.traditional_member(a, x))
-    elif isinstance(asm, BwiAssemblage):
-        shape = asm.shape
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                for a in range(shape.n_a):
-                    members[f"{a}|{x},{y}"] = matrix_to_json(asm.member(a, x, y))
-    else:
+    if not isinstance(asm, Assemblage):
         raise TypeError(f"cannot serialize {type(asm).__name__}")
+    members = _table_to_json(asm.shape, asm.members, functional=False)
     return {"scenario": scenario_to_json(asm.shape), "members": members}
-
-
-def _member_matrices(data: Mapping[str, Any], lhs: int, rhs: int) -> dict[tuple[int, ...], Array]:
-    members_data = data.get("members")
-    if not isinstance(members_data, dict) or not members_data:
-        raise ValueError("members: expected a non-empty object")
-    out = {}
-    for label, value in members_data.items():
-        key = _member_key(label, lhs, rhs, "members")
-        out[key] = matrix_from_json(value, f"members[{label}]")
-    return out
 
 
 def assemblage_from_json(data: Any) -> Assemblage:
@@ -227,24 +224,8 @@ def assemblage_from_json(data: Any) -> Assemblage:
     if "scenario" not in data:
         raise ValueError("assemblage: missing scenario block")
     shape = scenario_from_json(data["scenario"])
-    if isinstance(shape, SequentialShape):
-        members = _member_matrices(data, 2, 2)
-        keyed = {(a1, a2, x1, x2): m for (a1, a2, x1, x2), m in members.items()}
-        return SequentialAssemblage(shape=shape, members=keyed)
-    if shape.kind == BWI:
-        raw = {}
-        members_data = data.get("members")
-        if not isinstance(members_data, dict) or not members_data:
-            raise ValueError("members: expected a non-empty object")
-        for label, value in members_data.items():
-            a_part, x_part, y_part = _member_key(label, 1, 2, "members")
-            raw[(a_part, x_part, y_part)] = matrix_from_json(value, f"members[{label}]")
-        return BwiAssemblage(shape=shape, members=raw)
-    members = _member_matrices(data, 1, 1)
-    if shape.kind == INSTRUMENTAL:
-        return InstrumentalAssemblage(shape=shape, members=dict(members))
-    keyed = {(a, x, 0): m for (a, x), m in members.items()}
-    return TraditionalAssemblage(shape=shape, members=keyed)
+    members = _table_from_json(shape, data, "members", functional=False)
+    return _ASSEMBLAGE_TYPES[shape.kind](shape=shape, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +236,10 @@ Functional = SteeringFunctional | InstrumentalFunctional
 
 
 def functional_to_json(functional: Functional) -> Json:
-    shape = functional.shape
-    coefficients: dict[str, Any] = {}
-    if isinstance(functional, InstrumentalFunctional):
-        for x in range(shape.m_a):
-            for a in range(shape.n_a):
-                coefficients[f"{a},{x}"] = matrix_to_json(functional.term(a, x))
-    elif isinstance(functional, SteeringFunctional):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                for a in range(shape.n_a):
-                    coefficients[f"{a},{x},{y}"] = matrix_to_json(functional.term(a, x, y))
-    else:
+    if not isinstance(functional, Functional):
         raise TypeError(f"cannot serialize {type(functional).__name__}")
-    return {"scenario": scenario_to_json(shape), "coefficients": coefficients}
+    coefficients = _table_to_json(functional.shape, functional.coeffs, functional=True)
+    return {"scenario": scenario_to_json(functional.shape), "coefficients": coefficients}
 
 
 def functional_from_json(data: Any) -> Functional:
@@ -277,21 +248,11 @@ def functional_from_json(data: Any) -> Functional:
     if "scenario" not in data:
         raise ValueError("functional: missing scenario block")
     shape = scenario_from_json(data["scenario"])
-    if isinstance(shape, SequentialShape):
+    if shape.kind == SEQUENTIAL:
         raise ValueError("functional: sequential scenarios are not supported")
-    table = data.get("coefficients")
-    if not isinstance(table, dict) or not table:
-        raise ValueError("coefficients: expected a non-empty object")
+    coeffs = _table_from_json(shape, data, "coefficients", functional=True)
     if shape.kind == INSTRUMENTAL:
-        coeffs = {}
-        for label, value in table.items():
-            a_part, x_part = _index_tuple(label, 2, "coefficients")
-            coeffs[(a_part, x_part)] = matrix_from_json(value, f"coefficients[{label}]")
         return InstrumentalFunctional(shape=shape, coeffs=coeffs)
-    coeffs = {}
-    for label, value in table.items():
-        key = _index_tuple(label, 3, "coefficients")
-        coeffs[key] = matrix_from_json(value, f"coefficients[{label}]")
     return SteeringFunctional(shape=shape, coeffs=coeffs)
 
 

@@ -35,7 +35,9 @@ from steercert.assemblages import (
     BwiAssemblage,
     InstrumentalAssemblage,
     ScenarioShape,
+    checked_members,
     consistent,
+    member_keys,
     ns_variable_blocks,
     validate_ns_bwi,
 )
@@ -89,13 +91,9 @@ class SteeringFunctional:
     coeffs: dict[tuple[int, int, int], Array]
 
     def __post_init__(self) -> None:
-        expected = {
-            (a, x, y)
-            for a in range(self.shape.n_a)
-            for x in range(self.shape.m_a)
-            for y in range(self.shape.m_b)
-        }
-        self.coeffs = _hermitian_coefficients(self.coeffs, expected, self.shape.d)
+        if self.shape.kind == INSTRUMENTAL:
+            raise ValueError("wired coefficients belong in an InstrumentalFunctional")
+        self.coeffs = _hermitian_coefficients(self.shape, self.coeffs)
 
     def term(self, a: int, x: int, y: int) -> Array:
         return self.coeffs[(a, x, y)]
@@ -111,24 +109,16 @@ class InstrumentalFunctional:
     def __post_init__(self) -> None:
         if self.shape.kind != INSTRUMENTAL:
             raise ValueError("shape.kind must be instrumental")
-        expected = {(a, x) for a in range(self.shape.n_a) for x in range(self.shape.m_a)}
-        self.coeffs = _hermitian_coefficients(self.coeffs, expected, self.shape.d)
+        self.coeffs = _hermitian_coefficients(self.shape, self.coeffs)
 
     def term(self, a: int, x: int) -> Array:
         return self.coeffs[(a, x)]
 
 
-def _hermitian_coefficients(coeffs: dict, expected: set, d: int) -> dict:
-    """The Hermitian coefficients of a functional, keyed as ``expected``, each of side ``d``."""
-    if set(coeffs) != expected:
-        raise ValueError("coefficient keys do not match the scenario shape")
-    checked = {}
-    for key, mat in coeffs.items():
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (d, d):
-            raise ValueError(f"coefficient {key} has shape {mat.shape}, expected side {d}")
-        checked[key] = require_hermitian(mat, tol=1e-10)
-    return checked
+def _hermitian_coefficients(shape: ScenarioShape, coeffs: dict) -> dict:
+    """The Hermitian coefficients of a functional, once :func:`checked_members` accepts them."""
+    checked = checked_members(shape, coeffs, "coefficient")
+    return {key: require_hermitian(mat, tol=1e-10) for key, mat in checked.items()}
 
 
 def _real_or_raise(value: complex, context: str) -> float:
@@ -142,25 +132,15 @@ def evaluate(
     asm: BwiAssemblage | InstrumentalAssemblage,
 ) -> float:
     """Value of the functional on the assemblage, asserted real."""
-    if isinstance(functional, SteeringFunctional):
-        if not isinstance(asm, BwiAssemblage):
-            raise TypeError("bob-with-input functionals evaluate bob-with-input assemblages")
-        total = sum(
-            complex(np.trace(functional.term(a, x, y) @ asm.member(a, x, y)))
-            for a in range(functional.shape.n_a)
-            for x in range(functional.shape.m_a)
-            for y in range(functional.shape.m_b)
+    wired = isinstance(functional, InstrumentalFunctional)
+    wanted = InstrumentalAssemblage if wired else BwiAssemblage
+    if not isinstance(asm, wanted):
+        raise TypeError(
+            f"{type(functional).__name__} evaluates {wanted.__name__}, not {type(asm).__name__}"
         )
-    elif isinstance(functional, InstrumentalFunctional):
-        if not isinstance(asm, InstrumentalAssemblage):
-            raise TypeError("wired functionals evaluate wired assemblages")
-        total = sum(
-            complex(np.trace(functional.term(a, x) @ asm.member(a, x)))
-            for a in range(functional.shape.n_a)
-            for x in range(functional.shape.m_a)
-        )
-    else:
-        raise TypeError(f"unsupported functional type {type(functional).__name__}")
+    total = sum(
+        complex(np.trace(coeff @ asm.members[key])) for key, coeff in functional.coeffs.items()
+    )
     return _real_or_raise(total, "functional value")
 
 
@@ -192,9 +172,7 @@ def canonical_instrumental_functional() -> InstrumentalFunctional:
     """
     full = canonical_functional()
     shape = ScenarioShape(n_a=2, m_a=3, m_b=2, d=2, kind=INSTRUMENTAL)
-    coeffs = {
-        (a, x): full.term(a, x, a) for a in range(2) for x in range(full.shape.m_a)
-    }
+    coeffs = {(a, x): full.term(a, x, a) for a, x in member_keys(shape)}
     return InstrumentalFunctional(shape=shape, coeffs=coeffs)
 
 
@@ -231,14 +209,12 @@ class LhsModel:
 
     def assemblage(self, shape: ScenarioShape) -> BwiAssemblage:
         members = {}
-        for a in range(shape.n_a):
-            for x in range(shape.m_a):
-                for y in range(shape.m_b):
-                    total = np.zeros((shape.d, shape.d), dtype=complex)
-                    for k, strategy in enumerate(self.strategies):
-                        if strategy[x] == a:
-                            total = total + self.states[(k, y)]
-                    members[(a, x, y)] = total
+        for a, x, y in member_keys(shape):
+            total = np.zeros((shape.d, shape.d), dtype=complex)
+            for k, strategy in enumerate(self.strategies):
+                if strategy[x] == a:
+                    total = total + self.states[(k, y)]
+            members[(a, x, y)] = total
         return BwiAssemblage(shape=shape, members=members)
 
 
@@ -316,7 +292,7 @@ def lhs_membership(
         eye = np.eye(shape.d)
         for k, y in itertools.product(np.flatnonzero(traced), range(1, shape.m_b)):
             builder.add_equality([(blocks[(k, y)], eye), (blocks[(k, 0)], -eye)])
-        for a, x, y in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b)):
+        for a, x, y in member_keys(shape):
             if (x > 0 and a == shape.n_a - 1) == last:
                 terms = [(blocks[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
                 builder.add_matrix_equality(terms, asm.member(a, x, y))
@@ -415,13 +391,8 @@ class MomentMatrix:
         raise ValueError("the relaxation encodes binary outcomes only")
 
     def assemblage(self) -> BwiAssemblage:
-        shape = ScenarioShape(2, self.shape.m_a, self.shape.m_b, self.shape.d, BWI)
-        members = {
-            (a, x, y): self.member(a, x, y)
-            for a in range(2)
-            for x in range(shape.m_a)
-            for y in range(shape.m_b)
-        }
+        shape = _qtilde_scenario(self.shape)
+        members = {key: self.member(*key) for key in member_keys(shape)}
         return BwiAssemblage(shape=shape, members=members)
 
     def residuals(self) -> dict[str, float]:
@@ -699,8 +670,6 @@ def qtilde_instrumental_bound(
     """
     shape = functional.shape
     require_binary_outcomes(shape)
-    if shape.m_b != 2:
-        raise ValueError("wiring binary outcomes needs two trusted inputs")
     value, _ = _solve_bound(
         _qtilde_scenario(shape),
         [(coeff, a, x, a) for (a, x), coeff in functional.coeffs.items()],

@@ -284,6 +284,34 @@ def test_wired_membership_keeps_its_margins(seed, margin):
     assert instrumental_membership(wired).margin == pytest.approx(margin, abs=1e-9)
 
 
+@pytest.mark.parametrize("m_a", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_outcome_wired_members_extend_exactly_when_they_agree(m_a, d):
+    # With one outcome every block is pinned, so the summed-state rows are
+    # the data's own: equal members extend, and different ones are outside
+    # with no solve.
+    shape = ScenarioShape(1, m_a, 1, d, kind=INSTRUMENTAL)
+    states = [
+        random_quantum_bwi(ScenarioShape(1, 1, 1, d), seed).member(0, 0, 0) for seed in range(3)
+    ]
+    equal = instrumental_membership(
+        InstrumentalAssemblage(shape, {(0, x): states[0] for x in range(m_a)})
+    )
+    assert equal.feasible
+    assert equal.problem.num_rows == np.linalg.matrix_rank(equal.problem.a)
+    if m_a == 1 or d == 1:
+        return  # nothing to differ: every normalized 1 x 1 member is 1
+    differ = instrumental_membership(
+        InstrumentalAssemblage(shape, {(0, x): states[x] for x in range(m_a)})
+    )
+    assert differ.verdict == sdp.OUTSIDE
+    assert differ.margin == -np.inf
+    assert differ.residuals["state_consistency"] > 0.1
+    b_dot_y, max_eig = sdp.farkas_terms(differ.problem, differ.certificate_y)
+    assert b_dot_y == pytest.approx(1.0, abs=1e-9)
+    assert max_eig <= 1e-9
+
+
 def test_wired_members_normalized_at_one_input_only_do_not_extend():
     # Only x = 1 loses weight: the omitted (1, 1, 1) trace row is the one the
     # data contradict, and the certificate combines the full rows.

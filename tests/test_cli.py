@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, report documents, and the
 certification chain."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -165,6 +166,21 @@ def test_non_finite_input_entries_are_input_errors(capsys, tmp_path, bad):
         assert code == 2
         assert out == ""
         assert entry in err and "finite" in err
+
+
+@pytest.mark.parametrize("n_a, m_a, m_b, d", list(itertools.product((1, 2), repeat=4)))
+def test_degenerate_shapes_end_in_a_verdict_or_an_input_error(capsys, tmp_path, n_a, m_a, m_b, d):
+    # Every range in {1, 2}: each request ends in exit 0 or 2, never in a
+    # traceback (which would read as exit 1, a negative verdict) or exit 3.
+    shape = ScenarioShape(n_a, m_a, m_b, d, BWI)
+    functional = tmp_path / "functional.json"
+    document = serialize.functional_to_json(cli._random_psd_functional(shape, 0))
+    functional.write_text(json.dumps(document))
+    assemblage = write_assemblage(tmp_path / "assemblage.json", random_quantum_bwi(shape, 0))
+    requests = [("bounds", str(functional), "--which", which) for which in ("lhs", "ns", "qtilde")]
+    requests += [("certify", assemblage), ("validate", assemblage)]
+    codes = {request: run(capsys, *request)[0] for request in requests}
+    assert all(code in (0, 2) for code in codes.values()), codes
 
 
 class TestBounds:

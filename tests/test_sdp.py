@@ -769,7 +769,7 @@ def test_membership_verdict_rule(tol, margin, verdict):
 
 
 # ---------------------------------------------------------------------------
-# Determinism and the text dump
+# Determinism and problem data
 # ---------------------------------------------------------------------------
 
 
@@ -870,23 +870,6 @@ def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
     (problem, result), = results
     assert result.feasible
     assert problem.num_rows == np.linalg.matrix_rank(problem.a) == 42
-
-
-def test_dump_lists_blocks_objective_and_rows():
-    problem = SdpProblem(
-        block_dims=(2, 1),
-        c=packed(np.array([[1.0, -0.5j], [0.5j, 0.0]]), np.zeros((1, 1))),
-        a=[packed(np.zeros((2, 2)), np.array([[2.0]]))],
-        b=[3.0],
-    )
-    text = problem.dump()
-    lines = text.splitlines()
-    assert lines[0] == "blocks 2 1"
-    assert "objective" in lines
-    assert "  0 0 0 1.0" in lines
-    assert "  0 1 0 0.5j" in lines
-    assert "equality 0 rhs 3.0" in lines
-    assert "  1 0 0 2.0" in lines
 
 
 def test_problem_rejects_bad_dims():

@@ -84,6 +84,16 @@ def test_functional_rejects_mismatched_keys():
         SteeringFunctional(shape=shape, coeffs={(0, 0, 0): np.eye(2)})
 
 
+def test_functionals_refuse_the_other_kind_of_shape():
+    wired = ScenarioShape(2, 1, 2, 1, INSTRUMENTAL)
+    with pytest.raises(ValueError, match="InstrumentalFunctional"):
+        SteeringFunctional(shape=wired, coeffs={(a, 0): np.eye(1) for a in range(2)})
+    with pytest.raises(ValueError, match="instrumental"):
+        InstrumentalFunctional(
+            shape=ScenarioShape(2, 1, 2, 1), coeffs={(a, 0): np.eye(1) for a in range(2)}
+        )
+
+
 def test_evaluate_rejects_type_mixups():
     with pytest.raises(TypeError):
         evaluate(canonical_functional(), assemblages.instrumental_pauli_assemblage())
@@ -611,6 +621,15 @@ def test_no_signalling_bound_keeps_its_values(seed, value):
     # The values before the implied trace rows were omitted.
     functional = cli._random_psd_functional(ScenarioShape(2, 3, 2, 2), seed)
     assert ns_bound(functional) == pytest.approx(value, abs=1e-6)
+
+
+@pytest.mark.parametrize("m_a, m_b, d", list(itertools.product((1, 2, 3), repeat=3)))
+def test_no_signalling_bound_with_one_outcome_is_the_hidden_state_bound(m_a, m_b, d):
+    # With one outcome the no-signalling set is {sigma_{0|x,y} = rho_y}, the
+    # assemblages of the single deterministic strategy.
+    functional = random_psd_functional(m_a * 100 + m_b * 10 + d, ScenarioShape(1, m_a, m_b, d))
+    lhs_value, _ = lhs_bound(functional)
+    assert ns_bound(functional) == pytest.approx(lhs_value, rel=1e-7)
 
 
 def test_solver_failure_carries_the_solution():
