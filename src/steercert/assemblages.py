@@ -449,13 +449,10 @@ def instrumental_from_bwi(asm: BwiAssemblage) -> InstrumentalAssemblage:
     )
     members = {(a, x): asm.member(a, x, a) for a, x in member_keys(out_shape)}
     out = InstrumentalAssemblage(shape=out_shape, members=members)
-    for x in range(shape.m_a):
-        total = sum(np.trace(out.member(a, x)) for a in range(shape.n_a))
-        if abs(complex(total) - 1.0) > WIRING_TOL:
-            raise ValueError(
-                "wired members lost normalization; the input assemblage is not "
-                "no-signalling"
-            )
+    if validate_instrumental(out, tol=WIRING_TOL).residuals["normalization"] > WIRING_TOL:
+        raise ValueError(
+            "wired members lost normalization; the input assemblage is not no-signalling"
+        )
     return out
 
 

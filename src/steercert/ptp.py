@@ -8,11 +8,15 @@ however, need not be quantum, and the gap is witnessed by the map's Choi
 matrix: a negative eigenvalue certifies that no completely positive map does
 the same job.
 
-This module provides the map descriptions used by the examples (identity,
-transpose, and maps given by their action on the Pauli basis), the dual-map
-construction, the Bell-model table with its explicit quantum witness, Choi
-matrices under the trace-``d`` convention, and a certificate check for
-assemblages whose reference members are proportional to pure states.
+Every map here is a unital, trace-preserving qubit map, held as its Pauli
+transfer matrix ``T`` (:class:`QubitMap`): ``T[i, j] = tr(P_i F(P_j)) / 2``
+over ``P = I, X, Y, Z``, a real 4x4 matrix whose row 0 and column 0 are
+``e_0``.  Its dual is ``T^T``; it is positive exactly when the 3x3 Bloch
+block has spectral norm at most one (Ruskai, Szarek & Werner, Linear Algebra
+Appl. 347, 159 (2002)); and its Choi matrix is ``sum_ij T_ij P_i (x) P_j^T / 2``.
+On top of that form sit the Bell-model table with its explicit quantum
+witness and a certificate check for assemblages whose reference members are
+proportional to pure states.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from steercert.assemblages import BWI, BwiAssemblage, ScenarioShape
-from steercert.matcore import PAULIS, Array, check_povm, partial_trace, require_hermitian
-
-IDENTITY = "identity"
-TRANSPOSE = "transpose"
-PAULI_ACTION = "pauli-action"
-
-MAP_KINDS = (IDENTITY, TRANSPOSE, PAULI_ACTION)
+from steercert.matcore import (
+    PAULIS,
+    Array,
+    check_povm,
+    hermitian_part,
+    partial_trace,
+    require_hermitian,
+)
 
 #: Slack on a positivity test: a Bloch matrix's spectral norm above one, or
 #: a Choi matrix's eigenvalue below zero.
@@ -39,137 +44,107 @@ POSITIVITY_TOL = 1e-9
 PURITY_RANK_TOL = 1e-9
 
 _PAULI_LABELS = ("I", "X", "Y", "Z")
-_PAULI_BASIS = (np.eye(2, dtype=complex),) + tuple(PAULIS)
+_PAULI_BASIS = np.stack((np.eye(2, dtype=complex),) + tuple(PAULIS))
+_E0 = np.eye(4)[0]
 
 
-@dataclass
-class LinearMapSpec:
-    """A linear map on operators, given by kind or by its Pauli-basis action.
+def pauli_coordinates(matrix: Array) -> Array:
+    """``tr(P_i m) / 2`` for ``P = I, X, Y, Z`` over leading axes; real for Hermitian ``m``."""
+    return np.einsum("iab,...ba->...i", _PAULI_BASIS, matrix) / 2.0
 
-    ``pauli_images`` is required exactly for the ``pauli-action`` kind and maps
-    each label in ``I, X, Y, Z`` to the image matrix; the identity must map to
-    itself and the other images must be Hermitian and traceless, which is what
-    trace preservation and Hermiticity preservation amount to on a qubit.
+
+@dataclass(frozen=True, eq=False)
+class QubitMap:
+    """A unital, trace-preserving qubit map, as its Pauli transfer matrix.
+
+    ``transfer`` is real 4x4 with rows and columns ordered ``I, X, Y, Z``; row
+    0 equal to ``e_0`` is trace preservation and column 0 equal to ``e_0`` is
+    unitality.
     """
 
-    kind: str
-    pauli_images: dict[str, Array] | None = None
+    transfer: Array
 
     def __post_init__(self) -> None:
-        if self.kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind != PAULI_ACTION:
-            if self.pauli_images is not None:
-                raise ValueError(f"{self.kind} maps do not take Pauli images")
-            return
-        if self.pauli_images is None or set(self.pauli_images) != set(_PAULI_LABELS):
-            raise ValueError("pauli-action maps need images for exactly I, X, Y, Z")
-        images = {}
-        for label in _PAULI_LABELS:
-            image = np.asarray(self.pauli_images[label], dtype=complex)
-            if image.shape != (2, 2):
-                raise ValueError(f"image of {label} must be 2x2, got {image.shape}")
-            images[label] = require_hermitian(image, tol=1e-10)
-        if np.linalg.norm(images["I"] - np.eye(2)) > 1e-10:
-            raise ValueError("pauli-action maps must send the identity to itself")
-        for label in _PAULI_LABELS[1:]:
-            if abs(np.trace(images[label])) > 1e-10:
-                raise ValueError(
-                    f"image of {label} must be traceless for trace preservation"
-                )
-        self.pauli_images = images
+        transfer = np.asarray(self.transfer)
+        if transfer.shape != (4, 4) or not np.isrealobj(transfer):
+            raise ValueError(
+                f"transfer matrix must be real 4x4, got {transfer.dtype} {transfer.shape}"
+            )
+        if not np.array_equal(transfer[:, 0], _E0):
+            raise ValueError("map is not unital: column 0 of the transfer matrix is not e_0")
+        if not np.array_equal(transfer[0], _E0):
+            raise ValueError("map is not trace-preserving: row 0 of the transfer matrix is not e_0")
+        transfer = transfer.astype(float)
+        transfer.setflags(write=False)
+        object.__setattr__(self, "transfer", transfer)
+
+    def __call__(self, matrix: Array) -> Array:
+        matrix = np.asarray(matrix, dtype=complex)
+        if matrix.shape != (2, 2):
+            raise ValueError(f"qubit maps act on 2x2 matrices, got shape {matrix.shape}")
+        return np.einsum("i,iab->ab", self.transfer @ pauli_coordinates(matrix), _PAULI_BASIS)
+
+    def dual(self) -> QubitMap:
+        """The adjoint with respect to the trace inner product."""
+        return QubitMap(self.transfer.T)
+
+    def is_positive(self) -> bool:
+        """Whether the Bloch block keeps the unit ball, i.e. states map to states."""
+        norm = float(np.linalg.norm(self.transfer[1:, 1:], ord=2))
+        return norm <= 1.0 + POSITIVITY_TOL
 
 
-def identity_map() -> LinearMapSpec:
-    return LinearMapSpec(kind=IDENTITY)
+def _pinned(transfer: Array) -> QubitMap:
+    """The map whose transfer matrix is ``transfer`` with row and column 0 set to ``e_0``."""
+    transfer = np.array(transfer, dtype=float)
+    transfer[:, 0] = _E0
+    transfer[0, 1:] = 0.0
+    return QubitMap(transfer)
 
 
-def transpose_map() -> LinearMapSpec:
-    return LinearMapSpec(kind=TRANSPOSE)
+def identity_map() -> QubitMap:
+    return QubitMap(np.eye(4))
 
 
-def pauli_action(images: Mapping[str, Array]) -> LinearMapSpec:
-    """Map given by its images of I, X, Y, Z."""
-    return LinearMapSpec(kind=PAULI_ACTION, pauli_images=dict(images))
+def transpose_map() -> QubitMap:
+    return QubitMap(np.diag([1.0, 1.0, -1.0, 1.0]))
 
 
-def apply_map(spec: LinearMapSpec, matrix: Array) -> Array:
-    """Image of a matrix under the map.
+def pauli_action(images: Mapping[str, Array]) -> QubitMap:
+    """Map given by its images of I, X, Y, Z.
 
-    Identity and transpose act on any square matrix; a ``pauli-action`` map
-    acts on qubit operators through their Pauli-basis expansion.
+    The identity must map to itself and the other images must be Hermitian
+    and traceless, which is what trace preservation and Hermiticity
+    preservation amount to on a qubit.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if spec.kind == IDENTITY:
-        return matrix.copy()
-    if spec.kind == TRANSPOSE:
-        return matrix.T.copy()
-    if matrix.shape != (2, 2):
-        raise ValueError("pauli-action maps act on 2x2 matrices")
-    assert spec.pauli_images is not None
-    out = np.zeros((2, 2), dtype=complex)
-    for label, basis in zip(_PAULI_LABELS, _PAULI_BASIS):
-        coefficient = complex(np.trace(basis @ matrix)) / 2.0
-        out += coefficient * spec.pauli_images[label]
-    return out
+    if set(images) != set(_PAULI_LABELS):
+        raise ValueError("pauli-action maps need images for exactly I, X, Y, Z")
+    checked = []
+    for label in _PAULI_LABELS:
+        image = np.asarray(images[label], dtype=complex)
+        if image.shape != (2, 2):
+            raise ValueError(f"image of {label} must be 2x2, got {image.shape}")
+        checked.append(require_hermitian(image, tol=1e-10))
+    if np.linalg.norm(checked[0] - np.eye(2)) > 1e-10:
+        raise ValueError("pauli-action maps must send the identity to itself")
+    for label, image in zip(_PAULI_LABELS[1:], checked[1:]):
+        if abs(np.trace(image)) > 1e-10:
+            raise ValueError(f"image of {label} must be traceless for trace preservation")
+    return _pinned(pauli_coordinates(np.stack(checked)).real.T)
 
 
-def transfer_matrix(spec: LinearMapSpec) -> Array:
-    """Real 4x4 action on Pauli coordinates (rows and columns ordered I, X, Y, Z)."""
-    out = np.zeros((4, 4))
-    for j, basis in enumerate(_PAULI_BASIS):
-        image = apply_map(spec, basis)
-        for i, probe in enumerate(_PAULI_BASIS):
-            out[i, j] = float(np.real(np.trace(probe @ image))) / 2.0
-    return out
+def _pull_back(qubit_map: QubitMap, effects: Sequence[Array]) -> list[Array]:
+    dual = qubit_map.dual()
+    return [hermitian_part(dual(effect)) for effect in effects]
 
 
-def bloch_matrix(spec: LinearMapSpec) -> Array:
-    """The 3x3 block of the transfer matrix acting on Bloch vectors."""
-    return transfer_matrix(spec)[1:, 1:]
-
-
-def is_positive_map(spec: LinearMapSpec) -> bool:
-    """Whether the map sends every state to a positive operator.
-
-    For unital trace-preserving qubit maps this is exactly the condition that
-    the Bloch-vector action does not leave the unit ball, i.e. the Bloch
-    matrix has spectral norm at most one.
-    """
-    if spec.kind in (IDENTITY, TRANSPOSE):
-        return True
-    norm = float(np.linalg.norm(bloch_matrix(spec), ord=2))
-    return norm <= 1.0 + POSITIVITY_TOL
-
-
-def dual_map(spec: LinearMapSpec) -> LinearMapSpec:
-    """The adjoint with respect to the trace inner product.
-
-    Identity and transpose are self-dual; a ``pauli-action`` map dualizes by
-    transposing its transfer matrix, which stays unital and trace-preserving.
-    """
-    if spec.kind in (IDENTITY, TRANSPOSE):
-        return LinearMapSpec(kind=spec.kind)
-    transfer = transfer_matrix(spec).T
-    images = {}
-    for j, label in enumerate(_PAULI_LABELS):
-        images[label] = sum(
-            transfer[i, j] * basis for i, basis in enumerate(_PAULI_BASIS)
-        )
-    return LinearMapSpec(kind=PAULI_ACTION, pauli_images=images)
-
-
-def dual_povm(spec: LinearMapSpec, effects: Sequence[Array]) -> list[Array]:
+def dual_povm(qubit_map: QubitMap, effects: Sequence[Array]) -> list[Array]:
     """Push a measurement through the map's dual.
 
     For a positive unital dual the images form a measurement again; this is
     how a trusted-side map is absorbed into the trusted measurement.
     """
-    checked = check_povm(effects, "dual_povm input")
-    images = [apply_map(dual_map(spec), effect) for effect in checked]
-    return [0.5 * (image + image.conj().T) for image in images]
+    return _pull_back(qubit_map, check_povm(effects, "dual_povm input"))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +158,7 @@ class PtpModelSpec:
 
     state: Array
     povms: list[list[Array]]
-    maps: list[LinearMapSpec]
+    maps: list[QubitMap]
 
     def dims(self) -> tuple[int, int]:
         d_a = int(np.asarray(self.povms[0][0]).shape[0])
@@ -224,9 +199,8 @@ def model_assemblage(spec: PtpModelSpec) -> BwiAssemblage:
                 dims=(d_a, d_b),
                 keep=1,
             )
-            for y, map_spec in enumerate(spec.maps):
-                member = apply_map(map_spec, steered)
-                members[(a, x, y)] = 0.5 * (member + member.conj().T)
+            for y, qubit_map in enumerate(spec.maps):
+                members[(a, x, y)] = hermitian_part(qubit_map(steered))
     shape = ScenarioShape(
         n_a=len(spec.povms[0]), m_a=len(spec.povms), m_b=len(spec.maps), d=d_b, kind=BWI
     )
@@ -252,27 +226,27 @@ class BellModelResult:
 def ptp_bell_model(spec: PtpModelSpec, bob_effects: Sequence[Sequence[Array]]) -> BellModelResult:
     """Bell statistics of a trusted-map model, with their quantum witness.
 
-    Rejects maps that are not positive, validates every measurement, and
+    Rejects maps that are not positive, validates every measurement once, and
     evaluates ``tr((M_{a|x} (x) F_y(N_{b|z})) rho)`` where ``F_y`` is the dual
     of the input-``y`` map.  The same table equals direct measurement of the
     model's assemblage members.
     """
-    for y, map_spec in enumerate(spec.maps):
-        if not is_positive_map(map_spec):
+    for y, qubit_map in enumerate(spec.maps):
+        if not qubit_map.is_positive():
             raise ValueError(f"map for trusted input {y} is not positive")
     checked = [
         check_povm(effects, f"trusted measurement {z}")
         for z, effects in enumerate(bob_effects)
     ]
-    d_a, d_b = spec.dims()
+    spec.dims()
     n_a = len(spec.povms[0])
     n_b = len(checked[0])
     for z, effects in enumerate(checked):
         if len(effects) != n_b:
             raise ValueError("every trusted measurement needs the same outcome count")
     witness = {
-        (y, z): dual_povm(map_spec, effects)
-        for y, map_spec in enumerate(spec.maps)
+        (y, z): _pull_back(qubit_map, effects)
+        for y, qubit_map in enumerate(spec.maps)
         for z, effects in enumerate(checked)
     }
     table = np.zeros((n_a, n_b, len(spec.povms), len(spec.maps), len(checked)))
@@ -300,15 +274,14 @@ def ptp_bell_model(spec: PtpModelSpec, bob_effects: Sequence[Sequence[Array]]) -
 
 @dataclass
 class ChoiMatrix:
-    """The map applied to half of the unnormalized maximally entangled projector.
+    """A qubit map applied to half of the unnormalized maximally entangled projector.
 
-    With this trace-``d`` convention a trace-preserving map has trace exactly
-    ``d`` and complete positivity is equivalent to the matrix being positive
+    With this trace-2 convention a trace-preserving map has trace exactly 2
+    and complete positivity is equivalent to the matrix being positive
     semidefinite.
     """
 
     matrix: Array
-    map_dimension: int
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(require_hermitian(self.matrix, tol=1e-8)).min())
@@ -317,27 +290,19 @@ class ChoiMatrix:
         return self.min_eigenvalue() >= -POSITIVITY_TOL
 
     def trace_residual(self) -> float:
-        """Distance of the trace from the trace-preserving value ``d``."""
-        return abs(complex(np.trace(self.matrix)) - self.map_dimension)
+        """Distance of the trace from the trace-preserving value 2."""
+        return abs(complex(np.trace(self.matrix)) - 2.0)
 
     def trace_preservation_residual(self) -> float:
         """Norm of ``tr_1 C - I``, zero exactly for trace-preserving maps."""
-        d = self.map_dimension
-        reduced = partial_trace(self.matrix, dims=(d, d), keep=1)
-        return float(np.linalg.norm(reduced - np.eye(d)))
+        reduced = partial_trace(self.matrix, dims=(2, 2), keep=1)
+        return float(np.linalg.norm(reduced - np.eye(2)))
 
 
-def choi(spec: LinearMapSpec, d: int = 2) -> ChoiMatrix:
-    """Choi matrix ``sum_kl map(E_kl) (x) E_kl`` of the map at dimension ``d``."""
-    if spec.kind == PAULI_ACTION and d != 2:
-        raise ValueError("pauli-action maps are qubit maps")
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[k, l] = 1.0
-            out += np.kron(apply_map(spec, unit), unit)
-    return ChoiMatrix(matrix=out, map_dimension=d)
+def choi(qubit_map: QubitMap) -> ChoiMatrix:
+    """Choi matrix ``sum_kl F(E_kl) (x) E_kl = sum_ij T_ij P_i (x) P_j^T / 2``."""
+    blocks = np.einsum("ij,iab,jdc->acbd", qubit_map.transfer, _PAULI_BASIS, _PAULI_BASIS)
+    return ChoiMatrix(matrix=blocks.reshape(4, 4) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +329,13 @@ class CertificateReport:
     y_reference: int
     min_eigenvalue: float
     choi_matrices: dict[int, ChoiMatrix] = field(default_factory=dict)
-    maps: dict[int, LinearMapSpec] = field(default_factory=dict)
+    maps: dict[int, QubitMap] = field(default_factory=dict)
     residuals: dict[str, float] = field(default_factory=dict)
     note: str = ""
 
 
-def _pauli_coordinates(matrix: Array) -> Array:
-    return np.array(
-        [float(np.real(np.trace(basis @ matrix))) / 2.0 for basis in _PAULI_BASIS]
-    )
+def _inconclusive(y_ref: int, residuals: dict[str, float], note: str) -> CertificateReport:
+    return CertificateReport(INCONCLUSIVE, y_ref, np.nan, residuals=residuals, note=note)
 
 
 def pure_state_lemma_check(asm: BwiAssemblage, y_ref: int = 0) -> CertificateReport:
@@ -380,11 +343,11 @@ def pure_state_lemma_check(asm: BwiAssemblage, y_ref: int = 0) -> CertificateRep
 
     When the reference members are pure (up to weight), any assemblage those
     members extend is related input-to-input by linear maps fixed on the span
-    of the reference members.  The maps are reconstructed on the Pauli basis
-    by least squares; a negative Choi eigenvalue then rules out any completely
-    positive explanation, certifying the assemblage post-quantum.  Reference
-    members that fail purity raise; a span smaller than the full operator
-    space returns the explicit ``inconclusive`` status.
+    of the reference members.  Each map's transfer matrix is reconstructed by
+    least squares on Pauli coordinates; a negative Choi eigenvalue then rules
+    out any completely positive explanation, certifying the assemblage
+    post-quantum.  Reference members that fail purity raise; a span smaller
+    than the full operator space returns the explicit ``inconclusive`` status.
     """
     shape = asm.shape
     if shape.d != 2:
@@ -403,64 +366,39 @@ def pure_state_lemma_check(asm: BwiAssemblage, y_ref: int = 0) -> CertificateRep
                     "pure state"
                 )
             reference.append(member)
-    coords = np.stack([_pauli_coordinates(member) for member in reference], axis=1)
+    coords = pauli_coordinates(np.stack(reference)).real.T
     singular = np.linalg.svd(coords, compute_uv=False)
     rank = int(np.sum(singular > 1e-8 * max(float(singular.max()), 1.0)))
     if rank < 4:
-        return CertificateReport(
-            status=INCONCLUSIVE,
-            y_reference=y_ref,
-            min_eigenvalue=np.nan,
-            note="reference members do not span the operator space",
-        )
-    report_maps: dict[int, LinearMapSpec] = {}
+        return _inconclusive(y_ref, {}, "reference members do not span the operator space")
+    report_maps: dict[int, QubitMap] = {}
     chois: dict[int, ChoiMatrix] = {}
     residuals: dict[str, float] = {}
     worst = np.inf
     for y in range(shape.m_b):
         if y == y_ref:
             continue
-        targets = np.stack(
-            [
-                _pauli_coordinates(require_hermitian(asm.member(a, x, y), tol=1e-8))
-                for a in range(shape.n_a)
-                for x in range(shape.m_a)
-            ],
-            axis=1,
-        )
+        members = [
+            require_hermitian(asm.member(a, x, y), tol=1e-8)
+            for a in range(shape.n_a)
+            for x in range(shape.m_a)
+        ]
+        targets = pauli_coordinates(np.stack(members)).real.T
         transfer, *_ = np.linalg.lstsq(coords.T, targets.T, rcond=None)
         transfer = transfer.T
         fit = float(np.max(np.abs(transfer @ coords - targets)))
         residuals[f"fit[{y}]"] = fit
         if fit > 1e-7:
-            return CertificateReport(
-                status=INCONCLUSIVE,
-                y_reference=y_ref,
-                min_eigenvalue=np.nan,
-                residuals=residuals,
-                note=f"no linear map relates inputs {y_ref} and {y} within tolerance",
-            )
-        images = {}
-        for j, label in enumerate(_PAULI_LABELS):
-            images[label] = sum(
-                transfer[i, j] * basis for i, basis in enumerate(_PAULI_BASIS)
-            )
-        unit_drift = float(np.linalg.norm(images["I"] - np.eye(2)))
+            note = f"no linear map relates inputs {y_ref} and {y} within tolerance"
+            return _inconclusive(y_ref, residuals, note)
+        # The image of the identity is sum_i T[i, 0] P_i, and ||P_i||_F = sqrt(2).
+        unit_drift = float(np.sqrt(2.0) * np.linalg.norm(transfer[:, 0] - _E0))
         residuals[f"unital[{y}]"] = unit_drift
         if unit_drift > 1e-7:
-            return CertificateReport(
-                status=INCONCLUSIVE,
-                y_reference=y_ref,
-                min_eigenvalue=np.nan,
-                residuals=residuals,
-                note=f"reconstructed map for input {y} does not preserve the identity",
-            )
-        images["I"] = np.eye(2, dtype=complex)
-        for label in _PAULI_LABELS[1:]:
-            images[label] = images[label] - np.trace(images[label]) / 2.0 * np.eye(2)
-        spec = LinearMapSpec(kind=PAULI_ACTION, pauli_images=images)
-        report_maps[y] = spec
-        chois[y] = choi(spec)
+            note = f"reconstructed map for input {y} does not preserve the identity"
+            return _inconclusive(y_ref, residuals, note)
+        report_maps[y] = _pinned(transfer)
+        chois[y] = choi(report_maps[y])
         worst = min(worst, chois[y].min_eigenvalue())
     if not chois:
         worst = 0.0

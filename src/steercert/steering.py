@@ -131,12 +131,22 @@ def evaluate(
     functional: SteeringFunctional | InstrumentalFunctional,
     asm: BwiAssemblage | InstrumentalAssemblage,
 ) -> float:
-    """Value of the functional on the assemblage, asserted real."""
+    """Value of the functional on the assemblage, asserted real.
+
+    The two shapes must agree in ``(n_a, m_a, m_b, d)``; their kinds may
+    differ, as between a traditional functional and a bob-with-input member
+    table.
+    """
     wired = isinstance(functional, InstrumentalFunctional)
     wanted = InstrumentalAssemblage if wired else BwiAssemblage
     if not isinstance(asm, wanted):
         raise TypeError(
             f"{type(functional).__name__} evaluates {wanted.__name__}, not {type(asm).__name__}"
+        )
+    ranges = [(s.n_a, s.m_a, s.m_b, s.d) for s in (functional.shape, asm.shape)]
+    if ranges[0] != ranges[1]:
+        raise ValueError(
+            f"functional shape {functional.shape} does not match assemblage shape {asm.shape}"
         )
     total = sum(
         complex(np.trace(coeff @ asm.members[key])) for key, coeff in functional.coeffs.items()

@@ -217,6 +217,13 @@ def test_wiring_requires_enough_trusted_inputs():
         instrumental_from_bwi(trad)
 
 
+def test_wiring_refuses_members_that_lose_normalization():
+    shape = ScenarioShape(2, 1, 2, 2)
+    members = {(a, 0, y): (0.25 + 0.15 * a * y) * np.eye(2) for a in range(2) for y in range(2)}
+    with pytest.raises(ValueError, match="lost normalization"):
+        instrumental_from_bwi(BwiAssemblage(shape=shape, members=members))
+
+
 def test_wired_example_extends_to_a_no_signalling_assemblage():
     report = instrumental_membership(instrumental_pauli_assemblage())
     assert report.feasible

@@ -1,5 +1,5 @@
-"""Tests for map descriptions, dual measurements, Choi matrices, and the
-pure-member certificate."""
+"""Tests for qubit maps as transfer matrices, dual measurements, Choi matrices,
+and the pure-member certificate."""
 
 import numpy as np
 import pytest
@@ -33,14 +33,42 @@ def dichotomic_povm(rng):
     return [effect, EYE - effect]
 
 
-class TestMapSpec:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown map kind"):
-            ptp.LinearMapSpec(kind="conjugation")
+def random_positive_images(rng):
+    """Pauli images of a unital trace-preserving map whose Bloch block has norm 0.9."""
+    bloch = rng.normal(size=(3, 3))
+    bloch *= 0.9 / np.linalg.norm(bloch, ord=2)
+    images = {"I": EYE}
+    for j, label in enumerate("XYZ"):
+        images[label] = sum(bloch[i, j] * PAULIS[i] for i in range(3))
+    return images
 
-    def test_identity_takes_no_images(self):
-        with pytest.raises(ValueError, match="do not take Pauli images"):
-            ptp.LinearMapSpec(kind=ptp.IDENTITY, pauli_images={"I": EYE})
+
+class TestMapSpec:
+    def test_transfer_must_be_real_4x4(self):
+        with pytest.raises(ValueError, match="real 4x4"):
+            ptp.QubitMap(np.eye(3))
+        with pytest.raises(ValueError, match="real 4x4"):
+            ptp.QubitMap(np.eye(4, dtype=complex))
+
+    def test_transfer_must_be_unital(self):
+        transfer = np.eye(4)
+        transfer[3, 0] = 0.1
+        with pytest.raises(ValueError, match="not unital"):
+            ptp.QubitMap(transfer)
+
+    def test_transfer_must_be_trace_preserving(self):
+        transfer = np.eye(4)
+        transfer[0, 3] = 0.1
+        with pytest.raises(ValueError, match="not trace-preserving"):
+            ptp.QubitMap(transfer)
+
+    def test_transfer_is_read_only(self):
+        source = np.eye(4)
+        qubit_map = ptp.QubitMap(source)
+        source[1, 1] = 0.5
+        assert qubit_map.transfer[1, 1] == 1.0
+        with pytest.raises(ValueError):
+            qubit_map.transfer[1, 1] = 0.5
 
     def test_images_must_cover_basis(self):
         with pytest.raises(ValueError, match="exactly I, X, Y, Z"):
@@ -60,56 +88,70 @@ class TestMapSpec:
 
 
 class TestApplyMap:
+    def test_pauli_coordinates_expand_any_matrix(self):
+        rng = np.random.default_rng(7)
+        matrices = rng.normal(size=(3, 2, 2, 2)) + 1j * rng.normal(size=(3, 2, 2, 2))
+        coords = ptp.pauli_coordinates(matrices)
+        assert coords.shape == (3, 2, 4)
+        basis = [EYE, X, Y, Z]
+        rebuilt = sum(coords[..., i, None, None] * basis[i] for i in range(4))
+        assert np.max(np.abs(rebuilt - matrices)) < 1e-14
+
     def test_transpose_flips_y_component(self):
         before = 0.25 * (EYE - Y)
-        after = ptp.apply_map(ptp.transpose_map(), before)
+        after = ptp.transpose_map()(before)
         assert np.linalg.norm(after - 0.25 * (EYE + Y)) < 1e-14
 
     def test_identity_returns_copy(self):
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        out = ptp.apply_map(ptp.identity_map(), matrix)
+        out = ptp.identity_map()(matrix)
+        assert np.array_equal(out, matrix)
         out[0, 0] = -5.0
         assert matrix[0, 0] == 1.0
 
-    def test_transpose_handles_any_dimension(self):
-        rng = np.random.default_rng(5)
-        matrix = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(ptp.apply_map(ptp.transpose_map(), matrix), matrix.T)
+    def test_maps_refuse_a_3x3_input(self):
+        with pytest.raises(ValueError, match="2x2"):
+            ptp.transpose_map()(np.eye(3))
 
     def test_pauli_action_is_qubit_only(self):
         spec = ptp.pauli_action({"I": EYE, "X": X, "Y": -Y, "Z": Z})
         with pytest.raises(ValueError, match="2x2"):
-            ptp.apply_map(spec, np.eye(3))
+            spec(np.eye(3))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            ptp.apply_map(ptp.identity_map(), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="2x2"):
+            ptp.identity_map()(np.ones((2, 3)))
 
     def test_pauli_action_matches_transpose(self):
         spec = ptp.pauli_action({"I": EYE, "X": X, "Y": -Y, "Z": Z})
+        assert np.array_equal(spec.transfer, ptp.transpose_map().transfer)
         rng = np.random.default_rng(11)
         for _ in range(10):
             matrix = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert np.linalg.norm(ptp.apply_map(spec, matrix) - matrix.T) < 1e-13
+            assert np.linalg.norm(spec(matrix) - matrix.T) < 1e-13
 
 
 class TestPositivity:
     def test_transpose_transfer_is_y_flip(self):
-        transfer = ptp.transfer_matrix(ptp.transpose_map())
-        assert np.linalg.norm(transfer - np.diag([1.0, 1.0, -1.0, 1.0])) < 1e-14
+        basis = [EYE, X, Y, Z]
+        definition = np.array(
+            [[np.trace(p @ q.T).real / 2.0 for q in basis] for p in basis]
+        )
+        assert np.linalg.norm(definition - np.diag([1.0, 1.0, -1.0, 1.0])) < 1e-14
+        assert np.linalg.norm(ptp.transpose_map().transfer - definition) < 1e-14
 
     def test_transpose_is_positive(self):
-        assert ptp.is_positive_map(ptp.transpose_map())
+        assert ptp.transpose_map().is_positive()
 
     def test_duplicate_images_overstretch_the_ball(self):
         spec = ptp.pauli_action({"I": EYE, "X": X, "Y": X, "Z": Z})
-        norm = np.linalg.norm(ptp.bloch_matrix(spec), ord=2)
+        norm = np.linalg.norm(spec.transfer[1:, 1:], ord=2)
         assert norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert not ptp.is_positive_map(spec)
+        assert not spec.is_positive()
 
     def test_shrinking_map_is_positive(self):
         spec = ptp.pauli_action({"I": EYE, "X": 0.6 * X, "Y": -0.5 * Y, "Z": 0.7 * Z})
-        assert ptp.is_positive_map(spec)
+        assert spec.is_positive()
 
 
 class TestDual:
@@ -126,14 +168,15 @@ class TestDual:
 
     def test_duality_identity(self):
         spec = ptp.pauli_action({"I": EYE, "X": 0.6 * X + 0.2 * Z, "Y": -0.5 * Y, "Z": 0.7 * Z})
-        dual = ptp.dual_map(spec)
+        dual = spec.dual()
+        assert np.array_equal(dual.transfer, spec.transfer.T)
         rng = np.random.default_rng(23)
         for _ in range(20):
             effect = random_effect(rng)
             state = random_effect(rng)
             state = state / np.trace(state)
-            forward = np.trace(effect @ ptp.apply_map(spec, state))
-            pulled = np.trace(ptp.apply_map(dual, effect) @ state)
+            forward = np.trace(effect @ spec(state))
+            pulled = np.trace(dual(effect) @ state)
             assert abs(forward - pulled) < 1e-12
 
     def test_input_povm_is_validated(self):
@@ -155,7 +198,7 @@ class TestDual:
 class TestChoi:
     def test_transpose_choi_has_negative_eigenvalue(self):
         result = ptp.choi(ptp.transpose_map())
-        assert result.map_dimension == 2
+        assert result.matrix.shape == (4, 4)
         assert result.min_eigenvalue() == pytest.approx(-1.0, abs=1e-12)
         assert not result.is_positive()
         assert result.trace_residual() < 1e-12
@@ -171,15 +214,28 @@ class TestChoi:
         assert result.is_positive()
         assert result.trace_residual() < 1e-12
 
-    def test_transpose_choi_in_dimension_three(self):
-        result = ptp.choi(ptp.transpose_map(), d=3)
-        assert result.min_eigenvalue() == pytest.approx(-1.0, abs=1e-12)
-        assert result.trace_residual() < 1e-12
+    @pytest.mark.parametrize("name", ["identity", "transpose", "random-positive"])
+    def test_choi_matches_the_definition(self, name):
+        if name == "identity":
+            qubit_map, action = ptp.identity_map(), lambda m: m
+        elif name == "transpose":
+            qubit_map, action = ptp.transpose_map(), lambda m: m.T
+        else:
+            images = random_positive_images(np.random.default_rng(37))
+            qubit_map = ptp.pauli_action(images)
+            assert qubit_map.is_positive()
 
-    def test_pauli_action_choi_is_qubit_only(self):
-        spec = ptp.pauli_action({"I": EYE, "X": X, "Y": -Y, "Z": Z})
-        with pytest.raises(ValueError, match="qubit"):
-            ptp.choi(spec, d=3)
+            def action(m):
+                basis = zip("IXYZ", [EYE, X, Y, Z])
+                return sum(np.trace(p @ m) / 2.0 * images[k] for k, p in basis)
+
+        definition = np.zeros((4, 4), dtype=complex)
+        for k in range(2):
+            for l in range(2):
+                unit = np.zeros((2, 2), dtype=complex)
+                unit[k, l] = 1.0
+                definition += np.kron(action(unit), unit)
+        assert np.max(np.abs(ptp.choi(qubit_map).matrix - definition)) < 1e-14
 
 
 class TestBellModel:
@@ -212,6 +268,19 @@ class TestBellModel:
         povm = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
         with pytest.raises(ValueError, match="not positive"):
             ptp.ptp_bell_model(spec, [povm])
+
+    def test_each_trusted_measurement_is_checked_once(self, monkeypatch):
+        calls = []
+        check = ptp.check_povm
+
+        def counting(effects, context):
+            calls.append(context)
+            return check(effects, context)
+
+        monkeypatch.setattr(ptp, "check_povm", counting)
+        bases = [[0.5 * (EYE + X), 0.5 * (EYE - X)], [0.5 * (EYE + Y), 0.5 * (EYE - Y)]]
+        ptp.ptp_bell_model(ptp.transpose_bell_spec(), bases)
+        assert calls == ["trusted measurement 0", "trusted measurement 1"]
 
     def test_malformed_trusted_measurement_rejected(self):
         spec = ptp.transpose_bell_spec()
@@ -250,10 +319,10 @@ class TestPureStateCertificate:
         report = ptp.pure_state_lemma_check(pauli_transpose_assemblage(), y_ref=1)
         assert report.status == ptp.POST_QUANTUM
         assert report.min_eigenvalue == pytest.approx(-1.0, abs=1e-9)
-        images = report.maps[0].pauli_images
-        assert np.linalg.norm(images["X"] - X) < 1e-10
-        assert np.linalg.norm(images["Y"] + Y) < 1e-10
-        assert np.linalg.norm(images["Z"] - Z) < 1e-10
+        qubit_map = report.maps[0]
+        assert np.linalg.norm(qubit_map(X) - X) < 1e-10
+        assert np.linalg.norm(qubit_map(Y) + Y) < 1e-10
+        assert np.linalg.norm(qubit_map(Z) - Z) < 1e-10
 
     def test_certificate_is_reference_independent_here(self):
         report = ptp.pure_state_lemma_check(pauli_transpose_assemblage(), y_ref=0)

@@ -12,6 +12,7 @@ from steercert import assemblages, cli, sdp, steering
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
+    TRADITIONAL,
     ScenarioShape,
     pauli_transpose_assemblage,
     pr_box_assemblage,
@@ -46,16 +47,7 @@ RELAXATION_OPTIMUM = 0.413493597568
 
 
 def random_psd_functional(seed, shape):
-    rng = np.random.default_rng(seed)
-    coeffs = {}
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                gauss = rng.normal(size=(shape.d, shape.d)) + 1j * rng.normal(
-                    size=(shape.d, shape.d)
-                )
-                coeffs[(a, x, y)] = gauss @ gauss.conj().T / shape.d
-    return SteeringFunctional(shape=shape, coeffs=coeffs)
+    return cli._random_psd_functional(shape, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +91,21 @@ def test_evaluate_rejects_type_mixups():
         evaluate(canonical_functional(), assemblages.instrumental_pauli_assemblage())
     with pytest.raises(TypeError):
         evaluate(canonical_instrumental_functional(), pauli_transpose_assemblage())
+
+
+def test_evaluate_refuses_a_shape_mismatch():
+    larger = random_quantum_bwi(ScenarioShape(2, 4, 3, 2), 0)
+    smaller = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), 0)
+    for asm in (larger, smaller):
+        with pytest.raises(ValueError, match=r"ScenarioShape\(n_a=2, m_a=3, m_b=2.*m_b=[23]"):
+            evaluate(canonical_functional(), asm)
+
+
+def test_evaluate_compares_ranges_not_kinds():
+    functional = random_psd_functional(1, ScenarioShape(2, 3, 1, 2, kind=TRADITIONAL))
+    asm = random_quantum_bwi(ScenarioShape(2, 3, 1, 2), 2)
+    expected = sum(np.trace(functional.coeffs[key] @ asm.members[key]).real for key in asm.members)
+    assert evaluate(functional, asm) == pytest.approx(expected, abs=1e-12)
 
 
 def test_evaluate_rejects_imaginary_values():
