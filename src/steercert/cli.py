@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -808,7 +809,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="steercert",
         description="certify steering assemblages and reproduce the headline numbers",

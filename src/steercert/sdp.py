@@ -40,19 +40,25 @@ margin to inside, outside or undecided.
 
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
-corrector, the step lengths and the congruences run as batched LAPACK calls
-and stacked products over each stack.  The Schur complement is formed from
-the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k`` the NT
-scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima & Nakata,
-*Math. Program.* 79 (1997)).  Each solve reads the nonzeros of its rows
-once; each iteration builds ``W A W`` for every row on the blocks it
+corrector, the step lengths and the congruences run over each stack at
+once.  Side-2 stacks, one block per deterministic strategy and trusted input
+in a hidden-state problem, have closed forms, since a per-matrix LAPACK or
+BLAS call costs more than a 2 x 2 matrix's arithmetic: their products sum
+broadcast outer products (:func:`_mul`, which side 1 shares), and the SVD of
+the NT scaling and the step length's smallest eigenvalue are 2 x 2
+formulas.  Every other side calls batched LAPACK and stacked ``@``, and every
+side's Cholesky factors come from LAPACK.  The Schur complement is formed
+from the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k``
+the NT scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima &
+Nakata, *Math. Program.* 79 (1997)).  Each solve reads the nonzeros of its
+rows once; each iteration builds ``W A W`` for every row on the blocks it
 touches, as a sum of one outer product of a column and a row of ``W`` per
 entry, and pairs it with the other rows' entries in one sparse product per
 side group.  No row is scaled densely, and there is no Gram product.  The
-Schur complement is factored by numpy's LAPACK, like the batched calls, so
-the iteration's matrix-matrix work runs in one BLAS thread pool (numpy and
-scipy may each load their own); only the one-vector triangular solves
-against that factor go through scipy.
+Schur complement is factored by numpy's LAPACK, like the blocks' Cholesky
+factors, so the iteration's matrix-matrix work runs in one BLAS thread pool
+(numpy and scipy may each load their own); only the one-vector triangular
+solves against that factor go through scipy.
 
 Problems are dense and small-scale, and the solver is deterministic:
 re-solving the same problem reproduces the same iterates bit for bit.
@@ -133,7 +139,10 @@ def _block_offsets(dims: Sequence[int]) -> Array:
 
 
 def _svec_identity(dims: Sequence[int]) -> Array:
-    return np.concatenate([svec(np.eye(n)) for n in dims])
+    out = np.empty(int(_block_offsets(dims)[-1]))
+    for group in _side_groups(dims):
+        out[group.gather] = svec(np.eye(group.side))
+    return out
 
 
 def svec(mats: Array) -> Array:
@@ -170,6 +179,19 @@ def _smat_batch(vecs: Array, n: int) -> Array:
 def _t(mats: Array) -> Array:
     """Conjugate transpose over the last two axes."""
     return mats.conj().swapaxes(-1, -2)
+
+
+def _mul(a: Array, b: Array) -> Array:
+    """``a @ b`` over stacks.  Up to side 2 it sums broadcast outer products
+    of ``a``'s columns and ``b``'s rows: numpy's ``@`` calls BLAS once per
+    matrix, which costs more than the arithmetic of so small a block."""
+    n = a.shape[-1]
+    if n > 2:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, n):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +331,8 @@ class _Scaling:
     scaling matrix, with ``w s w = x``, and the scaled point ``g_inv x
     g_inv^H = g^H s g`` is ``diag(lam)``: the corrector and the step lengths
     read the directions in that diagonal frame, through :meth:`primal` and
-    :meth:`dual`.
+    :meth:`dual`.  For side 2 the step length's smallest eigenvalue is a
+    closed form; every other side calls LAPACK's ``eigvalsh``.
     """
 
     w: Array
@@ -319,11 +342,11 @@ class _Scaling:
 
     def primal(self, dmats: Array) -> Array:
         """A primal direction in the scaled frame, ``g_inv d g_inv^H``."""
-        return self.g_inv @ dmats @ _t(self.g_inv)
+        return _mul(_mul(self.g_inv, dmats), _t(self.g_inv))
 
     def dual(self, dmats: Array) -> Array:
         """A dual direction in the scaled frame, ``g^H d g``."""
-        return _t(self.g) @ dmats @ self.g
+        return _mul(_mul(_t(self.g), dmats), self.g)
 
     def max_step(self, scaled: Array) -> float:
         """Largest alpha keeping ``diag(lam) + alpha scaled`` positive semidefinite.
@@ -332,20 +355,68 @@ class _Scaling:
         """
         root_inv = 1.0 / np.sqrt(self.lam)
         balanced = scaled * (root_inv[..., :, None] * root_inv[..., None, :])
-        min_eig = float(np.linalg.eigvalsh(balanced).min())
+        if scaled.shape[-1] == 2:
+            a, d, b = balanced[..., 0, 0].real, balanced[..., 1, 1].real, balanced[..., 1, 0]
+            min_eig = float(((a + d) / 2 - np.hypot((a - d) / 2, np.abs(b))).min())
+        else:
+            min_eig = float(np.linalg.eigvalsh(balanced).min())
         return -1.0 / min_eig if min_eig < -1e-14 else np.inf
+
+
+def _svd_side2(m: Array, det: Array) -> tuple[Array, Array, Array]:
+    """``np.linalg.svd`` of a ``(K, 2, 2)`` stack whose determinants ``det`` are positive.
+
+    ``sigma_1**2`` is the larger eigenvalue of ``m^H m``, a sum of
+    nonnegative terms, and ``sigma_2 = det / sigma_1``.  ``v_1`` is that
+    eigenvalue's eigenvector from the row without cancellation (``e_1`` where
+    ``m^H m`` is a multiple of the identity), and ``u_1 = m v_1 / |m v_1|``;
+    ``v_2`` and ``u_2`` complete them to unit-determinant unitaries, so ``U^H
+    m V`` is ``diag(sigma)`` with no phase left over.
+    """
+    sq = m.real**2 + m.imag**2
+    p, q = sq[..., 0, 0] + sq[..., 1, 0], sq[..., 0, 1] + sq[..., 1, 1]
+    r = m[..., 0, 0].conj() * m[..., 0, 1] + m[..., 1, 0].conj() * m[..., 1, 1]
+    half = (p - q) / 2
+    h = np.hypot(half, np.abs(r))
+    sigma = np.sqrt((p + q) / 2 + h)
+    # |v_1|^2 is 2 h (h + |half|) on either row.
+    first = half >= 0
+    norm = np.sqrt(2 * h * (h + np.abs(half)))
+    flat = h == 0
+    norm[flat] = 1.0
+    v = np.stack([np.where(first, h + half, r), np.where(first, r.conj(), h - half)], axis=-1)
+    v[flat] = 1.0, 0.0
+    v /= norm[..., None]
+    u = m[..., 0] * v[..., :1] + m[..., 1] * v[..., 1:]
+    sq = u.real**2 + u.imag**2
+    u /= np.sqrt(sq[..., :1] + sq[..., 1:])
+
+    def unitary(col: Array) -> Array:
+        return np.stack([col, col[..., ::-1].conj() * [-1.0, 1.0]], axis=-1)
+
+    return unitary(u), np.stack([sigma, det / sigma], axis=-1), _t(unitary(v))
 
 
 def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
     """The :class:`_Scaling` of a stack of iterates; ``np.linalg.LinAlgError``
-    when a Cholesky factorization finds one not positive definite."""
+    when a Cholesky factorization finds one not positive definite.
+
+    Both factors come from LAPACK at every side.  The SVD of ``L_s^H L_x``
+    is the closed form :func:`_svd_side2` at side 2, whose determinant is
+    the product of the four real Cholesky diagonals, and LAPACK's otherwise.
+    """
     lx = np.linalg.cholesky(x_mats)
     ls = np.linalg.cholesky(s_mats)
-    u, lam, vh = np.linalg.svd(_t(ls) @ lx)
+    m = _mul(_t(ls), lx)
+    if x_mats.shape[-1] == 2:
+        det = (lx[..., 0, 0] * lx[..., 1, 1] * ls[..., 0, 0] * ls[..., 1, 1]).real
+        u, lam, vh = _svd_side2(m, det)
+    else:
+        u, lam, vh = np.linalg.svd(m)
     root_inv = 1.0 / np.sqrt(lam)
-    g = lx @ _t(vh) * root_inv[..., None, :]
-    g_inv = root_inv[..., :, None] * _t(ls @ u)
-    return _Scaling(hermitian_part(g @ _t(g)), g, g_inv, lam)
+    g = _mul(lx, _t(vh)) * root_inv[..., None, :]
+    g_inv = root_inv[..., :, None] * _t(_mul(ls, u))
+    return _Scaling(hermitian_part(_mul(g, _t(g))), g, g_inv, lam)
 
 
 def _scalar_step(value: float, delta: float) -> float:
@@ -706,7 +777,7 @@ def solve(
         def _apply_d(vec: Array) -> Array:
             out = np.empty_like(vec)
             for group, sc in zip(groups, scal):
-                out[group.gather] = svec(sc.w @ group.unpack(vec) @ sc.w)
+                out[group.gather] = svec(_mul(_mul(sc.w, group.unpack(vec)), sc.w))
             return out
 
         schur = schur_rows.assemble([sc.w for sc in scal])
@@ -782,10 +853,10 @@ def solve(
         # swamps x's smallest eigenvalues near the optimum and the steps collapse.
         rc = -x
         for group, sc, dxa_t, dsa_t in zip(groups, scal, dx_a_t, ds_a_t):
-            cross = hermitian_part(dxa_t @ dsa_t)
+            cross = hermitian_part(_mul(dxa_t, dsa_t))
             lyapunov = 2.0 / (sc.lam[..., :, None] + sc.lam[..., None, :])
             r_c = np.eye(group.side) * (sigma * mu / sc.lam)[..., None] - cross * lyapunov
-            rc[group.gather] += svec(sc.g @ r_c @ _t(sc.g))
+            rc[group.gather] += svec(_mul(_mul(sc.g, r_c), _t(sc.g)))
         rck = sigma * mu - tau * kappa - dtau_a * dkappa_a
 
         corrected = _newton(rc, rck)

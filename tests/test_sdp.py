@@ -540,11 +540,13 @@ def step_stack(seed, count=6, n=3):
     return mats, dmats
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(3))
-def test_batched_step_length_matches_per_matrix_reference(seed):
-    # The step is taken in the scaled frame of a primal-dual pair, on both sides.
-    mats, dmats = step_stack(seed)
-    duals, _ = step_stack(seed + 3)
+def test_batched_step_length_matches_per_matrix_reference(seed, n):
+    # The step is taken in the scaled frame of a primal-dual pair, on both
+    # sides; side 2 takes its smallest eigenvalue in closed form.
+    mats, dmats = step_stack(seed, n=n)
+    duals, _ = step_stack(seed + 3, n=n)
     scaling = sdp._nt_scaling_batch(mats, duals)
     alpha = scaling.max_step(scaling.primal(dmats))
     assert np.isfinite(alpha)
@@ -552,7 +554,76 @@ def test_batched_step_length_matches_per_matrix_reference(seed):
     dual_alpha = scaling.max_step(scaling.dual(dmats))
     assert dual_alpha == pytest.approx(reference_max_step(duals, dmats), rel=1e-12)
     # Along a positive semidefinite direction the step is unbounded.
-    assert scaling.max_step(scaling.primal(np.broadcast_to(np.eye(3), mats.shape))) == np.inf
+    assert scaling.max_step(scaling.primal(np.broadcast_to(np.eye(n), mats.shape))) == np.inf
+
+
+def side2_pairs():
+    """Side-2 iterate pairs on which the closed-form SVD branches differ."""
+    rng = np.random.default_rng(11)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return q
+
+    def spectral(frame, values):
+        return (frame * values) @ frame.conj().T
+
+    eye = np.eye(2, dtype=complex)
+    pairs = {
+        "identity": ([eye] * 3, [eye] * 3),
+        # L_s^H L_x is diagonal: wider first column, a multiple of the
+        # identity, wider second column.
+        "diagonal": (
+            [np.diag(v).astype(complex) for v in ([2.0, 0.5], [1e-10, 1.0], [3.0, 3.0])],
+            [np.diag(v).astype(complex) for v in ([1.0, 1.0], [1.0, 1e-10], [0.5, 2.0])],
+        ),
+    }
+    for small in (1e-4, 1e-7, 1e-10):
+        # x s is nearly a multiple of the identity, as on the central path.
+        frames = [unitary() for _ in range(3)]
+        pairs[f"complementary-{small:.0e}"] = (
+            [spectral(q, [1.0, small]) for q in frames],
+            [spectral(q, [small, 1.0]) for q in frames],
+        )
+        pairs[f"independent-{small:.0e}"] = (
+            [spectral(unitary(), [1.0, small]) for _ in range(3)],
+            [spectral(unitary(), [small, 1.0]) for _ in range(3)],
+        )
+    return {name: (np.stack(x), np.stack(s)) for name, (x, s) in pairs.items()}
+
+
+@pytest.mark.parametrize("name", list(side2_pairs()))
+def test_side2_nt_scaling_matches_the_lapack_svd_near_the_boundary(name):
+    x_mats, s_mats = side2_pairs()[name]
+    scaling = sdp._nt_scaling_batch(x_mats, s_mats)
+    w, g, g_inv = scaling.w, scaling.g, scaling.g_inv
+    eps = np.finfo(float).eps
+
+    def norms(mats):
+        return np.linalg.norm(mats, axis=(-2, -1))
+
+    # Rounding alone leaves eps |w|^2 |s| in w s w and eps |g| |g_inv| in g_inv g.
+    assert np.all(norms(w @ s_mats @ w - x_mats) <= 10 * eps * norms(w) ** 2 * norms(s_mats))
+    assert np.all(norms(g_inv @ g - np.eye(2)) <= 10 * eps * norms(g) * norms(g_inv))
+    lx, ls = np.linalg.cholesky(x_mats), np.linalg.cholesky(s_mats)
+    reference = np.linalg.svd(ls.conj().swapaxes(-1, -2) @ lx, compute_uv=False)
+    np.testing.assert_allclose(scaling.lam, reference, rtol=1e-12, atol=0.0)
+    if name == "identity":
+        # m^H m is the identity: V = I, so nothing is rotated.
+        assert np.array_equal(g, x_mats)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_product_matches_matmul(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    other = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    single = rng.normal(size=(n, n))
+    for a, b in ((stack, other), (single, stack), (stack, single), (stack.real, other.real)):
+        product = sdp._mul(a, b)
+        expected = a @ b
+        assert product.shape == expected.shape and product.dtype == expected.dtype
+        np.testing.assert_allclose(product, expected, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(3))

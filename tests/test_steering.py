@@ -274,6 +274,22 @@ def test_hidden_state_membership_splits_the_examples():
         assert np.allclose(back.members[key], member, atol=1e-6)
 
 
+@pytest.mark.parametrize(
+    "m_a, verdict, margin",
+    [
+        (6, sdp.INSIDE, 4.3075150e-04),
+        (7, sdp.OUTSIDE, -3.1258054e-04),
+        (8, sdp.OUTSIDE, -1.5629035e-04),
+    ],
+)
+def test_near_boundary_hidden_state_memberships_keep_their_margins(m_a, verdict, margin):
+    # Margins of a few 1e-4 on 64 to 512 side-2 blocks: the solver's side-2
+    # kernels must not move them.
+    report = lhs_membership(random_quantum_bwi(ScenarioShape(2, m_a, 2, 2), seed=1))
+    assert report.verdict == verdict
+    assert report.margin == pytest.approx(margin, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # No-signalling bound
 # ---------------------------------------------------------------------------
