@@ -32,7 +32,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 import numpy as np
 
 from steercert import sdp
-from steercert.matcore import PAULIS, Array, check_povm, hermitian_part, is_psd, require_hermitian
+from steercert.matcore import PAULIS, Array, check_povm, hermitian_part, is_psd, real_table, require_hermitian
 
 TRADITIONAL = "traditional"
 BWI = "bwi"
@@ -166,15 +166,6 @@ class BwiAssemblage:
     def reduced_state(self, y: int, x: int = 0) -> Array:
         """State steered-to on average for trusted input ``y`` (x-independent when NS)."""
         return sum(self.member(a, x, y) for a in range(self.shape.n_a))
-
-    def outcome_distribution(self) -> Array:
-        """``p(a|x)`` from member traces at trusted input 0."""
-        shape = self.shape
-        table = np.zeros((shape.n_a, shape.m_a))
-        for a in range(shape.n_a):
-            for x in range(shape.m_a):
-                table[a, x] = float(np.real(np.trace(self.member(a, x, 0))))
-        return table
 
 
 class TraditionalAssemblage(BwiAssemblage):
@@ -591,49 +582,39 @@ def consistent(residual: float, members: Iterable[Array]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def bell_correlations(asm: BwiAssemblage, povms: Sequence[Sequence[Array]]) -> Array:
+def bell_correlations(asm: BwiAssemblage, povms: Array | Sequence[Sequence[Array]]) -> Array:
     """Joint table ``p(a, b|x, y)`` from measuring the members.
 
-    ``povms[y]`` lists the trusted effects for input ``y``, checked by
-    :func:`~steercert.matcore.check_povm`.  A single trivial effect reproduces
-    the outcome distribution ``p(a|x)`` in the ``b = 0`` slice.
+    ``povms[..., y, b]`` is trusted effect ``b`` for input ``y``, checked by
+    :func:`~steercert.matcore.check_povm`; leading axes stack sets of
+    effects, and the table ``[..., a, b, x, y]`` carries them too.  A single
+    trivial effect reproduces the outcome distribution ``p(a|x)`` in the
+    ``b = 0`` slice.
     """
     shape = asm.shape
-    if len(povms) != shape.m_b:
-        raise ValueError(f"need one effect list per trusted input ({shape.m_b})")
-    povms = [check_povm(effects, f"trusted input {y}") for y, effects in enumerate(povms)]
-    n_b = len(povms[0])
-    if any(len(effects) != n_b for effects in povms):
-        raise ValueError("every trusted input needs the same number of effects")
-    table = np.zeros((shape.n_a, n_b, shape.m_a, shape.m_b))
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            for y in range(shape.m_b):
-                member = asm.member(a, x, y)
-                for b, effect in enumerate(povms[y]):
-                    value = complex(np.trace(effect @ member))
-                    if abs(value.imag) > 1e-10:
-                        raise ValueError(
-                            f"correlation ({a},{b}|{x},{y}) has imaginary part {value.imag:.3e}"
-                        )
-                    table[a, b, x, y] = value.real
-    return table
+    effects = check_povm(povms, "trusted input effects")
+    if effects.ndim < 4 or effects.shape[-4] != shape.m_b or effects.shape[-1] != shape.d:
+        raise ValueError(f"need effects (..., {shape.m_b}, n_b, {shape.d}, {shape.d}), got {effects.shape}")
+    # ``members`` holds its keys (a, x, y) in member_keys order.
+    members = np.stack(list(asm.members.values())).reshape(shape.n_a, shape.m_a, -1, shape.d, shape.d)
+    values = np.einsum("...ybij,axyji->...abxy", effects, members)
+    return real_table(values, 4, "correlation")
 
 
-def chsh_value(table: Array) -> float:
-    """Two-input two-outcome correlator combination ``E00 + E01 + E10 - E11``."""
+#: ``(-1)^(a+b)``, negated at ``x = y = 1``: ``E00 + E01 + E10 - E11`` as one contraction.
+_CHSH_SIGNS = np.einsum("a,b,xy->abxy", [1.0, -1.0], [1.0, -1.0], [[1.0, 1.0], [1.0, -1.0]])
+
+
+def chsh_value(table: Array) -> Array:
+    """Two-input two-outcome correlator combination ``E00 + E01 + E10 - E11``.
+
+    ``table`` is indexed ``[..., a, b, x, y]``; one value per leading index,
+    a scalar for a single table.
+    """
     table = np.asarray(table, dtype=float)
-    if table.shape != (2, 2, 2, 2):
-        raise ValueError(f"need a (2, 2, 2, 2) table, got {table.shape}")
-    value = 0.0
-    for x in range(2):
-        for y in range(2):
-            correlator = 0.0
-            for a in range(2):
-                for b in range(2):
-                    correlator += (-1.0) ** (a + b) * table[a, b, x, y]
-            value += -correlator if (x, y) == (1, 1) else correlator
-    return value
+    if table.shape[-4:] != (2, 2, 2, 2):
+        raise ValueError(f"need a (..., 2, 2, 2, 2) table, got {table.shape}")
+    return np.einsum("...abxy,abxy->...", table, _CHSH_SIGNS)
 
 
 # ---------------------------------------------------------------------------

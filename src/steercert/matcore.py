@@ -5,7 +5,8 @@ here enforce a single hermiticity policy (symmetrize, then reject inputs whose
 anti-Hermitian part is large), provide tensor-product bookkeeping (partial
 trace, partial transpose), expose spectral helpers (support projectors,
 pseudo-inverse square roots) with one shared rank tolerance, and hold the one
-check that a list of effects is a measurement.
+check that a list of effects is a measurement and the one check that a table
+of probabilities is real.
 """
 
 from __future__ import annotations
@@ -151,24 +152,55 @@ def is_psd(matrix: Array, tol: float = RANK_TOL) -> bool:
     return bool(values.min(initial=0.0) >= -tol)
 
 
-def check_povm(effects: Sequence[Array], context: str) -> list[Array]:
-    """The effects as complex arrays, once each is positive and they sum to the identity.
+def _stack_label(index: Sequence[int]) -> str:
+    """`` at index i,j`` naming an item of a stack, empty for an unstacked input."""
+    return f" at index {','.join(str(int(i)) for i in index)}" if len(index) else ""
 
-    Every check runs at :data:`POVM_TOL`; a failure raises ``ValueError``
-    prefixed with ``context``.
+
+def check_povm(effects: Array | Sequence[Array], context: str) -> Array:
+    """The effects as one complex array, once each is positive and they sum to the identity.
+
+    ``effects`` has shape ``(..., n, d, d)``: leading axes hold a stack of
+    measurements, each checked alike.  Every check runs at :data:`POVM_TOL`;
+    a failure raises ``ValueError`` prefixed with ``context`` and, for a
+    stack, the index of the first failing measurement.
     """
-    out = [np.asarray(effect, dtype=complex) for effect in effects]
-    if not out:
-        raise ValueError(f"{context}: empty effect list")
-    d = out[0].shape[0]
-    for b, effect in enumerate(out):
-        if effect.shape != (d, d):
-            raise ValueError(f"{context}: effect {b} has shape {effect.shape}")
-        if not is_psd(effect, tol=POVM_TOL):
-            raise ValueError(f"{context}: effect {b} is not positive")
-    if float(np.linalg.norm(sum(out) - np.eye(d))) > POVM_TOL:
-        raise ValueError(f"{context}: effects do not sum to the identity")
+    try:
+        out = np.asarray(effects, dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"{context}: effects do not share one shape") from exc
+    if out.size == 0 or out.ndim < 3 or out.shape[-1] != out.shape[-2]:
+        raise ValueError(f"{context}: effects have shape {out.shape}, expected (..., n, d, d)")
+    hermitian = hermitian_part(out)
+    scale = np.maximum(1.0, np.linalg.norm(hermitian, axis=(-2, -1)))
+    skew = np.linalg.norm(out - hermitian, axis=(-2, -1)) > POVM_TOL * scale
+    negative = np.linalg.eigvalsh(hermitian)[..., 0] < -POVM_TOL
+    if np.any(skew | negative):
+        *index, b = np.argwhere(skew | negative)[0]
+        problem = "not Hermitian" if skew[(*index, b)] else "not positive"
+        raise ValueError(f"{context}{_stack_label(index)}: effect {b} is {problem}")
+    drift = np.linalg.norm(out.sum(axis=-3) - np.eye(out.shape[-1]), axis=(-2, -1))
+    if np.any(drift > POVM_TOL):
+        index = np.argwhere(drift > POVM_TOL)[0]
+        raise ValueError(f"{context}{_stack_label(index)}: effects do not sum to the identity")
     return out
+
+
+def real_table(values: Array, entry_axes: int, name: str) -> Array:
+    """The real part of a table whose last ``entry_axes`` axes index ``(a, b, *inputs)``.
+
+    An entry whose imaginary part exceeds 1e-10 raises ``ValueError`` naming
+    the first such entry in C order, and its index in a stack.
+    """
+    bad = np.abs(values.imag) > 1e-10
+    if np.any(bad):
+        index = np.argwhere(bad)[0]
+        a, b, *inputs = index[-entry_axes:]
+        raise ValueError(
+            f"{name} ({a},{b}|{','.join(map(str, inputs))}){_stack_label(index[:-entry_axes])} "
+            f"has imaginary part {values.imag[tuple(index)]:.3e}"
+        )
+    return values.real
 
 
 class SupportOps(NamedTuple):

@@ -21,18 +21,22 @@ proportional to pure states.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from steercert.assemblages import BWI, BwiAssemblage, ScenarioShape
+from steercert.assemblages import BWI, BwiAssemblage, ScenarioShape, member_keys
 from steercert.matcore import (
     PAULIS,
+    POVM_TOL,
     Array,
     check_povm,
     hermitian_part,
+    is_psd,
     partial_trace,
+    real_table,
     require_hermitian,
 )
 
@@ -79,10 +83,11 @@ class QubitMap:
         object.__setattr__(self, "transfer", transfer)
 
     def __call__(self, matrix: Array) -> Array:
+        """The image of ``matrix``, or of each matrix over leading axes ``(..., 2, 2)``."""
         matrix = np.asarray(matrix, dtype=complex)
-        if matrix.shape != (2, 2):
+        if matrix.shape[-2:] != (2, 2):
             raise ValueError(f"qubit maps act on 2x2 matrices, got shape {matrix.shape}")
-        return np.einsum("i,iab->ab", self.transfer @ pauli_coordinates(matrix), _PAULI_BASIS)
+        return np.einsum("...j,ij,iab->...ab", pauli_coordinates(matrix), self.transfer, _PAULI_BASIS)
 
     def dual(self) -> QubitMap:
         """The adjoint with respect to the trace inner product."""
@@ -133,18 +138,13 @@ def pauli_action(images: Mapping[str, Array]) -> QubitMap:
     return _pinned(pauli_coordinates(np.stack(checked)).real.T)
 
 
-def _pull_back(qubit_map: QubitMap, effects: Sequence[Array]) -> list[Array]:
-    dual = qubit_map.dual()
-    return [hermitian_part(dual(effect)) for effect in effects]
-
-
-def dual_povm(qubit_map: QubitMap, effects: Sequence[Array]) -> list[Array]:
-    """Push a measurement through the map's dual.
+def dual_povm(qubit_map: QubitMap, effects: Array | Sequence[Array]) -> Array:
+    """Push a measurement, or a stack ``(..., n, 2, 2)`` of them, through the map's dual.
 
     For a positive unital dual the images form a measurement again; this is
     how a trusted-side map is absorbed into the trusted measurement.
     """
-    return _pull_back(qubit_map, check_povm(effects, "dual_povm input"))
+    return hermitian_part(qubit_map.dual()(check_povm(effects, "dual_povm input")))
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +154,32 @@ def dual_povm(qubit_map: QubitMap, effects: Sequence[Array]) -> list[Array]:
 
 @dataclass
 class PtpModelSpec:
-    """A bipartite state, untrusted measurements, and one trusted map per input."""
+    """A bipartite state, untrusted measurements, and one trusted qubit map per input.
+
+    Construction checks each measurement, stacks them as ``povms[x, a]``, and
+    requires a density matrix on the untrusted side times the qubit side.
+    """
 
     state: Array
-    povms: list[list[Array]]
+    povms: Array
     maps: list[QubitMap]
 
+    def __post_init__(self) -> None:
+        self.povms = np.stack(
+            [check_povm(effects, f"untrusted measurement {x}") for x, effects in enumerate(self.povms)]
+        )
+        self.state = np.asarray(self.state, dtype=complex)
+        if not is_psd(self.state, tol=POVM_TOL):
+            raise ValueError("state is not positive semidefinite")
+        if abs(np.trace(self.state) - 1.0) > POVM_TOL:
+            raise ValueError(f"state has trace {np.trace(self.state).real:.6g}, expected 1")
+        d_a, d_b = self.dims()
+        if self.state.shape[0] != d_a * d_b:
+            raise ValueError(f"state side {self.state.shape[0]} is not {d_a} x {d_b} (untrusted x qubit)")
+
     def dims(self) -> tuple[int, int]:
-        d_a = int(np.asarray(self.povms[0][0]).shape[0])
-        side = int(np.asarray(self.state).shape[0])
-        if side % d_a:
-            raise ValueError(
-                f"state side {side} is not a multiple of the untrusted side {d_a}"
-            )
-        return d_a, side // d_a
+        """Sides of the untrusted system and of the trusted qubit."""
+        return self.povms.shape[-1], 2
 
 
 def transpose_bell_spec() -> PtpModelSpec:
@@ -191,19 +203,12 @@ def transpose_bell_spec() -> PtpModelSpec:
 def model_assemblage(spec: PtpModelSpec) -> BwiAssemblage:
     """Members steered by the untrusted measurements, then passed through the maps."""
     d_a, d_b = spec.dims()
-    members = {}
-    for x, effects in enumerate(spec.povms):
-        for a, effect in enumerate(effects):
-            steered = partial_trace(
-                np.kron(np.asarray(effect, dtype=complex), np.eye(d_b)) @ spec.state,
-                dims=(d_a, d_b),
-                keep=1,
-            )
-            for y, qubit_map in enumerate(spec.maps):
-                members[(a, x, y)] = hermitian_part(qubit_map(steered))
-    shape = ScenarioShape(
-        n_a=len(spec.povms[0]), m_a=len(spec.povms), m_b=len(spec.maps), d=d_b, kind=BWI
-    )
+    m_a, n_a = spec.povms.shape[:2]
+    # steered[x, a] = tr_A((M_{a|x} (x) I) rho)
+    steered = np.einsum("xaki,ilkm->xalm", spec.povms, spec.state.reshape(d_a, d_b, d_a, d_b))
+    images = np.stack([hermitian_part(qubit_map(steered)) for qubit_map in spec.maps])
+    shape = ScenarioShape(n_a=n_a, m_a=m_a, m_b=len(spec.maps), d=d_b, kind=BWI)
+    members = {(a, x, y): images[y, x, a] for a, x, y in member_keys(shape)}
     return BwiAssemblage(shape=shape, members=members)
 
 
@@ -211,60 +216,68 @@ def model_assemblage(spec: PtpModelSpec) -> BwiAssemblage:
 class BellModelResult:
     """Probability table with the explicit quantum witness measurements.
 
-    ``table[a, b, x, y, z]`` is the probability of outcomes ``(a, b)`` when
-    the untrusted input is ``x``, the trusted map input is ``y``, and the
-    trusted measurement input is ``z``.  ``witness_povms[(y, z)]`` lists the
-    dual-image effects whose direct measurement on the shared state produces
-    the same table, which is what makes the statistics quantum.
+    ``table[..., a, b, x, y, z]`` is the probability of outcomes ``(a, b)``
+    when the untrusted input is ``x``, the trusted map input is ``y``, and
+    the trusted measurement input is ``z``; leading axes follow those of the
+    trusted effects.  ``witness_povms[..., y, z, b]`` is the dual-image effect
+    whose direct measurement on the shared state produces the same table,
+    which is what makes the statistics quantum.
     """
 
     table: Array
-    witness_povms: dict[tuple[int, int], list[Array]]
+    witness_povms: Array
     assemblage: BwiAssemblage
 
 
-def ptp_bell_model(spec: PtpModelSpec, bob_effects: Sequence[Sequence[Array]]) -> BellModelResult:
+def ptp_bell_model(spec: PtpModelSpec, bob_effects: Array | Sequence[Sequence[Array]]) -> BellModelResult:
     """Bell statistics of a trusted-map model, with their quantum witness.
 
-    Rejects maps that are not positive, validates every measurement once, and
-    evaluates ``tr((M_{a|x} (x) F_y(N_{b|z})) rho)`` where ``F_y`` is the dual
-    of the input-``y`` map.  The same table equals direct measurement of the
-    model's assemblage members.
+    ``bob_effects[..., z, b]`` is trusted effect ``b`` of measurement ``z``;
+    leading axes stack sets of trusted measurements.  Rejects maps that are
+    not positive, checks each trusted measurement once (the spec checked the
+    rest), and evaluates ``tr((M_{a|x} (x) F_y(N_{b|z})) rho)`` where ``F_y``
+    is the dual of the input-``y`` map.  The same table equals direct
+    measurement of the model's assemblage members.
     """
     for y, qubit_map in enumerate(spec.maps):
         if not qubit_map.is_positive():
             raise ValueError(f"map for trusted input {y} is not positive")
-    checked = [
-        check_povm(effects, f"trusted measurement {z}")
-        for z, effects in enumerate(bob_effects)
-    ]
-    spec.dims()
-    n_a = len(spec.povms[0])
-    n_b = len(checked[0])
-    for z, effects in enumerate(checked):
-        if len(effects) != n_b:
-            raise ValueError("every trusted measurement needs the same outcome count")
-    witness = {
-        (y, z): _pull_back(qubit_map, effects)
-        for y, qubit_map in enumerate(spec.maps)
-        for z, effects in enumerate(checked)
-    }
-    table = np.zeros((n_a, n_b, len(spec.povms), len(spec.maps), len(checked)))
-    for x, alice_effects in enumerate(spec.povms):
-        for a, alice_effect in enumerate(alice_effects):
-            alice = np.asarray(alice_effect, dtype=complex)
-            for (y, z), effects in witness.items():
-                for b, bob in enumerate(effects):
-                    value = complex(np.trace(np.kron(alice, bob) @ spec.state))
-                    if abs(value.imag) > 1e-10:
-                        raise ValueError(
-                            f"probability ({a},{b}|{x},{y},{z}) has imaginary part "
-                            f"{value.imag:.3e}"
-                        )
-                    table[a, b, x, y, z] = value.real
+    try:
+        effects = np.asarray(bob_effects, dtype=complex)
+    except ValueError as exc:
+        raise ValueError("every trusted measurement needs the same outcome count") from exc
+    if effects.ndim < 4 or effects.shape[-2:] != (2, 2):
+        raise ValueError(f"trusted effects need shape (..., m_z, n_b, 2, 2), got {effects.shape}")
+    for z in range(effects.shape[-4]):
+        check_povm(effects[..., z, :, :, :], f"trusted measurement {z}")
+    transfers = np.stack([qubit_map.transfer for qubit_map in spec.maps])
+    # Each dual map acts on Pauli coordinates by the transpose T^T.
+    coords = np.einsum("...zbj,yji->...yzbi", pauli_coordinates(effects), transfers)
+    witness = hermitian_part(np.einsum("...i,iab->...ab", coords, _PAULI_BASIS))
+    d_a, d_b = spec.dims()
+    rho = spec.state.reshape(d_a, d_b, d_a, d_b)
+    values = np.einsum("xaki,...yzblj,ijkl->...abxyz", spec.povms, witness, rho, optimize=True)
     return BellModelResult(
-        table=table, witness_povms=witness, assemblage=model_assemblage(spec)
+        table=real_table(values, 5, "probability"),
+        witness_povms=witness,
+        assemblage=model_assemblage(spec),
     )
+
+
+def chsh_subtables(table: Array) -> Array:
+    """Every CHSH table ``[..., k, a, b, i, j]`` inside a table ``(..., 2, 2, m_x, m_y, m_z)``.
+
+    Sub-table ``k`` takes inputs ``i`` from one ordered pair of distinct ``x``
+    and ``j`` from one ordered pair of distinct trusted settings ``(y, z)``.
+    """
+    table = np.asarray(table)
+    # [..., x, setting, a, b] with the trusted settings (y, z) on one axis.
+    flat = np.moveaxis(table.reshape(*table.shape[:-2], -1), (-4, -3), (-2, -1))
+    inputs = np.array(list(itertools.permutations(range(flat.shape[-4]), 2)))
+    settings = np.array(list(itertools.permutations(range(flat.shape[-3]), 2)))
+    picked = flat[..., inputs[:, None, :, None], settings[None, :, None, :], :, :]
+    picked = np.moveaxis(picked, (-2, -1), (-4, -3))
+    return picked.reshape(*picked.shape[:-6], -1, *picked.shape[-4:])
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_transpose_example_members():
             assert np.allclose(asm.member(a, x, 0), base, atol=1e-15)
             assert np.allclose(asm.member(a, x, 1), base.T, atol=1e-15)
     assert validate_ns_bwi(asm).passed
-    assert np.allclose(asm.outcome_distribution(), 0.5, atol=1e-12)
+    assert np.allclose(bell_correlations(asm, [[np.eye(2)]] * 2)[:, 0, :, 0], 0.5, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +353,31 @@ def test_correlations_validate_the_effects():
         bell_correlations(asm, negative)
 
 
+@pytest.mark.parametrize(
+    "povms, message",
+    [
+        (COMPUTATIONAL, r"correlation \(0,0\|0,0\) has imaginary part 1.000e-03"),
+        ([COMPUTATIONAL] * 3, r"correlation \(0,0\|0,0\) at index 0 has imaginary part 1.000e-03"),
+    ],
+)
+def test_correlations_reject_an_imaginary_part(povms, message):
+    members = dict(pr_box_assemblage().members)
+    members[(0, 0, 0)] = members[(0, 0, 0)] + np.diag([1e-3j, 0.0])
+    asm = BwiAssemblage(shape=ScenarioShape(2, 2, 2, 2), members=members)
+    with pytest.raises(ValueError, match=message):
+        bell_correlations(asm, povms)
+
+
 def test_correlations_are_normalized_distributions():
     asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=3)
     rng = np.random.default_rng(17)
-    povms = [assemblages._random_povm(rng, 2, 2) for _ in range(2)]
-    table = bell_correlations(asm, povms)
-    assert table.min() >= -1e-12
-    sums = table.sum(axis=(0, 1))
+    stack = np.array([[assemblages._random_povm(rng, 2, 2) for _ in range(2)] for _ in range(7)])
+    tables = bell_correlations(asm, stack)
+    assert tables.shape == (7, 2, 2, 2, 2)
+    for povms, table in zip(stack, tables):
+        assert np.max(np.abs(bell_correlations(asm, povms) - table)) <= 1e-15
+    assert tables.min() >= -1e-12
+    sums = tables.sum(axis=(1, 2))
     assert np.allclose(sums, 1.0, atol=1e-9)
 
 
@@ -367,14 +385,18 @@ def test_correlations_are_normalized_distributions():
 def test_quantum_correlations_respect_the_quantum_ceiling(seed):
     asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=seed)
     rng = np.random.default_rng(1000 + seed)
-    povms = [assemblages._random_povm(rng, 2, 2) for _ in range(2)]
-    value = chsh_value(bell_correlations(asm, povms))
-    assert abs(value) <= 2.0 * np.sqrt(2.0) + 1e-9
+    stack = np.array([[assemblages._random_povm(rng, 2, 2) for _ in range(2)] for _ in range(7)])
+    values = chsh_value(bell_correlations(asm, stack))
+    assert values.shape == (7,)
+    for povms, value in zip(stack, values):
+        assert abs(chsh_value(bell_correlations(asm, povms)) - value) <= 1e-15
+    assert np.max(np.abs(values)) <= 2.0 * np.sqrt(2.0) + 1e-9
 
 
 def test_chsh_rejects_wrong_table_shape():
-    with pytest.raises(ValueError):
-        chsh_value(np.zeros((2, 2, 2)))
+    for shape in [(2, 2, 2), (2, 2, 2, 3), (7, 2, 2, 3, 2), (7, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="table"):
+            chsh_value(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -421,5 +443,5 @@ def test_ns_sampler_covers_multiple_outcome_counts():
     shape = ScenarioShape(2, 2, 1, 3, kind=TRADITIONAL)
     asm = random_ns_traditional(shape, seed=8)
     assert validate_ns_bwi(asm).passed
-    distribution = asm.outcome_distribution()
+    distribution = bell_correlations(asm, [[np.eye(3)]])[:, 0, :, 0]
     assert np.allclose(distribution.sum(axis=0), 1.0, atol=1e-10)

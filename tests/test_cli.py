@@ -542,6 +542,16 @@ class TestReproduce:
         assert code == 1
         assert "FAIL only" in out
 
+    def test_json_reports_seconds_per_criterion(self, capsys, monkeypatch):
+        cheap = tuple(cli.CRITERIA[i] for i in (0, 4, 7))
+        monkeypatch.setattr(cli, "CRITERIA", cheap)
+        code, data, _ = run_json(capsys, "reproduce")
+        assert code == 0
+        entries = data["results"]["criteria"]
+        assert [entry["name"] for entry in entries] == [name for name, _ in cheap]
+        for entry in entries:
+            assert np.isfinite(entry["seconds"]) and entry["seconds"] >= 0.0
+
     def test_solver_failure_is_exit_three(self, capsys, monkeypatch):
         def explode(ctx):
             raise SolverFailure("did not converge")

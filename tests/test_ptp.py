@@ -180,19 +180,26 @@ class TestDual:
             assert abs(forward - pulled) < 1e-12
 
     def test_input_povm_is_validated(self):
-        with pytest.raises(ValueError, match="not positive"):
-            ptp.dual_povm(ptp.transpose_map(), [-X @ X, EYE])
-        with pytest.raises(ValueError, match="sum to the identity"):
-            ptp.dual_povm(ptp.transpose_map(), [EYE, EYE])
+        cases = [
+            ([-X @ X, EYE], "input: effect 0 is not positive"),
+            ([EYE, EYE], "input: effects do not sum to the identity"),
+            ([[EYE, 0 * EYE], [EYE, -X @ X], [EYE, EYE]], "at index 1: effect 1 is not positive"),
+            ([[EYE, 0 * EYE], [0 * EYE, EYE], [EYE, EYE]], "at index 2: effects do not sum to the identity"),
+        ]
+        for effects, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ptp.dual_povm(ptp.transpose_map(), effects)
 
     def test_dual_output_is_a_povm(self):
         spec = ptp.pauli_action({"I": EYE, "X": 0.6 * X, "Y": -0.5 * Y, "Z": 0.7 * Z})
         rng = np.random.default_rng(29)
-        dual = ptp.dual_povm(spec, dichotomic_povm(rng))
-        total = sum(dual)
-        assert np.linalg.norm(total - EYE) < 1e-9
-        for effect in dual:
-            assert np.linalg.eigvalsh(effect).min() > -1e-9
+        stack = np.array([dichotomic_povm(rng) for _ in range(7)])
+        duals = ptp.dual_povm(spec, stack)
+        for povm, dual in zip(stack, duals):
+            assert np.max(np.abs(ptp.dual_povm(spec, povm) - dual)) <= 1e-15
+            assert np.linalg.norm(sum(dual) - EYE) < 1e-9
+            for effect in dual:
+                assert np.linalg.eigvalsh(effect).min() > -1e-9
 
 
 class TestChoi:
@@ -277,40 +284,68 @@ class TestBellModel:
             calls.append(context)
             return check(effects, context)
 
+        spec = ptp.transpose_bell_spec()
         monkeypatch.setattr(ptp, "check_povm", counting)
         bases = [[0.5 * (EYE + X), 0.5 * (EYE - X)], [0.5 * (EYE + Y), 0.5 * (EYE - Y)]]
-        ptp.ptp_bell_model(ptp.transpose_bell_spec(), bases)
+        ptp.ptp_bell_model(spec, bases)
         assert calls == ["trusted measurement 0", "trusted measurement 1"]
 
     def test_malformed_trusted_measurement_rejected(self):
         spec = ptp.transpose_bell_spec()
         with pytest.raises(ValueError, match="sum to the identity"):
             ptp.ptp_bell_model(spec, [[EYE, EYE]])
+        with pytest.raises(ValueError, match="same outcome count"):
+            ptp.ptp_bell_model(spec, [[EYE, 0 * EYE], [EYE]])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"povms": [[EYE, EYE]] * 3}, "untrusted measurement 0: effects do not sum"),
+            ({"state": 2.0 * ptp.transpose_bell_spec().state}, "state has trace 2"),
+            ({"state": np.diag([1.5, -0.5, 0.0, 0.0])}, "state is not positive"),
+            ({"state": np.triu(np.ones((4, 4))) / 4.0}, "not Hermitian"),
+            ({"state": np.ones((4, 2)) / 4.0}, "square"),
+            ({"state": np.eye(6) / 6.0}, r"state side 6 is not 2 x 2 \(untrusted x qubit\)"),
+        ],
+    )
+    def test_bad_spec_rejected(self, change, message):
+        base = ptp.transpose_bell_spec()
+        fields = {"state": base.state, "povms": base.povms, "maps": base.maps, **change}
+        with pytest.raises(ValueError, match=message):
+            ptp.PtpModelSpec(**fields)
+
+    def test_stacked_effects_match_each_item(self):
+        spec = ptp.transpose_bell_spec()
+        rng = np.random.default_rng(43)
+        stack = np.array([[dichotomic_povm(rng) for _ in range(2)] for _ in range(7)])
+        result = ptp.ptp_bell_model(spec, stack)
+        assert result.table.shape == (7, 2, 2, 3, 2, 2)
+        for i, pair in enumerate(stack):
+            single = ptp.ptp_bell_model(spec, pair)
+            assert np.max(np.abs(result.table[i] - single.table)) <= 1e-15
+            assert np.max(np.abs(result.witness_povms[i] - single.witness_povms)) <= 1e-15
+            values = chsh_value(ptp.chsh_subtables(single.table))
+            assert np.max(np.abs(chsh_value(ptp.chsh_subtables(result.table))[i] - values)) <= 1e-15
+
+    def test_chsh_subtables_pair_distinct_inputs_and_settings(self):
+        table = np.random.default_rng(47).uniform(size=(2, 2, 3, 2, 2))
+        settings = [(y, z) for y in range(2) for z in range(2)]
+        expected = [
+            np.stack([np.stack([table[:, :, x, y, z] for y, z in (s1, s2)], -1) for x in (x1, x2)], -2)
+            for x1 in range(3) for x2 in range(3) if x1 != x2
+            for s1 in settings for s2 in settings if s1 != s2
+        ]
+        assert np.array_equal(ptp.chsh_subtables(table), np.array(expected))
 
     def test_sampled_tables_respect_the_quantum_ceiling(self):
         spec = ptp.transpose_bell_spec()
         induced = ptp.model_assemblage(spec)
         rng = np.random.default_rng(31)
-        settings = [(y, z) for y in range(2) for z in range(2)]
-        worst = 0.0
-        for _ in range(60):
-            pair = [dichotomic_povm(rng) for _ in range(2)]
-            result = ptp.ptp_bell_model(spec, pair)
-            for z, effects in enumerate(pair):
-                direct = bell_correlations(induced, [effects, effects])
-                assert np.max(np.abs(result.table[:, :, :, :, z] - direct)) < 1e-10
-            for x1 in range(3):
-                for x2 in range(3):
-                    if x1 == x2:
-                        continue
-                    for i, s1 in enumerate(settings):
-                        for s2 in settings[i + 1:]:
-                            for b1, b2 in ((s1, s2), (s2, s1)):
-                                sub = np.zeros((2, 2, 2, 2))
-                                for bi, (yy, zz) in enumerate((b1, b2)):
-                                    sub[:, :, 0, bi] = result.table[:, :, x1, yy, zz]
-                                    sub[:, :, 1, bi] = result.table[:, :, x2, yy, zz]
-                                worst = max(worst, abs(chsh_value(sub)))
+        pairs = np.array([[dichotomic_povm(rng) for _ in range(2)] for _ in range(60)])
+        result = ptp.ptp_bell_model(spec, pairs)
+        direct = bell_correlations(induced, np.repeat(pairs[:, :, None], 2, axis=2))
+        assert np.max(np.abs(result.table - np.moveaxis(direct, 1, -1))) < 1e-10
+        worst = np.max(np.abs(chsh_value(ptp.chsh_subtables(result.table))))
         assert worst <= TSIRELSON + 1e-6
 
 
