@@ -233,6 +233,11 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
     solver_log.append(entry)
     if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
         raise CliError(EXIT_SOLVER, f"{context} ended with status {status}: no verdict")
+    if getattr(result, "margin", None) == -np.inf:
+        # The data alone ruled the input out, by a no-signalling residual
+        # relative to the members' size: an input error, not a verdict.
+        named = ", ".join(f"{rule} residual {val:.3g}" for rule, val in result.residuals.items())
+        raise CliError(EXIT_INPUT, f"assemblage violates no-signalling: {named} ({context})")
     return result
 
 
@@ -342,13 +347,13 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[ReportDocument, int]:
         value = _timed(
             doc.solver,
             "no-signalling bound",
-            lambda: ns_bound(functional, feas_tol=tol, gap_tol=tol),
+            lambda: ns_bound(functional, tol=tol),
         )
     elif args.which == "qtilde":
         value, moment = _timed(
             doc.solver,
             "relaxation bound",
-            lambda: qtilde_solution(functional, feas_tol=tol, gap_tol=tol),
+            lambda: qtilde_solution(functional, tol=tol),
         )
         doc.results["embedded_side"] = moment.embedded_side
         for key, residual in sorted(moment.residuals().items()):
@@ -357,7 +362,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[ReportDocument, int]:
         value = _timed(
             doc.solver,
             "wired relaxation bound",
-            lambda: qtilde_instrumental_bound(functional, feas_tol=tol, gap_tol=tol),
+            lambda: qtilde_instrumental_bound(functional, tol=tol),
         )
     doc.results["value"] = float(value)
     return doc, EXIT_PASS
@@ -778,8 +783,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
 
 @lru_cache(maxsize=1)
@@ -823,7 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(realize)
 
     reproduce = sub.add_parser("reproduce", help="run the full battery of checks")
+    reproduce.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     _add_common(reproduce)
+
+    for command in (validate, bounds, certify, realize):
+        command.add_argument("--tol", type=_tolerance, default=None, help="tolerance override")
 
     return parser
 

@@ -6,9 +6,15 @@ to an assemblage.  Three convex sets give three benchmarks for such values:
 * the no-signalling set (all valid assemblages),
 * the unsteerable set (assemblages explained by a hidden state shared with a
   classical strategy on the untrusted side),
-* a moment-matrix relaxation of the quantum-realizable set, built from words
-  in the untrusted measurement and trusted channel labels, with one block of
-  side ``d * (1 + m_a + m_b + m_a m_b)`` written over its free moments.
+* a moment-matrix relaxation of the quantum-realizable set, with one block
+  of side ``d * (1 + m_a + m_b + m_a m_b)`` written over its free moments.
+  Its rows and columns are words, each a pair of letter sequences: untrusted
+  measurement labels, then trusted channel labels (the empty word, one
+  letter of either kind, or one of each).  One key rule labels block
+  ``(u, v)``: per kind, ``u``'s letters reversed, then ``v``'s, with
+  adjacent repeats collapsed.  Blocks with equal keys are equal, each key's
+  structure fixes its block's basis, and the assemblage is read from the
+  empty word's block row.
 
 Each benchmark is the functional's minimum over its set.  The hidden-state
 minimum has a closed form, a sum of smallest eigenvalues minimized over
@@ -267,8 +273,9 @@ def lhs_bound(
 
 def _signalling(asm: BwiAssemblage, rules: Sequence[str]) -> dict[str, float] | None:
     """The worst named :func:`validate_ns_bwi` residual, when above the presolve's tolerance."""
-    worst = max(validate_ns_bwi(asm).residuals[rule] for rule in rules)
-    return None if consistent(worst, asm.members.values()) else {"signalling": worst}
+    residuals = validate_ns_bwi(asm).residuals
+    worst = max(rules, key=residuals.__getitem__)
+    return None if consistent(residuals[worst], asm.members.values()) else {worst: residuals[worst]}
 
 
 def lhs_membership(
@@ -325,20 +332,17 @@ def lhs_membership(
 # ---------------------------------------------------------------------------
 
 
-def ns_bound(
-    functional: SteeringFunctional,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> float:
-    """Minimum of the functional over all no-signalling assemblages."""
+def ns_bound(functional: SteeringFunctional, *, tol: float = 1e-8) -> float:
+    """Minimum of the functional over all no-signalling assemblages.
+
+    ``tol`` bounds the solve's feasibility residuals and its duality gap.
+    """
     shape = functional.shape
     builder = sdp.HermitianBlockBuilder()
     for key, index in ns_variable_blocks(builder, shape).items():
         builder.add_objective_term(index, functional.term(*key))
     problem = builder.build()
-    solution = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
+    solution = sdp.solve(problem, feas_tol=tol, gap_tol=tol)
     if solution.status != sdp.OPTIMAL:
         raise SolverFailure(
             f"no-signalling bound ended with status {solution.status}", solution
@@ -350,15 +354,58 @@ def ns_bound(
 # Moment-matrix relaxation
 # ---------------------------------------------------------------------------
 
+#: A word, or a block's key: the untrusted measurement letters, then the
+#: trusted channel letters.
+Word = tuple[tuple[int, ...], tuple[int, ...]]
 
-def moment_words(shape: ScenarioShape) -> list[tuple]:
-    """Word labels: empty, one per untrusted input, one per trusted input, all pairs."""
+#: The empty word: its block row encodes the assemblage.
+EMPTY: Word = ((), ())
+
+
+def moment_words(shape: ScenarioShape) -> list[Word]:
+    """The empty word, one word per untrusted input, one per trusted input, then all pairs."""
     return (
-        [("e",)]
-        + [("x", x) for x in range(shape.m_a)]
-        + [("y", y) for y in range(shape.m_b)]
-        + [("xy", x, y) for x in range(shape.m_a) for y in range(shape.m_b)]
+        [EMPTY]
+        + [((x,), ()) for x in range(shape.m_a)]
+        + [((), (y,)) for y in range(shape.m_b)]
+        + [((x,), (y,)) for x in range(shape.m_a) for y in range(shape.m_b)]
     )
+
+
+def _moment_key(u: Word, v: Word) -> Word:
+    """Label of block ``(u, v)``: per letter kind, ``u``'s letters reversed, then ``v``'s.
+
+    The two kinds commute and every letter is a projector, so each kind is
+    rewritten on its own and adjacent repeats collapse.
+    """
+    joined = (left[::-1] + right for left, right in zip(u, v))
+    return tuple(tuple(c for i, c in enumerate(j) if i == 0 or j[i - 1] != c) for j in joined)
+
+
+def _orient(key: Word) -> tuple[Word, bool]:
+    """Representative of ``key`` and its reverse, and whether ``key`` is the reverse."""
+    reverse = (key[0][::-1], key[1][::-1])
+    return min(key, reverse), reverse < key
+
+
+def _read_member(array: Array, index: dict[Word, int], a: int, x: int, y: int) -> Array:
+    """``sigma_{a|x,y}`` from the first block row of ``array``'s last two axes.
+
+    Block ``(EMPTY, w)`` of a word ``w`` with trusted letter ``y`` is the
+    transpose, over ``d``, of the state at ``y`` projected by ``w``'s
+    untrusted letter onto outcome 0 (no letter: the whole state).  Outcome 1
+    is the state minus outcome 0.  Leading axes are read entrywise.
+    """
+    if a not in (0, 1):
+        raise ValueError("the relaxation encodes binary outcomes only")
+    d = array.shape[-1] // len(index)
+
+    def read(word: Word) -> Array:
+        col = d * index[word]
+        return d * np.swapaxes(array[..., :d, col : col + d], -1, -2)
+
+    sigma_0 = read(((x,), (y,)))
+    return sigma_0 if a == 0 else read(((), (y,))) - sigma_0
 
 
 @dataclass
@@ -366,8 +413,11 @@ class MomentMatrix:
     """The relaxation's positive block, labeled by words times the trusted space."""
 
     shape: ScenarioShape
-    words: list[tuple]
+    words: list[Word]
     gamma: Array
+
+    def __post_init__(self) -> None:
+        self.index = {word: i for i, word in enumerate(self.words)}
 
     @property
     def embedded_side(self) -> int:
@@ -377,12 +427,9 @@ class MomentMatrix:
         """
         return 2 * self.gamma.shape[0]
 
-    def _index(self, word: tuple) -> int:
-        return self.words.index(word)
-
-    def block(self, u: tuple, v: tuple) -> Array:
+    def block(self, u: Word, v: Word) -> Array:
         d = self.shape.d
-        i, j = self._index(u), self._index(v)
+        i, j = self.index[u], self.index[v]
         return self.gamma[d * i : d * i + d, d * j : d * j + d]
 
     def member(self, a: int, x: int, y: int) -> Array:
@@ -391,14 +438,7 @@ class MomentMatrix:
         The encoding blocks are Hermitian only up to the solve tolerance, so
         the result is symmetrized before it is returned.
         """
-        d = self.shape.d
-        sigma_y = d * self.block(("e",), ("y", y)).T
-        sigma_0 = d * self.block(("e",), ("xy", x, y)).T
-        if a == 0:
-            return require_hermitian(sigma_0, tol=1e-6)
-        if a == 1:
-            return require_hermitian(sigma_y - sigma_0, tol=1e-6)
-        raise ValueError("the relaxation encodes binary outcomes only")
+        return require_hermitian(_read_member(self.gamma, self.index, a, x, y), tol=1e-6)
 
     def assemblage(self) -> BwiAssemblage:
         shape = _qtilde_scenario(self.shape)
@@ -409,7 +449,16 @@ class MomentMatrix:
         """Largest violation of each structural family, for auditing."""
         d = self.shape.d
         m_a, m_b = self.shape.m_a, self.shape.m_b
-        e = ("e",)
+        e = EMPTY
+
+        def wx(x: int) -> Word:
+            return ((x,), ())
+
+        def wy(y: int) -> Word:
+            return ((), (y,))
+
+        def wxy(x: int, y: int) -> Word:
+            return ((x,), (y,))
 
         def norm(mat: Array) -> float:
             return float(np.max(np.abs(mat)))
@@ -422,81 +471,60 @@ class MomentMatrix:
         joint = 0.0
         for x in range(m_a):
             for y in range(m_b):
-                wxy, wx, wy = ("xy", x, y), ("x", x), ("y", y)
-                base = self.block(e, wxy)
-                for other in (self.block(wx, wxy), self.block(wy, wxy), self.block(wx, wy)):
+                base = self.block(e, wxy(x, y))
+                for other in (
+                    self.block(wx(x), wxy(x, y)),
+                    self.block(wy(y), wxy(x, y)),
+                    self.block(wx(x), wy(y)),
+                ):
                     joint = max(joint, norm(base - other))
         out["joint_consistency"] = joint
         x_compat = 0.0
         for x in range(m_a):
             for xp in range(m_a):
                 for y in range(m_b):
-                    left = self.block(("x", x), ("xy", xp, y))
+                    left = self.block(wx(x), wxy(xp, y))
                     x_compat = max(
                         x_compat,
-                        norm(left - self.block(("xy", x, y), ("xy", xp, y))),
-                        norm(left - self.block(("xy", x, y), ("x", xp))),
+                        norm(left - self.block(wxy(x, y), wxy(xp, y))),
+                        norm(left - self.block(wxy(x, y), wx(xp))),
                     )
         out["x_compatibility"] = x_compat
         y_compat = 0.0
         for x in range(m_a):
             for y in range(m_b):
                 for yp in range(m_b):
-                    left = self.block(("y", y), ("xy", x, yp))
+                    left = self.block(wy(y), wxy(x, yp))
                     y_compat = max(
                         y_compat,
-                        norm(left - self.block(("xy", x, y), ("xy", x, yp))),
-                        norm(left - self.block(("xy", x, y), ("y", yp))),
+                        norm(left - self.block(wxy(x, y), wxy(x, yp))),
+                        norm(left - self.block(wxy(x, y), wy(yp))),
                     )
         out["y_compatibility"] = y_compat
         scalar = 0.0
         for x in range(m_a):
             for xp in range(m_a):
-                block = self.block(("x", x), ("x", xp))
+                block = self.block(wx(x), wx(xp))
                 off = block - np.diag(np.diag(block))
                 scalar = max(scalar, norm(off), norm(np.diag(block) - block[0, 0]))
         out["x_pair_scalar"] = scalar
         trace = 0.0
         for y in range(m_b):
-            trace = max(trace, abs(d * complex(np.trace(self.block(e, ("y", y)))) - 1.0))
+            trace = max(trace, abs(d * complex(np.trace(self.block(e, wy(y)))) - 1.0))
         out["state_trace"] = float(trace)
         outcome = 0.0
         for x in range(m_a):
-            block = self.block(e, ("x", x))
+            block = self.block(e, wx(x))
             off = block - np.diag(np.diag(block))
             outcome = max(outcome, norm(off), norm(np.diag(block) - block[0, 0]))
             for y in range(m_b):
                 outcome = max(
                     outcome,
-                    abs(block[0, 0] - d * complex(np.trace(self.block(e, ("xy", x, y))))),
+                    abs(block[0, 0] - d * complex(np.trace(self.block(e, wxy(x, y))))),
                 )
         out["outcome_trace"] = float(outcome)
         out["psd"] = float(-min(np.linalg.eigvalsh(require_hermitian(self.gamma, tol=1e-8)).min(), 0.0))
         return out
-
-
-MomentKey = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _moment_key(u: tuple, v: tuple) -> MomentKey:
-    """Label of block ``(u, v)``: per letter kind, ``u``'s letters reversed, then ``v``'s.
-
-    The two kinds commute and every letter is a projector, so each kind is
-    rewritten on its own and adjacent repeats collapse.
-    """
-
-    def rewrite(kinds: tuple[str, ...], at: int) -> tuple[int, ...]:
-        left = (u[at],) if u[0] in kinds else ()
-        joined = left[::-1] + ((v[at],) if v[0] in kinds else ())
-        return tuple(l for i, l in enumerate(joined) if i == 0 or joined[i - 1] != l)
-
-    return rewrite(("x", "xy"), 1), rewrite(("y", "xy"), -1)
-
-
-def _orient(key: MomentKey) -> tuple[MomentKey, bool]:
-    """Representative of ``key`` and its reverse, and whether ``key`` is the reverse."""
-    reverse = (key[0][::-1], key[1][::-1])
-    return min(key, reverse), reverse < key
 
 
 class _MomentForm:
@@ -507,59 +535,57 @@ class _MomentForm:
     representative key's block is the identity (empty key), a multiple of the
     identity (no trusted letter; real if the key is its own reverse), a general
     complex block (a key that is not its own reverse), or else a Hermitian
-    block whose last diagonal entry sets ``d tr`` to 1 (trusted letter alone)
-    or to the untrusted letter's scalar.  ``pinned`` fixes some keys' blocks.
+    block whose last diagonal entry ties ``d tr`` to the scalar of its
+    untrusted part (1 for none).  ``pinned`` fixes some keys' blocks.  The
+    caller checks that the shape has binary outcomes.
     """
 
-    def __init__(
-        self, shape: ScenarioShape, pinned: dict[MomentKey, Array] | None = None
-    ) -> None:
-        require_binary_outcomes(shape)
-        self.shape, self.words, self.d = shape, moment_words(shape), shape.d
+    def __init__(self, shape: ScenarioShape, pinned: dict[Word, Array] | None = None) -> None:
+        self.shape, self.words = shape, moment_words(shape)
+        self.index = {word: i for i, word in enumerate(self.words)}
         d, pinned = shape.d, pinned or {}
         eye = np.eye(d, dtype=complex)
         last = np.outer(eye[-1], eye[-1])
+        keys = [[_orient(_moment_key(u, v)) for v in self.words] for u in self.words]
         # Per representative key: its constant and (moment, coefficient) terms.
-        # The first row comes first, so a pair's untrusted scalar is known.
-        classes: dict[MomentKey, tuple[Array, list[tuple[int, Array]]]] = {}
+        # The first row comes first, so an untrusted part's scalar is known.
+        classes: dict[Word, tuple[Array, list[tuple[int, Array]]]] = {}
         n_moments = 0
-        for u in self.words:
-            for v in self.words:
-                key, _ = _orient(_moment_key(u, v))
-                if key in classes:
-                    continue
-                x_part, y_part = key
-                const, terms, basis = 0 * eye, [], []
-                if key in pinned:
-                    const = np.asarray(pinned[key], dtype=complex)
-                elif key == ((), ()):
-                    const = eye
-                elif not y_part:
-                    basis = [eye] if len(x_part) == 1 else [eye, 1j * eye]
-                elif len(x_part) == 2 or len(y_part) == 2:
-                    basis = [
-                        ph * np.outer(eye[i], eye[j])
-                        for ph in (1, 1j)
-                        for i in range(d)
-                        for j in range(d)
-                    ]
-                else:
-                    scalar, scalar_terms = classes[(x_part, ())]
-                    const = scalar[0, 0] / d * last
-                    terms = [(k, coeff[0, 0] / d * last) for k, coeff in scalar_terms]
-                    basis = [np.outer(eye[i], eye[i]) - last for i in range(d - 1)] + [
-                        np.outer(ph * eye[i], eye[j]) + np.outer(np.conj(ph) * eye[j], eye[i])
-                        for i in range(d)
-                        for j in range(i + 1, d)
-                        for ph in (1, 1j)
-                    ]
-                classes[key] = (const, terms + list(enumerate(basis, 1 + n_moments)))
-                n_moments += len(basis)
+        for key, _ in itertools.chain.from_iterable(keys):
+            if key in classes:
+                continue
+            untrusted, trusted = key
+            symmetric = key == (untrusted[::-1], trusted[::-1])
+            const, terms, basis = 0 * eye, [], []
+            if key in pinned:
+                const = np.asarray(pinned[key], dtype=complex)
+            elif key == EMPTY:
+                const = eye
+            elif not trusted:
+                basis = [eye] if symmetric else [eye, 1j * eye]
+            elif not symmetric:
+                basis = [
+                    ph * np.outer(eye[i], eye[j])
+                    for ph in (1, 1j)
+                    for i in range(d)
+                    for j in range(d)
+                ]
+            else:
+                scalar, scalar_terms = classes[(untrusted, ())]
+                const = scalar[0, 0] / d * last
+                terms = [(k, coeff[0, 0] / d * last) for k, coeff in scalar_terms]
+                basis = [np.outer(eye[i], eye[i]) - last for i in range(d - 1)] + [
+                    np.outer(ph * eye[i], eye[j]) + np.outer(np.conj(ph) * eye[j], eye[i])
+                    for i in range(d)
+                    for j in range(i + 1, d)
+                    for ph in (1, 1j)
+                ]
+            classes[key] = (const, terms + list(enumerate(basis, 1 + n_moments)))
+            n_moments += len(basis)
         side = d * len(self.words)
         self.stack = np.zeros((1 + n_moments, side, side), dtype=complex)
-        for i, u in enumerate(self.words):
-            for j, v in enumerate(self.words):
-                key, flip = _orient(_moment_key(u, v))
+        for i, row in enumerate(keys):
+            for j, (key, flip) in enumerate(row):
                 const, terms = classes[key]
                 block = (slice(d * i, d * i + d), slice(d * j, d * j + d))
                 for k, coeff in [(0, const)] + terms:
@@ -569,37 +595,39 @@ class _MomentForm:
         gamma = np.tensordot(np.concatenate([[1.0], p]), self.stack, axes=1)
         return MomentMatrix(shape=_qtilde_scenario(self.shape), words=self.words, gamma=gamma)
 
-    def member(self, a: int, x: int, y: int) -> Array:
-        """``sigma_{a|x,y}`` per entry of ``stack``, read as :meth:`MomentMatrix.member` does."""
-
-        def first_row(word: tuple) -> Array:
-            col = self.d * self.words.index(word)
-            return self.d * self.stack[:, : self.d, col : col + self.d].transpose(0, 2, 1)
-
-        sigma_0 = first_row(("xy", x, y))
-        return sigma_0 if a == 0 else first_row(("y", y)) - sigma_0
-
 
 def _qtilde_scenario(shape: ScenarioShape) -> ScenarioShape:
     return ScenarioShape(n_a=2, m_a=shape.m_a, m_b=shape.m_b, d=shape.d, kind=BWI)
 
 
-def _bound_problem(
-    form: _MomentForm, terms: Sequence[tuple[Array, int, int, int]]
-) -> tuple[sdp.SdpProblem, Array]:
-    """The bound as an LMI, and the objective per entry of ``form.stack``.
+class _RelaxationBound:
+    """A functional's minimum over the relaxation: the LMI of the unpinned moment form.
 
-    The objective is the sum of ``tr(F sigma_{a|x,y})`` over ``terms``
-    ``(F, a, x, y)``.  The moment block is the only LMI block: ``Gamma >= 0``
-    already makes every member positive semidefinite, since ``d
-    sigma_{1|x,y}`` is the transpose of ``Gamma`` compressed by ``e_y -
-    e_xy``.
+    The objective is the sum of ``tr(F sigma_{a|x,y})`` over the functional's
+    coefficients, a wired coefficient ``F_{a,x}`` standing at ``y = a``, and
+    ``gain`` holds it per entry of ``form.stack``.  The moment block is the
+    only LMI block: ``Gamma >= 0`` already makes every member positive
+    semidefinite, since ``d sigma_{1|x,y}`` is the transpose of ``Gamma``
+    compressed by ``e_y - e_xy``.
     """
-    gain = sum(
-        np.einsum("ij,kji->k", coeff, form.member(a, x, y)).real for coeff, a, x, y in terms
-    )
-    problem = sdp.hermitian_lmi([form.stack[0]], [form.stack[1:]], -gain[1:])
-    return problem, gain
+
+    def __init__(self, functional: SteeringFunctional | InstrumentalFunctional) -> None:
+        require_binary_outcomes(functional.shape)
+        self.wired = isinstance(functional, InstrumentalFunctional)
+        keys = [(a, x, a) for a, x in functional.coeffs] if self.wired else functional.coeffs
+        self.form = form = _MomentForm(_qtilde_scenario(functional.shape))
+        self.gain = sum(
+            np.einsum("ij,kji->k", coeff, _read_member(form.stack, form.index, *key)).real
+            for key, coeff in zip(keys, functional.coeffs.values())
+        )
+        self.problem = sdp.hermitian_lmi([form.stack[0]], [form.stack[1:]], -self.gain[1:])
+
+    def solve(self, tol: float) -> tuple[float, MomentMatrix]:
+        solution = sdp.solve(self.problem, feas_tol=tol, gap_tol=tol)
+        if solution.status != sdp.OPTIMAL:
+            context = "wired relaxation bound" if self.wired else "relaxation bound"
+            raise SolverFailure(f"{context} ended with status {solution.status}", solution)
+        return float(self.gain[0] + self.gain[1:] @ solution.y), self.form.moment(solution.y)
 
 
 def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
@@ -613,81 +641,32 @@ def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
     blocks of their own, because the moment block's being positive
     semidefinite implies theirs.
     """
-    terms = [(coeff, *key) for key, coeff in functional.coeffs.items()]
-    return _bound_problem(_MomentForm(functional.shape), terms)[0]
+    return _RelaxationBound(functional).problem
 
 
-def _solve_bound(
-    shape: ScenarioShape,
-    terms: Sequence[tuple[Array, int, int, int]],
-    *,
-    feas_tol: float,
-    gap_tol: float,
-    max_iter: int,
-    context: str,
-) -> tuple[float, MomentMatrix]:
-    form = _MomentForm(shape)
-    problem, gain = _bound_problem(form, terms)
-    solution = sdp.solve(problem, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
-    if solution.status != sdp.OPTIMAL:
-        raise SolverFailure(f"{context} ended with status {solution.status}", solution)
-    return float(gain[0] + gain[1:] @ solution.y), form.moment(solution.y)
-
-
-def qtilde_bound(
-    functional: SteeringFunctional,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> float:
+def qtilde_bound(functional: SteeringFunctional, *, tol: float = 1e-8) -> float:
     """Minimum of the functional over the moment-matrix relaxation."""
-    value, _ = qtilde_solution(
-        functional, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter
-    )
+    value, _ = qtilde_solution(functional, tol=tol)
     return value
 
 
 def qtilde_solution(
-    functional: SteeringFunctional,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
+    functional: SteeringFunctional, *, tol: float = 1e-8
 ) -> tuple[float, MomentMatrix]:
-    """Relaxation bound together with the optimizing moment block."""
-    return _solve_bound(
-        functional.shape,
-        [(coeff, *key) for key, coeff in functional.coeffs.items()],
-        feas_tol=feas_tol,
-        gap_tol=gap_tol,
-        max_iter=max_iter,
-        context="relaxation bound",
-    )
+    """Relaxation bound together with the optimizing moment block.
+
+    ``tol`` bounds the solve's feasibility residuals and its duality gap.
+    """
+    return _RelaxationBound(functional).solve(tol)
 
 
-def qtilde_instrumental_bound(
-    functional: InstrumentalFunctional,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> float:
+def qtilde_instrumental_bound(functional: InstrumentalFunctional, *, tol: float = 1e-8) -> float:
     """Relaxation bound for wired values: the objective post-selects input = outcome.
 
     The feasible set is the same moment block; only the objective changes, so
     the result lower-bounds every quantum-realizable wired value.
     """
-    shape = functional.shape
-    require_binary_outcomes(shape)
-    value, _ = _solve_bound(
-        _qtilde_scenario(shape),
-        [(coeff, a, x, a) for (a, x), coeff in functional.coeffs.items()],
-        feas_tol=feas_tol,
-        gap_tol=gap_tol,
-        max_iter=max_iter,
-        context="wired relaxation bound",
-    )
+    value, _ = _RelaxationBound(functional).solve(tol)
     return value
 
 
@@ -698,9 +677,10 @@ def qtilde_membership(
 
     The first block row is pinned to the assemblage: the untrusted blocks to
     the outcome weights times the identity, the trusted blocks to the states,
-    the pair blocks to the outcome-0 members (transposed, scaled).  Data that
-    break a trace rule (a state's trace is not 1, or an outcome weight
-    depends on the trusted input) or signal to the trusted side (the reduced
+    the pair blocks to the outcome-0 members (transposed and scaled, as
+    :meth:`MomentMatrix.member` reads them back).  Data that break a trace
+    rule (a state's trace is not 1, or an outcome weight depends on the
+    trusted input) or signal to the trusted side (the reduced
     state ``sum_a sigma_{a|x,y}`` depends on ``x``; only ``x = 0`` is pinned)
     are infeasible with margin ``-inf``, with no solve.  Otherwise the margin
     is the largest ``t`` with ``Gamma(p) - t I`` positive semidefinite over
@@ -711,14 +691,16 @@ def qtilde_membership(
     shape = asm.shape
     require_binary_outcomes(shape)
     d = shape.d
-    weights = [float(np.trace(asm.member(0, x, 0)).real) for x in range(shape.m_a)]
-    pinned = {((x,), ()): w * np.eye(d) for x, w in enumerate(weights)}
-    for y in range(shape.m_b):
-        for x_part, member in [((), asm.reduced_state(y))] + [
-            ((x,), asm.member(0, x, y)) for x in range(shape.m_a)
-        ]:
-            pinned[(x_part, (y,))] = hermitian_part(member).T / d
-    form = _MomentForm(shape, pinned)
+
+    def pin(word: Word) -> Array:
+        untrusted, trusted = word
+        if not trusted:
+            return float(np.trace(asm.member(0, untrusted[0], 0)).real) * np.eye(d)
+        y = trusted[0]
+        state = asm.member(0, untrusted[0], y) if untrusted else asm.reduced_state(y)
+        return hermitian_part(state).T / d
+
+    form = _MomentForm(shape, {_moment_key(EMPTY, w): pin(w) for w in moment_words(shape)[1:]})
     # The shift t is the last parameter, and the only one in the objective.
     shifted = np.concatenate([form.stack[1:], -np.eye(len(form.stack[0]))[None]])
     problem = sdp.hermitian_lmi([form.stack[0]], [shifted], np.eye(len(shifted))[-1])

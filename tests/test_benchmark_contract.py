@@ -1,0 +1,32 @@
+"""One pass of each benchmark workload, counted as the benchmark counts it.
+
+The benchmark in ``perfbench/`` counts an item as failed when it raises or
+when any solve it makes ends with a status other than ``optimal``, and as
+wrong when its output fails the workload's own check.  Neither shows in the
+other tests, so one pass per workload runs here, with the benchmark's own
+pass loop and inputs.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import run as bench  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 4099
+
+
+@pytest.mark.parametrize("name", bench.WORKLOAD_NAMES)
+def test_one_pass_has_no_failed_or_wrong_item(name, tmp_path):
+    items = workloads.WORKLOADS[name](SEED, str(tmp_path))
+    result = bench.run_pass(items, trace=False)
+    assert result.failed == 0
+    assert result.wrong == {}
+    assert result.checked == len(items)

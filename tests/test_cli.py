@@ -330,10 +330,33 @@ class TestCertify:
         assert results["memberships"]["qtilde"]["margin"] > -1e-6
         assert results["choi_check"] == "no-certificate"
 
+    def test_seed_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "builtin:pr-box", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_signalling_input_rejected(self, capsys, signalling_file):
         code, _, err = run(capsys, "certify", signalling_file)
         assert code == 2
         assert "no-signalling" in err
+
+    @pytest.mark.parametrize("shift, options", [(3e-9, ()), (1e-5, ("--tol", "1e-3"))])
+    def test_signalling_below_the_validation_tolerance_is_input_error(
+        self, capsys, tmp_path, shift, options
+    ):
+        # A traceless shift of one member signals to the trusted side by less
+        # than the validation's absolute tolerance, but the memberships rule
+        # the data out relative to their size: no classification follows.
+        asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
+        members = dict(asm.members)
+        members[(0, 1, 0)] = members[(0, 1, 0)] + shift * np.diag([1.0, -1.0])
+        shifted = BwiAssemblage(asm.shape, members)
+        path = write_assemblage(tmp_path / "shifted.json", shifted)
+        code, out, err = run(capsys, "certify", path, "--format", "json", *options)
+        assert code == 2
+        assert out == ""
+        assert "no-signalling" in err and "state_consistency" in err
 
     def test_three_outcome_steerable_input_is_input_error(self, capsys, tmp_path):
         shape = ScenarioShape(n_a=3, m_a=3, m_b=2, d=2, kind=BWI)
@@ -376,8 +399,9 @@ class TestCertify:
         assert out == ""
         assert "hidden-state membership" in err and sdp.MAX_ITERATIONS in err
 
-        # A decisive hidden-state verdict, then an unfinished relaxation.
-        monkeypatch.setattr(cli, "lhs_membership", membership(sdp.INFEASIBLE, -np.inf))
+        # A decisive hidden-state verdict, then an unfinished relaxation.  (A
+        # margin of -inf would mean the data alone rule the input out.)
+        monkeypatch.setattr(cli, "lhs_membership", membership(sdp.OPTIMAL, -1.0))
         code, out, err = run(capsys, "certify", "builtin:pr-box")
         assert code == cli.EXIT_SOLVER
         assert "relaxation membership" in err and sdp.NUMERICAL_TROUBLE in err
@@ -531,6 +555,12 @@ class TestReproduce:
         assert code == 0
         assert seen["seed"] == 5
         assert "PASS first" in out
+
+    def test_tolerance_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["reproduce", "--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_failures_turn_the_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(

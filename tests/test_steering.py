@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -315,15 +316,51 @@ def test_no_signalling_bound_is_sharp_on_the_box():
 
 def test_moment_words_cover_singles_and_pairs():
     words = moment_words(ScenarioShape(2, 3, 2, 2))
-    assert words[0] == ("e",)
+    assert words[0] == ((), ())
     assert len(words) == 1 + 3 + 2 + 6
-    assert ("xy", 2, 1) in words
+    assert ((2,), (1,)) in words
 
 
 def test_relaxation_problem_has_the_embedded_moment_block():
     problem = build_qtilde_problem(canonical_functional())
     # The complex moment block of side 2 (1 + 3 + 2 + 6) is the only block.
     assert problem.block_dims == (24,)
+
+
+def _problem_digest(problem):
+    digest = hashlib.sha256(repr(problem.block_dims).encode())
+    digest.update(problem.a.tobytes())
+    digest.update(problem.c.tobytes())
+    return digest.hexdigest()
+
+
+# Digests of (block_dims, a, c) of relaxation problems, recorded before words
+# became letter sequences.  The entries are exact (units, sqrt(2) weights,
+# exact members), so any change in the moment structure or the moment order
+# shows here.  The bounds' rows and costs depend on the shape alone.
+RELAXATION_DIGESTS = [
+    ("canonical", "916a1909f25a0e22609d70e6d40c837d1c02c985ac100245871a193cb48e9025"),
+    ((3, 2, 2), "916a1909f25a0e22609d70e6d40c837d1c02c985ac100245871a193cb48e9025"),
+    ((3, 3, 2), "f734c8d72ca61c8983e3920315e04a1170f6f61e42260365eceb1e13902be2ef"),
+    ((3, 2, 3), "1444d5f50231ca54f70a45f7b7f598d26aaf80954672aecc92ab743610e84d61"),
+    ((4, 3, 2), "937b0d006238397952eac3604e51746a639095b3574c9b63ac59c66971233e80"),
+    ("pauli-transpose", "6f31a03ccaed2311618c5d9071c205351ece814fa254a2268d733867c423e385"),
+]
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    RELAXATION_DIGESTS,
+    ids=["canonical", "322", "332", "323", "432", "pauli-transpose"],
+)
+def test_relaxation_problems_keep_their_recorded_digests(case, expected):
+    if case == "canonical":
+        problem = build_qtilde_problem(canonical_functional())
+    elif case == "pauli-transpose":
+        problem = qtilde_membership(pauli_transpose_assemblage()).problem
+    else:
+        problem = build_qtilde_problem(cli._random_psd_functional(ScenarioShape(2, *case), 0))
+    assert _problem_digest(problem) == expected
 
 
 # Relaxation bounds solved with one more LMI block per outcome-1 member, which
@@ -359,7 +396,7 @@ def test_relaxation_bound_reproduces_the_reference_value():
 def test_relaxation_solution_is_structurally_consistent():
     value, moment = qtilde_solution(canonical_functional())
     assert isinstance(moment, MomentMatrix)
-    assert np.allclose(moment.block(("e",), ("e",)), np.eye(2), atol=1e-8)
+    assert np.allclose(moment.block(((), ()), ((), ())), np.eye(2), atol=1e-8)
     residuals = moment.residuals()
     assert max(residuals.values()) <= 1e-7
     extracted = moment.assemblage()
