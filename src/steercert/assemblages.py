@@ -559,7 +559,7 @@ def instrumental_membership(
             for x in range(shape.m_a)
         )
     if consistent(max(residuals.values()), asm.members.values()):
-        report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
+        report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
         if report.feasible:
             members = {
                 key: require_hermitian(report.witness[index], tol=1e-6)

@@ -26,7 +26,9 @@ The blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
 Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
 congruences ``W A W`` run in complex arithmetic, while the Schur complement
 and ``x``, ``s``, ``y`` are real.  The NT scaling is Todd, Toh & Tutuncu's
-factored form (:class:`_Scaling`); an iterate it cannot factor ends the
+factored form (:class:`_Scaling`).  A step is accepted once its new iterate
+factors: it is halved until then, as in SDPT3, and the accepted iterate's
+scaling serves the next iteration; a step halved below ``1e-12`` ends the
 solve ``numerical_trouble``.
 
 Indexed blocks tied by real rows (:class:`HermitianBlockBuilder`: one row
@@ -238,7 +240,9 @@ class SdpSolution:
     """Outcome of a solve: a status, values, block matrices, and audit residuals.
 
     For ``infeasible`` runs ``y`` holds the Farkas certificate (normalized so
-    that ``b . y = 1``) and the block values are absent.  ``phase_seconds``
+    that ``b . y = 1``) and the block values are absent.  Every other status
+    reports the last iterate the solve checked, the optimal one or the one it
+    stopped at, and its residuals.  ``phase_seconds``
     sums, over the iterations, the seconds spent in each of :data:`PHASES`:
     the Nesterov-Todd scaling, the Schur complement's assembly, its Cholesky
     factorization, and the rest of the step (the Newton solves, the
@@ -417,6 +421,15 @@ def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
     g = _mul(lx, _t(vh)) * root_inv[..., None, :]
     g_inv = root_inv[..., :, None] * _t(_mul(ls, u))
     return _Scaling(hermitian_part(_mul(g, _t(g))), g, g_inv, lam)
+
+
+def _scalings(groups: list[_SideGroup], x: Array, s: Array) -> list[_Scaling] | None:
+    """The :class:`_Scaling` of each side group of ``(x, s)``, or ``None`` when
+    a block of either is not positive definite."""
+    try:
+        return [_nt_scaling_batch(group.unpack(x), group.unpack(s)) for group in groups]
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _scalar_step(value: float, delta: float) -> float:
@@ -604,19 +617,6 @@ class _Schur:
         return (schur + schur.T) / 2
 
 
-@dataclass
-class _Candidate:
-    score: float = np.inf
-    primal: float = np.nan
-    dual: float = np.nan
-    pres: float = np.inf
-    dres: float = np.inf
-    gap: float = np.inf
-    x: Array | None = None
-    y: Array | None = None
-    tau: float = 1.0
-
-
 def _lap(seconds: dict[str, float], phase: str, since: float) -> float:
     """Add the time since ``since`` to ``seconds[phase]``, and return the time now."""
     now = time.perf_counter()
@@ -655,20 +655,16 @@ def _require_independent(a: Array) -> None:
         ) from None
 
 
-def solve(
-    problem: SdpProblem,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
-) -> SdpSolution:
+def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
     """Solve a block semidefinite program.
 
-    ``feas_tol`` bounds the scaled primal and dual residuals of the returned
-    point, ``gap_tol`` the relative duality gap.  The equality rows must be
-    independent (``ValueError`` otherwise; the check is the only presolve).  A
-    problem whose iterates reveal an improving dual ray is reported
-    ``infeasible`` together with the certificate.
+    ``tol`` bounds the scaled primal and dual residuals and the relative
+    duality gap of an ``optimal`` point, and the residual of a ray.  The
+    equality rows must be independent (``ValueError`` otherwise; the check is
+    the only presolve).  A problem whose iterates reveal an improving dual ray
+    is reported ``infeasible`` together with the certificate.  Every other
+    exit reports the last iterate checked; one that still misses ``tol``
+    after ``max_iter`` steps ends ``max_iterations``.
     """
     dims = list(problem.block_dims)
     c = problem.c
@@ -709,15 +705,13 @@ def solve(
     y = np.zeros(m)
     tau = 1.0
     kappa = 1.0
+    status, note = MAX_ITERATIONS, ""
+    clock = time.perf_counter()
+    scal = _scalings(groups, x, s)
+    _lap(phase_seconds, "scaling", clock)
 
-    best = _Candidate()
-    iterations = 0
-    note = ""
-    status = MAX_ITERATIONS
-
-    for iteration in range(max_iter):
-        iterations = iteration
-        # Convergence metrics for the de-homogenized candidate.
+    for iterations in range(max_iter + 1):
+        # Convergence metrics for the de-homogenized iterate.
         x_hat = x / tau
         y_hat = y / tau
         s_hat = s / tau
@@ -726,53 +720,35 @@ def solve(
         obj_p = float(c @ x_hat)
         obj_d = float(b @ y_hat)
         gap_rel = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
-        score = max(pres, dres, gap_rel)
-        if score < best.score:
-            best = _Candidate(score, obj_p, obj_d, pres, dres, gap_rel, x_hat.copy(), y_hat.copy(), tau)
-
-        if pres <= feas_tol and dres <= feas_tol and gap_rel <= gap_tol:
+        if pres <= tol and dres <= tol and gap_rel <= tol:
             status = OPTIMAL
-            best = _Candidate(score, obj_p, obj_d, pres, dres, gap_rel, x_hat.copy(), y_hat.copy(), tau)
+            break
+        if iterations == max_iter:
             break
 
         # Infeasibility certificates from the homogeneous ray.
         b_dot_y = float(b @ y)
         if b_dot_y > 1e-10:
             ray_res = float(np.linalg.norm(a_mat.T @ (y / b_dot_y) + s / b_dot_y))
-            if ray_res <= feas_tol:
-                farkas = y / row_norms / b_dot_y
-                residuals = {
-                    "farkas_ray": float(np.linalg.norm(problem.a.T @ farkas)),
-                    "b_dot_y": float(problem.b @ farkas),
-                }
-                note = "improving dual ray"
-                return SdpSolution(
-                    INFEASIBLE, np.nan, np.nan, None, farkas, residuals, iteration, note,
-                    phase_seconds,
-                )
+            if ray_res <= tol:
+                status, note = INFEASIBLE, "improving dual ray"
+                break
         c_dot_x = float(c @ x)
         if c_dot_x < -1e-10:
             ray_res = float(np.linalg.norm(a_mat @ (x / -c_dot_x)))
-            if ray_res <= feas_tol and tau <= 1e-6:
-                status = NUMERICAL_TROUBLE
-                note = "objective unbounded below (improving primal ray)"
+            if ray_res <= tol and tau <= 1e-6:
+                status, note = NUMERICAL_TROUBLE, "objective unbounded below (improving primal ray)"
                 break
 
         mu = (float(x @ s) + tau * kappa) / (nu + 1.0)
         if mu < 1e-16 or not np.isfinite(mu):
-            status = NUMERICAL_TROUBLE
-            note = "central parameter vanished without a verdict"
+            status, note = NUMERICAL_TROUBLE, "central parameter vanished without a verdict"
             break
-
-        # Nesterov-Todd scaling per group of same-side blocks.
-        clock = time.perf_counter()
-        try:
-            scal = [_nt_scaling_batch(group.unpack(x), group.unpack(s)) for group in groups]
-        except np.linalg.LinAlgError:
-            status = NUMERICAL_TROUBLE
-            note = "an iterate lost positive definiteness"
+        # Every accepted step factors its iterate, so only the initial point
+        # can arrive without a scaling.
+        if scal is None:
+            status, note = NUMERICAL_TROUBLE, "an iterate lost positive definiteness"
             break
-        clock = _lap(phase_seconds, "scaling", clock)
 
         def _apply_d(vec: Array) -> Array:
             out = np.empty_like(vec)
@@ -780,6 +756,7 @@ def solve(
                 out[group.gather] = svec(_mul(_mul(sc.w, group.unpack(vec)), sc.w))
             return out
 
+        clock = time.perf_counter()
         schur = schur_rows.assemble([sc.w for sc in scal])
         clock = _lap(phase_seconds, "schur", clock)
 
@@ -796,8 +773,7 @@ def solve(
                 jitter = max(base * 1e-14, 1e-14) * (100.0 ** attempt)
         clock = _lap(phase_seconds, "cholesky", clock)
         if chol_fac is None:
-            status = NUMERICAL_TROUBLE
-            note = "Schur complement lost positive definiteness"
+            status, note = NUMERICAL_TROUBLE, "Schur complement lost positive definiteness"
             break
 
         rp = a_mat @ x - b * tau
@@ -824,23 +800,29 @@ def solve(
             dkappa = -rg - float(c @ dx) + float(b @ dy)
             return dx, dy, ds, dtau, dkappa
 
+        def _step_to_boundary(
+            dx: Array, ds: Array, dtau: float, dkappa: float
+        ) -> tuple[float, list[Array], list[Array]]:
+            """The largest step keeping ``x``, ``s``, ``tau`` and ``kappa`` in their
+            cones, and ``dx`` and ``ds`` in each group's scaled frame."""
+            dx_t = [sc.primal(group.unpack(dx)) for group, sc in zip(groups, scal)]
+            ds_t = [sc.dual(group.unpack(ds)) for group, sc in zip(groups, scal)]
+            alpha = min(
+                min(sc.max_step(d) for sc, d in zip(scal, dx_t)),
+                min(sc.max_step(d) for sc, d in zip(scal, ds_t)),
+                _scalar_step(tau, dtau),
+                _scalar_step(kappa, dkappa),
+            )
+            return alpha, dx_t, ds_t
+
         affine = _newton(-x, -tau * kappa)
         if affine is None:
-            status = NUMERICAL_TROUBLE
-            note = "singular step equation"
+            status, note = NUMERICAL_TROUBLE, "singular step equation"
             break
         dx_a, dy_a, ds_a, dtau_a, dkappa_a = affine
 
-        # The affine directions in each group's scaled frame.
-        dx_a_t = [sc.primal(group.unpack(dx_a)) for group, sc in zip(groups, scal)]
-        ds_a_t = [sc.dual(group.unpack(ds_a)) for group, sc in zip(groups, scal)]
-        alpha_aff = min(
-            min(sc.max_step(d) for sc, d in zip(scal, dx_a_t)),
-            min(sc.max_step(d) for sc, d in zip(scal, ds_a_t)),
-            _scalar_step(tau, dtau_a),
-            _scalar_step(kappa, dkappa_a),
-            1.0,
-        )
+        alpha_aff, dx_a_t, ds_a_t = _step_to_boundary(dx_a, ds_a, dtau_a, dkappa_a)
+        alpha_aff = min(alpha_aff, 1.0)
         gap_now = float(x @ s) + tau * kappa
         gap_aff = float((x + alpha_aff * dx_a) @ (s + alpha_aff * ds_a)) + (
             tau + alpha_aff * dtau_a
@@ -861,48 +843,44 @@ def solve(
 
         corrected = _newton(rc, rck)
         if corrected is None:
-            status = NUMERICAL_TROUBLE
-            note = "singular step equation"
+            status, note = NUMERICAL_TROUBLE, "singular step equation"
             break
         dx, dy, ds, dtau, dkappa = corrected
-
-        alpha_max = min(
-            min(sc.max_step(sc.primal(group.unpack(dx))) for group, sc in zip(groups, scal)),
-            min(sc.max_step(sc.dual(group.unpack(ds))) for group, sc in zip(groups, scal)),
-            _scalar_step(tau, dtau),
-            _scalar_step(kappa, dkappa),
-        )
+        alpha_max, _, _ = _step_to_boundary(dx, ds, dtau, dkappa)
         alpha = min(1.0, 0.98 * alpha_max)
-        if not np.isfinite(alpha) or alpha <= 1e-12:
-            status = NUMERICAL_TROUBLE
-            note = "step length collapsed"
-            break
+        clock = _lap(phase_seconds, "step", clock)
 
-        x = x + alpha * dx
+        # The step is halved until the new iterate factors, and its scaling
+        # serves the next iteration (SDPT3's safeguard; Toh, Todd & Tutuncu 1999).
+        scal = None
+        while np.isfinite(alpha) and alpha > 1e-12:
+            x_next, s_next = x + alpha * dx, s + alpha * ds
+            scal = _scalings(groups, x_next, s_next)
+            if scal is not None:
+                break
+            alpha /= 2
+        _lap(phase_seconds, "scaling", clock)
+        if scal is None:
+            status, note = NUMERICAL_TROUBLE, "step length collapsed"
+            break
+        x, s = x_next, s_next
         y = y + alpha * dy
-        s = s + alpha * ds
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkappa
-        _lap(phase_seconds, "step", clock)
-    else:
-        iterations = max_iter
 
+    if status == INFEASIBLE:
+        y_out = y / row_norms / b_dot_y
+        blocks, primal_value, dual_value = None, np.nan, np.nan
+        residuals = {
+            "farkas_ray": float(np.linalg.norm(problem.a.T @ y_out)),
+            "b_dot_y": float(problem.b @ y_out),
+        }
+    else:
+        y_out = y_hat / row_norms
+        blocks, primal_value, dual_value = _unpack_blocks(x_hat, groups), obj_p, obj_d
+        residuals = {"primal": pres, "dual": dres, "gap": gap_rel, "tau": tau, "kappa": kappa}
     return SdpSolution(
-        status=status,
-        primal_value=best.primal,
-        dual_value=best.dual,
-        block_values=None if best.x is None else _unpack_blocks(best.x, groups),
-        y=None if best.y is None else best.y / row_norms,
-        residuals={
-            "primal": best.pres,
-            "dual": best.dres,
-            "gap": best.gap,
-            "tau": tau,
-            "kappa": kappa,
-        },
-        iterations=iterations,
-        note=note,
-        phase_seconds=phase_seconds,
+        status, primal_value, dual_value, blocks, y_out, residuals, iterations, note, phase_seconds
     )
 
 
@@ -965,19 +943,15 @@ class MembershipReport:
 
 
 def feasibility_phase1(
-    problem: SdpProblem,
-    *,
-    feas_tol: float = 1e-8,
-    gap_tol: float = 1e-8,
-    max_iter: int = 200,
+    problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200
 ) -> MembershipReport:
     """Decide whether the equality rows of ``problem`` meet the cone.
 
     The probe minimizes a uniform shift ``t`` with every block constrained to
     ``X_k + t I`` inside the cone, which always has an interior, so boundary
     instances are classified by the sign of the optimal shift instead of by a
-    failed solve.  The margin is ``-t``, and ``feas_tol`` is the report's
-    ``tol``.  When inside, the witness is the list of block values; the
+    failed solve.  The margin is ``-t``, and ``tol``, the solve's tolerance,
+    is the report's.  When inside, the witness is the list of block values; the
     report's ``problem`` is ``problem`` itself.  The objective of ``problem``
     is ignored.  Independent rows always meet the shifted cone, so every
     status but ``optimal`` leaves the margin NaN.
@@ -991,14 +965,14 @@ def feasibility_phase1(
         a=np.column_stack([problem.a, -trace, trace]),
         b=problem.b,
     )
-    solution = solve(phase1, feas_tol=feas_tol, gap_tol=gap_tol, max_iter=max_iter)
+    solution = solve(phase1, tol=tol, max_iter=max_iter)
     report = MembershipReport(
         margin=np.nan,
         status=solution.status,
         residuals=dict(solution.residuals),
         problem=problem,
         iterations=solution.iterations,
-        tol=feas_tol,
+        tol=tol,
         phase_seconds=solution.phase_seconds,
     )
     if solution.status != OPTIMAL:

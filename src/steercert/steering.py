@@ -318,7 +318,7 @@ def lhs_membership(
     problem = add_rows(~sparse, last=False)
     signalling = _signalling(asm, ("state_consistency", "trace_consistency"))
     if signalling is None:
-        report = sdp.feasibility_phase1(problem, feas_tol=tol, max_iter=max_iter)
+        report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
         if report.feasible:
             states = {key: report.witness[index] for key, index in blocks.items()}
             report.witness = LhsModel(strategies=tuple(strategies), states=states)
@@ -342,7 +342,7 @@ def ns_bound(functional: SteeringFunctional, *, tol: float = 1e-8) -> float:
     for key, index in ns_variable_blocks(builder, shape).items():
         builder.add_objective_term(index, functional.term(*key))
     problem = builder.build()
-    solution = sdp.solve(problem, feas_tol=tol, gap_tol=tol)
+    solution = sdp.solve(problem, tol=tol)
     if solution.status != sdp.OPTIMAL:
         raise SolverFailure(
             f"no-signalling bound ended with status {solution.status}", solution
@@ -623,7 +623,7 @@ class _RelaxationBound:
         self.problem = sdp.hermitian_lmi([form.stack[0]], [form.stack[1:]], -self.gain[1:])
 
     def solve(self, tol: float) -> tuple[float, MomentMatrix]:
-        solution = sdp.solve(self.problem, feas_tol=tol, gap_tol=tol)
+        solution = sdp.solve(self.problem, tol=tol)
         if solution.status != sdp.OPTIMAL:
             context = "wired relaxation bound" if self.wired else "relaxation bound"
             raise SolverFailure(f"{context} ended with status {solution.status}", solution)
@@ -707,7 +707,7 @@ def qtilde_membership(
     signalling = _signalling(asm, ("state_consistency", "trace_consistency", "normalization"))
     if signalling is not None:
         return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, signalling, problem, tol=tol)
-    solution = sdp.solve(problem, feas_tol=tol, max_iter=max_iter)
+    solution = sdp.solve(problem, tol=tol, max_iter=max_iter)
     report = sdp.MembershipReport(
         margin=float(solution.y[-1]) if solution.status == sdp.OPTIMAL else np.nan,
         status=solution.status,

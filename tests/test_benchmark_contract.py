@@ -22,10 +22,16 @@ import workloads  # noqa: E402
 
 SEED = 4099
 
+# Seed 25 presents the ladder's (3,3,2) functional in a way whose solve once
+# ended numerical_trouble; that item is also in tests/data.
+PASSES = [pytest.param(name, SEED, id=name) for name in bench.WORKLOAD_NAMES] + [
+    pytest.param("qtilde-ladder", 25, id="qtilde-ladder-seed25")
+]
 
-@pytest.mark.parametrize("name", bench.WORKLOAD_NAMES)
-def test_one_pass_has_no_failed_or_wrong_item(name, tmp_path):
-    items = workloads.WORKLOADS[name](SEED, str(tmp_path))
+
+@pytest.mark.parametrize("name, seed", PASSES)
+def test_one_pass_has_no_failed_or_wrong_item(name, seed, tmp_path):
+    items = workloads.WORKLOADS[name](seed, str(tmp_path))
     result = bench.run_pass(items, trace=False)
     assert result.failed == 0
     assert result.wrong == {}

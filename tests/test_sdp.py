@@ -250,8 +250,8 @@ def test_block_order_does_not_change_the_optimum(seed):
     order = (3, 5, 0, 4, 2, 1)
     problem, value, x_star = mixed_side_instance(seed)
     permuted, _, _ = mixed_side_instance(seed, order)
-    base = sdp.solve(problem, feas_tol=1e-10, gap_tol=1e-10)
-    moved = sdp.solve(permuted, feas_tol=1e-10, gap_tol=1e-10)
+    base = sdp.solve(problem, tol=1e-10)
+    moved = sdp.solve(permuted, tol=1e-10)
     assert base.status == moved.status == sdp.OPTIMAL
     assert moved.primal_value == pytest.approx(base.primal_value, abs=1e-9)
     assert base.primal_value == pytest.approx(value, abs=1e-8)
@@ -652,6 +652,32 @@ def test_singular_iterate_ends_the_solve_undecided(seed, monkeypatch):
     report = sdp.feasibility_phase1(problem)
     assert report.status == sdp.NUMERICAL_TROUBLE
     assert report.verdict == sdp.UNDECIDED
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_step_to_an_unfactorable_iterate_is_halved(seed, monkeypatch):
+    # The second step's first trial iterate does not factor: the step is
+    # halved and the solve still finishes.
+    scaling = sdp._nt_scaling_batch
+    calls = []
+
+    def fail_once(x_mats, s_mats):
+        calls.append((x_mats, s_mats))
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return scaling(x_mats, s_mats)
+
+    monkeypatch.setattr(sdp, "_nt_scaling_batch", fail_once)
+    problem, value = constructed_instance(seed)
+    solution = sdp.solve(problem)
+    assert solution.status == sdp.OPTIMAL
+    assert solution.primal_value == pytest.approx(value, abs=2e-6)
+    # The initial point, one accepted iterate per step, and the failed trial:
+    # no iterate is scaled twice.
+    assert len(calls) == solution.iterations + 2
+    # The retry moves half as far from the second iterate as the failed trial.
+    start = calls[1][0]
+    np.testing.assert_allclose(calls[3][0] - start, (calls[2][0] - start) / 2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from steercert import assemblages, cli, sdp, steering
+from steercert import assemblages, cli, sdp, serialize, steering
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
@@ -26,6 +28,7 @@ from steercert.steering import (
     InstrumentalFunctional,
     LhsModel,
     MomentMatrix,
+    SolverFailure,
     SteeringFunctional,
     TooManyStrategies,
     build_qtilde_problem,
@@ -45,6 +48,8 @@ from steercert.steering import (
 
 HIDDEN_STATE_OPTIMUM = 3.0 - np.sqrt(3.0)
 RELAXATION_OPTIMUM = 0.413493597568
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def random_psd_functional(seed, shape):
@@ -391,6 +396,34 @@ def test_relaxation_members_are_positive_without_blocks_of_their_own(shape, boun
 def test_relaxation_bound_reproduces_the_reference_value():
     value = qtilde_bound(canonical_functional())
     assert value == pytest.approx(RELAXATION_OPTIMUM, abs=1e-6)
+
+
+# Seeded presentations of the benchmark ladder's (3,3,2) and (4,3,2)
+# functionals whose solves once ended numerical_trouble: an accepted step
+# left an iterate that could not be factored.  Seed 13 still jams, its step
+# bound collapsing while the dual residual sits just above tolerance (ROADMAP
+# item 2).
+@pytest.mark.parametrize(
+    "name",
+    [
+        "qtilde432_seed1",
+        pytest.param(
+            "qtilde332_seed13",
+            marks=pytest.mark.xfail(
+                raises=SolverFailure, strict=True, reason="jammed endgame, ROADMAP item 2"
+            ),
+        ),
+        "qtilde332_seed25",
+        "qtilde332_seed53",
+        "qtilde332_seed75",
+    ],
+)
+def test_jammed_ladder_presentations_reach_the_reference_value(name):
+    with open(os.path.join(ROOT, "tests", "data", name + ".json")) as handle:
+        functional = serialize.functional_from_json(json.load(handle))
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as handle:
+        reference = json.load(handle)["qtilde"][name.split("_")[0]]
+    assert qtilde_bound(functional) == pytest.approx(reference, rel=3.5e-8)
 
 
 def test_relaxation_solution_is_structurally_consistent():
