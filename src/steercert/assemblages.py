@@ -245,19 +245,30 @@ class ValidationReport:
     tol: float
 
 
-def _member_residuals(matrices: Sequence[Array]) -> tuple[float, float]:
-    """Worst hermiticity residue and worst negative eigenvalue over members."""
-    herm = 0.0
-    neg = 0.0
-    for mat in matrices:
-        herm = max(herm, float(np.linalg.norm(mat - mat.conj().T)))
-        sym = 0.5 * (mat + mat.conj().T)
-        low = float(np.linalg.eigvalsh(sym).min())
-        neg = max(neg, -min(low, 0.0))
-    return herm, neg
+def _member_table(asm: BwiAssemblage | SequentialAssemblage | InstrumentalAssemblage) -> Array:
+    """The members as one array: one axis per :func:`member_keys` entry, then ``d x d``."""
+    keys, d = member_keys(asm.shape), asm.shape.d
+    # The last key holds the largest value of each entry.
+    return np.stack([asm.members[key] for key in keys]).reshape(*(1 + k for k in keys[-1]), d, d)
 
 
-def _finish_report(residuals: dict[str, float], tol: float) -> ValidationReport:
+def _frobenius(mats: Array) -> Array:
+    """Frobenius norm over the last two axes, summed as ``np.linalg.norm`` sums one matrix."""
+    rows = mats.reshape(*mats.shape[:-2], 1, mats.shape[-1] ** 2)
+    return np.sqrt(sum(part @ part.swapaxes(-1, -2) for part in (rows.real, rows.imag)))[..., 0, 0]
+
+
+def _modulus(values: Array) -> Array:
+    """``|z|`` of each entry, rounded as Python's ``abs`` rounds one complex number."""
+    return np.hypot(values.real, values.imag)
+
+
+def _report(table: Array, families: dict[str, Array], tol: float) -> ValidationReport:
+    """Every member's Hermitian and PSD residuals, then each family's worst entry, at ``tol``."""
+    skew = _frobenius(table - table.conj().swapaxes(-1, -2))
+    lowest = np.linalg.eigvalsh(hermitian_part(table)).min()
+    residuals = {"hermitian": skew, "psd": np.maximum(-lowest, 0.0), **families}
+    residuals = {name: float(np.max(values, initial=0.0)) for name, values in residuals.items()}
     violations = [
         f"{name} residual {value:.3e} exceeds {tol:.1e}"
         for name, value in residuals.items()
@@ -275,36 +286,17 @@ def validate_ns_bwi(asm: BwiAssemblage, tol: float = VALIDATION_TOL) -> Validati
     must not depend on the untrusted input; member traces must not depend on
     the trusted input; and the total trace must be one.
     """
-    shape = asm.shape
-    herm, neg = _member_residuals(list(asm.members.values()))
-    state_res = 0.0
-    for y in range(shape.m_b):
-        reference = asm.reduced_state(y, x=0)
-        for x in range(1, shape.m_a):
-            state_res = max(
-                state_res, float(np.linalg.norm(asm.reduced_state(y, x=x) - reference))
-            )
-    trace_res = 0.0
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            reference = np.trace(asm.member(a, x, 0))
-            for y in range(1, shape.m_b):
-                trace_res = max(
-                    trace_res, abs(complex(np.trace(asm.member(a, x, y)) - reference))
-                )
-    norm_res = 0.0
-    for x in range(shape.m_a):
-        for y in range(shape.m_b):
-            total = sum(np.trace(asm.member(a, x, y)) for a in range(shape.n_a))
-            norm_res = max(norm_res, abs(complex(total) - 1.0))
-    residuals = {
-        "hermitian": herm,
-        "psd": neg,
-        "state_consistency": state_res,
-        "trace_consistency": trace_res,
-        "normalization": norm_res,
+    table = _member_table(asm)
+    # Python's ``sum`` adds one outcome at a time, in key order, so each summed
+    # state rounds as a member-by-member sum does; ``table.sum(0)`` need not.
+    states = sum(table)
+    traces = np.trace(table, axis1=-2, axis2=-1)
+    families = {
+        "state_consistency": _frobenius(states[1:] - states[:1]),
+        "trace_consistency": _modulus(traces[..., 1:] - traces[..., :1]),
+        "normalization": _modulus(sum(traces) - 1.0),
     }
-    return _finish_report(residuals, tol)
+    return _report(table, families, tol)
 
 
 def validate_ns_sequential(
@@ -315,40 +307,15 @@ def validate_ns_sequential(
     The total state must not depend on either input, and each round-one
     member must not depend on the round-two input.
     """
-    shape = asm.shape
-    herm, neg = _member_residuals(list(asm.members.values()))
-    state_res = 0.0
-    reference_state = None
-    for x1 in range(shape.m_x1):
-        for x2 in range(shape.m_x2):
-            total = sum(
-                asm.member(a1, a2, x1, x2)
-                for a1 in range(shape.n_a1)
-                for a2 in range(shape.n_a2)
-            )
-            if reference_state is None:
-                reference_state = total
-            else:
-                state_res = max(state_res, float(np.linalg.norm(total - reference_state)))
-    round_res = 0.0
-    for a1 in range(shape.n_a1):
-        for x1 in range(shape.m_x1):
-            reference = asm.first_round_member(a1, x1, x2=0)
-            for x2 in range(1, shape.m_x2):
-                round_res = max(
-                    round_res,
-                    float(np.linalg.norm(asm.first_round_member(a1, x1, x2=x2) - reference)),
-                )
-    assert reference_state is not None
-    norm_res = abs(complex(np.trace(reference_state)) - 1.0)
-    residuals = {
-        "hermitian": herm,
-        "psd": neg,
-        "state_consistency": state_res,
-        "round_one_consistency": round_res,
-        "normalization": norm_res,
+    table = _member_table(asm)
+    totals = sum(table.reshape(-1, *table.shape[2:]))
+    rounds = sum(table.swapaxes(0, 1))
+    families = {
+        "state_consistency": _frobenius(totals - totals[0, 0]),
+        "round_one_consistency": _frobenius(rounds[:, :, 1:] - rounds[:, :, :1]),
+        "normalization": _modulus(np.trace(totals[0, 0]) - 1.0),
     }
-    return _finish_report(residuals, tol)
+    return _report(table, families, tol)
 
 
 def validate_instrumental(
@@ -357,23 +324,15 @@ def validate_instrumental(
     """Positivity and per-input normalization of wired members.
 
     Wiring the trusted input to the outcome mixes different trusted inputs
-    into the summed state, so that sum may depend on the untrusted input; the
-    only trace condition inherited from a no-signalling parent is that each
-    input's outcome weights sum to one.  Whether a full no-signalling parent
-    exists is decided by :func:`instrumental_membership`.
+    into the summed state, so that sum may depend on the untrusted input.
+    Each input's outcome weights must still sum to one.  A no-signalling
+    parent asks more with one outcome, where each wired member is the
+    parent's whole state: the members must agree across inputs.  That, and
+    whether a full parent exists, is :func:`instrumental_membership`'s test.
     """
-    shape = asm.shape
-    herm, neg = _member_residuals(list(asm.members.values()))
-    norm_res = 0.0
-    for x in range(shape.m_a):
-        total = sum(np.trace(asm.member(a, x)) for a in range(shape.n_a))
-        norm_res = max(norm_res, abs(complex(total) - 1.0))
-    residuals = {
-        "hermitian": herm,
-        "psd": neg,
-        "normalization": norm_res,
-    }
-    return _finish_report(residuals, tol)
+    table = _member_table(asm)
+    families = {"normalization": _modulus(sum(np.trace(table, axis1=-2, axis2=-1)) - 1.0)}
+    return _report(table, families, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +372,13 @@ def pauli_transpose_assemblage() -> BwiAssemblage:
         (a, x, y): 0.25 * (np.eye(2) + (-1.0) ** (a + (x == 1 and y == 1)) * PAULIS[x])
         for a, x, y in member_keys(shape)
     }
-    for a in range(2):
-        for x in range(3):
-            if not np.allclose(members[(a, x, 1)], members[(a, x, 0)].T, atol=1e-14):
-                raise AssertionError("transpose relation between trusted inputs failed")
-            values = np.linalg.eigvalsh(members[(a, x, 0)])
-            if not np.allclose(np.sort(values), [0.0, 0.5], atol=1e-14):
-                raise AssertionError("members must be half rank-one projectors")
-    return BwiAssemblage(shape=shape, members=members)
+    asm = BwiAssemblage(shape=shape, members=members)
+    table = _member_table(asm)
+    if not np.allclose(table[:, :, 1], table[:, :, 0].swapaxes(-1, -2), atol=1e-14):
+        raise AssertionError("transpose relation between trusted inputs failed")
+    if not np.allclose(np.linalg.eigvalsh(table), [0.0, 0.5], atol=1e-14):
+        raise AssertionError("members must be half rank-one projectors")
+    return asm
 
 
 def instrumental_from_bwi(asm: BwiAssemblage) -> InstrumentalAssemblage:
@@ -554,10 +512,9 @@ def instrumental_membership(
     problem = builder.build()
     residuals = {"normalization": validate_instrumental(asm).residuals["normalization"]}
     if shape.n_a == 1:
-        residuals["state_consistency"] = max(
-            float(np.linalg.norm(hermitian_part(asm.member(0, x) - asm.member(0, 0))))
-            for x in range(shape.m_a)
-        )
+        wired = _member_table(asm)[0]
+        agreement = _frobenius(hermitian_part(wired[1:] - wired[:1]))
+        residuals["state_consistency"] = float(np.max(agreement, initial=0.0))
     if consistent(max(residuals.values()), asm.members.values()):
         report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
         if report.feasible:
@@ -595,9 +552,7 @@ def bell_correlations(asm: BwiAssemblage, povms: Array | Sequence[Sequence[Array
     effects = check_povm(povms, "trusted input effects")
     if effects.ndim < 4 or effects.shape[-4] != shape.m_b or effects.shape[-1] != shape.d:
         raise ValueError(f"need effects (..., {shape.m_b}, n_b, {shape.d}, {shape.d}), got {effects.shape}")
-    # ``members`` holds its keys (a, x, y) in member_keys order.
-    members = np.stack(list(asm.members.values())).reshape(shape.n_a, shape.m_a, -1, shape.d, shape.d)
-    values = np.einsum("...ybij,axyji->...abxy", effects, members)
+    values = np.einsum("...ybij,axyji->...abxy", effects, _member_table(asm))
     return real_table(values, 4, "correlation")
 
 

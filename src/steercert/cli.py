@@ -356,6 +356,7 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[ReportDocument, int]:
             lambda: qtilde_solution(functional, tol=tol),
         )
         doc.results["embedded_side"] = moment.embedded_side
+        doc.results["block_side"] = moment.gamma.shape[0]
         for key, residual in sorted(moment.residuals().items()):
             doc.residuals[key] = float(residual)
     else:
@@ -558,8 +559,8 @@ def _relaxation_bound(ctx: BatteryContext) -> tuple[bool, str]:
     side = moment.embedded_side
     return (
         abs(value - target) <= tol and side == expected_side and elapsed < seconds,
-        f"value {value:.9f} vs {target} within {_exp(tol)}, embedded side {side}, "
-        f"in {elapsed:.2f} s",
+        f"value {value:.9f} vs {target} within {_exp(tol)}, embedded side {side} "
+        f"(solved block side {moment.gamma.shape[0]}), in {elapsed:.2f} s",
     )
 
 
@@ -752,10 +753,7 @@ def run_reproduction(seed: int = 0) -> list[dict[str, Any]]:
 
 def cmd_reproduce(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     doc = ReportDocument()
-    try:
-        criteria = run_reproduction(seed=args.seed)
-    except SolverFailure as exc:
-        raise CliError(EXIT_SOLVER, f"reproduction aborted: {exc}") from exc
+    criteria = run_reproduction(seed=args.seed)
     doc.results["criteria"] = criteria
     passed = sum(1 for entry in criteria if entry["passed"])
     doc.results["passed"] = passed

@@ -181,7 +181,7 @@ def test_sequential_validator_flags_round_one_signalling():
     }
     assert validate_ns_sequential(SequentialAssemblage(shape=shape, members=members)).passed
     # Shift weight between round-one outcomes at x2 = 1 only; the total state
-    # is untouched but the round-one members now depend on x2.
+    # is untouched but the round-one members now depend on x2, by |Z / 16|.
     tilt = np.diag([1.0, -1.0]).astype(complex) / 16
     skewed = dict(members)
     skewed[(0, 0, 0, 1)] = uniform + tilt
@@ -190,6 +190,28 @@ def test_sequential_validator_flags_round_one_signalling():
     assert not report.passed
     assert any("round_one_consistency" in v for v in report.violations)
     assert report.residuals["state_consistency"] == pytest.approx(0.0, abs=1e-14)
+    assert report.residuals["round_one_consistency"] == pytest.approx(np.sqrt(2) / 16, abs=1e-15)
+    assert report.residuals["normalization"] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize(
+    "shift, expected",
+    [
+        # Traceless: only the summed state moves, by |delta Z| = delta sqrt(2).
+        (PAULIS[2], {"state_consistency": np.sqrt(2), "trace_consistency": 0.0, "normalization": 0.0}),
+        # Weight on |0><0|: the state, the member's trace and the total all move by delta.
+        (KET[0], {"state_consistency": 1.0, "trace_consistency": 1.0, "normalization": 1.0}),
+    ],
+)
+def test_validator_residuals_measure_the_perturbation(delta, shift, expected):
+    asm = pauli_transpose_assemblage()
+    members = dict(asm.members)
+    members[(0, 1, 0)] = members[(0, 1, 0)] + delta * shift
+    residuals = validate_ns_bwi(BwiAssemblage(shape=asm.shape, members=members)).residuals
+    assert residuals["hermitian"] == 0.0
+    for name, per_delta in expected.items():
+        assert residuals[name] == pytest.approx(delta * per_delta, abs=1e-15), name
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +230,16 @@ def test_wiring_keeps_the_matching_trusted_input():
     direct = instrumental_pauli_assemblage()
     for key, mat in wired.members.items():
         assert np.array_equal(direct.members[key], mat)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
+def test_wired_normalization_measures_the_added_weight(delta):
+    wired = instrumental_pauli_assemblage()
+    members = dict(wired.members)
+    members[(1, 2)] = members[(1, 2)] + delta * KET[0]
+    report = validate_instrumental(InstrumentalAssemblage(wired.shape, members))
+    assert report.residuals["normalization"] == pytest.approx(delta, abs=1e-15)
+    assert report.residuals["hermitian"] == report.residuals["psd"] == 0.0
 
 
 def test_wiring_requires_enough_trusted_inputs():

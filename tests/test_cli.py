@@ -3,6 +3,7 @@ certification chain."""
 
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +102,14 @@ class TestValidate:
         assert code == 0
         assert doc["results"]["passed"] is True
 
+    @pytest.mark.parametrize("builtin", sorted(cli.BUILTIN_ASSEMBLAGES))
+    def test_builtin_residuals_print_no_negative_zero(self, capsys, builtin):
+        # -0.0 == 0.0, so only the sign bit tells a negative zero apart.
+        code, doc, _ = run_json(capsys, "validate", builtin)
+        assert code == 0
+        residuals = doc["residuals"]
+        assert all(math.copysign(1.0, value) > 0 for value in residuals.values()), residuals
+
     def test_signalling_input_fails(self, capsys, signalling_file):
         code, doc, _ = run_json(capsys, "validate", signalling_file)
         assert code == 1
@@ -196,6 +205,7 @@ class TestBounds:
         assert code == 0
         assert doc["results"]["value"] == pytest.approx(0.413493597568, abs=1e-6)
         assert doc["results"]["embedded_side"] == 48
+        assert doc["results"]["block_side"] == 24
         assert max(doc["residuals"].values()) < 1e-6
 
     def test_no_signalling_bound(self, capsys):
