@@ -130,7 +130,8 @@ def checked_members(
     """``table`` as complex ``d x d`` matrices, in :func:`member_keys` order.
 
     Raises ``ValueError``, naming the first offending key, unless the keys
-    are exactly those of ``shape`` and every matrix has side ``d``.
+    are exactly those of ``shape`` and every matrix has side ``d`` and finite
+    entries.
     """
     keys = member_keys(shape)
     expected = set(keys)
@@ -144,6 +145,8 @@ def checked_members(
         matrix = np.asarray(table[key], dtype=complex)
         if matrix.shape != (shape.d, shape.d):
             raise ValueError(f"{name} {key} has shape {matrix.shape}, expected side {shape.d}")
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{name} {key} has an entry that is not finite")
         out[key] = matrix
     return out
 
@@ -246,10 +249,17 @@ class ValidationReport:
 
 
 def _member_table(asm: BwiAssemblage | SequentialAssemblage | InstrumentalAssemblage) -> Array:
-    """The members as one array: one axis per :func:`member_keys` entry, then ``d x d``."""
+    """The members as one array: one axis per :func:`member_keys` entry, then ``d x d``.
+
+    A matrix changed in place to hold a non-finite entry after
+    :func:`checked_members` accepted it is refused here too, with its key.
+    """
     keys, d = member_keys(asm.shape), asm.shape.d
+    table = np.stack([asm.members[key] for key in keys])
+    if not np.isfinite(table).all():
+        checked_members(asm.shape, asm.members)
     # The last key holds the largest value of each entry.
-    return np.stack([asm.members[key] for key in keys]).reshape(*(1 + k for k in keys[-1]), d, d)
+    return table.reshape(*(1 + k for k in keys[-1]), d, d)
 
 
 def _frobenius(mats: Array) -> Array:

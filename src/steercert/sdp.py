@@ -32,9 +32,10 @@ scaling serves the next iteration; a step halved below ``1e-12`` ends the
 solve ``numerical_trouble``.
 
 Indexed blocks tied by real rows (:class:`HermitianBlockBuilder`: one row
-per trace equality, one per svec coordinate of a matrix equality) and linear
-matrix inequalities solved through the dual (:func:`hermitian_lmi`) are
-packed a whole coefficient stack at a time, straight into ``a``.
+per trace equality, one per svec coordinate of a matrix equality) are packed
+a whole coefficient stack at a time, straight into ``a``.  A linear matrix
+inequality solved through the dual is written entry by entry
+(:func:`svec_assign`), with no dense coefficient matrix.
 
 Every membership test, :func:`feasibility_phase1` among them, returns a
 :class:`MembershipReport`, whose ``verdict`` is the program's one rule from a
@@ -57,10 +58,14 @@ rows once; each iteration builds ``W A W`` for every row on the blocks it
 touches, as a sum of one outer product of a column and a row of ``W`` per
 entry, and pairs it with the other rows' entries in one sparse product per
 side group.  No row is scaled densely, and there is no Gram product.  The
-Schur complement is factored by numpy's LAPACK, like the blocks' Cholesky
-factors, so the iteration's matrix-matrix work runs in one BLAS thread pool
-(numpy and scipy may each load their own); only the one-vector triangular
-solves against that factor go through scipy.
+``W A W`` buffer is filled and paired one piece of ranks at a time, and only
+one piece is alive.  The Schur complement is factored by numpy's LAPACK,
+like the blocks' Cholesky factors, so the iteration's matrix-matrix work runs
+in one BLAS thread pool (numpy and scipy may each load their own); only the
+one-vector triangular solves against that factor go through scipy.  One
+Schur matrix is alive at a time: it is factored as it is (a shifted copy is
+made only for a jitter), dropped once factored, and its factor goes before
+the next iteration's Schur complement is assembled.
 
 Problems are dense and small-scale, and the solver is deterministic:
 re-solving the same problem reproduces the same iterates bit for bit.
@@ -68,6 +73,7 @@ re-solving the same problem reproduces the same iterates bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -156,6 +162,24 @@ def svec(mats: Array) -> Array:
     n = mats.shape[-1]
     lower, _, weights, _ = _layout(n)
     return mats.view(float).reshape(mats.shape[:-2] + (2 * n * n,))[..., lower] * weights
+
+
+def svec_assign(out: Array, index: Array, rows: Array, cols: Array, values: Array) -> None:
+    """Write Hermitian entries ``values`` at ``(rows, cols)``, on or below the
+    diagonal, to their :func:`svec` coordinates in the packed vectors ``out[index]``.
+
+    Each entry writes its real part, times ``sqrt(2)`` off the diagonal, and
+    off the diagonal ``sqrt(2)`` times its imaginary part, as :func:`svec` of
+    a matrix with that lower triangle would.
+    """
+    n = math.isqrt(out.shape[-1])
+    diagonal = rows == cols
+    out[index, rows * (rows + 1) // 2 + cols] = values.real * np.where(diagonal, 1.0, np.sqrt(2.0))
+    strict = ~diagonal
+    rows, cols = rows[strict], cols[strict]
+    out[index[strict], n * (n + 1) // 2 + rows * (rows - 1) // 2 + cols] = (
+        values.imag[strict] * np.sqrt(2.0)
+    )
 
 
 def smat(vector: Array) -> Array:
@@ -553,15 +577,18 @@ class _EntryGroup:
                     continue
                 ranks, into = slice(first - lo, last - lo), slice(first - start, last - start)
                 if coef.ndim == 2:
-                    by_entry = congruence[..., into]
                     picked = flat[columns[..., ranks]] * coef[:, ranks]
-                    np.multiply(picked[:, None], flat[rows[..., ranks]][None], out=by_entry)
+                    np.multiply(
+                        picked[:, None], flat[rows[..., ranks]][None], out=congruence[..., into]
+                    )
                 else:
-                    by_rank = congruence.transpose(2, 3, 0, 1)[:, into]
                     picked = flat[columns[:, ranks]] * coef[:, ranks]
-                    np.matmul(picked, flat[rows[:, ranks]], out=by_rank)
-            product = self.pairing @ congruence.reshape(n * n * count, -1)
-            out[:, start:stop] = product.real
+                    np.matmul(
+                        picked, flat[rows[:, ranks]], out=congruence.transpose(2, 3, 0, 1)[:, into]
+                    )
+            out[:, start:stop] = (self.pairing @ congruence.reshape(n * n * count, -1)).real
+            # Nothing of this piece outlives it, so the next one takes its place.
+            del congruence, picked
 
 
 @dataclass(frozen=True)
@@ -645,8 +672,9 @@ def _require_independent(a: Array) -> None:
     gram = a @ a.T
     rounding = 2 * (m + n) * np.finfo(float).eps * np.trace(gram)
     delta = PRESOLVE_RANK_TOL**2 * gram.diagonal().max(initial=0.0) + rounding
+    gram[np.diag_indices(m)] -= delta
     try:
-        np.linalg.cholesky(gram - delta * np.eye(m))
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise ValueError(
             f"the {m} equality rows are dependent, or not provably independent: their "
@@ -757,20 +785,23 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
             return out
 
         clock = time.perf_counter()
+        # The last iteration's factor goes before this one's Schur complement comes.
+        chol_fac = None
         schur = schur_rows.assemble([sc.w for sc in scal])
         clock = _lap(phase_seconds, "schur", clock)
 
-        chol_fac = None
         jitter = 0.0
         base = float(np.trace(schur)) / max(m, 1)
         for attempt in range(6):
             try:
                 # The transposed lower factor is the upper factor in Fortran
                 # order, which scipy's triangular solves read without a copy.
-                chol_fac = (np.linalg.cholesky(schur + jitter * np.eye(m)).T, False)
+                shifted = schur + jitter * np.eye(m) if jitter else schur
+                chol_fac = (np.linalg.cholesky(shifted).T, False)
                 break
             except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, 1e-14) * (100.0 ** attempt)
+        del schur, shifted
         clock = _lap(phase_seconds, "cholesky", clock)
         if chol_fac is None:
             status, note = NUMERICAL_TROUBLE, "Schur complement lost positive definiteness"
@@ -1014,29 +1045,6 @@ def contradiction_report(
 # ---------------------------------------------------------------------------
 # Hermitian layer
 # ---------------------------------------------------------------------------
-
-
-def hermitian_lmi(
-    constant: Sequence[Array], coefficients: Sequence[Array], objective: Array
-) -> SdpProblem:
-    """``max b.p`` subject to ``F0_j + sum_k p_k F_kj >= 0`` per block ``j``, as a dual.
-
-    ``constant[j]`` is ``F0_j`` and ``coefficients[j]`` the stack of the
-    ``F_kj``.  Block ``j`` gets ``C_j = F0_j`` and row ``k`` gets
-    ``A_kj = -F_kj`` (their Hermitian parts), so the dual slack is
-    ``F0 + sum_k p_k F_k``: ``solve`` returns the maximizer as ``y`` and the
-    maximum as ``dual_value``.
-    """
-    dims = tuple(len(f0) for f0 in constant)
-    offsets = _block_offsets(dims)
-    # Row 0 is c, the rows after it are -a.
-    table = np.empty((1 + len(objective), offsets[-1]))
-    for j, (f0, stack) in enumerate(zip(constant, coefficients)):
-        cols = slice(offsets[j], offsets[j + 1])
-        table[0, cols] = svec(hermitian_part(np.asarray(f0)))
-        table[1:, cols] = svec(hermitian_part(stack))
-    np.negative(table[1:], out=table[1:])
-    return SdpProblem(block_dims=dims, c=table[0], a=table[1:], b=objective)
 
 
 class HermitianBlockBuilder:

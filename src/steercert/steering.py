@@ -528,19 +528,32 @@ class MomentMatrix:
 
 
 class _MomentForm:
-    """The moment block as ``Gamma = F0 + sum_k p_k F_k`` over its free real moments.
+    """The moment block as ``Gamma = F0 + sum_k p_k F_k`` over its free real
+    moments, written as the rows of its linear matrix inequality.
 
-    ``stack[0]`` is ``F0`` and ``stack[1 + k]`` is ``F_k``.  Blocks with equal
-    keys are equal and a key's reverse labels the conjugate transpose.  A
-    representative key's block is the identity (empty key), a multiple of the
-    identity (no trusted letter; real if the key is its own reverse), a general
-    complex block (a key that is not its own reverse), or else a Hermitian
-    block whose last diagonal entry ties ``d tr`` to the scalar of its
-    untrusted part (1 for none).  ``pinned`` fixes some keys' blocks.  The
-    caller checks that the shape has binary outcomes.
+    Blocks with equal keys are equal and a key's reverse labels the conjugate
+    transpose.  A representative key's block is the identity (empty key), a
+    multiple of the identity (no trusted letter; real if the key is its own
+    reverse), a general complex block (a key that is not its own reverse), or
+    else a Hermitian block whose last diagonal entry ties ``d tr`` to the
+    scalar of its untrusted part (1 for none).  ``pinned`` fixes some keys'
+    blocks.  The caller checks that the shape has binary outcomes.
+
+    No ``F_k`` is stored whole: each key class's constant and ``(moment,
+    coefficient)`` terms are written to the :func:`~steercert.sdp.svec`
+    coordinates of the lower triangle at every block position that carries
+    its key.  ``c`` is ``svec(F0)`` and row ``k`` of ``a`` is
+    ``-svec(F_{k+1})``, each entry the Hermitian part's, so that ``max b . p``
+    subject to ``Gamma(p) >= 0`` is the solver's dual problem ``(c, a, b)``,
+    whose slack ``c - a^T p`` is ``Gamma``.  With ``shift``, ``a`` ends with
+    the row of one more moment ``t`` at ``-I``, so the slack is ``Gamma - t
+    I``.  ``first_row`` is the first block row of ``F0, F_1, ...``, which
+    holds the members.
     """
 
-    def __init__(self, shape: ScenarioShape, pinned: dict[Word, Array] | None = None) -> None:
+    def __init__(
+        self, shape: ScenarioShape, pinned: dict[Word, Array] | None = None, shift: bool = False
+    ) -> None:
         self.shape, self.words = shape, moment_words(shape)
         self.index = {word: i for i, word in enumerate(self.words)}
         d, pinned = shape.d, pinned or {}
@@ -582,17 +595,45 @@ class _MomentForm:
                 ]
             classes[key] = (const, terms + list(enumerate(basis, 1 + n_moments)))
             n_moments += len(basis)
-        side = d * len(self.words)
-        self.stack = np.zeros((1 + n_moments, side, side), dtype=complex)
+        # Every class's terms in one stack, the constant first at moment 0.
+        spans, coeffs, moments = {}, [], []
+        for key, (const, terms) in classes.items():
+            spans[key] = range(len(coeffs), len(coeffs) + 1 + len(terms))
+            coeffs += [const] + [coeff for _, coeff in terms]
+            moments += [0] + [k for k, _ in terms]
+        # One pair per term of the class at each block position on or below
+        # the diagonal or in the first block row, with the orientations of the
+        # position and of its mirror.
+        pairs = []
         for i, row in enumerate(keys):
-            for j, (key, flip) in enumerate(row):
-                const, terms = classes[key]
-                block = (slice(d * i, d * i + d), slice(d * j, d * j + d))
-                for k, coeff in [(0, const)] + terms:
-                    self.stack[(k, *block)] = coeff.conj().T if flip else coeff
+            for j, (key, flip) in enumerate(row if i == 0 else row[: i + 1]):
+                pairs += [(term, i, j, flip, keys[j][i][1]) for term in spans[key]]
+        term, i, j, flip, mirror_flip = np.array(pairs).T
+        straight = np.array(coeffs)[term]
+        adjoint = straight.conj().swapaxes(-1, -2)
+        block = np.where(flip[:, None, None], adjoint, straight)
+        rows = np.array(moments)[term]
+        self.side = side = d * len(self.words)
+        r = np.arange(d)
+        top = i == 0
+        self.first_row = np.zeros((1 + n_moments, d, side), dtype=complex)
+        self.first_row[rows[top, None, None], r[:, None], d * j[top, None, None] + r] = block[top]
+        # The Hermitian part, 0.5 (v + conj(v at the mirror)) as
+        # matcore.hermitian_part forms it, on and below the diagonal.
+        entries = 0.5 * (block + np.where(mirror_flip[:, None, None], straight, adjoint))
+        row_at, col_at = d * i[:, None, None] + r[:, None], d * j[:, None, None] + r
+        lower = np.broadcast_to(row_at >= col_at, entries.shape)
+        places = (np.broadcast_to(v, entries.shape)[lower] for v in (rows[:, None, None], row_at, col_at))
+        table = np.zeros((1 + n_moments + shift, side * side))
+        sdp.svec_assign(table, *places, entries[lower])
+        if shift:
+            table[-1] = sdp.svec(-np.eye(side))
+        np.negative(table[1:], out=table[1:])
+        self.c, self.a = table[0], table[1:]
 
     def moment(self, p: Array) -> MomentMatrix:
-        gamma = np.tensordot(np.concatenate([[1.0], p]), self.stack, axes=1)
+        """``Gamma(p)``, the slack ``c - a^T p`` over the first ``len(p)`` rows."""
+        gamma = sdp.smat(self.c - self.a[: len(p)].T @ p)
         return MomentMatrix(shape=_qtilde_scenario(self.shape), words=self.words, gamma=gamma)
 
 
@@ -605,7 +646,8 @@ class _RelaxationBound:
 
     The objective is the sum of ``tr(F sigma_{a|x,y})`` over the functional's
     coefficients, a wired coefficient ``F_{a,x}`` standing at ``y = a``, and
-    ``gain`` holds it per entry of ``form.stack``.  The moment block is the
+    ``gain`` holds it per moment, read from ``form.first_row`` (the constant
+    first).  The moment block is the
     only LMI block: ``Gamma >= 0`` already makes every member positive
     semidefinite, since ``d sigma_{1|x,y}`` is the transpose of ``Gamma``
     compressed by ``e_y - e_xy``.
@@ -617,10 +659,10 @@ class _RelaxationBound:
         keys = [(a, x, a) for a, x in functional.coeffs] if self.wired else functional.coeffs
         self.form = form = _MomentForm(_qtilde_scenario(functional.shape))
         self.gain = sum(
-            np.einsum("ij,kji->k", coeff, _read_member(form.stack, form.index, *key)).real
+            np.einsum("ij,kji->k", coeff, _read_member(form.first_row, form.index, *key)).real
             for key, coeff in zip(keys, functional.coeffs.values())
         )
-        self.problem = sdp.hermitian_lmi([form.stack[0]], [form.stack[1:]], -self.gain[1:])
+        self.problem = sdp.SdpProblem((form.side,), form.c, form.a, -self.gain[1:])
 
     def solve(self, tol: float) -> tuple[float, MomentMatrix]:
         solution = sdp.solve(self.problem, tol=tol)
@@ -634,9 +676,9 @@ def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
     """The relaxation bound as a block semidefinite program.
 
     The moment block is ``Gamma = F0 + sum_k p_k F_k`` over the free real
-    moments, and the problem is its linear matrix inequality as built by
-    :func:`steercert.sdp.hermitian_lmi`: one row per free moment, with the
-    negated functional as the dual objective.  Its one block is the complex
+    moments, and the problem is its linear matrix inequality as the moment
+    form writes it: one row per free moment, with the negated functional as
+    the dual objective.  Its one block is the complex
     moment block of side ``d (1 + m_a + m_b + m_a m_b)``; the members need no
     blocks of their own, because the moment block's being positive
     semidefinite implies theirs.
@@ -670,23 +712,14 @@ def qtilde_instrumental_bound(functional: InstrumentalFunctional, *, tol: float 
     return value
 
 
-def qtilde_membership(
-    asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
-) -> sdp.MembershipReport:
-    """Decide whether an assemblage admits a feasible moment block.
+def _membership_lmi(asm: BwiAssemblage) -> tuple[_MomentForm, sdp.SdpProblem]:
+    """The moment form whose first block row is pinned to ``asm``, and its LMI.
 
-    The first block row is pinned to the assemblage: the untrusted blocks to
-    the outcome weights times the identity, the trusted blocks to the states,
-    the pair blocks to the outcome-0 members (transposed and scaled, as
-    :meth:`MomentMatrix.member` reads them back).  Data that break a trace
-    rule (a state's trace is not 1, or an outcome weight depends on the
-    trusted input) or signal to the trusted side (the reduced
-    state ``sum_a sigma_{a|x,y}`` depends on ``x``; only ``x = 0`` is pinned)
-    are infeasible with margin ``-inf``, with no solve.  Otherwise the margin
-    is the largest ``t`` with ``Gamma(p) - t I`` positive semidefinite over
-    the free moments ``p``, and the witness is ``Gamma`` at the optimum when
-    feasible.  ``certificate_y`` is ``None``: the separating functional is
-    the LMI's dual block (the solver's primal).
+    The untrusted blocks are pinned to the outcome weights times the
+    identity, the trusted blocks to the states, the pair blocks to the
+    outcome-0 members (transposed and scaled, as :meth:`MomentMatrix.member`
+    reads them back).  The LMI's last moment is the shift ``t`` of ``Gamma(p)
+    - t I``, and the only one in its objective.
     """
     shape = asm.shape
     require_binary_outcomes(shape)
@@ -700,10 +733,29 @@ def qtilde_membership(
         state = asm.member(0, untrusted[0], y) if untrusted else asm.reduced_state(y)
         return hermitian_part(state).T / d
 
-    form = _MomentForm(shape, {_moment_key(EMPTY, w): pin(w) for w in moment_words(shape)[1:]})
-    # The shift t is the last parameter, and the only one in the objective.
-    shifted = np.concatenate([form.stack[1:], -np.eye(len(form.stack[0]))[None]])
-    problem = sdp.hermitian_lmi([form.stack[0]], [shifted], np.eye(len(shifted))[-1])
+    pinned = {_moment_key(EMPTY, w): pin(w) for w in moment_words(shape)[1:]}
+    form = _MomentForm(shape, pinned, shift=True)
+    objective = np.zeros(len(form.a))
+    objective[-1] = 1.0
+    return form, sdp.SdpProblem((form.side,), form.c, form.a, objective)
+
+
+def qtilde_membership(
+    asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
+) -> sdp.MembershipReport:
+    """Decide whether an assemblage admits a feasible moment block.
+
+    The first block row is pinned to the assemblage (:func:`_membership_lmi`).
+    Data that break a trace rule (a state's trace is not 1, or an outcome
+    weight depends on the trusted input) or signal to the trusted side (the
+    reduced state ``sum_a sigma_{a|x,y}`` depends on ``x``; only ``x = 0`` is
+    pinned) are infeasible with margin ``-inf``, with no solve.  Otherwise the
+    margin is the largest ``t`` with ``Gamma(p) - t I`` positive semidefinite
+    over the free moments ``p``, and the witness is ``Gamma`` at the optimum
+    when feasible.  ``certificate_y`` is ``None``: the separating functional
+    is the LMI's dual block (the solver's primal).
+    """
+    form, problem = _membership_lmi(asm)
     signalling = _signalling(asm, ("state_consistency", "trace_consistency", "normalization"))
     if signalling is not None:
         return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, signalling, problem, tol=tol)

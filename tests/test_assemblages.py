@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,31 @@ def test_bwi_assemblage_rejects_mismatched_keys_and_shapes():
     bad = {(a, 0, 0): np.eye(3) / 6 for a in range(2)}
     with pytest.raises(ValueError):
         BwiAssemblage(shape=shape, members=bad)
+
+
+NON_FINITE_CASES = [
+    (pr_box_assemblage, validate_ns_bwi),
+    (lambda: random_quantum_sequential(SequentialShape(2, 2, 2, 2, 2), seed=5), validate_ns_sequential),
+    (instrumental_pauli_assemblage, validate_instrumental),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("make, validate", NON_FINITE_CASES)
+def test_non_finite_members_are_refused_with_their_key(make, validate, bad):
+    # A NaN member once passed validation, with nan residuals (nan > tol is
+    # false), and the hidden-state membership then called it outside.
+    asm = make()
+    key = list(asm.members)[1]
+    members = dict(asm.members)
+    members[key] = members[key].copy()
+    members[key][0, 1] = bad
+    with pytest.raises(ValueError, match=rf"member {re.escape(str(key))} .* not finite"):
+        type(asm)(shape=asm.shape, members=members)
+    # A matrix changed in place after construction is caught by the validator.
+    asm.members[key][0, 1] = bad
+    with pytest.raises(ValueError, match=rf"member {re.escape(str(key))} .* not finite"):
+        validate(asm)
 
 
 def test_traditional_from_members_roundtrip():

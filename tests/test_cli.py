@@ -19,11 +19,13 @@ from steercert.assemblages import (
     BwiAssemblage,
     ScenarioShape,
     SequentialShape,
+    instrumental_pauli_assemblage,
     pauli_transpose_assemblage,
     pr_box_assemblage,
     random_ns_sequential,
     random_ns_traditional,
     random_quantum_bwi,
+    random_quantum_sequential,
 )
 from steercert.ghjw import reconstruct_sequential, reconstruct_traditional
 from steercert.matcore import PAULIS
@@ -175,6 +177,28 @@ def test_non_finite_input_entries_are_input_errors(capsys, tmp_path, bad):
         assert code == 2
         assert out == ""
         assert entry in err and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "asm",
+    [
+        pr_box_assemblage(),
+        random_quantum_sequential(SequentialShape(2, 2, 2, 2, 2), seed=5),
+        instrumental_pauli_assemblage(),
+    ],
+    ids=["bob-with-input", "sequential", "instrumental"],
+)
+def test_non_finite_member_files_exit_two_for_every_kind(capsys, tmp_path, asm):
+    # The file is refused where it is read, before any container or validator.
+    data = serialize.assemblage_to_json(asm)
+    label = next(iter(data["members"]))
+    data["members"][label][0][1][0] = float("nan")
+    path = tmp_path / "asm.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"members[{label}][0][1]" in err and "finite" in err
 
 
 @pytest.mark.parametrize("n_a, m_a, m_b, d", list(itertools.product((1, 2), repeat=4)))

@@ -20,6 +20,9 @@ from steercert.assemblages import (
 )
 from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
 from steercert.steering import (
+    SteeringFunctional,
+    _MomentForm,
+    _RelaxationBound,
     build_qtilde_problem,
     canonical_functional,
     lhs_membership,
@@ -96,6 +99,22 @@ def test_hermitian_svec_roundtrip_and_inner_product(seed, dim):
     real = sdp.svec(a.real)
     assert np.array_equal(real[: len(rows)], a.real[rows, cols] * weights)
     assert np.array_equal(real[len(rows) :], np.zeros(dim * (dim - 1) // 2))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_svec_assign_writes_what_svec_packs(dim):
+    # Entries on or below the diagonal, in scrambled order, land where svec
+    # packs them, bit for bit, and each in its own row of the table.
+    rng = np.random.default_rng(dim)
+    mats = [random_hermitian(rng, dim) for _ in range(2)]
+    rows, cols = np.tril_indices(dim)
+    order = rng.permutation(2 * len(rows))
+    index = np.repeat([0, 1], len(rows))[order]
+    rows, cols = np.tile(rows, 2)[order], np.tile(cols, 2)[order]
+    table = np.zeros((2, dim * dim))
+    values = np.array([mats[k][r, c] for k, r, c in zip(index, rows, cols)])
+    sdp.svec_assign(table, index, rows, cols, values)
+    assert np.array_equal(table, sdp.svec(np.array(mats)))
 
 
 def test_smat_rejects_a_length_that_is_not_a_square():
@@ -1070,18 +1089,22 @@ def test_matrix_equality_rows_pin_every_upper_entry(scalars):
     assert np.allclose(sdp.smat(problem.b), target, atol=1e-15)
 
 
-def test_hermitian_lmi_slack_is_the_embedded_pencil():
+def test_moment_form_slack_is_its_pencil():
+    # The rows the form writes entry by entry unpack to the pencil whose first
+    # block row it keeps: the slack c - a^T p is Gamma(p), minus t I with the
+    # shift, exactly Hermitian.
     rng = np.random.default_rng(8)
-    sides, count = (2, 3), 4
-    constant = [random_hermitian(rng, n) for n in sides]
-    coefficients = [np.stack([random_hermitian(rng, n) for _ in range(count)]) for n in sides]
-    objective = rng.normal(size=count)
-    problem = sdp.hermitian_lmi(constant, coefficients, objective)
-    assert problem.block_dims == sides
-    assert np.array_equal(problem.b, objective)
-    p = rng.normal(size=count)
-    pencil = [f0 + np.tensordot(p, f, axes=1) for f0, f in zip(constant, coefficients)]
-    assert np.allclose(problem.c - problem.a.T @ p, packed(*pencil), atol=1e-12)
+    for shift in (False, True):
+        form = _MomentForm(ScenarioShape(2, 2, 2, 2), shift=shift)
+        count, d = len(form.first_row) - 1, form.shape.d
+        assert form.a.shape == (count + shift, form.side**2)
+        p, t = rng.normal(size=count), 0.7 * shift
+        slack = sdp.smat(form.c - form.a.T @ np.append(p, [t][:shift]))
+        assert np.array_equal(slack, slack.conj().T)
+        first = form.first_row[0] + np.tensordot(p, form.first_row[1:], axes=1)
+        assert np.allclose(slack[:d], first - t * np.eye(d, form.side), atol=1e-12)
+        rest = form.moment(p).gamma[d:, d:] - t * np.eye(form.side - d)
+        assert np.allclose(slack[d:, d:], rest, atol=1e-12)
 
 
 def test_hermitian_builder_maximizes_pauli_y():
@@ -1150,18 +1173,17 @@ def test_hermitian_builder_rejects_bad_shapes():
         builder.add_objective_term(h, np.eye(3))
 
 
-def test_hermitian_lmi_solves_through_the_dual():
-    # Minimize p subject to [[p, i], [-i, p]] >= 0: the eigenvalues are p +- 1,
-    # so the optimum is p = 1.
-    problem = sdp.hermitian_lmi(
-        [np.array([[0.0, 1j], [-1j, 0.0]])], [np.eye(2)[None]], np.array([-1.0])
-    )
-    assert problem.block_dims == (2,)
-    assert problem.num_rows == 1
-    solution = sdp.solve(problem)
+def test_relaxation_lmi_solves_through_the_dual():
+    # At d = 1 the relaxation holds every outcome distribution, so the bound
+    # of F_0 = 0.3, F_1 = -0.2 is -0.2.  The solver maximizes -gain . p over
+    # the free moments p, so the bound is gain[0] minus the dual value.
+    coeffs = {(0, 0, 0): np.array([[0.3]]), (1, 0, 0): np.array([[-0.2]])}
+    bound = _RelaxationBound(SteeringFunctional(ScenarioShape(2, 1, 1, 1), coeffs))
+    assert bound.problem.block_dims == (bound.form.side,) == (4,)
+    assert np.array_equal(bound.problem.b, -bound.gain[1:])
+    solution = sdp.solve(bound.problem)
     assert solution.status == sdp.OPTIMAL
-    assert solution.y[0] == pytest.approx(1.0, abs=1e-7)
-    assert solution.dual_value == pytest.approx(-1.0, abs=1e-7)
+    assert bound.gain[0] - solution.dual_value == pytest.approx(-0.2, abs=1e-7)
 
 
 @settings(max_examples=20, deadline=None)

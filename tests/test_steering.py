@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,7 +343,11 @@ def _problem_digest(problem):
 # Digests of (block_dims, a, c) of relaxation problems, recorded before words
 # became letter sequences.  The entries are exact (units, sqrt(2) weights,
 # exact members), so any change in the moment structure or the moment order
-# shows here.  The bounds' rows and costs depend on the shape alone.
+# shows here.  The bounds' rows and costs depend on the shape alone.  The two
+# memberships at d = 3, of random_quantum_bwi(shape, seed=5) with (2,5,3,3)
+# the side-72 case, were recorded from dense coefficient matrices, as a
+# reference for the entry-by-entry writer; their rows depend on the shape
+# alone, their costs on the members.
 RELAXATION_DIGESTS = [
     ("canonical", "916a1909f25a0e22609d70e6d40c837d1c02c985ac100245871a193cb48e9025"),
     ((3, 2, 2), "916a1909f25a0e22609d70e6d40c837d1c02c985ac100245871a193cb48e9025"),
@@ -350,22 +355,58 @@ RELAXATION_DIGESTS = [
     ((3, 2, 3), "1444d5f50231ca54f70a45f7b7f598d26aaf80954672aecc92ab743610e84d61"),
     ((4, 3, 2), "937b0d006238397952eac3604e51746a639095b3574c9b63ac59c66971233e80"),
     ("pauli-transpose", "6f31a03ccaed2311618c5d9071c205351ece814fa254a2268d733867c423e385"),
+    ("member-2223", "e98d2d1e88b79a8f7c4d16f62c405d5b9daf2ee7c29298a88fa8f8f467daed07"),
+    ("member-2533", "ef7ad37b6ce0b06561f880ae40b4ec0888df93e91daa21df6848e6c0f1d8c7d9"),
 ]
 
 
 @pytest.mark.parametrize(
     "case, expected",
     RELAXATION_DIGESTS,
-    ids=["canonical", "322", "332", "323", "432", "pauli-transpose"],
+    ids=["canonical", "322", "332", "323", "432", "pauli-transpose", "member-2223", "member-2533"],
 )
 def test_relaxation_problems_keep_their_recorded_digests(case, expected):
     if case == "canonical":
         problem = build_qtilde_problem(canonical_functional())
     elif case == "pauli-transpose":
         problem = qtilde_membership(pauli_transpose_assemblage()).problem
-    else:
+    elif isinstance(case, tuple):
         problem = build_qtilde_problem(cli._random_psd_functional(ScenarioShape(2, *case), 0))
+    else:
+        shape = ScenarioShape(*(int(c) for c in case.removeprefix("member-")))
+        # Built, not solved: the side-72 solve takes seconds.
+        _, problem = steering._membership_lmi(random_quantum_bwi(shape, seed=5))
     assert _problem_digest(problem) == expected
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3), (2, 3, 3, 2), None])
+def test_moment_form_puts_each_key_class_at_every_position_with_its_key(shape):
+    # Whatever the writer does inside, every block with a key must equal the
+    # key's class at any moments p: each structural residual (all but psd)
+    # vanishes.  None is the pinned form of a membership, with its shift row.
+    if shape is None:
+        form, _ = steering._membership_lmi(random_quantum_bwi(ScenarioShape(2, 3, 2, 2), seed=5))
+    else:
+        form = steering._MomentForm(ScenarioShape(*shape))
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        moment = form.moment(rng.normal(size=len(form.first_row) - 1))
+        residuals = moment.residuals()
+        del residuals["psd"]
+        assert max(residuals.values()) <= 1e-12, residuals
+
+
+def test_relaxation_bound_holds_no_dense_coefficient_stack():
+    # The (4,3,2) bound's 613 moments over a side-40 block would take 15.7 MB
+    # as dense complex matrices, and their Hermitian parts twice that again.
+    functional = cli._random_psd_functional(ScenarioShape(2, 4, 3, 2), 0)
+    tracemalloc.start()
+    try:
+        qtilde_solution(functional)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6
 
 
 # Relaxation bounds solved with one more LMI block per outcome-1 member, which
@@ -515,6 +556,16 @@ def test_relaxation_membership_splits_the_examples():
     boundary = qtilde_membership(pr_box_assemblage())
     assert boundary.feasible
     assert boundary.margin == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("membership", [lhs_membership, qtilde_membership])
+def test_memberships_refuse_non_finite_members(membership):
+    # Set to NaN in place, past the container's check: the membership's
+    # no-signalling check names the member instead of drawing a verdict.
+    asm = pr_box_assemblage()
+    asm.members[(0, 0, 0)][0, 1] = np.nan
+    with pytest.raises(ValueError, match=r"member \(0, 0, 0\) .* not finite"):
+        membership(asm)
 
 
 def test_relaxation_membership_rejects_trusted_to_untrusted_signalling():
