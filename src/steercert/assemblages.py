@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -345,6 +345,16 @@ def validate_instrumental(
     return _report(table, families, tol)
 
 
+def ruled_out(residuals: Mapping[str, float], omitted: Sequence[str]) -> dict[str, float]:
+    """The residuals that rule data out of a membership, with margin ``-inf`` and no solve.
+
+    A membership pins Hermitian parts and omits the ``omitted`` families' rows
+    as implied, so a ``hermitian`` residual or one of theirs above
+    :data:`VALIDATION_TOL`, where the validators fail the data, rules them out.
+    """
+    return {n: residuals[n] for n in ("hermitian", *omitted) if residuals.get(n, 0) > VALIDATION_TOL}
+
+
 # ---------------------------------------------------------------------------
 # Example assemblages
 # ---------------------------------------------------------------------------
@@ -508,10 +518,10 @@ def instrumental_membership(
     rows are independent: the pins imply the rows that ``wired``
     :func:`ns_variable_blocks` omits, as long as each input's outcome weights
     sum to one and, with one outcome, the members agree across inputs.
-    Members that break either are infeasible with margin ``-inf``, with no
-    solve: the report's ``problem`` then holds the omitted rows too, and
-    ``certificate_y`` combines every row into ``sum_i y_i A_i = 0`` with ``b
-    . y = 1``.
+    Members that break either, or are not Hermitian, above ``VALIDATION_TOL``
+    (:func:`ruled_out`) are infeasible with margin ``-inf``, no solve: then
+    ``problem`` holds the omitted rows too, and for Hermitian members
+    ``certificate_y`` has ``sum_i y_i A_i = 0`` and ``b . y = 1``.
     """
     shape = asm.shape
     builder = sdp.HermitianBlockBuilder()
@@ -520,12 +530,13 @@ def instrumental_membership(
         for x in range(shape.m_a):
             builder.add_matrix_equality([(blocks[(a, x, a)], 1.0)], asm.member(a, x))
     problem = builder.build()
-    residuals = {"normalization": validate_instrumental(asm).residuals["normalization"]}
+    residuals = validate_instrumental(asm).residuals
     if shape.n_a == 1:
         wired = _member_table(asm)[0]
         agreement = _frobenius(hermitian_part(wired[1:] - wired[:1]))
         residuals["state_consistency"] = float(np.max(agreement, initial=0.0))
-    if consistent(max(residuals.values()), asm.members.values()):
+    failed = ruled_out(residuals, ("normalization", "state_consistency"))
+    if not failed:
         report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
         if report.feasible:
             members = {
@@ -535,13 +546,9 @@ def instrumental_membership(
             report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, shape.d, BWI), members=members)
         return report
     _wiring_implied_rows(builder, blocks, shape)
-    return sdp.contradiction_report(builder.build(), problem.num_rows, residuals, tol)
-
-
-def consistent(residual: float, members: Iterable[Array]) -> bool:
-    """Whether a data residual is within the presolve's tolerance, relative to the data's size."""
-    scale = 1.0 + float(np.sqrt(sum(np.sum(np.abs(m) ** 2) for m in members)))
-    return residual <= sdp.PRESOLVE_CONSISTENCY_TOL * scale
+    if "hermitian" in failed:  # the rows read Hermitian parts only: none need be contradicted
+        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, failed, builder.build(), tol=tol)
+    return sdp.contradiction_report(builder.build(), problem.num_rows, failed, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ NUMERICAL_TROUBLE = "numerical_trouble"
 #: ``2.5e-5`` times the largest row norm for a (4,3,2) relaxation bound.
 PRESOLVE_RANK_TOL = 1e-10
 
-#: Relative residual above which a membership's data contradict the rows it
-#: omits as implied, so that it is ruled out before any solve.
-PRESOLVE_CONSISTENCY_TOL = 1e-9
-
 #: Complex entries per piece of the Schur complement's ``W A W`` buffer, which
 #: is filled and paired a run of ranks at a time (4 MiB).
 _SLICE_ENTRIES = 1 << 18
@@ -935,7 +931,8 @@ class MembershipReport:
 
     ``margin`` is positive when the instance sits strictly inside the set and
     negative when no point of the set matches; it is ``-inf`` when the data
-    alone rule the instance out, and NaN when the solve did not finish.
+    alone rule the instance out (by :func:`steercert.assemblages.ruled_out`,
+    at the validators' ``VALIDATION_TOL``), and NaN when the solve did not finish.
     ``verdict`` is the only rule that turns a margin into an answer:
     ``inside`` when ``margin >= -tol``, ``outside`` when ``margin <
     -max(DECISIVE_MARGIN, tol)``, and ``undecided`` otherwise, that is, for a

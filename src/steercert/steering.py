@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +41,9 @@ from steercert.assemblages import (
     InstrumentalAssemblage,
     ScenarioShape,
     checked_members,
-    consistent,
     member_keys,
     ns_variable_blocks,
+    ruled_out,
     validate_ns_bwi,
 )
 from steercert.matcore import PAULIS, Array, hermitian_part, require_hermitian
@@ -271,13 +270,6 @@ def lhs_bound(
     return float(totals[best]), LhsModel(strategies=(strategies[best],), states=states)
 
 
-def _signalling(asm: BwiAssemblage, rules: Sequence[str]) -> dict[str, float] | None:
-    """The worst named :func:`validate_ns_bwi` residual, when above the presolve's tolerance."""
-    residuals = validate_ns_bwi(asm).residuals
-    worst = max(rules, key=residuals.__getitem__)
-    return None if consistent(residuals[worst], asm.members.values()) else {worst: residuals[worst]}
-
-
 def lhs_membership(
     asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
 ) -> sdp.MembershipReport:
@@ -291,10 +283,11 @@ def lhs_membership(
     function ``c + sum_x f_x(s(x))`` vanishing there vanishes everywhere).
     Only pins touch those strategies' blocks, so the rows are independent; on
     no-signalling data they imply the omitted rows (the last outcome is the
-    reduced state minus the others, and the pins fix those traces).
-    Signalling data are infeasible with margin ``-inf``, with no solve: the
-    report's ``problem`` then holds every row, and ``certificate_y`` combines
-    them into ``sum_i y_i A_i = 0`` with ``b . y = 1``.
+    reduced state minus the others, and the pins fix those traces).  Data
+    whose ``hermitian``, ``state_consistency`` or ``trace_consistency``
+    residual exceeds ``VALIDATION_TOL`` (:func:`ruled_out`) are infeasible
+    with margin ``-inf``, no solve: ``problem`` then holds every row, and for
+    Hermitian data ``certificate_y`` has ``sum_i y_i A_i = 0``, ``b . y = 1``.
     """
     shape = asm.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
@@ -316,15 +309,17 @@ def lhs_membership(
         return builder.build()
 
     problem = add_rows(~sparse, last=False)
-    signalling = _signalling(asm, ("state_consistency", "trace_consistency"))
-    if signalling is None:
+    failed = ruled_out(validate_ns_bwi(asm).residuals, ("state_consistency", "trace_consistency"))
+    if not failed:
         report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
         if report.feasible:
             states = {key: report.witness[index] for key, index in blocks.items()}
             report.witness = LhsModel(strategies=tuple(strategies), states=states)
         return report
     full = add_rows(sparse, last=True)
-    return sdp.contradiction_report(full, problem.num_rows, signalling, tol)
+    if "hermitian" in failed:  # the rows read Hermitian parts only: none need be contradicted
+        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, failed, full, tol=tol)
+    return sdp.contradiction_report(full, problem.num_rows, failed, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -746,19 +741,21 @@ def qtilde_membership(
     """Decide whether an assemblage admits a feasible moment block.
 
     The first block row is pinned to the assemblage (:func:`_membership_lmi`).
-    Data that break a trace rule (a state's trace is not 1, or an outcome
-    weight depends on the trusted input) or signal to the trusted side (the
-    reduced state ``sum_a sigma_{a|x,y}`` depends on ``x``; only ``x = 0`` is
-    pinned) are infeasible with margin ``-inf``, with no solve.  Otherwise the
-    margin is the largest ``t`` with ``Gamma(p) - t I`` positive semidefinite
-    over the free moments ``p``, and the witness is ``Gamma`` at the optimum
-    when feasible.  ``certificate_y`` is ``None``: the separating functional
-    is the LMI's dual block (the solver's primal).
+    Data that are not Hermitian, break a trace rule (a state's trace is not
+    1, or an outcome weight depends on the trusted input) or signal to the
+    trusted side (the reduced state ``sum_a sigma_{a|x,y}`` depends on ``x``;
+    only ``x = 0`` is pinned) above ``VALIDATION_TOL`` (:func:`ruled_out`) are
+    infeasible with margin ``-inf``, with no solve.  Otherwise the margin is
+    the largest ``t`` with ``Gamma(p) - t I`` positive semidefinite over the
+    free moments ``p``, and the witness is ``Gamma`` at the optimum when
+    feasible.  ``certificate_y`` is ``None``: the separating functional is
+    the LMI's dual block (the solver's primal).
     """
     form, problem = _membership_lmi(asm)
-    signalling = _signalling(asm, ("state_consistency", "trace_consistency", "normalization"))
-    if signalling is not None:
-        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, signalling, problem, tol=tol)
+    families = ("state_consistency", "trace_consistency", "normalization")
+    failed = ruled_out(validate_ns_bwi(asm).residuals, families)
+    if failed:
+        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, failed, problem, tol=tol)
     solution = sdp.solve(problem, tol=tol, max_iter=max_iter)
     report = sdp.MembershipReport(
         margin=float(solution.y[-1]) if solution.status == sdp.OPTIMAL else np.nan,

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, report documents, and the
 certification chain."""
 
+import inspect
 import itertools
 import json
 import math
@@ -11,11 +12,12 @@ import sys
 import numpy as np
 import pytest
 
-from steercert import cli, sdp, serialize
+from steercert import cli, sdp, serialize, steering
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
     TRADITIONAL,
+    VALIDATION_TOL,
     BwiAssemblage,
     ScenarioShape,
     SequentialShape,
@@ -379,9 +381,9 @@ class TestCertify:
     def test_signalling_below_the_validation_tolerance_is_input_error(
         self, capsys, tmp_path, shift, options
     ):
-        # A traceless shift of one member signals to the trusted side by less
-        # than the validation's absolute tolerance, but the memberships rule
-        # the data out relative to their size: no classification follows.
+        # A traceless shift of one member signals to the trusted side.  At
+        # 3e-9, and at 1e-5 under a looser --tol, certify's own check at the
+        # validation tolerance catches it: no classification follows.
         asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
         members = dict(asm.members)
         members[(0, 1, 0)] = members[(0, 1, 0)] + shift * np.diag([1.0, -1.0])
@@ -391,6 +393,55 @@ class TestCertify:
         assert code == 2
         assert out == ""
         assert "no-signalling" in err and "state_consistency" in err
+
+    @pytest.mark.parametrize(
+        "shift, options",
+        [(5e-10, ()), (1.2e-9, ()), (3e-9, ()), (1e-8, ()), (1e-5, ("--tol", "1e-3"))],
+    )
+    def test_one_no_signalling_verdict_across_the_old_thresholds(
+        self, capsys, tmp_path, shift, options
+    ):
+        # The shift gives a state_consistency residual of sqrt(2) * shift.
+        # The rules this replaces put its threshold at 1e-9 for validate,
+        # 2.16e-9 (1e-9 relative to the members' size) for the memberships and
+        # max(tol, 1e-9) for certify; validate's report now decides all three.
+        asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
+        members = dict(asm.members)
+        members[(0, 1, 0)] = members[(0, 1, 0)] + shift * np.diag([1.0, -1.0])
+        shifted = BwiAssemblage(asm.shape, members)
+        path = write_assemblage(tmp_path / "shifted.json", shifted)
+        validated, report, _ = run_json(capsys, "validate", path)
+        residual = report["residuals"]["state_consistency"]
+        assert residual == pytest.approx(math.sqrt(2) * shift, rel=1e-4)
+        signalling = residual > VALIDATION_TOL
+        assert validated == (1 if signalling else 0)
+        certified, out, _ = run(capsys, "certify", path, "--format", "json", *options)
+        assert certified == (2 if signalling else 0)
+        for membership in (lhs_membership, qtilde_membership):
+            assert (membership(shifted).margin == -np.inf) == signalling
+        if not signalling:
+            memberships = json.loads(out)["results"]["memberships"]
+            assert memberships
+            assert all(math.isfinite(entry["margin"]) for entry in memberships.values())
+
+    def test_one_no_signalling_tolerance_per_request(self, capsys, monkeypatch):
+        # certify checks its input at the validation tolerance whatever --tol
+        # says, and each membership's own check reads the same rule.
+        real, tols = cli.validate_ns_bwi, []
+        signature = inspect.signature(real)
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            tols.append(bound.arguments["tol"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_ns_bwi", spy)
+        monkeypatch.setattr(steering, "validate_ns_bwi", spy)
+        code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose", "--tol", "1e-3")
+        assert code == 0
+        assert set(doc["results"]["memberships"]) == {"lhs", "qtilde"}
+        assert tols == [VALIDATION_TOL] * 3
 
     def test_three_outcome_steerable_input_is_input_error(self, capsys, tmp_path):
         shape = ScenarioShape(n_a=3, m_a=3, m_b=2, d=2, kind=BWI)
@@ -433,8 +484,7 @@ class TestCertify:
         assert out == ""
         assert "hidden-state membership" in err and sdp.MAX_ITERATIONS in err
 
-        # A decisive hidden-state verdict, then an unfinished relaxation.  (A
-        # margin of -inf would mean the data alone rule the input out.)
+        # A decisive hidden-state verdict, then an unfinished relaxation.
         monkeypatch.setattr(cli, "lhs_membership", membership(sdp.OPTIMAL, -1.0))
         code, out, err = run(capsys, "certify", "builtin:pr-box")
         assert code == cli.EXIT_SOLVER

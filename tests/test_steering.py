@@ -568,6 +568,42 @@ def test_memberships_refuse_non_finite_members(membership):
         membership(asm)
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize(
+    "membership", [lhs_membership, qtilde_membership, assemblages.instrumental_membership]
+)
+def test_memberships_rule_out_members_that_are_not_hermitian(monkeypatch, membership, sign):
+    # The rows pin Hermitian parts only.  A skew of opposite signs on two
+    # members keeps every summed state and trace, and such inputs read inside;
+    # with equal signs the summed state moves too, and the hidden-state
+    # membership read a rounding-level mismatch of its omitted rows as a
+    # certificate (entries near 1.6e15, b . y = 0.94, largest eigenvalue of
+    # sum y_i A_i 0.38).  The hermitian residual now rules both out, with no
+    # certificate.
+    skew = np.array([[0.0, 0.05], [-0.05, 0.0]])
+    if membership is assemblages.instrumental_membership:
+        parent = random_quantum_bwi(ScenarioShape(2, 3, 2, 2), seed=1)
+        asm, keys = assemblages.instrumental_from_bwi(parent), [(0, 0), (1, 0)]
+    else:
+        asm, keys = random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=3), [(0, 0, 0), (1, 0, 0)]
+    members = dict(asm.members)
+    members[keys[0]] = members[keys[0]] + skew
+    members[keys[1]] = members[keys[1]] + sign * skew
+    skewed = type(asm)(asm.shape, members)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("data that are not Hermitian need no solve")
+
+    monkeypatch.setattr(sdp, "solve", refuse)
+    monkeypatch.setattr(sdp, "feasibility_phase1", refuse)
+    report = membership(skewed)
+    assert report.margin == -np.inf
+    assert report.status == sdp.INFEASIBLE
+    assert report.iterations is None
+    assert report.certificate_y is None
+    assert report.residuals["hermitian"] == pytest.approx(0.1 * np.sqrt(2))
+
+
 def test_relaxation_membership_rejects_trusted_to_untrusted_signalling():
     # Outcome weights that depend on the trusted input break the trace rule
     # of the pinned pair blocks, so no moment block exists.
