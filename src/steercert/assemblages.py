@@ -18,9 +18,9 @@ one source of the keys that the containers, the functionals in
 use.  :func:`checked_members` is the one check of a table against them.
 
 The module also provides the box-like and transpose-based example assemblages,
-no-signalling extension tests backed by the in-house semidefinite solver,
 correlation tables against trusted measurements, and seeded random samplers
-for both quantum-realized and merely no-signalling assemblages.
+for both quantum-realized and merely no-signalling assemblages.  It runs no
+solver: the programs over these sets live in :mod:`steercert.steering`.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from steercert import sdp
-from steercert.matcore import PAULIS, Array, check_povm, hermitian_part, is_psd, real_table, require_hermitian
+from steercert.matcore import PAULIS, Array, check_povm, hermitian_part, is_psd, real_table
 
 TRADITIONAL = "traditional"
 BWI = "bwi"
@@ -338,21 +337,12 @@ def validate_instrumental(
     Each input's outcome weights must still sum to one.  A no-signalling
     parent asks more with one outcome, where each wired member is the
     parent's whole state: the members must agree across inputs.  That, and
-    whether a full parent exists, is :func:`instrumental_membership`'s test.
+    whether a full parent exists, is
+    :func:`steercert.steering.instrumental_membership`'s test.
     """
     table = _member_table(asm)
     families = {"normalization": _modulus(sum(np.trace(table, axis1=-2, axis2=-1)) - 1.0)}
     return _report(table, families, tol)
-
-
-def ruled_out(residuals: Mapping[str, float], omitted: Sequence[str]) -> dict[str, float]:
-    """The residuals that rule data out of a membership, with margin ``-inf`` and no solve.
-
-    A membership pins Hermitian parts and omits the ``omitted`` families' rows
-    as implied, so a ``hermitian`` residual or one of theirs above
-    :data:`VALIDATION_TOL`, where the validators fail the data, rules them out.
-    """
-    return {n: residuals[n] for n in ("hermitian", *omitted) if residuals.get(n, 0) > VALIDATION_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -433,122 +423,6 @@ def instrumental_pauli_assemblage() -> InstrumentalAssemblage:
     the outcome-1 states with a fixed unitary to reproduce every member.
     """
     return instrumental_from_bwi(pauli_transpose_assemblage())
-
-
-# ---------------------------------------------------------------------------
-# No-signalling extension problems
-# ---------------------------------------------------------------------------
-
-
-def ns_variable_blocks(
-    builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, wired: bool = False
-) -> dict[tuple[int, int, int], int]:
-    """Declare one Hermitian block per member and add independent no-signalling rows.
-
-    Returns the block indices keyed by (outcome, untrusted input, trusted input).
-    The rows are: summed state independent of the untrusted input, member
-    traces independent of the trusted input, and total trace one.  At ``x >=
-    1`` the trace rows of outcome 0 are omitted: the summed-state rows and the
-    other outcomes' trace rows imply them.  ``wired`` also omits
-    :func:`_wiring_implied_rows`, which pinning ``w_{a|x,y=a}`` to wired
-    members whose weights sum to one implies.
-    """
-    d = shape.d
-    blocks = {
-        key: builder.add_block(d)
-        for key in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b))
-    }
-    if shape.n_a > 1:
-        _state_rows(builder, blocks, shape)
-    keys = itertools.product(range(shape.n_a), range(shape.m_a), range(1, shape.m_b))
-    kept = [(a, x, y) for a, x, y in keys if x == 0 or (a > 0 and (a, y) != (1, 1))]
-    _trace_rows(builder, blocks, d, kept)
-    if not wired:
-        _wiring_implied_rows(builder, blocks, shape)
-    return blocks
-
-
-def _state_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape) -> None:
-    """``sum_a w_{a|x,y} = sum_a w_{a|0,y}`` at each ``x >= 1``."""
-    zero = np.zeros((shape.d, shape.d), dtype=complex)
-    for y in range(shape.m_b):
-        for x in range(1, shape.m_a):
-            terms = [(blocks[(a, x, y)], 1.0) for a in range(shape.n_a)]
-            terms += [(blocks[(a, 0, y)], -1.0) for a in range(shape.n_a)]
-            builder.add_matrix_equality(terms, zero)
-
-
-def _trace_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, d: int, keys: list) -> None:
-    """``tr w_{a|x,y} = tr w_{a|x,0}`` for each key ``(a, x, y)``."""
-    eye = np.eye(d)
-    for a, x, y in keys:
-        builder.add_equality([(blocks[(a, x, y)], eye), (blocks[(a, x, 0)], -eye)])
-
-
-def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape):
-    """The rows that pins of ``w_{a|x,a}`` imply, then the normalization row.
-
-    With one outcome every block is pinned, so the pins imply the
-    summed-state rows when the members agree.  Otherwise these are the ``(1,
-    x, 1)`` trace rows at ``x >= 1``: with ``w_{a|x,a}`` pinned to members
-    whose traces sum to one at every ``x``, the ``x = 0`` trace rows and pins
-    give ``tr sum_a w_{a|0,0} = 1``, the summed-state rows carry that to
-    every ``x``, and there the remaining trace rows and pins fix ``tr
-    w_{1|x,0}``.
-    """
-    if shape.n_a == 1:
-        _state_rows(builder, blocks, shape)
-    else:
-        keys = [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1]
-        _trace_rows(builder, blocks, shape.d, keys)
-    eye = np.eye(shape.d)
-    builder.add_equality([(blocks[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
-
-
-def instrumental_membership(
-    asm: InstrumentalAssemblage,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> sdp.MembershipReport:
-    """Decide whether wired members extend to a no-signalling assemblage.
-
-    Searches for bob-with-input members ``w_{a|x,y}`` satisfying the
-    no-signalling rows with ``w_{a|x,y=a}`` pinned to the Hermitian parts of
-    the given members; the wiring map then reproduces the input exactly.  The
-    rows are independent: the pins imply the rows that ``wired``
-    :func:`ns_variable_blocks` omits, as long as each input's outcome weights
-    sum to one and, with one outcome, the members agree across inputs.
-    Members that break either, or are not Hermitian, above ``VALIDATION_TOL``
-    (:func:`ruled_out`) are infeasible with margin ``-inf``, no solve: then
-    ``problem`` holds the omitted rows too, and for Hermitian members
-    ``certificate_y`` has ``sum_i y_i A_i = 0`` and ``b . y = 1``.
-    """
-    shape = asm.shape
-    builder = sdp.HermitianBlockBuilder()
-    blocks = ns_variable_blocks(builder, shape, wired=True)
-    for a in range(shape.n_a):
-        for x in range(shape.m_a):
-            builder.add_matrix_equality([(blocks[(a, x, a)], 1.0)], asm.member(a, x))
-    problem = builder.build()
-    residuals = validate_instrumental(asm).residuals
-    if shape.n_a == 1:
-        wired = _member_table(asm)[0]
-        agreement = _frobenius(hermitian_part(wired[1:] - wired[:1]))
-        residuals["state_consistency"] = float(np.max(agreement, initial=0.0))
-    failed = ruled_out(residuals, ("normalization", "state_consistency"))
-    if not failed:
-        report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
-        if report.feasible:
-            members = {
-                key: require_hermitian(report.witness[index], tol=1e-6)
-                for key, index in blocks.items()
-            }
-            report.witness = BwiAssemblage(shape=ScenarioShape(shape.n_a, shape.m_a, shape.m_b, shape.d, BWI), members=members)
-        return report
-    _wiring_implied_rows(builder, blocks, shape)
-    if "hermitian" in failed:  # the rows read Hermitian parts only: none need be contradicted
-        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, failed, builder.build(), tol=tol)
-    return sdp.contradiction_report(builder.build(), problem.num_rows, failed, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from steercert.assemblages import (
     bell_correlations,
     chsh_value,
     instrumental_from_bwi,
-    instrumental_membership,
     instrumental_pauli_assemblage,
     member_keys,
     pauli_transpose_assemblage,
@@ -81,10 +80,11 @@ from steercert.steering import (  # noqa: F401
     canonical_functional,
     canonical_instrumental_functional,
     evaluate,
+    instrumental_membership,
     lhs_bound,
     lhs_membership,
     ns_bound,
-    qtilde_instrumental_bound,
+    qtilde_bound,
     qtilde_membership,
     qtilde_solution,
 )
@@ -344,22 +344,16 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[ReportDocument, int]:
             "no-signalling bound",
             lambda: ns_bound(functional, tol=tol),
         )
-    elif args.which == "qtilde":
+    else:
         value, moment = _timed(
             doc.solver,
-            "relaxation bound",
+            "relaxation bound" if args.which == "qtilde" else "wired relaxation bound",
             lambda: qtilde_solution(functional, tol=tol),
         )
         doc.results["embedded_side"] = moment.embedded_side
         doc.results["block_side"] = moment.gamma.shape[0]
         for key, residual in sorted(moment.residuals().items()):
             doc.residuals[key] = float(residual)
-    else:
-        value = _timed(
-            doc.solver,
-            "wired relaxation bound",
-            lambda: qtilde_instrumental_bound(functional, tol=tol),
-        )
     doc.results["value"] = float(value)
     return doc, EXIT_PASS
 
@@ -685,7 +679,7 @@ def _wired_example(ctx: BatteryContext) -> tuple[bool, str]:
         for key in wired.members
     )
     model_value = evaluate(functional, modelled)
-    bound = qtilde_instrumental_bound(functional)
+    bound = qtilde_bound(functional)
     return (
         membership.feasible
         and abs(value) <= exact_tol

@@ -39,7 +39,9 @@ inequality solved through the dual is written entry by entry
 
 Every membership test, :func:`feasibility_phase1` among them, returns a
 :class:`MembershipReport`, whose ``verdict`` is the program's one rule from a
-margin to inside, outside or undecided.
+margin to inside, outside or undecided.  A report comes from a solve
+(:meth:`MembershipReport.from_solve`) or, when the data alone rule the
+instance out, from :func:`ruled_out_report`.
 
 The iteration never loops over single blocks.  Blocks of equal side are
 gathered once per solve into ``(K, n, n)`` stacks, and the scaling, the
@@ -931,18 +933,19 @@ class MembershipReport:
 
     ``margin`` is positive when the instance sits strictly inside the set and
     negative when no point of the set matches; it is ``-inf`` when the data
-    alone rule the instance out (by :func:`steercert.assemblages.ruled_out`,
-    at the validators' ``VALIDATION_TOL``), and NaN when the solve did not finish.
+    alone rule the instance out (:func:`ruled_out_report`, for the residuals
+    :func:`steercert.steering.ruled_out` finds above the validators'
+    ``VALIDATION_TOL``), and NaN when the solve did not finish.
     ``verdict`` is the only rule that turns a margin into an answer:
     ``inside`` when ``margin >= -tol``, ``outside`` when ``margin <
     -max(DECISIVE_MARGIN, tol)``, and ``undecided`` otherwise, that is, for a
     NaN margin or one in the band between.  ``tol`` is the feasibility
     tolerance the solve ran with.  ``witness`` carries the found element
     (when inside) and ``certificate_y`` a separating functional on the
-    problem's equality rows (when a finished solve found it not inside;
-    ``None`` for the relaxation, whose separating functional is the dual
-    block of its LMI ``problem``).  ``iterations`` counts the solver's
-    iterations; it is ``None`` when the verdict needed no solve.
+    problem's equality rows (when a finished solve or contradicted rows found
+    it not inside; ``None`` for the relaxation, whose separating functional
+    is the dual block of its LMI ``problem``).  ``iterations`` counts the
+    solver's iterations; it is ``None`` when the verdict needed no solve.
     ``phase_seconds`` is the solve's :attr:`SdpSolution.phase_seconds`, empty
     when there was no solve.
     """
@@ -956,6 +959,16 @@ class MembershipReport:
     iterations: int | None = None
     tol: float = 1e-8
     phase_seconds: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_solve(
+        cls, solution: SdpSolution, problem: SdpProblem, tol: float, margin: float = np.nan
+    ) -> MembershipReport:
+        """The report of a solve that decides ``problem``, at ``margin``."""
+        return cls(
+            margin, solution.status, dict(solution.residuals), problem,
+            iterations=solution.iterations, tol=tol, phase_seconds=solution.phase_seconds,
+        )
 
     @property
     def verdict(self) -> str:
@@ -994,15 +1007,7 @@ def feasibility_phase1(
         b=problem.b,
     )
     solution = solve(phase1, tol=tol, max_iter=max_iter)
-    report = MembershipReport(
-        margin=np.nan,
-        status=solution.status,
-        residuals=dict(solution.residuals),
-        problem=problem,
-        iterations=solution.iterations,
-        tol=tol,
-        phase_seconds=solution.phase_seconds,
-    )
+    report = MembershipReport.from_solve(solution, problem, tol)
     if solution.status != OPTIMAL:
         return report
 
@@ -1022,20 +1027,28 @@ def feasibility_phase1(
     return report
 
 
-def contradiction_report(
+def ruled_out_report(
     problem: SdpProblem, independent: int, residuals: dict[str, float], tol: float
 ) -> MembershipReport:
-    """Outside, with margin ``-inf`` and no solve: the data contradict implied rows.
+    """Outside, with margin ``-inf`` and no solve: the data alone rule the instance out.
 
     The rows of ``problem`` after the first ``independent`` are combinations
-    of those, ``a_d = coeffs^T a_r``, whose right-hand sides do not combine
-    the same way.  ``certificate_y`` combines every row into ``sum_i y_i A_i
-    = 0`` with ``b . y = 1``.
+    of those, ``a_d = coeffs^T a_r``.  Where their right-hand sides do not
+    combine the same way, ``certificate_y`` combines every row into ``sum_i
+    y_i A_i = 0`` with ``b . y = 1``.  It is kept only if :func:`farkas_terms`
+    confirms both to ``tol``: a mismatch at rounding level, as when only
+    anti-Hermitian parts, which the rows do not read, fail the data, gives
+    none.
     """
     r, a, b = independent, problem.a, problem.b
-    coeffs = np.linalg.solve(a[:r] @ a[:r].T, a[:r] @ a[r:].T)
-    mismatch = b[r:] - coeffs.T @ b[:r]
-    y = np.concatenate([-coeffs @ mismatch, mismatch]) / (mismatch @ mismatch)
+    y = None
+    if r < len(b):
+        coeffs = np.linalg.solve(a[:r] @ a[:r].T, a[:r] @ a[r:].T)
+        mismatch = b[r:] - coeffs.T @ b[:r]
+        if mismatch.any():
+            y = np.concatenate([-coeffs @ mismatch, mismatch]) / (mismatch @ mismatch)
+            b_dot_y, max_eig = farkas_terms(problem, y)
+            y = y if abs(b_dot_y - 1.0) <= tol and max_eig <= tol else None
     return MembershipReport(-np.inf, INFEASIBLE, residuals, problem, certificate_y=y, tol=tol)
 
 

@@ -37,7 +37,7 @@ from steercert.assemblages import (
 )
 from steercert.ghjw import QuantumRealizationSequential, QuantumRealizationTraditional
 from steercert.matcore import Array
-from steercert.steering import InstrumentalFunctional, SteeringFunctional
+from steercert.steering import Functional, InstrumentalFunctional, SteeringFunctional
 
 Json = dict[str, Any]
 
@@ -231,8 +231,6 @@ def assemblage_from_json(data: Any) -> Assemblage:
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
-
-Functional = SteeringFunctional | InstrumentalFunctional
 
 
 def functional_to_json(functional: Functional) -> Json:

@@ -20,9 +20,11 @@ Each benchmark is the functional's minimum over its set.  The hidden-state
 minimum has a closed form, a sum of smallest eigenvalues minimized over
 deterministic strategies; the no-signalling and relaxation minima are
 computed with the in-house semidefinite solver.  Each set also supports a
-direct membership test for a given assemblage, all three by the solver.  The
-wired (instrumental) variant post-selects the trusted input to equal the
-untrusted outcome, both for functional values and for the relaxation bound.
+direct membership test for a given assemblage, all three by the solver; wired
+members are tested for a no-signalling parent.  A wired (instrumental)
+functional post-selects the trusted input to equal the untrusted outcome,
+for its values and for the relaxation bound alike.  Every program over these
+sets is built here: :mod:`steercert.assemblages` holds data and runs no solver.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,13 +40,13 @@ from steercert import sdp
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
+    VALIDATION_TOL,
     BwiAssemblage,
     InstrumentalAssemblage,
     ScenarioShape,
     checked_members,
     member_keys,
-    ns_variable_blocks,
-    ruled_out,
+    validate_instrumental,
     validate_ns_bwi,
 )
 from steercert.matcore import PAULIS, Array, hermitian_part, require_hermitian
@@ -83,6 +86,17 @@ def require_binary_outcomes(shape: ScenarioShape) -> None:
         )
 
 
+def ruled_out(residuals: Mapping[str, float], omitted: Sequence[str]) -> dict[str, float]:
+    """The residuals that rule data out of a membership, with margin ``-inf`` and no solve.
+
+    A membership pins Hermitian parts and omits the ``omitted`` families' rows
+    as implied, so a ``hermitian`` residual or one of theirs above
+    :data:`VALIDATION_TOL`, where the validators fail the data, rules them out.
+    """
+    families = ("hermitian", *omitted)
+    return {n: residuals[n] for n in families if residuals.get(n, 0) > VALIDATION_TOL}
+
+
 # ---------------------------------------------------------------------------
 # Functionals
 # ---------------------------------------------------------------------------
@@ -120,6 +134,10 @@ class InstrumentalFunctional:
         return self.coeffs[(a, x)]
 
 
+#: Either kind of functional, as the relaxation bound and ``evaluate`` take them.
+Functional = SteeringFunctional | InstrumentalFunctional
+
+
 def _hermitian_coefficients(shape: ScenarioShape, coeffs: dict) -> dict:
     """The Hermitian coefficients of a functional, once :func:`checked_members` accepts them."""
     checked = checked_members(shape, coeffs, "coefficient")
@@ -132,10 +150,7 @@ def _real_or_raise(value: complex, context: str) -> float:
     return float(value.real)
 
 
-def evaluate(
-    functional: SteeringFunctional | InstrumentalFunctional,
-    asm: BwiAssemblage | InstrumentalAssemblage,
-) -> float:
+def evaluate(functional: Functional, asm: BwiAssemblage | InstrumentalAssemblage) -> float:
     """Value of the functional on the assemblage, asserted real.
 
     The two shapes must agree in ``(n_a, m_a, m_b, d)``; their kinds may
@@ -286,8 +301,8 @@ def lhs_membership(
     reduced state minus the others, and the pins fix those traces).  Data
     whose ``hermitian``, ``state_consistency`` or ``trace_consistency``
     residual exceeds ``VALIDATION_TOL`` (:func:`ruled_out`) are infeasible
-    with margin ``-inf``, no solve: ``problem`` then holds every row, and for
-    Hermitian data ``certificate_y`` has ``sum_i y_i A_i = 0``, ``b . y = 1``.
+    with margin ``-inf``, no solve: ``problem`` then holds every row
+    (:func:`~steercert.sdp.ruled_out_report`).
     """
     shape = asm.shape
     strategies = deterministic_strategies(shape.n_a, shape.m_a)
@@ -310,21 +325,83 @@ def lhs_membership(
 
     problem = add_rows(~sparse, last=False)
     failed = ruled_out(validate_ns_bwi(asm).residuals, ("state_consistency", "trace_consistency"))
-    if not failed:
-        report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
-        if report.feasible:
-            states = {key: report.witness[index] for key, index in blocks.items()}
-            report.witness = LhsModel(strategies=tuple(strategies), states=states)
-        return report
-    full = add_rows(sparse, last=True)
-    if "hermitian" in failed:  # the rows read Hermitian parts only: none need be contradicted
-        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, failed, full, tol=tol)
-    return sdp.contradiction_report(full, problem.num_rows, failed, tol)
+    if failed:
+        return sdp.ruled_out_report(add_rows(sparse, last=True), problem.num_rows, failed, tol)
+    report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
+    if report.feasible:
+        states = {key: report.witness[index] for key, index in blocks.items()}
+        report.witness = LhsModel(strategies=tuple(strategies), states=states)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # No-signalling set
 # ---------------------------------------------------------------------------
+
+
+def ns_variable_blocks(
+    builder: sdp.HermitianBlockBuilder, shape: ScenarioShape, wired: bool = False
+) -> dict[tuple[int, int, int], int]:
+    """Declare one Hermitian block per member and add independent no-signalling rows.
+
+    Returns the block indices keyed by (outcome, untrusted input, trusted input).
+    The rows are: summed state independent of the untrusted input, member
+    traces independent of the trusted input, and total trace one.  At ``x >=
+    1`` the trace rows of outcome 0 are omitted: the summed-state rows and the
+    other outcomes' trace rows imply them.  ``wired`` also omits
+    :func:`_wiring_implied_rows`, which pinning ``w_{a|x,y=a}`` to wired
+    members whose weights sum to one implies.
+    """
+    d = shape.d
+    blocks = {
+        key: builder.add_block(d)
+        for key in itertools.product(range(shape.n_a), range(shape.m_a), range(shape.m_b))
+    }
+    if shape.n_a > 1:
+        _state_rows(builder, blocks, shape)
+    keys = itertools.product(range(shape.n_a), range(shape.m_a), range(1, shape.m_b))
+    kept = [(a, x, y) for a, x, y in keys if x == 0 or (a > 0 and (a, y) != (1, 1))]
+    _trace_rows(builder, blocks, d, kept)
+    if not wired:
+        _wiring_implied_rows(builder, blocks, shape)
+    return blocks
+
+
+def _state_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape) -> None:
+    """``sum_a w_{a|x,y} = sum_a w_{a|0,y}`` at each ``x >= 1``."""
+    zero = np.zeros((shape.d, shape.d), dtype=complex)
+    for y in range(shape.m_b):
+        for x in range(1, shape.m_a):
+            terms = [(blocks[(a, x, y)], 1.0) for a in range(shape.n_a)]
+            terms += [(blocks[(a, 0, y)], -1.0) for a in range(shape.n_a)]
+            builder.add_matrix_equality(terms, zero)
+
+
+def _trace_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, d: int, keys: list) -> None:
+    """``tr w_{a|x,y} = tr w_{a|x,0}`` for each key ``(a, x, y)``."""
+    eye = np.eye(d)
+    for a, x, y in keys:
+        builder.add_equality([(blocks[(a, x, y)], eye), (blocks[(a, x, 0)], -eye)])
+
+
+def _wiring_implied_rows(builder: sdp.HermitianBlockBuilder, blocks: dict, shape: ScenarioShape):
+    """The rows that pins of ``w_{a|x,a}`` imply, then the normalization row.
+
+    With one outcome every block is pinned, so the pins imply the
+    summed-state rows when the members agree.  Otherwise these are the ``(1,
+    x, 1)`` trace rows at ``x >= 1``: with ``w_{a|x,a}`` pinned to members
+    whose traces sum to one at every ``x``, the ``x = 0`` trace rows and pins
+    give ``tr sum_a w_{a|0,0} = 1``, the summed-state rows carry that to
+    every ``x``, and there the remaining trace rows and pins fix ``tr
+    w_{1|x,0}``.
+    """
+    if shape.n_a == 1:
+        _state_rows(builder, blocks, shape)
+    else:
+        keys = [(1, x, 1) for x in range(1, shape.m_a) if shape.m_b > 1]
+        _trace_rows(builder, blocks, shape.d, keys)
+    eye = np.eye(shape.d)
+    builder.add_equality([(blocks[(a, 0, 0)], eye) for a in range(shape.n_a)], 1.0)
 
 
 def ns_bound(functional: SteeringFunctional, *, tol: float = 1e-8) -> float:
@@ -343,6 +420,44 @@ def ns_bound(functional: SteeringFunctional, *, tol: float = 1e-8) -> float:
             f"no-signalling bound ended with status {solution.status}", solution
         )
     return float(solution.primal_value)
+
+
+def instrumental_membership(
+    asm: InstrumentalAssemblage, tol: float = 1e-8, max_iter: int = 200
+) -> sdp.MembershipReport:
+    """Decide whether wired members extend to a no-signalling assemblage.
+
+    Searches for bob-with-input members ``w_{a|x,y}`` satisfying the
+    no-signalling rows with ``w_{a|x,y=a}`` pinned to the Hermitian parts of
+    the given members; the wiring map then reproduces the input exactly.  The
+    rows are independent: the pins imply the rows that ``wired``
+    :func:`ns_variable_blocks` omits, as long as each input's outcome weights
+    sum to one and, with one outcome, the members agree across inputs.
+    Members that break either, or are not Hermitian, above ``VALIDATION_TOL``
+    (:func:`ruled_out`) are infeasible with margin ``-inf``, no solve: then
+    ``problem`` holds the omitted rows too (:func:`~steercert.sdp.ruled_out_report`).
+    """
+    shape = asm.shape
+    builder = sdp.HermitianBlockBuilder()
+    blocks = ns_variable_blocks(builder, shape, wired=True)
+    for a, x in member_keys(shape):
+        builder.add_matrix_equality([(blocks[(a, x, a)], 1.0)], asm.member(a, x))
+    problem = builder.build()
+    residuals = validate_instrumental(asm).residuals
+    if shape.n_a == 1:
+        first = asm.member(0, 0)
+        gaps = [hermitian_part(asm.member(0, x) - first) for x in range(1, shape.m_a)]
+        residuals["state_consistency"] = float(max(map(np.linalg.norm, gaps), default=0.0))
+    failed = ruled_out(residuals, ("normalization", "state_consistency"))
+    if failed:
+        _wiring_implied_rows(builder, blocks, shape)
+        return sdp.ruled_out_report(builder.build(), problem.num_rows, failed, tol)
+    report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
+    if report.feasible:
+        members = {key: require_hermitian(report.witness[i], tol=1e-6) for key, i in blocks.items()}
+        parent = ScenarioShape(shape.n_a, shape.m_a, shape.m_b, shape.d, BWI)
+        report.witness = BwiAssemblage(shape=parent, members=members)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -540,18 +655,16 @@ class _MomentForm:
     its key.  ``c`` is ``svec(F0)`` and row ``k`` of ``a`` is
     ``-svec(F_{k+1})``, each entry the Hermitian part's, so that ``max b . p``
     subject to ``Gamma(p) >= 0`` is the solver's dual problem ``(c, a, b)``,
-    whose slack ``c - a^T p`` is ``Gamma``.  With ``shift``, ``a`` ends with
+    whose slack ``c - a^T p`` is ``Gamma``.  A pinned form's ``a`` ends with
     the row of one more moment ``t`` at ``-I``, so the slack is ``Gamma - t
     I``.  ``first_row`` is the first block row of ``F0, F_1, ...``, which
     holds the members.
     """
 
-    def __init__(
-        self, shape: ScenarioShape, pinned: dict[Word, Array] | None = None, shift: bool = False
-    ) -> None:
+    def __init__(self, shape: ScenarioShape, pinned: dict[Word, Array] | None = None) -> None:
         self.shape, self.words = shape, moment_words(shape)
         self.index = {word: i for i, word in enumerate(self.words)}
-        d, pinned = shape.d, pinned or {}
+        d, shift, pinned = shape.d, pinned is not None, pinned or {}
         eye = np.eye(d, dtype=complex)
         last = np.outer(eye[-1], eye[-1])
         keys = [[_orient(_moment_key(u, v)) for v in self.words] for u in self.words]
@@ -636,38 +749,29 @@ def _qtilde_scenario(shape: ScenarioShape) -> ScenarioShape:
     return ScenarioShape(n_a=2, m_a=shape.m_a, m_b=shape.m_b, d=shape.d, kind=BWI)
 
 
-class _RelaxationBound:
+def _relaxation_lmi(functional: Functional) -> tuple[_MomentForm, Array, sdp.SdpProblem]:
     """A functional's minimum over the relaxation: the LMI of the unpinned moment form.
 
     The objective is the sum of ``tr(F sigma_{a|x,y})`` over the functional's
     coefficients, a wired coefficient ``F_{a,x}`` standing at ``y = a``, and
-    ``gain`` holds it per moment, read from ``form.first_row`` (the constant
-    first).  The moment block is the
-    only LMI block: ``Gamma >= 0`` already makes every member positive
-    semidefinite, since ``d sigma_{1|x,y}`` is the transpose of ``Gamma``
-    compressed by ``e_y - e_xy``.
+    the returned ``gain`` holds it per moment, read from ``form.first_row``
+    (the constant first).  The moment block is the only LMI block: ``Gamma >=
+    0`` already makes every member positive semidefinite, since ``d
+    sigma_{1|x,y}`` is the transpose of ``Gamma`` compressed by ``e_y -
+    e_xy``.
     """
-
-    def __init__(self, functional: SteeringFunctional | InstrumentalFunctional) -> None:
-        require_binary_outcomes(functional.shape)
-        self.wired = isinstance(functional, InstrumentalFunctional)
-        keys = [(a, x, a) for a, x in functional.coeffs] if self.wired else functional.coeffs
-        self.form = form = _MomentForm(_qtilde_scenario(functional.shape))
-        self.gain = sum(
-            np.einsum("ij,kji->k", coeff, _read_member(form.first_row, form.index, *key)).real
-            for key, coeff in zip(keys, functional.coeffs.values())
-        )
-        self.problem = sdp.SdpProblem((form.side,), form.c, form.a, -self.gain[1:])
-
-    def solve(self, tol: float) -> tuple[float, MomentMatrix]:
-        solution = sdp.solve(self.problem, tol=tol)
-        if solution.status != sdp.OPTIMAL:
-            context = "wired relaxation bound" if self.wired else "relaxation bound"
-            raise SolverFailure(f"{context} ended with status {solution.status}", solution)
-        return float(self.gain[0] + self.gain[1:] @ solution.y), self.form.moment(solution.y)
+    require_binary_outcomes(functional.shape)
+    wired = isinstance(functional, InstrumentalFunctional)
+    keys = [(a, x, a) for a, x in functional.coeffs] if wired else functional.coeffs
+    form = _MomentForm(_qtilde_scenario(functional.shape))
+    gain = sum(
+        np.einsum("ij,kji->k", coeff, _read_member(form.first_row, form.index, *key)).real
+        for key, coeff in zip(keys, functional.coeffs.values())
+    )
+    return form, gain, sdp.SdpProblem((form.side,), form.c, form.a, -gain[1:])
 
 
-def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
+def build_qtilde_problem(functional: Functional) -> sdp.SdpProblem:
     """The relaxation bound as a block semidefinite program.
 
     The moment block is ``Gamma = F0 + sum_k p_k F_k`` over the free real
@@ -678,33 +782,32 @@ def build_qtilde_problem(functional: SteeringFunctional) -> sdp.SdpProblem:
     blocks of their own, because the moment block's being positive
     semidefinite implies theirs.
     """
-    return _RelaxationBound(functional).problem
+    return _relaxation_lmi(functional)[2]
 
 
-def qtilde_bound(functional: SteeringFunctional, *, tol: float = 1e-8) -> float:
-    """Minimum of the functional over the moment-matrix relaxation."""
+def qtilde_bound(functional: Functional, *, tol: float = 1e-8) -> float:
+    """Minimum of the functional over the moment-matrix relaxation.
+
+    A wired functional post-selects the trusted input to equal the outcome:
+    the feasible set is the same moment block and only the objective changes,
+    so the result lower-bounds every quantum-realizable wired value.
+    """
     value, _ = qtilde_solution(functional, tol=tol)
     return value
 
 
-def qtilde_solution(
-    functional: SteeringFunctional, *, tol: float = 1e-8
-) -> tuple[float, MomentMatrix]:
+def qtilde_solution(functional: Functional, *, tol: float = 1e-8) -> tuple[float, MomentMatrix]:
     """Relaxation bound together with the optimizing moment block.
 
     ``tol`` bounds the solve's feasibility residuals and its duality gap.
     """
-    return _RelaxationBound(functional).solve(tol)
-
-
-def qtilde_instrumental_bound(functional: InstrumentalFunctional, *, tol: float = 1e-8) -> float:
-    """Relaxation bound for wired values: the objective post-selects input = outcome.
-
-    The feasible set is the same moment block; only the objective changes, so
-    the result lower-bounds every quantum-realizable wired value.
-    """
-    value, _ = _RelaxationBound(functional).solve(tol)
-    return value
+    form, gain, problem = _relaxation_lmi(functional)
+    solution = sdp.solve(problem, tol=tol)
+    if solution.status != sdp.OPTIMAL:
+        wired = isinstance(functional, InstrumentalFunctional)
+        context = "wired relaxation bound" if wired else "relaxation bound"
+        raise SolverFailure(f"{context} ended with status {solution.status}", solution)
+    return float(gain[0] + gain[1:] @ solution.y), form.moment(solution.y)
 
 
 def _membership_lmi(asm: BwiAssemblage) -> tuple[_MomentForm, sdp.SdpProblem]:
@@ -729,7 +832,7 @@ def _membership_lmi(asm: BwiAssemblage) -> tuple[_MomentForm, sdp.SdpProblem]:
         return hermitian_part(state).T / d
 
     pinned = {_moment_key(EMPTY, w): pin(w) for w in moment_words(shape)[1:]}
-    form = _MomentForm(shape, pinned, shift=True)
+    form = _MomentForm(shape, pinned)
     objective = np.zeros(len(form.a))
     objective[-1] = 1.0
     return form, sdp.SdpProblem((form.side,), form.c, form.a, objective)
@@ -755,17 +858,10 @@ def qtilde_membership(
     families = ("state_consistency", "trace_consistency", "normalization")
     failed = ruled_out(validate_ns_bwi(asm).residuals, families)
     if failed:
-        return sdp.MembershipReport(-np.inf, sdp.INFEASIBLE, failed, problem, tol=tol)
+        return sdp.ruled_out_report(problem, problem.num_rows, failed, tol)
     solution = sdp.solve(problem, tol=tol, max_iter=max_iter)
-    report = sdp.MembershipReport(
-        margin=float(solution.y[-1]) if solution.status == sdp.OPTIMAL else np.nan,
-        status=solution.status,
-        residuals=solution.residuals,
-        problem=problem,
-        iterations=solution.iterations,
-        tol=tol,
-        phase_seconds=solution.phase_seconds,
-    )
+    margin = float(solution.y[-1]) if solution.status == sdp.OPTIMAL else np.nan
+    report = sdp.MembershipReport.from_solve(solution, problem, tol, margin)
     if report.feasible:
         report.witness = form.moment(solution.y[:-1])
     return report

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import os
 import re
 
 import numpy as np
@@ -22,7 +24,6 @@ from steercert.assemblages import (
     bell_correlations,
     chsh_value,
     instrumental_from_bwi,
-    instrumental_membership,
     instrumental_pauli_assemblage,
     pauli_transpose_assemblage,
     pr_box_assemblage,
@@ -35,6 +36,7 @@ from steercert.assemblages import (
     validate_ns_sequential,
 )
 from steercert.matcore import PAULIS
+from steercert.steering import instrumental_membership
 
 KET = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])]
 COMPUTATIONAL = [KET, KET]
@@ -504,3 +506,37 @@ def test_ns_sampler_covers_multiple_outcome_counts():
     assert validate_ns_bwi(asm).passed
     distribution = bell_correlations(asm, [[np.eye(3)]])[:, 0, :, 0]
     assert np.allclose(distribution.sum(axis=0), 1.0, atol=1e-10)
+
+
+#: The package's modules, each importing only modules before it.
+LAYERS = ("matcore", "assemblages", "sdp", "steering", "ptp", "ghjw", "serialize", "cli")
+
+
+def _imported_names(tree):
+    """The dotted name of every import in ``tree``, local imports included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = ".".join(["steercert", *filter(None, [node.module])])
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_a_later_layer():
+    # The data layer never reaches the solver, and the solver never reaches
+    # the set programs built on it.
+    package = os.path.dirname(assemblages.__file__)
+    modules = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+    assert modules - {"__init__"} == set(LAYERS)
+    for rank, name in enumerate(LAYERS):
+        with open(os.path.join(package, f"{name}.py")) as handle:
+            tree = ast.parse(handle.read())
+        imported = {
+            parts[1]
+            for parts in (dotted.split(".") for dotted in _imported_names(tree))
+            if parts[0] == "steercert" and len(parts) > 1
+        }
+        later = sorted(imported & set(LAYERS[rank + 1 :]))
+        assert not later, f"{name} imports {later}, which come after it"

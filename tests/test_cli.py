@@ -245,6 +245,10 @@ class TestBounds:
         )
         assert code == 0
         assert abs(doc["results"]["value"]) < 1e-6
+        # The wired bound is audited as the relaxation bound is.
+        assert doc["results"]["block_side"] == 24
+        assert max(doc["residuals"].values()) < 1e-6
+        assert [entry["context"] for entry in doc["solver"]] == ["wired relaxation bound"]
 
     def test_functional_file(self, capsys, tmp_path):
         from steercert.steering import canonical_functional

@@ -12,19 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steercert import sdp
-from steercert.assemblages import (
-    ScenarioShape,
-    instrumental_membership,
-    instrumental_pauli_assemblage,
-    random_quantum_bwi,
-)
+from steercert.assemblages import ScenarioShape, instrumental_pauli_assemblage, random_quantum_bwi
 from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
 from steercert.steering import (
     SteeringFunctional,
+    _membership_lmi,
     _MomentForm,
-    _RelaxationBound,
+    _relaxation_lmi,
     build_qtilde_problem,
     canonical_functional,
+    instrumental_membership,
     lhs_membership,
     qtilde_solution,
 )
@@ -363,7 +360,7 @@ def test_negative_trace_is_infeasible_with_certificate():
 
 def test_contradictory_rows_detected_in_presolve():
     # A row copied with another right-hand side: the presolve refuses the
-    # rows before any iteration, and contradiction_report, which the
+    # rows before any iteration, and ruled_out_report, which the
     # memberships return for data that contradict their implied rows,
     # certifies that no point meets them.
     problem = SdpProblem(
@@ -374,7 +371,7 @@ def test_contradictory_rows_detected_in_presolve():
     )
     with pytest.raises(ValueError, match="not provably independent"):
         sdp.solve(problem)
-    report = sdp.contradiction_report(problem, 1, {}, tol=1e-8)
+    report = sdp.ruled_out_report(problem, 1, {}, tol=1e-8)
     assert report.verdict == sdp.OUTSIDE
     assert report.margin == -np.inf
     assert report.iterations is None
@@ -842,7 +839,7 @@ def test_phase1_detects_forced_negative_eigenvalue():
 def test_phase1_passes_through_presolve_infeasibility():
     # The probe runs the solver's presolve on the original rows: contradictory
     # rows are refused, not shifted into a finite margin, and the report that
-    # stands for them is contradiction_report's.
+    # stands for them is ruled_out_report's.
     problem = SdpProblem(
         block_dims=(1,),
         c=np.zeros(1),
@@ -851,7 +848,7 @@ def test_phase1_passes_through_presolve_infeasibility():
     )
     with pytest.raises(ValueError, match="not provably independent"):
         sdp.feasibility_phase1(problem)
-    result = sdp.contradiction_report(problem, 1, {}, tol=1e-8)
+    result = sdp.ruled_out_report(problem, 1, {}, tol=1e-8)
     assert not result.feasible
     assert result.margin == -np.inf
     assert result.certificate_y is not None
@@ -1091,11 +1088,12 @@ def test_matrix_equality_rows_pin_every_upper_entry(scalars):
 
 def test_moment_form_slack_is_its_pencil():
     # The rows the form writes entry by entry unpack to the pencil whose first
-    # block row it keeps: the slack c - a^T p is Gamma(p), minus t I with the
-    # shift, exactly Hermitian.
+    # block row it keeps: the slack c - a^T p is Gamma(p), minus t I for the
+    # pinned form of a membership, exactly Hermitian.
     rng = np.random.default_rng(8)
-    for shift in (False, True):
-        form = _MomentForm(ScenarioShape(2, 2, 2, 2), shift=shift)
+    shape = ScenarioShape(2, 2, 2, 2)
+    pinned, _ = _membership_lmi(random_quantum_bwi(shape, seed=5))
+    for shift, form in enumerate((_MomentForm(shape), pinned)):
         count, d = len(form.first_row) - 1, form.shape.d
         assert form.a.shape == (count + shift, form.side**2)
         p, t = rng.normal(size=count), 0.7 * shift
@@ -1178,12 +1176,12 @@ def test_relaxation_lmi_solves_through_the_dual():
     # of F_0 = 0.3, F_1 = -0.2 is -0.2.  The solver maximizes -gain . p over
     # the free moments p, so the bound is gain[0] minus the dual value.
     coeffs = {(0, 0, 0): np.array([[0.3]]), (1, 0, 0): np.array([[-0.2]])}
-    bound = _RelaxationBound(SteeringFunctional(ScenarioShape(2, 1, 1, 1), coeffs))
-    assert bound.problem.block_dims == (bound.form.side,) == (4,)
-    assert np.array_equal(bound.problem.b, -bound.gain[1:])
-    solution = sdp.solve(bound.problem)
+    form, gain, problem = _relaxation_lmi(SteeringFunctional(ScenarioShape(2, 1, 1, 1), coeffs))
+    assert problem.block_dims == (form.side,) == (4,)
+    assert np.array_equal(problem.b, -gain[1:])
+    solution = sdp.solve(problem)
     assert solution.status == sdp.OPTIMAL
-    assert bound.gain[0] - solution.dual_value == pytest.approx(-0.2, abs=1e-7)
+    assert gain[0] - solution.dual_value == pytest.approx(-0.2, abs=1e-7)
 
 
 @settings(max_examples=20, deadline=None)

@@ -37,12 +37,12 @@ from steercert.steering import (
     canonical_instrumental_functional,
     deterministic_strategies,
     evaluate,
+    instrumental_membership,
     lhs_bound,
     lhs_membership,
     moment_words,
     ns_bound,
     qtilde_bound,
-    qtilde_instrumental_bound,
     qtilde_membership,
     qtilde_solution,
 )
@@ -379,6 +379,32 @@ def test_relaxation_problems_keep_their_recorded_digests(case, expected):
     assert _problem_digest(problem) == expected
 
 
+# Digests of (block_dims, a, c, b) of the programs whose builders moved into
+# steering, recorded before the move: the wired relaxation bound of the
+# canonical functional, and the memberships of the wired Pauli example (wired)
+# and of the box-like example (hidden state).
+SET_PROGRAM_DIGESTS = {
+    "wired-bound": "93558a7e9afd1e2c16831e0af5b3dd85ce4227f5bd221bb66c8b0410cd9ae26b",
+    "wired-membership": "babd4b85221826aefc871686c2c7cf59ee177671aff6bbed16c0d59ca4fdf51f",
+    "hidden-state-membership": "9b29779bd1458a66c8397064e897769ae5bac5f5ca31a5b5ca4aab1d65157090",
+}
+
+
+@pytest.mark.parametrize("case", SET_PROGRAM_DIGESTS)
+def test_set_programs_keep_their_recorded_digests(case):
+    problem = {
+        "wired-bound": lambda: build_qtilde_problem(canonical_instrumental_functional()),
+        "wired-membership": lambda: instrumental_membership(
+            assemblages.instrumental_pauli_assemblage()
+        ).problem,
+        "hidden-state-membership": lambda: lhs_membership(pr_box_assemblage()).problem,
+    }[case]()
+    digest = hashlib.sha256(repr(problem.block_dims).encode())
+    for part in (problem.a, problem.c, problem.b):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == SET_PROGRAM_DIGESTS[case]
+
+
 @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3), (2, 3, 3, 2), None])
 def test_moment_form_puts_each_key_class_at_every_position_with_its_key(shape):
     # Whatever the writer does inside, every block with a key must equal the
@@ -512,7 +538,7 @@ def test_every_relaxation_entry_point_names_the_binary_outcome_rule():
     calls = [
         lambda: build_qtilde_problem(random_psd_functional(0, shape)),
         lambda: qtilde_membership(random_quantum_bwi(shape, seed=0)),
-        lambda: qtilde_instrumental_bound(wired),
+        lambda: qtilde_bound(wired),
     ]
     for call in calls:
         with pytest.raises(BinaryOutcomesRequired, match="n_a = 3"):
@@ -570,7 +596,7 @@ def test_memberships_refuse_non_finite_members(membership):
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize(
-    "membership", [lhs_membership, qtilde_membership, assemblages.instrumental_membership]
+    "membership", [lhs_membership, qtilde_membership, instrumental_membership]
 )
 def test_memberships_rule_out_members_that_are_not_hermitian(monkeypatch, membership, sign):
     # The rows pin Hermitian parts only.  A skew of opposite signs on two
@@ -581,7 +607,7 @@ def test_memberships_rule_out_members_that_are_not_hermitian(monkeypatch, member
     # sum y_i A_i 0.38).  The hermitian residual now rules both out, with no
     # certificate.
     skew = np.array([[0.0, 0.05], [-0.05, 0.0]])
-    if membership is assemblages.instrumental_membership:
+    if membership is instrumental_membership:
         parent = random_quantum_bwi(ScenarioShape(2, 3, 2, 2), seed=1)
         asm, keys = assemblages.instrumental_from_bwi(parent), [(0, 0), (1, 0)]
     else:
@@ -643,7 +669,7 @@ def test_relaxation_membership_rejects_untrusted_to_trusted_signalling():
         (lhs_membership, pr_box_assemblage),
         (qtilde_membership, pauli_transpose_assemblage),
         (qtilde_membership, pr_box_assemblage),
-        (assemblages.instrumental_membership, assemblages.instrumental_pauli_assemblage),
+        (instrumental_membership, assemblages.instrumental_pauli_assemblage),
     ],
 )
 def test_unfinished_membership_is_undecided(membership, make):
@@ -688,6 +714,25 @@ def test_hidden_state_membership_rejects_trusted_to_untrusted_signalling():
     b_dot_y, max_eig = sdp.farkas_terms(report.problem, report.certificate_y)
     assert b_dot_y == pytest.approx(1.0, abs=1e-9)
     assert max_eig <= 1e-9
+
+
+def test_hidden_state_membership_withholds_a_certificate_of_rounding():
+    # Anti-Hermitian parts, each within VALIDATION_TOL, add up to push the
+    # omitted summed-state rows over it, while the Hermitian parts meet those
+    # rows to rounding.  The data are rightly ruled out, but the mismatch of
+    # the rows is rounding, and a certificate built from it had b . y = 1.05,
+    # a largest eigenvalue of sum y_i A_i of 1.25 and entries near 3.4e15.
+    asm = random_quantum_bwi(ScenarioShape(3, 2, 2, 2), seed=5)
+    members = dict(asm.members)
+    for a in range(3):
+        members[(a, 1, 0)] = members[(a, 1, 0)] + 0.35e-9 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    skewed = assemblages.BwiAssemblage(asm.shape, members)
+    residuals = validate_ns_bwi(skewed).residuals
+    assert residuals["hermitian"] < assemblages.VALIDATION_TOL < residuals["state_consistency"]
+    report = lhs_membership(skewed)
+    assert report.margin == -np.inf
+    assert report.iterations is None
+    assert report.certificate_y is None
 
 
 def pin_every_member(asm):
@@ -765,13 +810,13 @@ def test_relaxation_membership_witness_reproduces_the_members():
 
 
 def test_wired_relaxation_bound_vanishes_for_the_canonical_functional():
-    value = qtilde_instrumental_bound(canonical_instrumental_functional())
+    value = qtilde_bound(canonical_instrumental_functional())
     assert value == pytest.approx(0.0, abs=2e-6)
 
 
 def test_wired_relaxation_bound_is_below_wired_values():
     functional = canonical_instrumental_functional()
-    bound = qtilde_instrumental_bound(functional)
+    bound = qtilde_bound(functional)
     realized = evaluate(functional, assemblages.instrumental_pauli_assemblage())
     assert bound <= realized + 1e-6
 
