@@ -217,7 +217,7 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
                 "seconds": round(time.perf_counter() - start, 3),
             }
         )
-        raise CliError(EXIT_SOLVER, f"{context}: {exc}") from exc
+        raise CliError(EXIT_SOLVER, str(exc)) from exc
     status = getattr(result, "status", sdp.OPTIMAL)
     entry = {
         "context": context,

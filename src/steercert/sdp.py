@@ -1,4 +1,4 @@
-"""Small dense semidefinite programming solver.
+"""Small semidefinite programming solver over sparse equality rows.
 
 Problems are stated over a product of complex Hermitian blocks:
 
@@ -6,15 +6,16 @@ Problems are stated over a product of complex Hermitian blocks:
     subject to  Re tr(A_i X) = b_i      for each equality row i,
                 X block-wise positive semidefinite.
 
-A problem is its data in svec coordinates (:class:`SdpProblem`): ``c``, a
-dense ``a`` with one row per equality and one column per packed coordinate,
-and ``b``.  There is no other format; every producer writes these arrays and
-every consumer (the solver, the phase-one probe, the audits) is an array
-operation on them.  A side-``n`` block has ``n**2`` coordinates: the
-real symmetric svec of its real part (the diagonal, then ``sqrt(2)`` times
-the strict lower triangle), then ``sqrt(2)`` times the imaginary part of the
-strict lower triangle, so ``svec(A) . svec(B) = Re tr(A B)``.  Real data
-give zero imaginary coordinates and real iterates.
+A problem is its data in svec coordinates (:class:`SdpProblem`): ``c``,
+``a`` as one CSR array with one row per equality and one column per packed
+coordinate, and ``b``.  There is no other format; every producer writes
+these arrays, every consumer (the solver, the phase-one probe, the audits)
+reads the rows as CSR, and nothing densifies them.  A side-``n`` block has
+``n**2`` coordinates: the real symmetric svec of its real part (the
+diagonal, then ``sqrt(2)`` times the strict lower triangle), then ``sqrt(2)``
+times the imaginary part of the strict lower triangle, so ``svec(A) .
+svec(B) = Re tr(A B)``.  Real data give zero imaginary coordinates and real
+iterates.
 
 The solver runs a homogeneous self-dual interior-point method with
 Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
@@ -33,9 +34,9 @@ solve ``numerical_trouble``.
 
 Indexed blocks tied by real rows (:class:`HermitianBlockBuilder`: one row
 per trace equality, one per svec coordinate of a matrix equality) are packed
-a whole coefficient stack at a time, straight into ``a``.  A linear matrix
-inequality solved through the dual is written entry by entry
-(:func:`svec_assign`), with no dense coefficient matrix.
+a whole coefficient stack at a time as ``(row, column, value)`` triplets.  A
+linear matrix inequality solved through the dual is written entry by entry
+(:func:`svec_entries`), with no dense coefficient matrix.
 
 Every membership test, :func:`feasibility_phase1` among them, returns a
 :class:`MembershipReport`, whose ``verdict`` is the program's one rule from a
@@ -55,11 +56,11 @@ formulas.  Every other side calls batched LAPACK and stacked ``@``, and every
 side's Cholesky factors come from LAPACK.  The Schur complement is formed
 from the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k``
 the NT scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima &
-Nakata, *Math. Program.* 79 (1997)).  Each solve reads the nonzeros of its
-rows once; each iteration builds ``W A W`` for every row on the blocks it
+Nakata, *Math. Program.* 79 (1997)).  Each solve reads the CSR entries of
+its rows once; each iteration builds ``W A W`` for every row on the blocks it
 touches, as a sum of one outer product of a column and a row of ``W`` per
 entry, and pairs it with the other rows' entries in one sparse product per
-side group.  No row is scaled densely, and there is no Gram product.  The
+side group.  There is no Gram product in the iteration.  The
 ``W A W`` buffer is filled and paired one piece of ranks at a time, and only
 one piece is alive.  The Schur complement is factored by numpy's LAPACK,
 like the blocks' Cholesky factors, so the iteration's matrix-matrix work runs
@@ -69,13 +70,12 @@ Schur matrix is alive at a time: it is factored as it is (a shifted copy is
 made only for a jitter), dropped once factored, and its factor goes before
 the next iteration's Schur complement is assembled.
 
-Problems are dense and small-scale, and the solver is deterministic:
-re-solving the same problem reproduces the same iterates bit for bit.
+The solver is deterministic: re-solving the same problem reproduces the same
+iterates bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -162,22 +162,18 @@ def svec(mats: Array) -> Array:
     return mats.view(float).reshape(mats.shape[:-2] + (2 * n * n,))[..., lower] * weights
 
 
-def svec_assign(out: Array, index: Array, rows: Array, cols: Array, values: Array) -> None:
-    """Write Hermitian entries ``values`` at ``(rows, cols)``, on or below the
-    diagonal, to their :func:`svec` coordinates in the packed vectors ``out[index]``.
-
-    Each entry writes its real part, times ``sqrt(2)`` off the diagonal, and
-    off the diagonal ``sqrt(2)`` times its imaginary part, as :func:`svec` of
-    a matrix with that lower triangle would.
+def svec_entries(index: Array, rows: Array, cols: Array, values: Array, n: int) -> tuple[Array, ...]:
+    """The places ``(vector, coordinate, value)``, zeros kept, that Hermitian
+    entries ``values`` at ``(rows, cols)``, on or below the diagonal, take in
+    the packed side-``n`` vectors ``index``: each real part, times ``sqrt(2)``
+    off the diagonal, and off the diagonal ``sqrt(2)`` times each imaginary
+    part, as :func:`svec` of a matrix with that lower triangle would.
     """
-    n = math.isqrt(out.shape[-1])
-    diagonal = rows == cols
-    out[index, rows * (rows + 1) // 2 + cols] = values.real * np.where(diagonal, 1.0, np.sqrt(2.0))
-    strict = ~diagonal
-    rows, cols = rows[strict], cols[strict]
-    out[index[strict], n * (n + 1) // 2 + rows * (rows - 1) // 2 + cols] = (
-        values.imag[strict] * np.sqrt(2.0)
-    )
+    strict = rows != cols
+    low, left = rows[strict], cols[strict]
+    coords = [rows * (rows + 1) // 2 + cols, n * (n + 1) // 2 + low * (low - 1) // 2 + left]
+    scaled = [values.real * np.where(strict, np.sqrt(2.0), 1.0), values.imag[strict] * np.sqrt(2.0)]
+    return np.concatenate([index, index[strict]]), np.concatenate(coords), np.concatenate(scaled)
 
 
 def smat(vector: Array) -> Array:
@@ -231,21 +227,27 @@ class SdpProblem:
     ``block_dims``: the program minimizes ``c . x`` subject to ``a x = b``,
     with every block of ``x`` positive semidefinite.  Block ``k``
     of side ``n`` owns ``n**2`` coordinates; with real data, the imaginary
-    ones are zero.
+    ones are zero.  Whatever 2-D rows ``a`` is given, it is stored as a CSR
+    array with sorted indices, duplicates summed and no stored zeros.
     """
 
     block_dims: tuple[int, ...]
     c: Array
-    a: Array
+    a: sparse.csr_array
     b: Array
 
     def __post_init__(self) -> None:
+        # scipy.sparse takes about 20 ms to import: the first problem loads it.
+        from scipy import sparse
         self.block_dims = tuple(int(n) for n in self.block_dims)
         for k, dim in enumerate(self.block_dims):
             if dim < 1:
                 raise ValueError(f"block {k} has non-positive dimension {dim}")
         total = int(_block_offsets(self.block_dims)[-1])
-        self.c, self.a, self.b = (np.asarray(v, dtype=float) for v in (self.c, self.a, self.b))
+        self.c, self.b = (np.asarray(v, dtype=float) for v in (self.c, self.b))
+        self.a = sparse.csr_array(self.a, dtype=float, copy=True)
+        self.a.sum_duplicates()
+        self.a.eliminate_zeros()
         if self.c.shape != (total,) or self.b.ndim != 1 or self.a.shape != (len(self.b), total):
             raise ValueError(
                 f"c, a, b have shapes {self.c.shape}, {self.a.shape}, {self.b.shape}; "
@@ -496,10 +498,7 @@ class _EntryGroup:
         ``row``, ``block`` and ``coord`` place each nonzero ``value``: its
         row, its block within the group, and its svec coordinate there.
         """
-        # scipy.sparse takes about 20 ms to import: the first solve loads it, not
-        # the program's start.
         from scipy import sparse
-
         lower, _, weights, _ = _layout(n)
         left, right = np.divmod(lower[coord] // 2, n)
         # Each nonzero is the real or the imaginary part of A[left, right], on or
@@ -602,10 +601,9 @@ class _Schur:
     m: int
 
     @classmethod
-    def of(cls, a_mat: Array, groups: list[_SideGroup]) -> _Schur:
-        m = len(a_mat)
-        rows, cols = np.nonzero(a_mat)
-        values = a_mat[rows, cols]
+    def of(cls, a_mat: sparse.csr_array, groups: list[_SideGroup]) -> _Schur:
+        m, cols, values = a_mat.shape[0], a_mat.indices, a_mat.data
+        rows = np.repeat(np.arange(m), np.diff(a_mat.indptr))
         # Each column's side group, block within the group, and svec coordinate.
         owner = np.empty((3, a_mat.shape[1]), dtype=int)
         for index, group in enumerate(groups):
@@ -629,7 +627,8 @@ class _Schur:
         This is SDPA's formula for sparse rows (Fujisawa, Kojima & Nakata,
         *Math. Program.* 79 (1997)): no row is scaled densely and there is no
         Gram product.  ``np.bincount`` sums the pairs in a fixed order, so the
-        result repeats bit for bit, and ``(S + S^T) / 2`` is exactly symmetric.
+        result repeats bit for bit, and ``(S + S^T) / 2``, formed in place, is
+        exactly symmetric.
         """
         paired, start = np.empty(len(self.pairs)), 0
         for group, w in zip(self.groups, ws):
@@ -637,9 +636,10 @@ class _Schur:
             size = shape[0] * shape[1]
             group.pair(w, paired[start : start + size].reshape(shape))
             start += size
-        flat = np.bincount(self.pairs, paired, minlength=self.m * self.m)
-        schur = flat.reshape(self.m, self.m)
-        return (schur + schur.T) / 2
+        schur = np.bincount(self.pairs, paired, minlength=self.m * self.m).reshape(self.m, self.m)
+        np.add(schur, schur.T, out=schur)  # numpy copies the overlapping transpose once
+        schur *= 0.5
+        return schur
 
 
 def _lap(seconds: dict[str, float], phase: str, since: float) -> float:
@@ -649,25 +649,25 @@ def _lap(seconds: dict[str, float], phase: str, since: float) -> float:
     return now
 
 
-def _require_independent(a: Array) -> None:
-    """Raise ``ValueError`` unless the rows of ``a`` are provably independent.
+def _require_independent(a: sparse.csr_array) -> None:
+    """Raise ``ValueError`` unless the CSR rows ``a`` are provably independent.
 
     For ``m`` rows of ``n`` columns, with ``rho`` the largest row norm, the
     proof is that Cholesky succeeds on ``a a^T - delta I``, ``delta =
     (PRESOLVE_RANK_TOL rho)^2 + 2 (m + n) eps tr(a a^T)``.  The second term
-    exceeds the rounding error of the Gram product (``gamma_n tr``) plus that
-    of a Cholesky factorization that succeeds (``gamma_(m+1) tr / (1 -
-    gamma_(m+1))``; Rump, *BIT* 46 (2006)), so success proves ``sigma_min(a) >
-    PRESOLVE_RANK_TOL rho``.  That second term is the floor that binds: rows
-    with ``sigma_min(a)**2 <= 2 (m + n) eps tr(a a^T)``, at most ``2 (m + n) m
-    eps rho**2``, are refused even when ``sigma_min(a)`` is far above
-    ``PRESOLVE_RANK_TOL rho``: for the 613 rows and 1,600 columns of a
-    (4,3,2) relaxation bound that floor is up to ``2.5e-5 rho``, and
-    ``1.3e-5 rho`` for the functional ``cli._random_psd_functional`` draws
-    with seed 3.
+    exceeds the rounding error of the sparse Gram product (``gamma_n tr``, as
+    each dot product sums a subset of the dense one's terms) plus that of a
+    Cholesky factorization that succeeds (``gamma_(m+1) tr / (1 -
+    gamma_(m+1))``; Rump, *BIT* 46 (2006)), so success proves ``sigma_min(a)
+    > PRESOLVE_RANK_TOL rho``.  That second term is the floor that binds:
+    rows with ``sigma_min(a)**2 <= 2 (m + n) eps tr(a a^T)``, at most ``2 (m
+    + n) m eps rho**2``, are refused even when ``sigma_min(a)`` is far above
+    ``PRESOLVE_RANK_TOL rho``: up to ``2.5e-5 rho`` for the 613 rows and
+    1,600 columns of a (4,3,2) relaxation bound, and ``1.3e-5 rho`` for the
+    functional ``cli._random_psd_functional`` draws with seed 3.
     """
     m, n = a.shape
-    gram = a @ a.T
+    gram = (a @ a.T).toarray()
     rounding = 2 * (m + n) * np.finfo(float).eps * np.trace(gram)
     delta = PRESOLVE_RANK_TOL**2 * gram.diagonal().max(initial=0.0) + rounding
     gram[np.diag_indices(m)] -= delta
@@ -715,9 +715,12 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
         zero = {"primal": 0.0, "dual": 0.0, "gap": 0.0}
         return SdpSolution(OPTIMAL, 0.0, 0.0, blocks, np.zeros(0), zero, 0, "", phase_seconds)
 
-    # Independent rows have nonzero norms.
-    row_norms = np.linalg.norm(problem.a, axis=1)
-    a_mat = problem.a / row_norms[:, None]
+    # Independent rows have nonzero norms; ``a_t`` spares ``a_mat.T``'s per-call rebuild.
+    row_of_entry = np.repeat(np.arange(m), np.diff(problem.a.indptr))
+    row_norms = np.sqrt(np.bincount(row_of_entry, problem.a.data**2, minlength=m))
+    a_mat = problem.a.copy()
+    a_mat.data /= row_norms[row_of_entry]
+    a_t = a_mat.T.tocsr()
     b = problem.b / row_norms
 
     nu = float(sum(dims))
@@ -742,7 +745,7 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
         y_hat = y / tau
         s_hat = s / tau
         pres = float(np.linalg.norm(a_mat @ x_hat - b)) / b_norm
-        dres = float(np.linalg.norm(a_mat.T @ y_hat + s_hat - c)) / c_norm
+        dres = float(np.linalg.norm(a_t @ y_hat + s_hat - c)) / c_norm
         obj_p = float(c @ x_hat)
         obj_d = float(b @ y_hat)
         gap_rel = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
@@ -755,7 +758,7 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
         # Infeasibility certificates from the homogeneous ray.
         b_dot_y = float(b @ y)
         if b_dot_y > 1e-10:
-            ray_res = float(np.linalg.norm(a_mat.T @ (y / b_dot_y) + s / b_dot_y))
+            ray_res = float(np.linalg.norm(a_t @ (y / b_dot_y) + s / b_dot_y))
             if ray_res <= tol:
                 status, note = INFEASIBLE, "improving dual ray"
                 break
@@ -806,26 +809,26 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
             break
 
         rp = a_mat @ x - b * tau
-        rd = a_mat.T @ y + s - c * tau
+        rd = a_t @ y + s - c * tau
         rg = float(c @ x) - float(b @ y) + kappa
 
         d_c = _apply_d(c)
         d_rd = _apply_d(rd)
         dy1 = sla.cho_solve(chol_fac, b + a_mat @ d_c, check_finite=False)
-        dx1 = _apply_d(a_mat.T @ dy1) - d_c
+        dx1 = _apply_d(a_t @ dy1) - d_c
         denom_1 = float(b @ dy1) - float(c @ dx1)
 
         def _newton(rc: Array, rck: float) -> tuple[Array, Array, Array, float, float] | None:
             rc_d = rc + d_rd
             dy2 = sla.cho_solve(chol_fac, -rp - a_mat @ rc_d, check_finite=False)
-            dx2 = rc_d + _apply_d(a_mat.T @ dy2)
+            dx2 = rc_d + _apply_d(a_t @ dy2)
             denom = kappa + tau * denom_1
             if abs(denom) < 1e-300:
                 return None
             dtau = (rck + tau * (rg + float(c @ dx2) - float(b @ dy2))) / denom
             dy = dy2 + dtau * dy1
             dx = dx2 + dtau * dx1
-            ds = -rd - a_mat.T @ dy + c * dtau
+            ds = -rd - a_t @ dy + c * dtau
             dkappa = -rg - float(c @ dx) + float(b @ dy)
             return dx, dy, ds, dtau, dkappa
 
@@ -997,13 +1000,14 @@ def feasibility_phase1(
     is ignored.  Independent rows always meet the shifted cone, so every
     status but ``optimal`` leaves the margin NaN.
     """
+    from scipy import sparse
     # The solver's blocks are Z = X + t I with t = t+ - t- (the two last,
     # one-by-one blocks), so row i reads <A_i, Z> - t tr(A_i) = b_i.
     trace = problem.a @ _svec_identity(problem.block_dims)
     phase1 = SdpProblem(
         block_dims=problem.block_dims + (1, 1),
         c=np.concatenate([np.zeros_like(problem.c), [1.0, -1.0]]),
-        a=np.column_stack([problem.a, -trace, trace]),
+        a=sparse.hstack([problem.a, sparse.csr_array(np.stack([-trace, trace], axis=1))]),
         b=problem.b,
     )
     solution = solve(phase1, tol=tol, max_iter=max_iter)
@@ -1043,7 +1047,7 @@ def ruled_out_report(
     r, a, b = independent, problem.a, problem.b
     y = None
     if r < len(b):
-        coeffs = np.linalg.solve(a[:r] @ a[:r].T, a[:r] @ a[r:].T)
+        coeffs = np.linalg.solve((a[:r] @ a[:r].T).toarray(), (a[:r] @ a[r:].T).toarray())
         mismatch = b[r:] - coeffs.T @ b[:r]
         if mismatch.any():
             y = np.concatenate([-coeffs @ mismatch, mismatch]) / (mismatch @ mismatch)
@@ -1064,8 +1068,8 @@ class HermitianBlockBuilder:
     in svec coordinates, as in SDPA's data format (Fujisawa, Kojima & Nakata,
     *Math. Program.* 79 (1997)): ``add_equality`` adds one, and
     ``add_matrix_equality`` one per coordinate of its side.  ``build`` packs
-    each side's trace coefficients in one batched :func:`svec` and scatters
-    every entry into ``a`` at once.
+    each side's trace coefficients in one batched :func:`svec` and builds the
+    CSR rows ``a`` from every entry's ``(row, column, value)`` at once.
     """
 
     def __init__(self) -> None:
@@ -1132,6 +1136,7 @@ class HermitianBlockBuilder:
         A trace term ``Re tr(E H)`` takes ``svec`` of the Hermitian part of
         ``E``; the objective is one more such row.
         """
+        from scipy import sparse
         count = len(self._rhs)
         terms = self._terms + [(count, block, coeff) for block, coeff in self._objective]
         offsets = np.array(self._offsets)
@@ -1147,6 +1152,7 @@ class HermitianBlockBuilder:
                 )
             )
         rows, columns, values = (np.concatenate(column) for column in zip(*parts))
-        table = np.zeros((count + 1, offsets[-1]))
-        np.add.at(table, (rows, columns), values)
-        return SdpProblem(tuple(self._dims), c=table[-1], a=table[:-1], b=self._rhs)
+        total, objective, kept = int(offsets[-1]), rows == count, rows < count
+        c = np.bincount(columns[objective], values[objective], minlength=total)
+        a = sparse.coo_array((values[kept], (rows[kept], columns[kept])), shape=(count, total))
+        return SdpProblem(tuple(self._dims), c=c, a=a, b=self._rhs)

@@ -652,7 +652,7 @@ class _MomentForm:
     No ``F_k`` is stored whole: each key class's constant and ``(moment,
     coefficient)`` terms are written to the :func:`~steercert.sdp.svec`
     coordinates of the lower triangle at every block position that carries
-    its key.  ``c`` is ``svec(F0)`` and row ``k`` of ``a`` is
+    its key.  ``c`` is ``svec(F0)`` and row ``k`` of the CSR array ``a`` is
     ``-svec(F_{k+1})``, each entry the Hermitian part's, so that ``max b . p``
     subject to ``Gamma(p) >= 0`` is the solver's dual problem ``(c, a, b)``,
     whose slack ``c - a^T p`` is ``Gamma``.  A pinned form's ``a`` ends with
@@ -662,6 +662,7 @@ class _MomentForm:
     """
 
     def __init__(self, shape: ScenarioShape, pinned: dict[Word, Array] | None = None) -> None:
+        from scipy import sparse
         self.shape, self.words = shape, moment_words(shape)
         self.index = {word: i for i, word in enumerate(self.words)}
         d, shift, pinned = shape.d, pinned is not None, pinned or {}
@@ -731,13 +732,17 @@ class _MomentForm:
         entries = 0.5 * (block + np.where(mirror_flip[:, None, None], straight, adjoint))
         row_at, col_at = d * i[:, None, None] + r[:, None], d * j[:, None, None] + r
         lower = np.broadcast_to(row_at >= col_at, entries.shape)
-        places = (np.broadcast_to(v, entries.shape)[lower] for v in (rows[:, None, None], row_at, col_at))
-        table = np.zeros((1 + n_moments + shift, side * side))
-        sdp.svec_assign(table, *places, entries[lower])
-        if shift:
-            table[-1] = sdp.svec(-np.eye(side))
-        np.negative(table[1:], out=table[1:])
-        self.c, self.a = table[0], table[1:]
+        places = [np.broadcast_to(v, entries.shape)[lower] for v in (rows[:, None, None], row_at, col_at)]
+        # A pinned form's shift t stands at -I, in the row after the moments'.
+        diagonal = np.arange(side * shift)
+        places = map(np.append, places, (np.full(len(diagonal), 1 + n_moments), diagonal, diagonal))
+        values = np.append(entries[lower], -np.ones(len(diagonal)))
+        index, coord, value = sdp.svec_entries(*places, values, side)
+        first, rest = index == 0, (index > 0) & (value != 0)
+        self.c = np.zeros(side * side)
+        self.c[coord[first]] = value[first]
+        size = (n_moments + shift, side * side)
+        self.a = sparse.csr_array((-value[rest], (index[rest] - 1, coord[rest])), shape=size)
 
     def moment(self, p: Array) -> MomentMatrix:
         """``Gamma(p)``, the slack ``c - a^T p`` over the first ``len(p)`` rows."""
@@ -833,7 +838,7 @@ def _membership_lmi(asm: BwiAssemblage) -> tuple[_MomentForm, sdp.SdpProblem]:
 
     pinned = {_moment_key(EMPTY, w): pin(w) for w in moment_words(shape)[1:]}
     form = _MomentForm(shape, pinned)
-    objective = np.zeros(len(form.a))
+    objective = np.zeros(form.a.shape[0])
     objective[-1] = 1.0
     return form, sdp.SdpProblem((form.side,), form.c, form.a, objective)
 

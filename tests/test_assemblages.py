@@ -327,7 +327,7 @@ def test_wired_membership_rows_are_independent(n_a, m_a, d):
     wired = instrumental_from_bwi(random_quantum_bwi(ScenarioShape(n_a, m_a, n_a, d), seed=m_a))
     report = instrumental_membership(wired)
     assert report.feasible
-    assert report.problem.num_rows == np.linalg.matrix_rank(report.problem.a)
+    assert report.problem.num_rows == np.linalg.matrix_rank(report.problem.a.toarray())
 
 
 @pytest.mark.parametrize(
@@ -366,7 +366,7 @@ def test_one_outcome_wired_members_extend_exactly_when_they_agree(m_a, d):
         InstrumentalAssemblage(shape, {(0, x): states[0] for x in range(m_a)})
     )
     assert equal.feasible
-    assert equal.problem.num_rows == np.linalg.matrix_rank(equal.problem.a)
+    assert equal.problem.num_rows == np.linalg.matrix_rank(equal.problem.a.toarray())
     if m_a == 1 or d == 1:
         return  # nothing to differ: every normalized 1 x 1 member is 1
     differ = instrumental_membership(

@@ -250,6 +250,23 @@ class TestBounds:
         assert max(doc["residuals"].values()) < 1e-6
         assert [entry["context"] for entry in doc["solver"]] == ["wired relaxation bound"]
 
+    @pytest.mark.parametrize(
+        "which, context",
+        [
+            ("qtilde", "relaxation bound"),
+            ("qtilde-instrumental", "wired relaxation bound"),
+            ("ns", "no-signalling bound"),
+        ],
+    )
+    def test_failed_bound_names_its_context_once(self, capsys, monkeypatch, which, context):
+        # Two iterations reach no tolerance, so every bound's solve fails.
+        solve = sdp.solve
+        monkeypatch.setattr(sdp, "solve", lambda problem, **kwargs: solve(problem, **kwargs, max_iter=2))
+        code, _, err = run(capsys, "bounds", "builtin:canonical", "--which", which)
+        assert code == cli.EXIT_SOLVER
+        assert err.startswith(f"error: {context} ended with status ")
+        assert err.count(context) == 1
+
     def test_functional_file(self, capsys, tmp_path):
         from steercert.steering import canonical_functional
 

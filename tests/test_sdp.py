@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,7 +100,7 @@ def test_hermitian_svec_roundtrip_and_inner_product(seed, dim):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
-def test_svec_assign_writes_what_svec_packs(dim):
+def test_svec_entries_place_what_svec_packs(dim):
     # Entries on or below the diagonal, in scrambled order, land where svec
     # packs them, bit for bit, and each in its own row of the table.
     rng = np.random.default_rng(dim)
@@ -110,7 +111,8 @@ def test_svec_assign_writes_what_svec_packs(dim):
     rows, cols = np.tile(rows, 2)[order], np.tile(cols, 2)[order]
     table = np.zeros((2, dim * dim))
     values = np.array([mats[k][r, c] for k, r, c in zip(index, rows, cols)])
-    sdp.svec_assign(table, index, rows, cols, values)
+    at, coords, packed_values = sdp.svec_entries(index, rows, cols, values, dim)
+    table[at, coords] = packed_values
     assert np.array_equal(table, sdp.svec(np.array(mats)))
 
 
@@ -422,7 +424,7 @@ def test_rows_with_dominant_private_columns_skip_the_qr(seed, rows, shared):
     a, _ = private_column_rows(seed, rows, shared)
     assert np.array_equal(reference_keep(a), np.arange(rows))
     assert np.linalg.matrix_rank(a) == rows
-    sdp._require_independent(a)
+    sdp._require_independent(sparse.csr_array(a))
     assert sdp.solve(lp_over_rows(a, np.random.default_rng(seed))).status == sdp.OPTIMAL
 
     # A private entry below the rank threshold: the shared columns still make
@@ -433,7 +435,7 @@ def test_rows_with_dominant_private_columns_skip_the_qr(seed, rows, shared):
         owner = np.flatnonzero(a[:, column])[0]
         tiny[owner, column] = 1e-3 * sdp.PRESOLVE_RANK_TOL * np.linalg.norm(a, axis=1).max()
         assert np.array_equal(reference_keep(tiny), np.arange(rows))
-        sdp._require_independent(tiny)
+        sdp._require_independent(sparse.csr_array(tiny))
 
 
 @settings(max_examples=40, deadline=None)
@@ -786,7 +788,7 @@ def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries)
             factor = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             roots.append(factor @ factor.conj().T + np.eye(n))
         groups = sdp._side_groups(sides)
-        schur = sdp._Schur.of(a_mat, groups)
+        schur = sdp._Schur.of(sparse.csr_array(a_mat), groups)
         structure = [
             (
                 group.width,
@@ -982,7 +984,20 @@ def test_presolve_reports_the_rank_of_the_rows_it_keeps(monkeypatch):
     instrumental_membership(instrumental_pauli_assemblage())
     (problem, result), = results
     assert result.feasible
-    assert problem.num_rows == np.linalg.matrix_rank(problem.a) == 42
+    assert problem.num_rows == np.linalg.matrix_rank(problem.a.toarray()) == 42
+
+
+def test_problem_stores_any_rows_as_the_equal_canonical_csr():
+    # Dense rows, with a -0.0, and sparse rows with a duplicate and a stored
+    # zero: both are stored as one sorted CSR array of their nonzeros.
+    dense = np.array([[1.0, 0.0, -0.0, 2.0], [0.0, 3.0, 0.0, 0.0]])
+    coo = sparse.coo_array(([2.0, 1.0, 3.0, 0.0, -1.0, 1.0], ([0, 0, 1, 1, 0, 0], [3, 0, 1, 2, 3, 3])), (2, 4))
+    for rows in (dense, coo):
+        problem = SdpProblem((2,), c=np.zeros(4), a=rows, b=[1.0, 2.0])
+        assert isinstance(problem.a, sparse.csr_array)
+        assert problem.a.has_canonical_format and problem.a.nnz == 3
+        assert np.all(problem.a.data != 0)
+        assert np.array_equal(problem.a.toarray(), dense)
 
 
 def test_problem_rejects_bad_dims():
@@ -1154,7 +1169,7 @@ def test_builder_rows_depend_only_on_the_coefficients():
         problems.append(builder.build())
     for problem in problems:
         assert problem.num_rows == 4
-        assert np.array_equal(problem.a, problems[0].a)
+        assert np.array_equal(problem.a.toarray(), problems[0].a.toarray())
         assert np.array_equal(problem.b, problems[0].b)
 
 
@@ -1206,7 +1221,7 @@ def test_cross_check_against_cvxpy_when_available():
     solution = sdp.solve(problem)
     x = cp.Variable((4, 4), symmetric=True)
     constraints = [x >> 0]
-    for row, rhs in zip(problem.a, problem.b):
+    for row, rhs in zip(problem.a.toarray(), problem.b):
         constraints.append(cp.sum(cp.multiply(sdp.smat(row), x)) == rhs)
     objective = cp.Minimize(cp.sum(cp.multiply(sdp.smat(problem.c), x)))
     reference = cp.Problem(objective, constraints)

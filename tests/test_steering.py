@@ -29,7 +29,6 @@ from steercert.steering import (
     InstrumentalFunctional,
     LhsModel,
     MomentMatrix,
-    SolverFailure,
     SteeringFunctional,
     TooManyStrategies,
     build_qtilde_problem,
@@ -333,9 +332,14 @@ def test_relaxation_problem_has_the_embedded_moment_block():
     assert problem.block_dims == (24,)
 
 
+def _dense_rows(problem):
+    """The rows as a dense table, with +0.0 wherever ``a`` stores no entry."""
+    return problem.a.toarray() + 0.0
+
+
 def _problem_digest(problem):
     digest = hashlib.sha256(repr(problem.block_dims).encode())
-    digest.update(problem.a.tobytes())
+    digest.update(_dense_rows(problem).tobytes())
     digest.update(problem.c.tobytes())
     return digest.hexdigest()
 
@@ -347,16 +351,19 @@ def _problem_digest(problem):
 # memberships at d = 3, of random_quantum_bwi(shape, seed=5) with (2,5,3,3)
 # the side-72 case, were recorded from dense coefficient matrices, as a
 # reference for the entry-by-entry writer; their rows depend on the shape
-# alone, their costs on the members.
+# alone, their costs on the members.  The rows are hashed as a dense table
+# with +0.0 at every entry CSR does not store.  The strings were recorded by
+# the same rule from the last dense rows, whose negated table held -0.0
+# there, so they still pin every nonzero of those rows bit for bit.
 RELAXATION_DIGESTS = [
-    ("canonical", "916a1909f25a0e22609d70e6d40c837d1c02c985ac100245871a193cb48e9025"),
-    ((3, 2, 2), "916a1909f25a0e22609d70e6d40c837d1c02c985ac100245871a193cb48e9025"),
-    ((3, 3, 2), "f734c8d72ca61c8983e3920315e04a1170f6f61e42260365eceb1e13902be2ef"),
-    ((3, 2, 3), "1444d5f50231ca54f70a45f7b7f598d26aaf80954672aecc92ab743610e84d61"),
-    ((4, 3, 2), "937b0d006238397952eac3604e51746a639095b3574c9b63ac59c66971233e80"),
-    ("pauli-transpose", "6f31a03ccaed2311618c5d9071c205351ece814fa254a2268d733867c423e385"),
-    ("member-2223", "e98d2d1e88b79a8f7c4d16f62c405d5b9daf2ee7c29298a88fa8f8f467daed07"),
-    ("member-2533", "ef7ad37b6ce0b06561f880ae40b4ec0888df93e91daa21df6848e6c0f1d8c7d9"),
+    ("canonical", "22adcb944fb4da7b3971cf15f1acac4482d8a36cbb81ad7244d4a712cc93e6f7"),
+    ((3, 2, 2), "22adcb944fb4da7b3971cf15f1acac4482d8a36cbb81ad7244d4a712cc93e6f7"),
+    ((3, 3, 2), "b5dd705bdaaf1fc0c0781130adc29b9b16d17ffcf4bcda481aa639b46e790b42"),
+    ((3, 2, 3), "09614951066808efdf40d7ae3074be07977314af927c8197addd5a669a43ee87"),
+    ((4, 3, 2), "4683fc2049cf1274e21aa1087e51e510b52517711872b8fb2bc6424449eabc5d"),
+    ("pauli-transpose", "cf3584acad25a0d4415d620616b1059ad57ae54f11e3141524defa3aceaf73d3"),
+    ("member-2223", "00b027521745af194910172eff0293c23754e5bf7d6135c2720bfd141cf8e248"),
+    ("member-2533", "20955591bebc6b60316453c96c8c3310489d18ea6c606625ef0a84eabacf9ff0"),
 ]
 
 
@@ -382,9 +389,11 @@ def test_relaxation_problems_keep_their_recorded_digests(case, expected):
 # Digests of (block_dims, a, c, b) of the programs whose builders moved into
 # steering, recorded before the move: the wired relaxation bound of the
 # canonical functional, and the memberships of the wired Pauli example (wired)
-# and of the box-like example (hidden state).
+# and of the box-like example (hidden state).  The rows are hashed as
+# ``_dense_rows`` gives them; only the wired bound's string moved with that,
+# since the builder's rows never held -0.0.
 SET_PROGRAM_DIGESTS = {
-    "wired-bound": "93558a7e9afd1e2c16831e0af5b3dd85ce4227f5bd221bb66c8b0410cd9ae26b",
+    "wired-bound": "f3cab2b00b6fbc1b304d7f74b65cbba9b9fd18f04fc0664f6f351144c0cb1122",
     "wired-membership": "babd4b85221826aefc871686c2c7cf59ee177671aff6bbed16c0d59ca4fdf51f",
     "hidden-state-membership": "9b29779bd1458a66c8397064e897769ae5bac5f5ca31a5b5ca4aab1d65157090",
 }
@@ -400,9 +409,43 @@ def test_set_programs_keep_their_recorded_digests(case):
         "hidden-state-membership": lambda: lhs_membership(pr_box_assemblage()).problem,
     }[case]()
     digest = hashlib.sha256(repr(problem.block_dims).encode())
-    for part in (problem.a, problem.c, problem.b):
+    for part in (_dense_rows(problem), problem.c, problem.b):
         digest.update(part.tobytes())
     assert digest.hexdigest() == SET_PROGRAM_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["relaxation-bound", "pinned-membership", "hidden-state-membership", "ns-bound",
+     "wired-membership", "phase-one"],
+)
+def test_every_program_stores_its_rows_as_canonical_csr(monkeypatch, case):
+    # Sorted indices, no stored zeros, and one stored entry per nonzero.
+    solved = []
+    solve = sdp.solve
+
+    def recording_solve(problem, **kwargs):
+        solved.append(problem)
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    built = {
+        "relaxation-bound": lambda: build_qtilde_problem(canonical_functional()),
+        "pinned-membership": lambda: steering._membership_lmi(pauli_transpose_assemblage())[1],
+        "hidden-state-membership": lambda: lhs_membership(pr_box_assemblage()).problem,
+        "ns-bound": lambda: ns_bound(canonical_functional()),
+        "wired-membership": lambda: instrumental_membership(
+            assemblages.instrumental_pauli_assemblage()
+        ).problem,
+        "phase-one": lambda: lhs_membership(pr_box_assemblage()),
+    }[case]()
+    problem = solved[0] if case in ("ns-bound", "phase-one") else built
+    if case == "phase-one":
+        assert problem.block_dims[-2:] == (1, 1)
+    a = problem.a
+    assert a.format == "csr" and a.has_sorted_indices
+    assert np.all(a.data != 0)
+    assert a.nnz == np.count_nonzero(a.toarray())
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 3), (2, 3, 3, 2), None])
@@ -424,7 +467,11 @@ def test_moment_form_puts_each_key_class_at_every_position_with_its_key(shape):
 
 def test_relaxation_bound_holds_no_dense_coefficient_stack():
     # The (4,3,2) bound's 613 moments over a side-40 block would take 15.7 MB
-    # as dense complex matrices, and their Hermitian parts twice that again.
+    # as dense complex matrices, and their Hermitian parts twice that again;
+    # its 613 x 1,600 rows would take 7.8 MB dense, and the row-scaled copy as
+    # much.  With CSR rows the traced peak is 14.6-14.8 MB, and 16.2 MB in a
+    # fresh process, where scipy.sparse's import is traced too (both dense
+    # stores read 30.4 MB); the bound leaves 17% over the fresh reading.
     functional = cli._random_psd_functional(ScenarioShape(2, 4, 3, 2), 0)
     tracemalloc.start()
     try:
@@ -432,7 +479,7 @@ def test_relaxation_bound_holds_no_dense_coefficient_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 36e6
+    assert peak < 19e6
 
 
 # Relaxation bounds solved with one more LMI block per outcome-1 member, which
@@ -467,23 +514,13 @@ def test_relaxation_bound_reproduces_the_reference_value():
 
 # Seeded presentations of the benchmark ladder's (3,3,2) and (4,3,2)
 # functionals whose solves once ended numerical_trouble: an accepted step
-# left an iterate that could not be factored.  Seed 13 still jams, its step
-# bound collapsing while the dual residual sits just above tolerance (ROADMAP
-# item 2).
+# left an iterate that could not be factored.  Seed 13 jammed on dense rows,
+# its step bound collapsing while the dual residual sat just above tolerance;
+# the CSR rows' summation order re-rolled it, and it solves in 15 iterations.
+# The endgame still has no guard (ROADMAP item 2).
 @pytest.mark.parametrize(
     "name",
-    [
-        "qtilde432_seed1",
-        pytest.param(
-            "qtilde332_seed13",
-            marks=pytest.mark.xfail(
-                raises=SolverFailure, strict=True, reason="jammed endgame, ROADMAP item 2"
-            ),
-        ),
-        "qtilde332_seed25",
-        "qtilde332_seed53",
-        "qtilde332_seed75",
-    ],
+    ["qtilde432_seed1", "qtilde332_seed13", "qtilde332_seed25", "qtilde332_seed53", "qtilde332_seed75"],
 )
 def test_jammed_ladder_presentations_reach_the_reference_value(name):
     with open(os.path.join(ROOT, "tests", "data", name + ".json")) as handle:
@@ -755,7 +792,7 @@ def pin_every_member(asm):
         terms = [(omega[(k, y)], 1.0) for k, s in enumerate(strategies) if s[x] == a]
         builder.add_matrix_equality(terms, asm.member(a, x, y))
     problem = builder.build()
-    r_fac, piv = scipy.linalg.qr(problem.a.T, mode="r", pivoting=True)
+    r_fac, piv = scipy.linalg.qr(problem.a.toarray().T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r_fac[: problem.num_rows]))
     keep = np.sort(piv[: int(np.sum(diag > sdp.PRESOLVE_RANK_TOL * diag[0]))])
     return sdp.feasibility_phase1(
@@ -778,7 +815,7 @@ def test_hidden_state_membership_pins_only_independent_rows(monkeypatch, n_a, m_
     if n_a == 2:
         assert qtilde_membership(asm).feasible
     monkeypatch.undo()
-    assert np.linalg.matrix_rank(report.problem.a) == report.problem.num_rows
+    assert np.linalg.matrix_rank(report.problem.a.toarray()) == report.problem.num_rows
     assert report.problem.num_rows == reference.problem.num_rows
     assert report.verdict == reference.verdict
     assert report.margin == pytest.approx(reference.margin, abs=1e-7)
@@ -836,7 +873,7 @@ def test_no_signalling_bound_rows_are_independent(monkeypatch, n_a, m_a, m_b, d)
     monkeypatch.setattr(sdp, "solve", recording_solve)
     ns_bound(random_psd_functional(n_a * 100 + m_a * 10 + m_b, shape))
     (problem,) = problems
-    assert problem.num_rows == np.linalg.matrix_rank(problem.a)
+    assert problem.num_rows == np.linalg.matrix_rank(problem.a.toarray())
 
 
 @pytest.mark.parametrize(
