@@ -82,7 +82,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg as sla
 
 from steercert.matcore import hermitian_part
 
@@ -237,7 +236,7 @@ class SdpProblem:
     b: Array
 
     def __post_init__(self) -> None:
-        # scipy.sparse takes about 20 ms to import: the first problem loads it.
+        # scipy.sparse takes 0.13-0.15 s to import after numpy: the first problem loads it.
         from scipy import sparse
         self.block_dims = tuple(int(n) for n in self.block_dims)
         for k, dim in enumerate(self.block_dims):
@@ -692,6 +691,7 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
     exit reports the last iterate checked; one that still misses ``tol``
     after ``max_iter`` steps ends ``max_iterations``.
     """
+    import scipy.linalg as sla  # the first solve loads it, outside every phase's clock
     dims = list(problem.block_dims)
     c = problem.c
     groups = _side_groups(dims)

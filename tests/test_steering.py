@@ -470,8 +470,10 @@ def test_relaxation_bound_holds_no_dense_coefficient_stack():
     # as dense complex matrices, and their Hermitian parts twice that again;
     # its 613 x 1,600 rows would take 7.8 MB dense, and the row-scaled copy as
     # much.  With CSR rows the traced peak is 14.6-14.8 MB, and 16.2 MB in a
-    # fresh process, where scipy.sparse's import is traced too (both dense
-    # stores read 30.4 MB); the bound leaves 17% over the fresh reading.
+    # fresh process that has imported scipy.linalg but not scipy.sparse (both
+    # dense stores read 30.4 MB); the bound leaves 17% over that reading.  A
+    # fresh process that has imported no scipy traces its 16.8 MB import at
+    # this first solve and reads 30.3 MB; this module imports scipy.linalg.
     functional = cli._random_psd_functional(ScenarioShape(2, 4, 3, 2), 0)
     tracemalloc.start()
     try:
