@@ -57,15 +57,18 @@ side's Cholesky factors come from LAPACK.  The Schur complement is formed
 from the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k``
 the NT scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima &
 Nakata, *Math. Program.* 79 (1997)).  Each solve reads the CSR entries of
-its rows once; each iteration builds ``W A W`` for every row on the blocks it
+its rows once and splits each side group into touch classes, the blocks
+touched by the same number of rows, so no block is padded to another's rank
+count.  Each iteration builds ``W A W`` for every row on the blocks it
 touches, as a sum of one outer product of a column and a row of ``W`` per
-entry, and pairs it with the other rows' entries in one sparse product per
-side group.  There is no Gram product in the iteration.  The
-``W A W`` buffer is filled and paired one piece of ranks at a time, and only
-one piece is alive.  The Schur complement is factored by numpy's LAPACK,
-like the blocks' Cholesky factors, so the iteration's matrix-matrix work runs
-in one BLAS thread pool (numpy and scipy may each load their own); only the
-one-vector triangular solves against that factor go through scipy.  One
+entry (broadcast up to side 2, as in :func:`_mul`), and pairs it with the
+other rows' entries in one sparse product per touch class.  There is no Gram
+product in the iteration.  The ``W A W`` buffer is filled and paired one
+piece of ranks at a time, and only one piece is alive.  The Schur complement
+is factored by numpy's LAPACK, like the blocks' Cholesky factors, so the
+iteration's matrix-matrix work runs in one BLAS thread pool (numpy and scipy
+may each load their own); only the one-vector triangular solves against
+that factor call scipy's LAPACK ``potrs``, fetched once per solve.  One
 Schur matrix is alive at a time: it is factored as it is (a shifted copy is
 made only for a jitter), dropped once factored, and its factor goes before
 the next iteration's Schur complement is assembled.
@@ -200,15 +203,15 @@ def _t(mats: Array) -> Array:
     return mats.conj().swapaxes(-1, -2)
 
 
-def _mul(a: Array, b: Array) -> Array:
-    """``a @ b`` over stacks.  Up to side 2 it sums broadcast outer products
-    of ``a``'s columns and ``b``'s rows: numpy's ``@`` calls BLAS once per
-    matrix, which costs more than the arithmetic of so small a block."""
-    n = a.shape[-1]
-    if n > 2:
-        return a @ b
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    for k in range(1, n):
+def _mul(a: Array, b: Array, out: Array | None = None) -> Array:
+    """``a @ b`` over stacks, into ``out`` if given.  Up to two rows of ``a``
+    it sums broadcast outer products of ``a``'s columns and ``b``'s rows:
+    numpy's ``@`` calls BLAS once per matrix, which costs more than the
+    arithmetic of so small a product."""
+    if a.shape[-2] > 2:
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a[..., :, 0, None], b[..., None, 0, :], out=out)
+    for k in range(1, a.shape[-1]):
         out += a[..., :, k, None] * b[..., None, k, :]
     return out
 
@@ -285,7 +288,10 @@ class SdpSolution:
 
 def equality_residuals(problem: SdpProblem, block_values: Sequence[Array]) -> Array:
     """Signed residual ``a x - b`` of every equality row at the given Hermitian block values."""
-    return problem.a @ np.concatenate([svec(value) for value in block_values]) - problem.b
+    packed = np.empty(problem.a.shape[1])
+    for group in _side_groups(problem.block_dims):
+        packed[group.gather] = svec(np.stack([block_values[k] for k in group.blocks]))
+    return problem.a @ packed - problem.b
 
 
 def farkas_terms(problem: SdpProblem, y: Array) -> tuple[float, float]:
@@ -461,21 +467,22 @@ def _scalar_step(value: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class _EntryGroup:
-    """The rows of one side group entry by entry, as the Schur complement reads them.
+    """The rows of one touch class entry by entry, as the Schur complement reads them.
 
+    A touch class holds the ``blocks`` of side group ``side_group`` (their
+    places in its ``(K, n, n)`` stack) that exactly ``width`` rows touch.
     Row ``i`` touches block ``k`` where it has a nonzero coordinate there,
     and its block is ``A = L + L^H``, with ``L`` the lower triangle and half
     the diagonal.  The rows touching block ``k`` take ranks ``0, 1, ...`` by
-    decreasing entry count; ``width`` is the most rows touching one block.
-    Each iteration writes ``W_k L W_k`` for the row at rank ``r`` of block
-    ``k`` to ``[:, :, k, r]`` of an ``(n, n, K, width)`` buffer, a piece of
-    ranks at a time, so that each block's partner rows come last; ranks a
-    block has no row at stay zero.
+    decreasing entry count.  Each iteration writes ``W_k L W_k`` for the row
+    at rank ``r`` of the class's ``k``-th block to ``[:, :, k, r]`` of an
+    ``(n, n, K, width)`` buffer, a piece of ranks at a time, so that each
+    block's partner rows come last; every block has a row at every rank.
 
     ``ranges`` splits the ranks into runs ``(lo, hi, columns, rows, coef)``
     whose rows have at most ``E`` entries.  ``coef`` holds each row's
     entries ``L[p, q]`` (zero past its last), and ``columns`` and ``rows``
-    index ``W[:, p]`` and ``W[q, :]`` in the flattened ``(K, n, n)`` stack:
+    index ``W[:, p]`` and ``W[q, :]`` in the flattened side-group stack:
     shaped ``(n, K, G)`` when ``E`` is one, and ``(K, G, n, E)`` and ``(K, G,
     E, n)`` otherwise.  ``pairing`` has one row per (row, block) touch and
     one column per buffer entry of ``(n, n, K)``: ``2 A[a, b]`` at ``(b, a,
@@ -483,21 +490,25 @@ class _EntryGroup:
     is ``2 Re tr(A_jk W_k L_ik W_k) = <A_jk, W_k A_ik W_k>`` for every rank.
     """
 
+    side_group: int
+    blocks: Array
     width: int
     ranges: list[tuple[int, int, Array, Array, Array]]
     pairing: sparse.csr_matrix
 
     @classmethod
     def of(
-        cls, row: Array, block: Array, coord: Array, value: Array, n: int, count: int, m: int
+        cls, side_group: int, blocks: Array, row: Array, block: Array, coord: Array,
+        value: Array, n: int, m: int,
     ) -> tuple[_EntryGroup, Array]:
-        """The group of ``count`` side-``n`` blocks from its nonzeros in ``a``, and the
+        """The class of side-``n`` ``blocks`` from its nonzeros in ``a``, and the
         flat ``m x m`` index of each entry of its pairing product.
 
         ``row``, ``block`` and ``coord`` place each nonzero ``value``: its
-        row, its block within the group, and its svec coordinate there.
+        row, its block's place in ``blocks``, and its svec coordinate there.
         """
         from scipy import sparse
+        count = len(blocks)
         lower, _, weights, _ = _layout(n)
         left, right = np.divmod(lower[coord] // 2, n)
         # Each nonzero is the real or the imaginary part of A[left, right], on or
@@ -519,7 +530,7 @@ class _EntryGroup:
         most = np.zeros(width, dtype=int)
         np.maximum.at(most, rank, sizes)
         half = np.where(left == right, 0.5, 1.0) * entry
-        stack, side = np.arange(count)[:, None, None] * n * n, np.arange(n)
+        stack, side = blocks[:, None, None] * n * n, np.arange(n)
         ranges = []
         starts = np.flatnonzero(np.diff(most, prepend=-1)).tolist()
         entry_rank = rank[touch]
@@ -547,21 +558,23 @@ class _EntryGroup:
             ),
             shape=(len(touches), n * n * count),
         )
-        # The buffer is zero at ranks no row holds, so those may pair with any row.
         partner = np.zeros((count, width), dtype=int)
         partner[touch_block, rank] = touch_row
-        return cls(width, ranges, pairing), (touch_row[:, None] * m + partner[touch_block]).ravel()
+        pairs = (touch_row[:, None] * m + partner[touch_block]).ravel()
+        return cls(side_group, blocks, width, ranges, pairing), pairs
 
     def pair(self, w: Array, out: Array) -> None:
-        """Per touch and rank, ``<A_jk, W_k A_ik W_k>`` into ``out``, for the stack ``w``.
+        """Per touch and rank, ``<A_jk, W_k A_ik W_k>`` into ``out``, for the
+        side group's stack ``w``.
 
         The buffer holds about ``_SLICE_ENTRIES`` entries, as many ranks as
         fit and at least one; each piece of ranks is filled and paired in
         turn.  A run is one stacked product ``sum_e coef_e W[:, p_e] W[q_e,
-        :]`` (an outer product when its rows have one entry), written
+        :]`` (an outer product when its rows have one entry, and a sum of
+        broadcast ones at side 2, as :func:`_mul` forms them), written
         straight into the buffer; one sparse product pairs it with the rows.
         """
-        count, n = w.shape[:2]
+        count, n = len(self.blocks), w.shape[-1]
         step = max(1, _SLICE_ENTRIES // (n * n * count))
         flat = w.ravel()
         for start in range(0, self.width, step):
@@ -579,7 +592,7 @@ class _EntryGroup:
                     )
                 else:
                     picked = flat[columns[:, ranks]] * coef[:, ranks]
-                    np.matmul(
+                    _mul(
                         picked, flat[rows[:, ranks]], out=congruence.transpose(2, 3, 0, 1)[:, into]
                     )
             out[:, start:stop] = (self.pairing @ congruence.reshape(n * n * count, -1)).real
@@ -589,9 +602,11 @@ class _EntryGroup:
 
 @dataclass(frozen=True)
 class _Schur:
-    """The equality rows entry by entry, one :class:`_EntryGroup` per side group.
+    """The equality rows entry by entry, one :class:`_EntryGroup` per touch class.
 
-    ``pairs`` places every entry of every group's pairing product in the
+    Each side group's touched blocks split into classes by how many rows
+    touch them, so no block is padded to another block's rank count.
+    ``pairs`` places every entry of every class's pairing product in the
     flattened ``m x m`` matrix.
     """
 
@@ -612,16 +627,24 @@ class _Schur:
         entries, pairs = [], []
         for index, group in enumerate(groups):
             mine = owner[0, cols] == index
-            entry_group, group_pairs = _EntryGroup.of(
-                rows[mine], owner[1, cols[mine]], owner[2, cols[mine]], values[mine],
-                group.side, len(group.blocks), m,
-            )
-            entries.append(entry_group)
-            pairs.append(group_pairs)
+            row, block = rows[mine], owner[1, cols[mine]]
+            coord, value = owner[2, cols[mine]], values[mine]
+            # The rows touching each block; a class is the blocks of one count,
+            # numbered within it, and the nonzeros they hold.
+            counts = np.bincount(np.unique(block * m + row) // m, minlength=len(group.blocks))
+            for width in np.unique(counts[counts > 0]):
+                members, at = counts == width, counts[block] == width
+                entry_group, class_pairs = _EntryGroup.of(
+                    index, np.flatnonzero(members), row[at], (np.cumsum(members) - 1)[block[at]],
+                    coord[at], value[at], group.side, m,
+                )
+                entries.append(entry_group)
+                pairs.append(class_pairs)
         return cls(entries, np.concatenate(pairs), m)
 
     def assemble(self, ws: list[Array]) -> Array:
-        """``S_ij = sum_k <A_jk, W_k A_ik W_k>`` for the NT scaling matrices ``W_k``.
+        """``S_ij = sum_k <A_jk, W_k A_ik W_k>`` for the NT scaling matrices ``W_k``,
+        one stack per side group in ``ws``.
 
         This is SDPA's formula for sparse rows (Fujisawa, Kojima & Nakata,
         *Math. Program.* 79 (1997)): no row is scaled densely and there is no
@@ -630,10 +653,10 @@ class _Schur:
         exactly symmetric.
         """
         paired, start = np.empty(len(self.pairs)), 0
-        for group, w in zip(self.groups, ws):
+        for group in self.groups:
             shape = (group.pairing.shape[0], group.width)
             size = shape[0] * shape[1]
-            group.pair(w, paired[start : start + size].reshape(shape))
+            group.pair(ws[group.side_group], paired[start : start + size].reshape(shape))
             start += size
         schur = np.bincount(self.pairs, paired, minlength=self.m * self.m).reshape(self.m, self.m)
         np.add(schur, schur.T, out=schur)  # numpy copies the overlapping transpose once
@@ -692,6 +715,7 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
     after ``max_iter`` steps ends ``max_iterations``.
     """
     import scipy.linalg as sla  # the first solve loads it, outside every phase's clock
+    potrs = sla.get_lapack_funcs("potrs", dtype=float)
     dims = list(problem.block_dims)
     c = problem.c
     groups = _side_groups(dims)
@@ -796,9 +820,9 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
         for attempt in range(6):
             try:
                 # The transposed lower factor is the upper factor in Fortran
-                # order, which scipy's triangular solves read without a copy.
+                # order, which LAPACK's triangular solves read without a copy.
                 shifted = schur + jitter * np.eye(m) if jitter else schur
-                chol_fac = (np.linalg.cholesky(shifted).T, False)
+                chol_fac = np.linalg.cholesky(shifted).T
                 break
             except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, 1e-14) * (100.0 ** attempt)
@@ -814,13 +838,20 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
 
         d_c = _apply_d(c)
         d_rd = _apply_d(rd)
-        dy1 = sla.cho_solve(chol_fac, b + a_mat @ d_c, check_finite=False)
+
+        def _solve_schur(rhs: Array) -> Array:
+            out, info = potrs(chol_fac, rhs)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+            return out
+
+        dy1 = _solve_schur(b + a_mat @ d_c)
         dx1 = _apply_d(a_t @ dy1) - d_c
         denom_1 = float(b @ dy1) - float(c @ dx1)
 
         def _newton(rc: Array, rck: float) -> tuple[Array, Array, Array, float, float] | None:
             rc_d = rc + d_rd
-            dy2 = sla.cho_solve(chol_fac, -rp - a_mat @ rc_d, check_finite=False)
+            dy2 = _solve_schur(-rp - a_mat @ rc_d)
             dx2 = rc_d + _apply_d(a_t @ dy2)
             denom = kappa + tau * denom_1
             if abs(denom) < 1e-300:
@@ -1001,13 +1032,16 @@ def feasibility_phase1(
     status but ``optimal`` leaves the margin NaN.
     """
     from scipy import sparse
-    # The solver's blocks are Z = X + t I with t = t+ - t- (the two last,
-    # one-by-one blocks), so row i reads <A_i, Z> - t tr(A_i) = b_i.
+    # The solver's blocks are Z = X + t I, so row i reads <A_i, Z> - t tr(A_i) =
+    # b_i, and t = t+ - t- is the diagonal of one last 2 x 2 block diag(t+, t-),
+    # which joins the side-2 group.  No row or cost reads its off-diagonal
+    # coordinates (svec order (0,0), (1,0), (1,1), Im (1,0)), which stay zero.
     trace = problem.a @ _svec_identity(problem.block_dims)
+    columns = np.stack([-trace, np.zeros_like(trace), trace, np.zeros_like(trace)], axis=1)
     phase1 = SdpProblem(
-        block_dims=problem.block_dims + (1, 1),
-        c=np.concatenate([np.zeros_like(problem.c), [1.0, -1.0]]),
-        a=sparse.hstack([problem.a, sparse.csr_array(np.stack([-trace, trace], axis=1))]),
+        block_dims=problem.block_dims + (2,),
+        c=np.concatenate([np.zeros_like(problem.c), [1.0, 0.0, -1.0, 0.0]]),
+        a=sparse.hstack([problem.a, sparse.csr_array(columns)]),
         b=problem.b,
     )
     solution = solve(phase1, tol=tol, max_iter=max_iter)
@@ -1016,11 +1050,9 @@ def feasibility_phase1(
         return report
 
     assert solution.block_values is not None
-    shift = float(solution.block_values[-2][0, 0].real - solution.block_values[-1][0, 0].real)
-    recovered = [
-        solution.block_values[k] - shift * np.eye(n)
-        for k, n in enumerate(problem.block_dims)
-    ]
+    shift = float(solution.block_values[-1][0, 0].real - solution.block_values[-1][1, 1].real)
+    shifts = {n: shift * np.eye(n) for n in set(problem.block_dims)}
+    recovered = [value - shifts[n] for value, n in zip(solution.block_values, problem.block_dims)]
     eq_res = equality_residuals(problem, recovered)
     report.residuals["equality_max"] = float(np.max(np.abs(eq_res))) if eq_res.size else 0.0
     report.margin = -shift

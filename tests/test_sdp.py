@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -704,7 +706,8 @@ def test_a_step_to_an_unfactorable_iterate_is_halved(seed, monkeypatch):
 
 # Which blocks each row touches.  Sides 2 and 3 are interleaved; block 5 and
 # the one-by-one block 3 are touched by no row; row 0 touches no block of side
-# 2; the side-2 blocks are touched by 3, 4 and 0 rows, so ranks are padded.
+# 2; the side-2 blocks are touched by 3, 4 and 0 rows and the side-3 blocks by
+# 2 and 3, so each side group splits into two touch classes.
 SCHUR_SIDES = (2, 3, 2, 1, 3, 2)
 SCHUR_TOUCH = np.array(
     [
@@ -766,12 +769,18 @@ def schur_rows(rng, pattern):
     )
 
 
-# Per side group: its width (the most rows touching one block), the shape of
-# its pairing (touches x entries of the group's blocks), and the rank runs
-# (lo, hi, entries).
+# Per touch class: its side group and blocks there, its width (the rows
+# touching each of its blocks), the shape of its pairing (touches x entries of
+# its blocks), and the rank runs (lo, hi, entries).  Untouched blocks are in
+# no class.
 SCHUR_STRUCTURE = {
-    "sides": [(0, (0, 1), []), (4, (7, 12), [(0, 4, 3)]), (3, (5, 18), [(0, 3, 6)])],
-    "moment": [(0, (0, 8), []), (4, (4, 64), [(0, 1, 30), (1, 2, 6), (2, 3, 2), (3, 4, 1)])],
+    "sides": [
+        (1, [0], 3, (3, 4), [(0, 3, 3)]),
+        (1, [1], 4, (4, 4), [(0, 4, 3)]),
+        (2, [0], 2, (2, 9), [(0, 2, 6)]),
+        (2, [1], 3, (3, 9), [(0, 3, 6)]),
+    ],
+    "moment": [(1, [0], 4, (4, 64), [(0, 1, 30), (1, 2, 6), (2, 3, 2), (3, 4, 1)])],
 }
 
 
@@ -791,6 +800,8 @@ def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries)
         schur = sdp._Schur.of(sparse.csr_array(a_mat), groups)
         structure = [
             (
+                group.side_group,
+                group.blocks.tolist(),
                 group.width,
                 group.pairing.shape,
                 [(lo, hi, 1 if coef.ndim == 2 else coef.shape[-1]) for lo, hi, *_, coef in group.ranges],
@@ -804,6 +815,88 @@ def test_block_sparse_schur_matches_dense_rows(monkeypatch, seed, slice_entries)
         assert np.max(np.abs(assembled - reference)) <= 1e-12 * np.max(np.abs(reference))
         assert np.array_equal(assembled, assembled.T)
         assert np.array_equal(assembled, schur.assemble(ws))
+
+
+class _Captured(Exception):
+    """Raised in place of a solve, carrying the problem it was given."""
+
+
+def phase_one_problem(monkeypatch, asm):
+    """The program that :func:`lhs_membership`'s phase one hands the solver, unsolved."""
+
+    def capture(problem, **kwargs):
+        raise _Captured(problem)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(sdp, "solve", capture)
+        with pytest.raises(_Captured) as caught:
+            lhs_membership(asm)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("m_a", [2, 5, 8])
+def test_touch_classes_pad_no_block(monkeypatch, m_a):
+    # Every block of a class has a row at every rank, and every row its run's
+    # entry count: no rank and no entry of a class is padding.
+    problem = phase_one_problem(monkeypatch, random_quantum_bwi(ScenarioShape(2, m_a, 2, 2), 0))
+    groups = sdp._side_groups(problem.block_dims)
+    assert [group.side for group in groups] == [2]
+    schur = sdp._Schur.of(problem.a, groups)
+    touched = set()
+    for group in schur.groups:
+        assert group.pairing.shape[0] == len(group.blocks) * group.width
+        assert all(np.all(coef != 0) for *_, coef in group.ranges)
+        touched.update(group.blocks.tolist())
+    # Every block is touched, and lies in one class.
+    assert sorted(touched) == list(range(len(problem.block_dims)))
+    assert sum(len(group.blocks) for group in schur.groups) == len(problem.block_dims)
+
+
+def test_single_block_schur_keeps_its_bits():
+    # One block is one touch class, assembled as before the split: the digest
+    # was recorded when every side group was one padded class.  W is diagonal,
+    # so each entry of W L W is one product and no BLAS summation order shows.
+    problem = build_qtilde_problem(canonical_functional())
+    groups = sdp._side_groups(problem.block_dims)
+    rng = np.random.default_rng(7)
+    ws = [
+        np.stack([np.diag(rng.uniform(0.5, 2.0, group.side)).astype(complex) for _ in group.blocks])
+        for group in groups
+    ]
+    schur = sdp._Schur.of(problem.a, groups).assemble(ws)
+    assert problem.block_dims == (24,)
+    assert hashlib.sha256(schur.tobytes()).hexdigest() == (
+        "6a62bbef81bea393913669d12bd53f5aa9a66b0c742d0004a5ffb0a9f3e7d24a"
+    )
+
+
+def test_hidden_state_schur_traces_no_padding(monkeypatch):
+    # The m_a = 8 phase one: 512 strategy blocks touched by 5 to 32 rows (19.0
+    # on average) and the shift block, by 36.  Padded to one class per side
+    # group, _Schur.of traced 9.3 MB and one assembly 9.0 MB; split into
+    # classes, 4.5 and 3.3 MB.  scipy is imported before tracing starts.
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+    problem = phase_one_problem(monkeypatch, random_quantum_bwi(ScenarioShape(2, 8, 2, 2), 0))
+    groups = sdp._side_groups(problem.block_dims)
+    ws = [
+        np.broadcast_to(np.eye(group.side, dtype=complex), (len(group.blocks),) + (group.side,) * 2)
+        for group in groups
+    ]
+    sdp._Schur.of(problem.a, groups)
+    tracemalloc.start()
+    try:
+        schur = sdp._Schur.of(problem.a, groups)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        schur.assemble(ws)
+        assembled = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert built < 5.5e6
+    assert assembled < 5.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +995,7 @@ def test_repeated_solves_are_bitwise_identical():
 
 def test_many_block_solves_are_bitwise_identical(monkeypatch):
     # A hidden-state membership at m_a = 5: 32 strategies times 2 trusted
-    # inputs give 64 blocks of side 4, one stack, plus the two shift blocks.
+    # inputs give 64 blocks of side 2, one stack with the shift block.
     solutions = []
     solve = sdp.solve
 
@@ -917,7 +1010,7 @@ def test_many_block_solves_are_bitwise_identical(monkeypatch):
     assert len(solutions) == 2
     one, two = solutions
     assert one.status == sdp.OPTIMAL
-    assert len(one.block_values) == 66
+    assert len(one.block_values) == 65
     assert first.margin == second.margin
     assert one.iterations == two.iterations
     assert all(np.array_equal(a, b) for a, b in zip(one.block_values, two.block_values))

@@ -296,6 +296,73 @@ def test_near_boundary_hidden_state_memberships_keep_their_margins(m_a, verdict,
     assert report.margin == pytest.approx(margin, abs=1e-9)
 
 
+def _two_block_phase_one(problem, tol=1e-8):
+    """Phase one with its shift t = t+ - t- in two 1 x 1 blocks, as it was first
+    written: the reference for the 2 x 2 shift block."""
+    from scipy import sparse
+
+    trace = problem.a @ sdp._svec_identity(problem.block_dims)
+    two_block = sdp.SdpProblem(
+        problem.block_dims + (1, 1),
+        np.concatenate([np.zeros_like(problem.c), [1.0, -1.0]]),
+        sparse.hstack([problem.a, sparse.csr_array(np.stack([-trace, trace], axis=1))]),
+        problem.b,
+    )
+    solution = sdp.solve(two_block, tol=tol)
+    assert solution.status == sdp.OPTIMAL
+    shift = solution.block_values[-2][0, 0].real - solution.block_values[-1][0, 0].real
+    return sdp.MembershipReport.from_solve(solution, problem, tol, -shift)
+
+
+def _lhs_blocks_membership(index):
+    # The benchmark's lhs-blocks memberships at seed 4099 (perfbench/ is on the path).
+    import workloads
+
+    return workloads.lhs_blocks(4099)[index].run()
+
+
+PHASE_ONE_CASES = {
+    "pr-box": lambda: lhs_membership(pr_box_assemblage()),
+    "pauli-transpose": lambda: lhs_membership(pauli_transpose_assemblage()),
+    "wired-pauli": lambda: instrumental_membership(assemblages.instrumental_pauli_assemblage()),
+    **{
+        f"{''.join(map(str, shape))}-{seed}": (
+            lambda shape=shape, seed=seed: lhs_membership(
+                random_quantum_bwi(ScenarioShape(*shape), seed=seed)
+            )
+        )
+        for shape in ((2, 3, 2, 2), (2, 2, 3, 2))
+        for seed in range(10)
+    },
+    "lhs_member6_steer": lambda: _lhs_blocks_membership(2),
+    "lhs_member8_lhs": lambda: _lhs_blocks_membership(3),
+}
+
+
+@pytest.mark.parametrize("case", PHASE_ONE_CASES)
+def test_phase_one_matches_its_two_block_form(monkeypatch, case):
+    # The shift's 2 x 2 block stays diagonal, so the program is the two-block
+    # one: same verdict and iterations, margins apart by rounding alone.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    solved = []
+    solve = sdp.solve
+
+    def recording_solve(problem, **kwargs):
+        solved.append(solve(problem, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    report = PHASE_ONE_CASES[case]()
+    monkeypatch.setattr(sdp, "solve", solve)
+    reference = _two_block_phase_one(report.problem)
+    assert report.verdict == reference.verdict
+    assert report.iterations == reference.iterations
+    assert abs(report.margin - reference.margin) <= 1e-9
+    assert len(solved) == 1
+    shift = solved[0].block_values[-1]
+    assert shift.shape == (2, 2) and shift[1, 0] == 0 and shift[0, 1] == 0
+
+
 # ---------------------------------------------------------------------------
 # No-signalling bound
 # ---------------------------------------------------------------------------
@@ -441,7 +508,9 @@ def test_every_program_stores_its_rows_as_canonical_csr(monkeypatch, case):
     }[case]()
     problem = solved[0] if case in ("ns-bound", "phase-one") else built
     if case == "phase-one":
-        assert problem.block_dims[-2:] == (1, 1)
+        # The shift block diag(t+, t-): no row or cost touches its off-diagonal.
+        assert problem.block_dims[-1] == 2
+        assert not problem.a[:, -4:][:, [1, 3]].nnz and not problem.c[-4:][[1, 3]].any()
     a = problem.a
     assert a.format == "csr" and a.has_sorted_indices
     assert np.all(a.data != 0)
@@ -469,11 +538,13 @@ def test_relaxation_bound_holds_no_dense_coefficient_stack():
     # The (4,3,2) bound's 613 moments over a side-40 block would take 15.7 MB
     # as dense complex matrices, and their Hermitian parts twice that again;
     # its 613 x 1,600 rows would take 7.8 MB dense, and the row-scaled copy as
-    # much.  With CSR rows the traced peak is 14.6-14.8 MB, and 16.2 MB in a
-    # fresh process that has imported scipy.linalg but not scipy.sparse (both
-    # dense stores read 30.4 MB); the bound leaves 17% over that reading.  A
-    # fresh process that has imported no scipy traces its 16.8 MB import at
-    # this first solve and reads 30.3 MB; this module imports scipy.linalg.
+    # much.  With CSR rows the traced peak is 14.6-14.9 MB (both dense stores
+    # read 30.4 MB).  A process that has imported no scipy traces its 16.8 MB
+    # import at this first solve and reads 30.3 MB, so both scipy modules load
+    # before tracing starts, and the peak is the solve's in any process.
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
     functional = cli._random_psd_functional(ScenarioShape(2, 4, 3, 2), 0)
     tracemalloc.start()
     try:
