@@ -29,7 +29,6 @@ from steercert.assemblages import (
     SEQUENTIAL,
     TRADITIONAL,
     VALIDATION_TOL,
-    BwiAssemblage,
     InstrumentalAssemblage,
     ScenarioShape,
     SequentialAssemblage,
@@ -58,18 +57,21 @@ from steercert.ghjw import (
     reconstruct_traditional,
 )
 from steercert.matcore import PAULIS
-from steercert.ptp import (
-    INCONCLUSIVE,
-    POST_QUANTUM,
+# ``perfbench/tracing.py`` wraps ``build_qtilde_problem``, ``lhs_membership`` and
+# ``pure_state_lemma_check`` as ``cli`` names, so they stay imported though unused.
+from steercert.ptp import (  # noqa: F401
+    MEMBERSHIP_NAMES,
+    TSIRELSON,
+    certify,
     choi,
     chsh_subtables,
+    computational_effects,
     pauli_action,
+    post_quantum_certificates,
     ptp_bell_model,
     pure_state_lemma_check,
     transpose_bell_spec,
 )
-# ``build_qtilde_problem`` is not called here, but ``perfbench/tracing.py``
-# wraps it as ``cli.build_qtilde_problem``, so the name stays importable.
 from steercert.steering import (  # noqa: F401
     InstrumentalFunctional,
     MomentMatrix,
@@ -93,8 +95,6 @@ EXIT_PASS = 0
 EXIT_ANALYTIC = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
-
-TSIRELSON = 2.0 * np.sqrt(2.0)
 
 BUILTIN_ASSEMBLAGES: dict[str, Callable[[], Any]] = {
     "builtin:pr-box": pr_box_assemblage,
@@ -218,21 +218,9 @@ def _timed(solver_log: list[dict[str, Any]], context: str, action: Callable[[], 
             }
         )
         raise CliError(EXIT_SOLVER, str(exc)) from exc
-    status = getattr(result, "status", sdp.OPTIMAL)
-    entry = {
-        "context": context,
-        "status": status,
-        "seconds": round(time.perf_counter() - start, 3),
-    }
-    if isinstance(result, sdp.MembershipReport):
-        entry["rows"] = result.problem.num_rows
-        entry["iterations"] = result.iterations
-        entry["phase_seconds"] = {
-            phase: round(seconds, 6) for phase, seconds in result.phase_seconds.items()
-        }
-    solver_log.append(entry)
-    if status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
-        raise CliError(EXIT_SOLVER, f"{context} ended with status {status}: no verdict")
+    solver_log.append(
+        {"context": context, "status": sdp.OPTIMAL, "seconds": round(time.perf_counter() - start, 3)}
+    )
     return result
 
 
@@ -358,80 +346,23 @@ def cmd_bounds(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     return doc, EXIT_PASS
 
 
-def _computational_effects(m_b: int) -> np.ndarray:
-    """The qubit's computational-basis projectors ``[y, b]`` at each of ``m_b`` trusted inputs."""
-    return np.broadcast_to(np.eye(2)[:, :, None] * np.eye(2)[:, None, :], (m_b, 2, 2, 2))
-
-
-def _membership_result(report: sdp.MembershipReport) -> dict[str, Any]:
-    return {"feasible": report.feasible, "margin": float(report.margin), "verdict": report.verdict}
-
-
 def cmd_certify(args: argparse.Namespace) -> tuple[ReportDocument, int]:
     asm, inputs = _resolve_assemblage(args.target)
     doc = ReportDocument(inputs=inputs)
-    if not isinstance(asm, BwiAssemblage):
-        raise CliError(
-            EXIT_INPUT, "certification expects an assemblage with a trusted input"
-        )
-    tol = 1e-8 if args.tol is None else args.tol
-    validation = validate_ns_bwi(asm)  # at VALIDATION_TOL: no membership rules it out
-    if not validation.passed:
-        raise CliError(
-            EXIT_INPUT,
-            "assemblage violates no-signalling: " + ", ".join(sorted(validation.violations)),
-        )
-    shape = asm.shape
-    memberships: dict[str, Any] = {}
-    lhs = _timed(doc.solver, "hidden-state membership", lambda: lhs_membership(asm, tol=tol))
-    if lhs.verdict == sdp.UNDECIDED:
-        raise CliError(
-            EXIT_SOLVER,
-            f"hidden-state membership margin {float(lhs.margin):.3g} lies in the "
-            "boundary band: no verdict",
-        )
-    memberships["lhs"] = _membership_result(lhs)
-    certificates: list[dict[str, Any]] = []
-    if lhs.feasible:
-        doc.results["classification"] = "LHS"
-    else:
-        qt = _timed(doc.solver, "relaxation membership", lambda: qtilde_membership(asm, tol=tol))
-        memberships["qtilde"] = _membership_result(qt)
-        if qt.verdict == sdp.OUTSIDE:
-            certificates.append(
-                {"kind": "qtilde-infeasible", "margin": float(qt.margin)}
-            )
-        if shape.d == 2 and shape.n_a == 2 and shape.m_a >= 2 and shape.m_b >= 2:
-            table = bell_correlations(asm, _computational_effects(shape.m_b))
-            chsh = float(chsh_value(table[:, :, :2, :2]))
-            doc.results["bell"] = {
-                "basis": "computational",
-                "chsh": chsh,
-                "table": np.round(table, 12),
-            }
-            if chsh > TSIRELSON + 1e-6:
-                certificates.append({"kind": "bell-violation", "chsh": chsh})
-        try:
-            lemma = pure_state_lemma_check(asm)
-        except ValueError as exc:
-            doc.results["choi_check"] = f"skipped: {exc}"
-        else:
-            doc.results["choi_check"] = lemma.status
-            if lemma.status == POST_QUANTUM:
-                certificates.append(
-                    {
-                        "kind": "choi",
-                        "min_eigenvalue": float(lemma.min_eigenvalue),
-                        "reference_input": lemma.y_reference,
-                    }
-                )
-            elif lemma.status == INCONCLUSIVE and lemma.note:
-                doc.results["choi_check"] = f"{lemma.status}: {lemma.note}"
-        doc.results["classification"] = (
-            "post-quantum" if certificates else "steerable-possibly-quantum"
-        )
-    doc.results["certificates"] = certificates
-    doc.results["memberships"] = memberships
+    found = certify(asm, tol=1e-8 if args.tol is None else args.tol)
+    if found.classification == sdp.UNDECIDED:
+        raise CliError(EXIT_SOLVER, found.note)
+    for key, report in found.memberships.items():
+        phases = {phase: round(seconds, 6) for phase, seconds in report.phase_seconds.items()}
+        doc.solver.append(dict(
+            context=MEMBERSHIP_NAMES[key], status=report.status, seconds=round(found.seconds[key], 3),
+            rows=report.problem.num_rows, iterations=report.iterations, phase_seconds=phases,
+        ))
+    doc.results.update(found.checks, classification=found.classification, certificates=found.certificates)
+    doc.results["memberships"] = {
+        key: {"feasible": report.feasible, "margin": float(report.margin), "verdict": report.verdict}
+        for key, report in found.memberships.items()
+    }
     return doc, EXIT_PASS
 
 
@@ -571,7 +502,7 @@ def _example_value_and_margin(ctx: BatteryContext) -> tuple[bool, str]:
 
 def _box_statistics(ctx: BatteryContext) -> tuple[bool, str]:
     target, tol = 4.0, 1e-12
-    table = bell_correlations(pr_box_assemblage(), _computational_effects(2))
+    table = bell_correlations(pr_box_assemblage(), computational_effects(2))
     a, b, x, y = np.indices(table.shape)
     expected = np.where((a + b) % 2 == (x & y), 0.5, 0.0)
     exact = bool(np.array_equal(table, expected))
@@ -606,7 +537,7 @@ def _realization_roundtrips(ctx: BatteryContext) -> tuple[bool, str]:
 
 
 def _quantum_samples_stay_inside(ctx: BatteryContext) -> tuple[bool, str]:
-    samples, chsh_slack = 50, 1e-6
+    samples = 50
     shape = ScenarioShape(n_a=2, m_a=2, m_b=2, d=2, kind=BWI)
     feasible = 0
     flagged = 0
@@ -615,13 +546,8 @@ def _quantum_samples_stay_inside(ctx: BatteryContext) -> tuple[bool, str]:
         membership = qtilde_membership(sample)
         if membership.feasible:
             feasible += 1
-        # A post-quantum certificate needs an outside verdict, a model-beating
-        # probability table, or a negative reconstructed-map eigenvalue; the
-        # last is unavailable here because sampled members are mixed.
-        outside = membership.verdict == sdp.OUTSIDE
-        table = bell_correlations(sample, _computational_effects(2))
-        beats_models = float(chsh_value(table[:, :, :2, :2])) > TSIRELSON + chsh_slack
-        if outside or beats_models:
+        # ``certify``'s rule; sampled members are mixed, so its Choi check is skipped.
+        if post_quantum_certificates(sample, membership).certificates:
             flagged += 1
     return (
         feasible == samples and flagged == 0,

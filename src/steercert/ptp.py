@@ -16,17 +16,21 @@ block has spectral norm at most one (Ruskai, Szarek & Werner, Linear Algebra
 Appl. 347, 159 (2002)); and its Choi matrix is ``sum_ij T_ij P_i (x) P_j^T / 2``.
 On top of that form sit the Bell-model table with its explicit quantum
 witness and a certificate check for assemblages whose reference members are
-proportional to pure states.
+proportional to pure states.  The last section, :func:`certify`, classifies a
+trusted-input assemblage as hidden-state, steerable, or post-quantum with its
+certificates, the one rule that ``steercert certify`` renders.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+import time
+from dataclasses import dataclass, field, replace
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from steercert import assemblages, sdp, steering
 from steercert.assemblages import BWI, BwiAssemblage, ScenarioShape, member_keys
 from steercert.matcore import (
     PAULIS,
@@ -424,3 +428,108 @@ def pure_state_lemma_check(asm: BwiAssemblage, y_ref: int = 0) -> CertificateRep
         maps=report_maps,
         residuals=residuals,
     )
+
+
+# ---------------------------------------------------------------------------
+# Certification
+# ---------------------------------------------------------------------------
+
+#: Tsirelson's bound: no quantum Bell table has a larger CHSH value.
+TSIRELSON = 2.0 * np.sqrt(2.0)
+
+LHS, STEERABLE = "LHS", "steerable-possibly-quantum"
+
+#: The memberships :func:`certify` runs, in order, and what each decides.
+MEMBERSHIP_NAMES = {"lhs": "hidden-state membership", "qtilde": "relaxation membership"}
+
+
+def computational_effects(m_b: int) -> Array:
+    """The qubit's computational-basis projectors ``[y, b]`` at each of ``m_b`` trusted inputs."""
+    return np.broadcast_to(np.eye(2)[:, :, None] * np.eye(2)[:, None, :], (m_b, 2, 2, 2))
+
+
+@dataclass
+class Certification:
+    """A class, :data:`LHS`, :data:`STEERABLE`, :data:`POST_QUANTUM` or ``undecided``, with evidence.
+
+    ``memberships`` holds the reports that ran, keyed as in :data:`MEMBERSHIP_NAMES`,
+    and ``seconds`` their run times; ``checks`` the Bell table (``bell``) and
+    Choi check (``choi_check``) that ran; ``note`` why a class is ``undecided``.
+    """
+
+    classification: str
+    certificates: list[dict[str, Any]] = field(default_factory=list)
+    memberships: dict[str, sdp.MembershipReport] = field(default_factory=dict)
+    seconds: dict[str, float] = field(default_factory=dict)
+    checks: dict[str, Any] = field(default_factory=dict)
+    note: str = ""
+
+
+def post_quantum_certificates(asm: BwiAssemblage, relaxation: sdp.MembershipReport) -> Certification:
+    """The certificates, and so the class, of an assemblage outside the hidden-state set.
+
+    Each rules out every quantum model: an ``outside`` relaxation verdict
+    (``qtilde-infeasible``), a computational-basis CHSH value over Tsirelson's
+    bound plus 1e-6 (``bell-violation``, two-outcome qubits with two or more
+    inputs per side), or a negative Choi eigenvalue (``choi``).
+    """
+    shape = asm.shape
+    found = Certification(STEERABLE)
+    if relaxation.verdict == sdp.OUTSIDE:
+        found.certificates.append({"kind": "qtilde-infeasible", "margin": float(relaxation.margin)})
+    if shape.d == 2 and shape.n_a == 2 and shape.m_a >= 2 and shape.m_b >= 2:
+        table = assemblages.bell_correlations(asm, computational_effects(shape.m_b))
+        chsh = float(assemblages.chsh_value(table[:, :, :2, :2]))
+        found.checks["bell"] = {"basis": "computational", "chsh": chsh, "table": np.round(table, 12)}
+        if chsh > TSIRELSON + 1e-6:
+            found.certificates.append({"kind": "bell-violation", "chsh": chsh})
+    try:
+        lemma = pure_state_lemma_check(asm)
+    except ValueError as exc:
+        found.checks["choi_check"] = f"skipped: {exc}"
+    else:
+        note = f": {lemma.note}" if lemma.status == INCONCLUSIVE and lemma.note else ""
+        found.checks["choi_check"] = lemma.status + note
+        if lemma.status == POST_QUANTUM:
+            found.certificates.append(dict(
+                kind="choi", min_eigenvalue=float(lemma.min_eigenvalue), reference_input=lemma.y_reference
+            ))
+    found.classification = POST_QUANTUM if found.certificates else STEERABLE
+    return found
+
+
+def certify(asm: BwiAssemblage, *, tol: float = 1e-8) -> Certification:
+    """Classify a trusted-input assemblage: hidden-state, steerable, or post-quantum.
+
+    Input that is not a :class:`BwiAssemblage`, or fails ``validate_ns_bwi``
+    at its own tolerance, raises :class:`~steercert.steering.UnsupportedInput`.
+    An ``inside`` hidden-state membership is :data:`LHS`; otherwise the
+    relaxation runs and :func:`post_quantum_certificates` decides.  ``tol`` is
+    the memberships' solver tolerance and verdict band.  An unfinished solve,
+    or a hidden-state margin in the band, is ``undecided``.
+    """
+    if not isinstance(asm, BwiAssemblage):
+        raise steering.UnsupportedInput("certification expects an assemblage with a trusted input")
+    violations = ", ".join(sorted(assemblages.validate_ns_bwi(asm).violations))
+    if violations:
+        raise steering.UnsupportedInput(f"assemblage violates no-signalling: {violations}")
+    result = Certification(sdp.UNDECIDED)
+
+    def run(key: str, membership: Any) -> sdp.MembershipReport | None:
+        name, start = MEMBERSHIP_NAMES[key], time.perf_counter()
+        report = result.memberships[key] = membership(asm, tol=tol)
+        result.seconds[key] = time.perf_counter() - start
+        if report.status not in (sdp.OPTIMAL, sdp.INFEASIBLE):
+            result.note = f"{name} ended with status {report.status}: no verdict"
+        elif key == "lhs" and report.verdict == sdp.UNDECIDED:
+            result.note = f"{name} margin {report.margin:.3g} lies in the boundary band: no verdict"
+        return None if result.note else report
+
+    # Looked up through ``steering`` at call time, so a patched membership runs.
+    lhs = run("lhs", steering.lhs_membership)
+    if lhs is not None and lhs.feasible:
+        result.classification = LHS
+    elif lhs is not None and (relaxation := run("qtilde", steering.qtilde_membership)) is not None:
+        found = post_quantum_certificates(asm, relaxation)
+        return replace(found, memberships=result.memberships, seconds=result.seconds)
+    return result

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from steercert import cli, sdp, serialize, steering
+from steercert import assemblages, cli, ptp, sdp, serialize, steering
 from steercert.assemblages import (
     BWI,
     INSTRUMENTAL,
@@ -448,7 +448,7 @@ class TestCertify:
     def test_one_no_signalling_tolerance_per_request(self, capsys, monkeypatch):
         # certify checks its input at the validation tolerance whatever --tol
         # says, and each membership's own check reads the same rule.
-        real, tols = cli.validate_ns_bwi, []
+        real, tols = assemblages.validate_ns_bwi, []
         signature = inspect.signature(real)
 
         def spy(*args, **kwargs):
@@ -457,7 +457,7 @@ class TestCertify:
             tols.append(bound.arguments["tol"])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "validate_ns_bwi", spy)
+        monkeypatch.setattr(assemblages, "validate_ns_bwi", spy)
         monkeypatch.setattr(steering, "validate_ns_bwi", spy)
         code, doc, _ = run_json(capsys, "certify", "builtin:pauli-transpose", "--tol", "1e-3")
         assert code == 0
@@ -498,26 +498,28 @@ class TestCertify:
 
             return run_membership
 
-        monkeypatch.setattr(cli, "lhs_membership", membership(sdp.MAX_ITERATIONS))
-        monkeypatch.setattr(cli, "qtilde_membership", membership(sdp.NUMERICAL_TROUBLE))
+        monkeypatch.setattr(steering, "lhs_membership", membership(sdp.MAX_ITERATIONS))
+        monkeypatch.setattr(steering, "qtilde_membership", membership(sdp.NUMERICAL_TROUBLE))
         code, out, err = run(capsys, "certify", "builtin:pr-box")
         assert code == cli.EXIT_SOLVER
         assert out == ""
         assert "hidden-state membership" in err and sdp.MAX_ITERATIONS in err
+        # The certification holds the unfinished report, and no relaxation ran.
+        found = ptp.certify(pr_box_assemblage())
+        assert found.classification == sdp.UNDECIDED
+        assert [(key, report.status) for key, report in found.memberships.items()] == [
+            ("lhs", sdp.MAX_ITERATIONS)
+        ]
 
         # A decisive hidden-state verdict, then an unfinished relaxation.
-        monkeypatch.setattr(cli, "lhs_membership", membership(sdp.OPTIMAL, -1.0))
+        monkeypatch.setattr(steering, "lhs_membership", membership(sdp.OPTIMAL, -1.0))
         code, out, err = run(capsys, "certify", "builtin:pr-box")
         assert code == cli.EXIT_SOLVER
         assert "relaxation membership" in err and sdp.NUMERICAL_TROUBLE in err
-
-        # The status is logged before the error is raised.
-        log = []
-        with pytest.raises(cli.CliError):
-            cli._timed(log, "relaxation membership", lambda: cli.qtilde_membership(None))
-        assert [(entry["context"], entry["status"]) for entry in log] == [
-            ("relaxation membership", sdp.NUMERICAL_TROUBLE)
-        ]
+        found = ptp.certify(pr_box_assemblage())
+        assert found.classification == sdp.UNDECIDED
+        assert found.memberships["qtilde"].status == sdp.NUMERICAL_TROUBLE
+        assert found.certificates == []
 
     def test_solver_log_reports_the_rows_kept_by_presolve(self, capsys):
         # Every problem's rows are independent, so presolve keeps them all:
@@ -569,7 +571,7 @@ class TestCertify:
         def run_membership(asm, tol=1e-8):
             return MembershipReport(margin=-1e-7, status=sdp.OPTIMAL, residuals={}, problem=NO_ROWS)
 
-        monkeypatch.setattr(cli, "lhs_membership", run_membership)
+        monkeypatch.setattr(steering, "lhs_membership", run_membership)
         code, out, err = run(capsys, "certify", "builtin:pr-box")
         assert code == cli.EXIT_SOLVER
         assert out == ""

@@ -1,20 +1,23 @@
 """Tests for qubit maps as transfer matrices, dual measurements, Choi matrices,
-and the pure-member certificate."""
+the pure-member certificate, and the certification rule."""
 
 import numpy as np
 import pytest
 
-from steercert import ptp
+from steercert import ptp, sdp, steering
 from steercert.assemblages import (
     BWI,
     BwiAssemblage,
     ScenarioShape,
     bell_correlations,
     chsh_value,
+    instrumental_pauli_assemblage,
     pauli_transpose_assemblage,
+    pr_box_assemblage,
     random_quantum_bwi,
 )
 from steercert.matcore import PAULIS
+from steercert.steering import UnsupportedInput
 
 X, Y, Z = PAULIS
 EYE = np.eye(2, dtype=complex)
@@ -419,3 +422,60 @@ class TestPureStateCertificate:
     def test_reference_input_range_checked(self):
         with pytest.raises(ValueError, match="outside range"):
             ptp.pure_state_lemma_check(pauli_transpose_assemblage(), y_ref=5)
+
+
+class TestCertify:
+    def test_transpose_example_is_certified_by_relaxation_and_choi(self):
+        found = ptp.certify(pauli_transpose_assemblage())
+        assert found.classification == ptp.POST_QUANTUM
+        assert {entry["kind"] for entry in found.certificates} == {"qtilde-infeasible", "choi"}
+        assert list(found.memberships) == ["lhs", "qtilde"]
+
+    def test_box_is_certified_by_its_statistics_alone(self):
+        found = ptp.certify(pr_box_assemblage())
+        assert found.classification == ptp.POST_QUANTUM
+        assert [entry["kind"] for entry in found.certificates] == ["bell-violation"]
+        assert found.memberships["qtilde"].verdict == sdp.INSIDE
+        assert found.checks["bell"]["chsh"] == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m_a, seed", [(2, 63), (3, 18), (3, 63), (3, 78), (3, 85)])
+    def test_steerable_quantum_samples_have_no_certificate(self, m_a, seed):
+        # Quantum samples outside the hidden-state set, at margins -1.1e-3 to
+        # -6.8e-3, and inside the relaxation at +1.6e-3 to +5.8e-3.
+        found = ptp.certify(random_quantum_bwi(ScenarioShape(2, m_a, 2, 2, BWI), seed=seed))
+        assert found.classification == ptp.STEERABLE
+        assert found.certificates == []
+        assert found.memberships["lhs"].verdict == sdp.OUTSIDE
+        assert found.memberships["qtilde"].verdict == sdp.INSIDE
+        assert abs(found.checks["bell"]["chsh"]) <= TSIRELSON
+
+    @pytest.mark.parametrize(
+        "status, margin", [(sdp.MAX_ITERATIONS, np.nan), (sdp.OPTIMAL, -1e-7)]
+    )
+    def test_undecided_hidden_state_runs_no_relaxation(self, monkeypatch, status, margin):
+        # An unfinished solve, or a margin outside by more than tol but not by
+        # DECISIVE_MARGIN, decides nothing.
+        problem = sdp.SdpProblem(block_dims=(1,), c=np.zeros(1), a=np.zeros((0, 1)), b=[])
+        unfinished = sdp.MembershipReport(margin=margin, status=status, residuals={}, problem=problem)
+
+        def relaxation(asm, tol=1e-8):
+            raise AssertionError("the relaxation ran after an undecided hidden-state verdict")
+
+        monkeypatch.setattr(steering, "lhs_membership", lambda asm, tol=1e-8: unfinished)
+        monkeypatch.setattr(steering, "qtilde_membership", relaxation)
+        found = ptp.certify(pr_box_assemblage())
+        assert found.classification == sdp.UNDECIDED
+        assert found.memberships == {"lhs": unfinished}
+        assert found.certificates == []
+        assert found.note.startswith("hidden-state membership") and "no verdict" in found.note
+
+    def test_input_without_a_trusted_input_is_unsupported(self):
+        with pytest.raises(UnsupportedInput, match="trusted input"):
+            ptp.certify(instrumental_pauli_assemblage())
+
+    def test_signalling_input_is_unsupported(self):
+        asm = random_quantum_bwi(ScenarioShape(2, 2, 2, 2, BWI), seed=7)
+        members = dict(asm.members)
+        members[(0, 1, 0)] = members[(0, 1, 0)] + 3e-9 * np.diag([1.0, -1.0])
+        with pytest.raises(UnsupportedInput, match="no-signalling: state_consistency"):
+            ptp.certify(BwiAssemblage(asm.shape, members))
