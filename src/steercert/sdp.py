@@ -56,7 +56,7 @@ formulas.  Every other side calls batched LAPACK and stacked ``@``, and every
 side's Cholesky factors come from LAPACK.  The Schur complement is formed
 from the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k``
 the NT scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima &
-Nakata, *Math. Program.* 79 (1997)).  Each solve reads the CSR entries of
+Nakata, *Math. Program.* 79 (1997)).  Each solve sorts the CSR entries of
 its rows once and splits each side group into touch classes, the blocks
 touched by the same number of rows, so no block is padded to another's rank
 count.  Each iteration builds ``W A W`` for every row on the blocks it
@@ -64,14 +64,21 @@ touches, as a sum of one outer product of a column and a row of ``W`` per
 entry (broadcast up to side 2, as in :func:`_mul`), and pairs it with the
 other rows' entries in one sparse product per touch class.  There is no Gram
 product in the iteration.  The ``W A W`` buffer is filled and paired one
-piece of ranks at a time, and only one piece is alive.  The Schur complement
-is factored by numpy's LAPACK, like the blocks' Cholesky factors, so the
-iteration's matrix-matrix work runs in one BLAS thread pool (numpy and scipy
-may each load their own); only the one-vector triangular solves against
-that factor call scipy's LAPACK ``potrs``, fetched once per solve.  One
-Schur matrix is alive at a time: it is factored as it is (a shifted copy is
-made only for a jitter), dropped once factored, and its factor goes before
-the next iteration's Schur complement is assembled.
+piece of ranks at a time, and only one piece is alive.  Rows that share no
+block with each other, each the first row on every block it touches, have a
+diagonal block of the Schur complement, so they go first: their factor is
+the square root of that diagonal, the elimination is exact, and LAPACK
+factors only the trailing block of the other rows (in a hidden-state phase
+one, the trace ties go first, and 72 of 319 rows remain at ``m_a = 8``).  A
+program with fewer than two such rows, as every one-block program, is
+factored whole.  That block, or the whole matrix, is factored by numpy's
+LAPACK, like the blocks' Cholesky factors, so the iteration's matrix-matrix
+work runs in one BLAS thread pool (numpy and scipy may each load their own);
+only the one-vector triangular solves against that factor call scipy's
+LAPACK ``potrs``, fetched once per solve.  One Schur matrix is alive at a
+time: it is factored as it is (a shifted copy is made only for a jitter),
+dropped once factored, and its factor goes before the next iteration's
+Schur complement is assembled.
 
 The solver is deterministic: re-solving the same problem reproduces the same
 iterates bit for bit.
@@ -82,7 +89,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -111,6 +118,9 @@ PRESOLVE_RANK_TOL = 1e-10
 #: Complex entries per piece of the Schur complement's ``W A W`` buffer, which
 #: is filled and paired a run of ranks at a time (4 MiB).
 _SLICE_ENTRIES = 1 << 18
+
+#: Side of the blocks in which the assembled Schur complement is symmetrized.
+_SYMMETRIZE_SIDE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -498,70 +508,42 @@ class _EntryGroup:
 
     @classmethod
     def of(
-        cls, side_group: int, blocks: Array, row: Array, block: Array, coord: Array,
-        value: Array, n: int, m: int,
-    ) -> tuple[_EntryGroup, Array]:
-        """The class of side-``n`` ``blocks`` from its nonzeros in ``a``, and the
-        flat ``m x m`` index of each entry of its pairing product.
+        cls, side_group: int, blocks: Array, n: int, touches: tuple[Array, ...],
+        entries: tuple[Array, ...], pairing: sparse.csr_matrix,
+    ) -> _EntryGroup:
+        """The class of side-``n`` ``blocks`` from its slice of :meth:`_Schur.of`'s
+        sorted tables and its ``pairing``.
 
-        ``row``, ``block`` and ``coord`` place each nonzero ``value``: its
-        row, its block's place in ``blocks``, and its svec coordinate there.
+        ``touches`` holds each touch's block (its place in ``blocks``), rank
+        and entry count, ordered by block and row.  ``entries`` holds each
+        entry's touch, its place among its touch's entries, its indices
+        ``left >= right`` and its value ``A[left, right]``, ordered by touch.
         """
-        from scipy import sparse
-        count = len(blocks)
-        lower, _, weights, _ = _layout(n)
-        left, right = np.divmod(lower[coord] // 2, n)
-        # Each nonzero is the real or the imaginary part of A[left, right], on or
-        # below the diagonal; A[right, left] is its conjugate.
-        part = value / weights[coord] * np.where(lower[coord] % 2, 1j, 1.0)
-        keys, merged = np.unique(((block * m + row) * n + left) * n + right, return_inverse=True)
-        entry = np.bincount(merged, part.real) + 1j * np.bincount(merged, part.imag)
-        left, right = keys // n % n, keys % n
-        touches, touch, sizes = np.unique(keys // (n * n), return_inverse=True, return_counts=True)
-        touch_block, touch_row = np.divmod(touches, m)
-        block = touch_block[touch]
-        order = np.lexsort((touch_row, -sizes, touch_block))
-        rank = np.empty_like(order)
-        ordered = touch_block[order]
-        rank[order] = np.arange(len(order)) - np.searchsorted(ordered, ordered)
-        # The entries come sorted by touch; each one's place among its touch's.
-        slot = np.arange(len(touch)) - np.searchsorted(touch, touch)
-        width = int(rank.max(initial=-1)) + 1
+        touch_block, rank, sizes = touches
+        touch, slot, left, right, entry = entries
+        count, width = len(blocks), int(rank.max()) + 1
+        # Ranks go by decreasing entry count, so the most entries at any rank
+        # is at rank 0: one scatter lays out every run.
         most = np.zeros(width, dtype=int)
         np.maximum.at(most, rank, sizes)
-        half = np.where(left == right, 0.5, 1.0) * entry
+        where = (touch_block[touch], rank[touch], slot)
+        p, q = np.zeros((2, count, width, most[0]), dtype=int)
+        coef = np.zeros((count, width, most[0]), dtype=complex)
+        p[where], q[where], coef[where] = left, right, np.where(left == right, 0.5, 1.0) * entry
         stack, side = blocks[:, None, None] * n * n, np.arange(n)
         ranges = []
         starts = np.flatnonzero(np.diff(most, prepend=-1)).tolist()
-        entry_rank = rank[touch]
         for lo, hi in zip(starts, starts[1:] + [width]):
-            at = np.flatnonzero((entry_rank >= lo) & (entry_rank < hi))
-            where = (block[at], entry_rank[at] - lo, slot[at])
-            p, q = np.zeros((2, count, hi - lo, most[lo]), dtype=int)
-            coef = np.zeros((count, hi - lo, most[lo]), dtype=complex)
-            p[where], q[where], coef[where] = left[at], right[at], half[at]
+            run = (slice(None), slice(lo, hi), slice(most[lo]))
             if most[lo] == 1:
-                columns = (stack + p)[..., 0] + n * side[:, None, None]
-                rows = (stack + n * q)[..., 0] + side[:, None, None]
-                ranges.append((lo, hi, columns, rows, coef[..., 0]))
+                columns = (stack + p[run])[..., 0] + n * side[:, None, None]
+                rows = (stack + n * q[run])[..., 0] + side[:, None, None]
+                ranges.append((lo, hi, columns, rows, coef[run][..., 0]))
             else:
-                columns = (stack + p)[:, :, None, :] + n * side[:, None]
-                rows = (stack + n * q)[..., None] + side
-                ranges.append((lo, hi, columns, rows, coef[:, :, None, :]))
-        mirror = left != right
-        position = np.concatenate([right * n + left, (left * n + right)[mirror]])
-        column = position * count + np.concatenate([block, block[mirror]])
-        pairing = sparse.csr_matrix(
-            (
-                2 * np.concatenate([entry, entry[mirror].conj()]),
-                (np.concatenate([touch, touch[mirror]]), column),
-            ),
-            shape=(len(touches), n * n * count),
-        )
-        partner = np.zeros((count, width), dtype=int)
-        partner[touch_block, rank] = touch_row
-        pairs = (touch_row[:, None] * m + partner[touch_block]).ravel()
-        return cls(side_group, blocks, width, ranges, pairing), pairs
+                columns = (stack + p[run])[:, :, None, :] + n * side[:, None]
+                rows = (stack + n * q[run])[..., None] + side
+                ranges.append((lo, hi, columns, rows, coef[run][:, :, None, :]))
+        return cls(side_group, blocks, width, ranges, pairing)
 
     def pair(self, w: Array, out: Array) -> None:
         """Per touch and rank, ``<A_jk, W_k A_ik W_k>`` into ``out``, for the
@@ -608,39 +590,172 @@ class _Schur:
     touch them, so no block is padded to another block's rank count.
     ``pairs`` places every entry of every class's pairing product in the
     flattened ``m x m`` matrix.
+
+    ``diagonal`` holds the rows that are each the first row to touch every
+    block they touch, so no two of them share a block and their block of the
+    Schur complement is diagonal; ``rest`` holds the others.  In a
+    hidden-state phase one they are the trace ties, which the builder emits
+    first.  Fewer than two such rows leave ``diagonal`` empty, so a one-block
+    program's Schur complement is factored whole.
     """
 
     groups: list[_EntryGroup]
     pairs: Array
     m: int
+    diagonal: Array
+    rest: Array
 
     @classmethod
     def of(cls, a_mat: sparse.csr_array, groups: list[_SideGroup]) -> _Schur:
-        m, cols, values = a_mat.shape[0], a_mat.indices, a_mat.data
+        """The touch classes of the CSR rows ``a_mat``, whose indices are sorted
+        as :class:`SdpProblem` stores them, from one sort of their nonzeros."""
+        from scipy import sparse
+        m, cols = a_mat.shape[0], a_mat.indices
         rows = np.repeat(np.arange(m), np.diff(a_mat.indptr))
-        # Each column's side group, block within the group, and svec coordinate.
-        owner = np.empty((3, a_mat.shape[1]), dtype=int)
-        for index, group in enumerate(groups):
-            owner[0, group.gather] = index
-            owner[1, group.gather] = np.arange(len(group.blocks))[:, None]
-            owner[2, group.gather] = np.arange(svec_dim(group.side))
-        entries, pairs = [], []
-        for index, group in enumerate(groups):
-            mine = owner[0, cols] == index
-            row, block = rows[mine], owner[1, cols[mine]]
-            coord, value = owner[2, cols[mine]], values[mine]
-            # The rows touching each block; a class is the blocks of one count,
-            # numbered within it, and the nonzeros they hold.
-            counts = np.bincount(np.unique(block * m + row) // m, minlength=len(group.blocks))
-            for width in np.unique(counts[counts > 0]):
-                members, at = counts == width, counts[block] == width
-                entry_group, class_pairs = _EntryGroup.of(
-                    index, np.flatnonzero(members), row[at], (np.cumsum(members) - 1)[block[at]],
-                    coord[at], value[at], group.side, m,
+        counts = [len(group.blocks) for group in groups]
+        group_start = np.cumsum([0] + counts)
+        # Each column's block, numbered over the side groups in turn, the cell
+        # left * n + right of the A[left, right] on or below the diagonal whose
+        # real or imaginary part it holds, and what turns its value into that part.
+        block_of, cell = np.empty((2, a_mat.shape[1]), dtype=int)
+        weight, phase = np.empty(a_mat.shape[1]), np.empty(a_mat.shape[1], dtype=complex)
+        for group, start in zip(groups, group_start):
+            lower, _, weights, _ = _layout(group.side)
+            block_of[group.gather] = start + np.arange(len(group.blocks))[:, None]
+            cell[group.gather] = lower // 2
+            weight[group.gather] = weights
+            phase[group.gather] = np.where(lower % 2, 1j, 1.0)
+        block = block_of[cols]
+        # A row's nonzeros in one block are adjacent, so a touch starts wherever
+        # the row or the block changes.
+        starts = np.ones(len(cols), dtype=bool)
+        starts[1:] = (block[1:] != block[:-1]) | (rows[1:] != rows[:-1])
+        diagonal = _diagonal_rows(rows[starts], block[starts], m, group_start[-1])
+        # Blocks in class order: by side group, then by the rows touching them.
+        width = np.bincount(block[starts], minlength=group_start[-1])
+        group_of = np.repeat(np.arange(len(groups)), counts)
+        order = np.lexsort((width, group_of))
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        new_class = np.diff(group_of[order], prepend=-1) | np.diff(width[order], prepend=-1)
+        bounds = np.flatnonzero(new_class).tolist() + [len(order)]
+        sides = np.repeat([group.side for group in groups], counts)[order]
+        # The one sort, of the nonzeros by class, block, row and cell, in two
+        # stable passes: numpy's radix sort of 16-bit block places keeps each
+        # block's nonzeros in row order, so the second pass only orders each
+        # touch's cells, and the real and imaginary parts of an entry meet.
+        cells = max(group.side for group in groups) ** 2
+        at = place[block]
+        by_place = np.argsort(at.astype(np.uint16) if len(order) <= 1 << 16 else at, kind="stable")
+        key = ((at * m + rows) * cells + cell[cols])[by_place]
+        within = np.argsort(key, kind="stable")
+        sort, key = by_place[within], key[within]
+        merged = np.concatenate([[0], np.cumsum(key[1:] != key[:-1])])
+        keys, sorted_cols = key[np.diff(merged, prepend=-1) > 0], cols[sort]
+        part = a_mat.data[sort] / weight[sorted_cols] * phase[sorted_cols]
+        entry = np.bincount(merged, part.real) + 1j * np.bincount(merged, part.imag)
+        del rows, block, at, by_place, key, within, sort, merged, sorted_cols, part
+        # The touches, in class order, by their first entries.  They come
+        # sorted by block and row, so a stable sort by block and decreasing
+        # entry count ranks them.
+        touch_key = keys // cells
+        first = np.flatnonzero(np.diff(touch_key, prepend=-1))
+        sizes = np.diff(first, append=len(keys))
+        touch = np.repeat(np.arange(len(first)), sizes)
+        touch_place, touch_row = np.divmod(touch_key[first], m)
+        ranking = np.argsort(touch_place * (sizes.max() + 1) - sizes, kind="stable")
+        block_first = np.flatnonzero(np.diff(touch_place, prepend=-1))
+        rank = np.empty_like(ranking)
+        rank[ranking] = np.arange(len(ranking)) - np.repeat(
+            block_first, np.diff(block_first, append=len(ranking))
+        )
+        slot = np.arange(len(keys)) - first[touch]
+        n = sides[touch_place[touch]]
+        left, right = np.divmod(keys % cells, n)
+        # Every class's pairing entries, ordered by touch and then by position
+        # (b, a), as CSR rows are: 2 A[a, b] at (b, a) for each entry, and at
+        # (a, b) for its mirror.
+        mirror = left != right
+        position = np.concatenate([right * n + left, (left * n + right)[mirror]])
+        owner = np.concatenate([touch, touch[mirror]])
+        sort = np.argsort(owner * cells + position, kind="stable")  # two runs, at side 2
+        position, owner_place = position[sort], touch_place[owner[sort]]
+        value = 2 * np.concatenate([entry, entry[mirror].conj()])[sort]
+        # int32 indices, which scipy would otherwise check and convert per class.
+        indptr = np.zeros(len(first) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(owner, minlength=len(first)), out=indptr[1:])
+        first = np.append(first, len(keys))
+        del keys, touch_key, ranking, block_first, n, mirror, owner, sort
+        # Each touch pairs with every row touching its block.
+        pairs, done = np.empty(int(width[order][touch_place].sum()), dtype=int), 0
+        entries = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            if width[order[lo]] == 0:
+                continue
+            t0, t1 = np.searchsorted(touch_place, (lo, hi)).tolist()
+            local = touch_place[t0:t1] - lo
+            partner = np.zeros((hi - lo, width[order[lo]]), dtype=int)
+            partner[local, rank[t0:t1]] = touch_row[t0:t1]
+            out = pairs[done : done + partner.shape[1] * (t1 - t0)].reshape(t1 - t0, -1)
+            np.add(touch_row[t0:t1, None] * m, partner[local], out=out)
+            done += out.size
+            e0, e1, p0, p1 = first[t0], first[t1], indptr[t0], indptr[t1]
+            index, side = group_of[order[lo]], int(sides[lo])
+            column = position[p0:p1] * (hi - lo) + owner_place[p0:p1] - lo
+            pairing = sparse.csr_matrix(
+                (value[p0:p1], column.astype(np.int32), indptr[t0 : t1 + 1] - p0),
+                shape=(t1 - t0, side * side * (hi - lo)),
+            )
+            entries.append(
+                _EntryGroup.of(
+                    index, order[lo:hi] - group_start[index], side,
+                    (local, rank[t0:t1], sizes[t0:t1]),
+                    (touch[e0:e1] - t0, slot[e0:e1], left[e0:e1], right[e0:e1], entry[e0:e1]),
+                    pairing,
                 )
-                entries.append(entry_group)
-                pairs.append(class_pairs)
-        return cls(entries, np.concatenate(pairs), m)
+            )
+        return cls(entries, pairs, m, diagonal, np.setdiff1d(np.arange(m), diagonal))
+
+    def factor(self, schur: Array, jitter: float, potrs: Callable) -> Callable[[Array], Array]:
+        """A solver of ``(S + jitter I) v = r`` for the assembled ``schur``, or
+        ``np.linalg.LinAlgError`` when that matrix is not positive definite.
+
+        Without diagonal rows, numpy's LAPACK factors the whole matrix.
+        Otherwise the diagonal rows go first: their block is ``diag(d)``, whose
+        factor is ``sqrt(d)``, so eliminating them is exact, and LAPACK
+        factors only the rest's block ``C - B^T diag(d)^-1 B``, ``B`` the
+        diagonal rows' coupling to the rest.  The factors' transposes are
+        upper factors in Fortran order, which scipy's ``potrs`` reads without
+        a copy.
+        """
+
+        def triangular(upper: Array, rhs: Array) -> Array:
+            out, info = potrs(upper, rhs)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
+            return out
+
+        if not len(self.diagonal):
+            shifted = schur + jitter * np.eye(self.m) if jitter else schur
+            upper = np.linalg.cholesky(shifted).T
+            return lambda rhs: triangular(upper, rhs)
+        pivots = schur[self.diagonal, self.diagonal] + jitter
+        if not np.all(pivots > 0):
+            raise np.linalg.LinAlgError("a diagonal row's pivot is not positive")
+        coupling = schur[np.ix_(self.diagonal, self.rest)]
+        scaled = coupling / np.sqrt(pivots)[:, None]
+        trailing = schur[np.ix_(self.rest, self.rest)] - scaled.T @ scaled
+        trailing[np.diag_indices(len(self.rest))] += jitter
+        upper = np.linalg.cholesky(trailing).T
+
+        def split(rhs: Array) -> Array:
+            top = rhs[self.diagonal] / pivots
+            out = np.empty_like(rhs)
+            out[self.rest] = triangular(upper, rhs[self.rest] - coupling.T @ top)
+            out[self.diagonal] = top - coupling @ out[self.rest] / pivots
+            return out
+
+        return split
 
     def assemble(self, ws: list[Array]) -> Array:
         """``S_ij = sum_k <A_jk, W_k A_ik W_k>`` for the NT scaling matrices ``W_k``,
@@ -650,7 +765,10 @@ class _Schur:
         *Math. Program.* 79 (1997)): no row is scaled densely and there is no
         Gram product.  ``np.bincount`` sums the pairs in a fixed order, so the
         result repeats bit for bit, and ``(S + S^T) / 2``, formed in place, is
-        exactly symmetric.
+        exactly symmetric.  It is formed a pair of ``_SYMMETRIZE_SIDE`` blocks
+        at a time, with no transposed copy of the whole matrix: at ``m_a =
+        10`` that copy's fresh pages made the assembly fault nine times as
+        often.
         """
         paired, start = np.empty(len(self.pairs)), 0
         for group in self.groups:
@@ -659,9 +777,29 @@ class _Schur:
             group.pair(ws[group.side_group], paired[start : start + size].reshape(shape))
             start += size
         schur = np.bincount(self.pairs, paired, minlength=self.m * self.m).reshape(self.m, self.m)
-        np.add(schur, schur.T, out=schur)  # numpy copies the overlapping transpose once
-        schur *= 0.5
+        del paired
+        edges = list(range(0, self.m, _SYMMETRIZE_SIDE)) + [self.m]
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            for left, right in zip(edges[i:], edges[i + 1 :]):
+                mean = schur[lo:hi, left:right] + schur[left:right, lo:hi].T
+                mean *= 0.5
+                schur[lo:hi, left:right] = mean
+                schur[left:right, lo:hi] = mean.T
         return schur
+
+
+def _diagonal_rows(touch_row: Array, touch_block: Array, m: int, blocks: int) -> Array:
+    """The rows, of ``m``, that are each the first row to touch every block
+    they touch, from each (row, block) touch in row order.
+
+    No two of them share a block.  Fewer than two are none, and one row at
+    least is left out, since LAPACK solves no empty system.
+    """
+    first = np.full(blocks, m)
+    np.minimum.at(first, touch_block, touch_row)
+    later = np.bincount(touch_row[first[touch_block] != touch_row], minlength=m) > 0
+    diagonal = np.flatnonzero(~later)[: m - 1]
+    return diagonal if len(diagonal) >= 2 else diagonal[:0]
 
 
 def _lap(seconds: dict[str, float], phase: str, since: float) -> float:
@@ -811,7 +949,7 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
 
         clock = time.perf_counter()
         # The last iteration's factor goes before this one's Schur complement comes.
-        chol_fac = None
+        _solve_schur = None
         schur = schur_rows.assemble([sc.w for sc in scal])
         clock = _lap(phase_seconds, "schur", clock)
 
@@ -819,16 +957,13 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
         base = float(np.trace(schur)) / max(m, 1)
         for attempt in range(6):
             try:
-                # The transposed lower factor is the upper factor in Fortran
-                # order, which LAPACK's triangular solves read without a copy.
-                shifted = schur + jitter * np.eye(m) if jitter else schur
-                chol_fac = np.linalg.cholesky(shifted).T
+                _solve_schur = schur_rows.factor(schur, jitter, potrs)
                 break
             except np.linalg.LinAlgError:
                 jitter = max(base * 1e-14, 1e-14) * (100.0 ** attempt)
-        del schur, shifted
+        del schur
         clock = _lap(phase_seconds, "cholesky", clock)
-        if chol_fac is None:
+        if _solve_schur is None:
             status, note = NUMERICAL_TROUBLE, "Schur complement lost positive definiteness"
             break
 
@@ -838,12 +973,6 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
 
         d_c = _apply_d(c)
         d_rd = _apply_d(rd)
-
-        def _solve_schur(rhs: Array) -> Array:
-            out, info = potrs(chol_fac, rhs)
-            if info:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK potrs")
-            return out
 
         dy1 = _solve_schur(b + a_mat @ d_c)
         dx1 = _apply_d(a_t @ dy1) - d_c

@@ -899,6 +899,67 @@ def test_hidden_state_schur_traces_no_padding(monkeypatch):
     assert assembled < 5.5e6
 
 
+@pytest.mark.parametrize("m_a", [2, 5, 8])
+def test_hidden_state_phase_one_eliminates_its_trace_ties(monkeypatch, m_a):
+    # The builder emits the 2^m_a - 1 - m_a trace ties first, one per strategy
+    # with two or more nonzero entries, on that strategy's two blocks, so each
+    # is the first row on both.  From m_a = 3 on, every pin touches a tied
+    # strategy; at m_a = 2 the first pin's blocks hold only untied strategies
+    # and the shift block, so it is eliminated with the tie.
+    problem = phase_one_problem(monkeypatch, random_quantum_bwi(ScenarioShape(2, m_a, 2, 2), 0))
+    schur = sdp._Schur.of(problem.a, sdp._side_groups(problem.block_dims))
+    ties = 2**m_a - 1 - m_a
+    offsets = sdp._block_offsets(problem.block_dims)
+    touches = [
+        set(np.searchsorted(offsets, problem.a[[i]].indices, side="right") - 1)
+        for i in range(problem.num_rows)
+    ]
+    assert all(len(touches[i]) == 2 and problem.b[i] == 0.0 for i in range(ties))
+    assert schur.diagonal.tolist() == list(range(ties + (m_a == 2)))
+    assert sorted(schur.diagonal.tolist() + schur.rest.tolist()) == list(range(problem.num_rows))
+    claimed = [block for i in schur.diagonal for block in touches[i]]
+    assert len(claimed) == len(set(claimed))
+
+
+def test_one_block_programs_eliminate_no_row():
+    # Every row touches the one block: one row would qualify, and a single
+    # row is not split off, so the Schur complement is factored whole.
+    _, membership = _membership_lmi(random_quantum_bwi(ScenarioShape(2, 3, 2, 2), seed=5))
+    for problem in (build_qtilde_problem(canonical_functional()), membership):
+        assert len(problem.block_dims) == 1
+        schur = sdp._Schur.of(problem.a, sdp._side_groups(problem.block_dims))
+        assert schur.diagonal.size == 0
+        assert schur.rest.tolist() == list(range(problem.num_rows))
+
+
+def test_split_schur_solve_matches_a_dense_solve(monkeypatch):
+    # A Schur complement of the m_a = 8 phase one, taken at its fourth
+    # iteration: 247 diagonal rows go first and LAPACK factors 72 x 72.
+    captured = []
+    assemble = sdp._Schur.assemble
+
+    def capture(self, ws):
+        captured.append((self, assemble(self, ws)))
+        return captured[-1][1]
+
+    monkeypatch.setattr(sdp._Schur, "assemble", capture)
+    lhs_membership(random_quantum_bwi(ScenarioShape(2, 8, 2, 2), 0))
+    rows, schur = captured[3]
+    assert (len(rows.diagonal), len(rows.rest)) == (247, 72)
+    potrs = scipy.linalg.get_lapack_funcs("potrs", dtype=float)
+    rhs = np.random.default_rng(3).normal(size=rows.m)
+    for jitter in (0.0, 1e-6 * float(np.trace(schur)) / rows.m):
+        shifted = schur + jitter * np.eye(rows.m)
+        reference = np.linalg.solve(shifted, rhs)
+        split = rows.factor(schur, jitter, potrs)(rhs)
+        # Backward stable, as the dense solve is (both read about 1e-17 here);
+        # the matrix's condition number, 5.7e8, bounds how far the two differ.
+        scale = np.linalg.norm(shifted, 2) * np.linalg.norm(split)
+        assert np.linalg.norm(shifted @ split - rhs) <= 1e-14 * scale
+        bound = 1e-15 * np.linalg.cond(shifted) * np.linalg.norm(reference)
+        assert np.linalg.norm(split - reference) <= bound
+
+
 # ---------------------------------------------------------------------------
 # Phase-one feasibility probe
 # ---------------------------------------------------------------------------
