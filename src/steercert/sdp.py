@@ -22,7 +22,9 @@ Nesterov-Todd scaling and Mehrotra predictor-corrector steps, so a run ends
 either near an optimal primal-dual pair or on an explicit Farkas certificate
 of infeasibility.  Every producer emits independent equality rows, and the
 one presolve is the proof: a Cholesky factorization of their shifted Gram
-matrix.  Rows it cannot prove independent are refused with ``ValueError``.
+matrix, with the rows that share no block eliminated first, as in the Schur
+complement below.  Rows it cannot prove independent are refused with
+``ValueError``.
 The blocks are complex Hermitian cones, as in SeDuMi (Sturm, *Optim. Methods
 Softw.* 11-12 (1999)): the scaling, the corrector, the step lengths and the
 congruences ``W A W`` run in complex arithmetic, while the Schur complement
@@ -50,10 +52,10 @@ corrector, the step lengths and the congruences run over each stack at
 once.  Side-2 stacks, one block per deterministic strategy and trusted input
 in a hidden-state problem, have closed forms, since a per-matrix LAPACK or
 BLAS call costs more than a 2 x 2 matrix's arithmetic: their products sum
-broadcast outer products (:func:`_mul`, which side 1 shares), and the SVD of
-the NT scaling and the step length's smallest eigenvalue are 2 x 2
-formulas.  Every other side calls batched LAPACK and stacked ``@``, and every
-side's Cholesky factors come from LAPACK.  The Schur complement is formed
+broadcast outer products (:func:`_mul`, which side 1 shares), and the
+Cholesky factors (LAPACK's, bit for bit), the SVD of the NT scaling and the
+step length's smallest eigenvalue are 2 x 2 formulas.  Every other side calls
+batched LAPACK and stacked ``@``.  The Schur complement is formed
 from the rows' entries, ``S_ij = sum_k <A_jk, W_k A_ik W_k>`` with ``W_k``
 the NT scaling matrix (SDPA's formula for sparse rows; Fujisawa, Kojima &
 Nakata, *Math. Program.* 79 (1997)).  Each solve sorts the CSR entries of
@@ -80,12 +82,31 @@ time: it is factored as it is (a shifted copy is made only for a jitter),
 dropped once factored, and its factor goes before the next iteration's
 Schur complement is assembled.
 
+Everything the solver makes of the rows before its first iteration, the
+independence proof, the scaled rows and the Schur complement's tables,
+depends on the rows alone (:class:`_Rows`).  A hidden-state or wired
+membership's rows depend on the scenario's shape alone, the data entering
+through ``b``, so :func:`feasibility_phase1` keeps the phase-one programs
+of the last :data:`PHASE_ONE_PROGRAMS` row sets with their :class:`_Rows`,
+and a membership whose rows match one exactly only fills in ``b``, as SDPA
+analyses a problem's sparse Schur structure once.  A kept hidden-state
+program, with its shape's rows, holds 0.7 MB at ``m_a = 6``, 3.6 MB at
+``m_a = 8`` and 18.8 MB at ``m_a = 10``.  Every other program, each
+relaxation bound and membership (one block) and each no-signalling bound,
+prepares its rows anew: rebuilding a relaxation's tables costs 3-5% of
+its solve, while keeping them all made a (4,3,2) relaxation solve, with
+the other ladder problems' ``m x m`` tables resident, take 34,000 minor page
+faults instead of 6,500, and 0.34-0.39 s instead of 0.27-0.30 s on a
+2-core host.
+
 The solver is deterministic: re-solving the same problem reproduces the same
-iterates bit for bit.
+iterates bit for bit, whether its rows were prepared anew or kept.
 """
 
 from __future__ import annotations
 
+import copy
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -270,6 +291,21 @@ class SdpProblem:
     def num_rows(self) -> int:
         return len(self.b)
 
+    def with_rhs(self, b: Array) -> SdpProblem:
+        """This program with right-hand side ``b``.  The copy shares ``c`` and
+        the rows, neither copied nor checked again, so their arrays are made
+        read-only, here and in the copy: a change to either program's would
+        change the other's.
+        """
+        b = np.asarray(b, dtype=float)
+        if b.shape != self.b.shape:
+            raise ValueError(f"b has shape {b.shape}; these rows need {self.b.shape}")
+        for array in (self.c, self.a.data, self.a.indices, self.a.indptr):
+            array.flags.writeable = False
+        program = copy.copy(self)
+        program.b = b
+        return program
+
 
 @dataclass
 class SdpSolution:
@@ -440,18 +476,44 @@ def _svd_side2(m: Array, det: Array) -> tuple[Array, Array, Array]:
     return unitary(u), np.stack([sigma, det / sigma], axis=-1), _t(unitary(v))
 
 
+def _cholesky_side2(mats: Array) -> Array:
+    """``np.linalg.cholesky`` of a ``(K, 2, 2)`` Hermitian stack, bit for bit.
+
+    ``l00 = sqrt(a00)``, ``l10 = a10 / l00`` and ``l11 = sqrt(a11 -
+    |l10|^2)`` are the operations of LAPACK's unblocked ``potf2``, which reads
+    the lower triangle and the real part of the diagonal.  It raises
+    ``np.linalg.LinAlgError`` where LAPACK reports failure, at a pivot ``<=
+    0``; a NaN pivot, which the OpenBLAS ``potf2`` that numpy calls lets
+    through, goes through here too.
+    """
+    a00, a11, a10 = mats[..., 0, 0].real, mats[..., 1, 1].real, mats[..., 1, 0]
+    if np.any(a00 <= 0):
+        raise np.linalg.LinAlgError("a leading pivot is not positive")
+    l00 = np.sqrt(a00)
+    l10 = a10 / l00
+    pivot = a11 - (l10.real**2 + l10.imag**2)
+    if np.any(pivot <= 0):
+        raise np.linalg.LinAlgError("a trailing pivot is not positive")
+    out = np.zeros_like(mats)
+    out[..., 0, 0], out[..., 1, 0], out[..., 1, 1] = l00, l10, np.sqrt(pivot)
+    return out
+
+
 def _nt_scaling_batch(x_mats: Array, s_mats: Array) -> _Scaling:
     """The :class:`_Scaling` of a stack of iterates; ``np.linalg.LinAlgError``
     when a Cholesky factorization finds one not positive definite.
 
-    Both factors come from LAPACK at every side.  The SVD of ``L_s^H L_x``
-    is the closed form :func:`_svd_side2` at side 2, whose determinant is
-    the product of the four real Cholesky diagonals, and LAPACK's otherwise.
+    At side 2 both factors are :func:`_cholesky_side2`'s and the SVD of
+    ``L_s^H L_x`` is the closed form :func:`_svd_side2`, whose determinant is
+    the product of the four real Cholesky diagonals; every other side calls
+    LAPACK for both.
     """
-    lx = np.linalg.cholesky(x_mats)
-    ls = np.linalg.cholesky(s_mats)
+    side2 = x_mats.shape[-1] == 2
+    cholesky = _cholesky_side2 if side2 else np.linalg.cholesky
+    lx = cholesky(x_mats)
+    ls = cholesky(s_mats)
     m = _mul(_t(ls), lx)
-    if x_mats.shape[-1] == 2:
+    if side2:
         det = (lx[..., 0, 0] * lx[..., 1, 1] * ls[..., 0, 0] * ls[..., 1, 1]).real
         u, lam, vh = _svd_side2(m, det)
     else:
@@ -630,7 +692,7 @@ class _Schur:
         # the row or the block changes.
         starts = np.ones(len(cols), dtype=bool)
         starts[1:] = (block[1:] != block[:-1]) | (rows[1:] != rows[:-1])
-        diagonal = _diagonal_rows(rows[starts], block[starts], m, group_start[-1])
+        diagonal = _diagonal_rows(a_mat, groups)
         # Blocks in class order: by side group, then by the rows touching them.
         width = np.bincount(block[starts], minlength=group_start[-1])
         group_of = np.repeat(np.arange(len(groups)), counts)
@@ -788,16 +850,24 @@ class _Schur:
         return schur
 
 
-def _diagonal_rows(touch_row: Array, touch_block: Array, m: int, blocks: int) -> Array:
-    """The rows, of ``m``, that are each the first row to touch every block
-    they touch, from each (row, block) touch in row order.
+def _diagonal_rows(a: sparse.csr_array, groups: list[_SideGroup]) -> Array:
+    """The rows of ``a`` that are each the first row to touch every block
+    they touch, in increasing order; row ``i`` touches block ``k`` where it
+    has a nonzero coordinate there.
 
-    No two of them share a block.  Fewer than two are none, and one row at
-    least is left out, since LAPACK solves no empty system.
+    No two of them share a block, so no two share a column either.  Fewer
+    than two are none, and one row at least is left out, since LAPACK
+    factors no empty matrix.
     """
-    first = np.full(blocks, m)
-    np.minimum.at(first, touch_block, touch_row)
-    later = np.bincount(touch_row[first[touch_block] != touch_row], minlength=m) > 0
+    m = a.shape[0]
+    block_of = np.empty(a.shape[1], dtype=int)
+    for group in groups:
+        block_of[group.gather] = group.blocks[:, None]
+    block = block_of[a.indices]
+    rows = np.repeat(np.arange(m), np.diff(a.indptr))
+    first = np.full(sum(len(group.blocks) for group in groups), m)
+    np.minimum.at(first, block, rows)
+    later = np.bincount(rows[first[block] != rows], minlength=m) > 0
     diagonal = np.flatnonzero(~later)[: m - 1]
     return diagonal if len(diagonal) >= 2 else diagonal[:0]
 
@@ -809,7 +879,7 @@ def _lap(seconds: dict[str, float], phase: str, since: float) -> float:
     return now
 
 
-def _require_independent(a: sparse.csr_array) -> None:
+def _require_independent(a: sparse.csr_array, diagonal: Sequence[int] = ()) -> None:
     """Raise ``ValueError`` unless the CSR rows ``a`` are provably independent.
 
     For ``m`` rows of ``n`` columns, with ``rho`` the largest row norm, the
@@ -825,13 +895,37 @@ def _require_independent(a: sparse.csr_array) -> None:
     ``PRESOLVE_RANK_TOL rho``: up to ``2.5e-5 rho`` for the 613 rows and
     1,600 columns of a (4,3,2) relaxation bound, and ``1.3e-5 rho`` for the
     functional ``cli._random_psd_functional`` draws with seed 3.
+
+    The ``diagonal`` rows, :func:`_diagonal_rows`'s, share no column, so
+    their block of ``a a^T`` is diagonal, with no rounding at all off the
+    diagonal, and they are factored first, as :meth:`_Schur.factor` does:
+    their pivots are their exact diagonal entries less ``delta``, and LAPACK
+    factors only the rest's block ``C - B^T D^-1 B`` (72 x 72 of 319 rows in
+    the ``m_a = 8`` hidden-state phase one, 88 x 88 of 1,101 at ``m_a =
+    10``).  The margin still proves independence: a Cholesky factorization
+    of the rows in another order is one of ``P (a a^T - delta I) P^T`` for a
+    permutation ``P``, a matrix with the same eigenvalues, and Rump's bound
+    holds for any order of the rows.
     """
     m, n = a.shape
-    gram = (a @ a.T).toarray()
-    rounding = 2 * (m + n) * np.finfo(float).eps * np.trace(gram)
-    delta = PRESOLVE_RANK_TOL**2 * gram.diagonal().max(initial=0.0) + rounding
-    gram[np.diag_indices(m)] -= delta
+    gram = a @ a.T
+    entries = gram.diagonal()
+    rounding = 2 * (m + n) * np.finfo(float).eps * entries.sum()
+    delta = PRESOLVE_RANK_TOL**2 * entries.max(initial=0.0) + rounding
     try:
+        if len(diagonal):
+            rest = np.setdiff1d(np.arange(m), diagonal)
+            pivots = entries[diagonal] - delta
+            if not np.all(pivots > 0):
+                raise np.linalg.LinAlgError("a diagonal row's pivot is not positive")
+            block = gram[rest].toarray()
+            scaled = block[:, diagonal] / np.sqrt(pivots)
+            gram = block[:, rest]
+            gram[np.diag_indices(len(rest))] -= delta
+            gram -= scaled @ scaled.T
+        else:
+            gram = gram.toarray()
+            gram[np.diag_indices(m)] -= delta
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise ValueError(
@@ -841,7 +935,41 @@ def _require_independent(a: sparse.csr_array) -> None:
         ) from None
 
 
-def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> SdpSolution:
+@dataclass(frozen=True)
+class _Rows:
+    """What :func:`solve` makes of a program's rows before its first
+    iteration, which depends on ``a`` and ``block_dims`` alone: the side
+    groups, the independence proof (:func:`_require_independent`, with
+    :func:`_diagonal_rows` first), the row norms, the rows scaled to unit
+    norm as CSR together with their transpose, and the Schur complement's
+    tables (:class:`_Schur`; ``None`` without rows).
+    """
+
+    groups: list[_SideGroup]
+    norms: Array
+    a_mat: sparse.csr_array
+    a_t: sparse.csr_array
+    schur: _Schur | None
+
+    @classmethod
+    def of(cls, a: sparse.csr_array, block_dims: Sequence[int]) -> _Rows:
+        """The rows ``a`` of a program over ``block_dims``, proved independent
+        (``ValueError`` otherwise) and prepared."""
+        groups = _side_groups(block_dims)
+        _require_independent(a, _diagonal_rows(a, groups))
+        m = a.shape[0]
+        # Independent rows have nonzero norms; ``a_t`` spares ``a_mat.T``'s per-call rebuild.
+        row_of_entry = np.repeat(np.arange(m), np.diff(a.indptr))
+        norms = np.sqrt(np.bincount(row_of_entry, a.data**2, minlength=m))
+        a_mat = a.copy()
+        a_mat.data /= norms[row_of_entry]
+        schur = _Schur.of(a_mat, groups) if m else None
+        return cls(groups, norms, a_mat, a_mat.T.tocsr(), schur)
+
+
+def solve(
+    problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200, rows: _Rows | None = None
+) -> SdpSolution:
     """Solve a block semidefinite program.
 
     ``tol`` bounds the scaled primal and dual residuals and the relative
@@ -850,14 +978,17 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
     the only presolve).  A problem whose iterates reveal an improving dual ray
     is reported ``infeasible`` together with the certificate.  Every other
     exit reports the last iterate checked; one that still misses ``tol``
-    after ``max_iter`` steps ends ``max_iterations``.
+    after ``max_iter`` steps ends ``max_iterations``.  ``rows`` is the
+    :class:`_Rows` of ``problem``'s rows when they were prepared before, as
+    :func:`feasibility_phase1` keeps them, and prepared here otherwise.
     """
     import scipy.linalg as sla  # the first solve loads it, outside every phase's clock
     potrs = sla.get_lapack_funcs("potrs", dtype=float)
     dims = list(problem.block_dims)
     c = problem.c
-    groups = _side_groups(dims)
-    _require_independent(problem.a)
+    if rows is None:
+        rows = _Rows.of(problem.a, dims)
+    groups, a_mat, a_t, schur_rows = rows.groups, rows.a_mat, rows.a_t, rows.schur
     phase_seconds = dict.fromkeys(PHASES, 0.0)
 
     m = problem.num_rows
@@ -877,16 +1008,9 @@ def solve(problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200) -> Sdp
         zero = {"primal": 0.0, "dual": 0.0, "gap": 0.0}
         return SdpSolution(OPTIMAL, 0.0, 0.0, blocks, np.zeros(0), zero, 0, "", phase_seconds)
 
-    # Independent rows have nonzero norms; ``a_t`` spares ``a_mat.T``'s per-call rebuild.
-    row_of_entry = np.repeat(np.arange(m), np.diff(problem.a.indptr))
-    row_norms = np.sqrt(np.bincount(row_of_entry, problem.a.data**2, minlength=m))
-    a_mat = problem.a.copy()
-    a_mat.data /= row_norms[row_of_entry]
-    a_t = a_mat.T.tocsr()
+    row_norms = rows.norms
     b = problem.b / row_norms
-
     nu = float(sum(dims))
-    schur_rows = _Schur.of(a_mat, groups)
 
     b_norm = 1.0 + float(np.linalg.norm(b))
     c_norm = 1.0 + float(np.linalg.norm(c))
@@ -1146,6 +1270,73 @@ class MembershipReport:
         return self.verdict == INSIDE
 
 
+#: Phase-one programs :func:`feasibility_phase1` keeps, the least recently
+#: used going first.  A fixed bound, with no option: it holds the few
+#: hidden-state shapes of a benchmark pass or of a ``certify`` mix, and at
+#: most about 75 MB of tables even at ``m_a = 10``.
+PHASE_ONE_PROGRAMS = 4
+
+
+@dataclass(frozen=True)
+class _PhaseOne:
+    """The phase-one program of a membership's rows, with ``b`` zero, and its
+    :class:`_Rows`.  ``key`` copies the membership's ``block_dims`` and CSR
+    arrays, which another membership must match exactly to share them."""
+
+    key: tuple[tuple[int, ...], Array, Array, Array]
+    problem: SdpProblem
+    rows: _Rows
+
+    def serves(self, problem: SdpProblem) -> bool:
+        dims, *arrays = self.key
+        a = problem.a
+        return dims == problem.block_dims and all(
+            map(np.array_equal, arrays, (a.indptr, a.indices, a.data))
+        )
+
+    @classmethod
+    def of(cls, problem: SdpProblem) -> _PhaseOne:
+        """The program :func:`feasibility_phase1` solves for ``problem``'s rows.
+
+        The solver's blocks are ``Z = X + t I``, so row ``i`` reads ``<A_i, Z>
+        - t tr(A_i) = b_i``, and ``t = t+ - t-`` is the diagonal of one last 2
+        x 2 block ``diag(t+, t-)``, which joins the side-2 group.  No row or
+        cost reads its off-diagonal coordinates (svec order (0,0), (1,0),
+        (1,1), Im (1,0)), which stay zero.
+        """
+        from scipy import sparse
+        a, dims = problem.a, problem.block_dims
+        trace = a @ _svec_identity(dims)
+        columns = np.stack([-trace, np.zeros_like(trace), trace, np.zeros_like(trace)], axis=1)
+        phase1 = SdpProblem(
+            block_dims=dims + (2,),
+            c=np.concatenate([np.zeros_like(problem.c), [1.0, 0.0, -1.0, 0.0]]),
+            a=sparse.hstack([a, sparse.csr_array(columns)]),
+            b=np.zeros(problem.num_rows),
+        )
+        key = (dims, a.indptr.copy(), a.indices.copy(), a.data.copy())
+        return cls(key, phase1, _Rows.of(phase1.a, phase1.block_dims))
+
+
+_phase_one_programs: list[_PhaseOne] = []
+_phase_one_lock = threading.Lock()
+
+
+def _phase_one(problem: SdpProblem) -> _PhaseOne:
+    """The kept phase-one program of ``problem``'s rows, made the most recently
+    used, or a new one, kept in place of the least recently used."""
+    with _phase_one_lock:
+        for at, program in enumerate(_phase_one_programs):
+            if program.serves(problem):
+                _phase_one_programs.append(_phase_one_programs.pop(at))
+                return program
+    program = _PhaseOne.of(problem)
+    with _phase_one_lock:
+        _phase_one_programs.append(program)
+        del _phase_one_programs[:-PHASE_ONE_PROGRAMS]
+    return program
+
+
 def feasibility_phase1(
     problem: SdpProblem, *, tol: float = 1e-8, max_iter: int = 200
 ) -> MembershipReport:
@@ -1159,21 +1350,14 @@ def feasibility_phase1(
     report's ``problem`` is ``problem`` itself.  The objective of ``problem``
     is ignored.  Independent rows always meet the shifted cone, so every
     status but ``optimal`` leaves the margin NaN.
+
+    The program and its :class:`_Rows` depend on the rows alone, so the last
+    :data:`PHASE_ONE_PROGRAMS` are kept (:class:`_PhaseOne`) and a membership
+    whose rows match one exactly fills in only its ``b``.
     """
-    from scipy import sparse
-    # The solver's blocks are Z = X + t I, so row i reads <A_i, Z> - t tr(A_i) =
-    # b_i, and t = t+ - t- is the diagonal of one last 2 x 2 block diag(t+, t-),
-    # which joins the side-2 group.  No row or cost reads its off-diagonal
-    # coordinates (svec order (0,0), (1,0), (1,1), Im (1,0)), which stay zero.
-    trace = problem.a @ _svec_identity(problem.block_dims)
-    columns = np.stack([-trace, np.zeros_like(trace), trace, np.zeros_like(trace)], axis=1)
-    phase1 = SdpProblem(
-        block_dims=problem.block_dims + (2,),
-        c=np.concatenate([np.zeros_like(problem.c), [1.0, 0.0, -1.0, 0.0]]),
-        a=sparse.hstack([problem.a, sparse.csr_array(columns)]),
-        b=problem.b,
-    )
-    solution = solve(phase1, tol=tol, max_iter=max_iter)
+    program = _phase_one(problem)
+    phase1 = program.problem.with_rhs(problem.b)
+    solution = solve(phase1, tol=tol, max_iter=max_iter, rows=program.rows)
     report = MembershipReport.from_solve(solution, problem, tol)
     if solution.status != OPTIMAL:
         return report
@@ -1250,6 +1434,11 @@ class HermitianBlockBuilder:
         self._dims.append(dim)
         self._offsets.append(self._offsets[-1] + svec_dim(dim))
         return len(self._dims) - 1
+
+    @property
+    def num_rows(self) -> int:
+        """The rows added so far."""
+        return len(self._rhs)
 
     def _check(self, block: int, shape: tuple[int, ...], what: str) -> None:
         if shape != (self._dims[block],) * 2:

@@ -29,6 +29,7 @@ sets is built here: :mod:`steercert.assemblages` holds data and runs no solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -285,6 +286,56 @@ def lhs_bound(
     return float(totals[best]), LhsModel(strategies=(strategies[best],), states=states)
 
 
+@dataclass(frozen=True)
+class _HiddenStateRows:
+    """The rows of a hidden-state membership of one shape, which the members
+    enter only through ``b``: ``problem`` holds them with ``b`` zero,
+    ``pins`` the members they pin in row order, and ``pinned`` the rows of
+    those members' svec coordinates.  ``blocks`` maps each strategy and
+    trusted input to its block."""
+
+    strategies: tuple[tuple[int, ...], ...]
+    blocks: dict[tuple[int, int], int]
+    problem: sdp.SdpProblem
+    pins: tuple[tuple[int, int, int], ...]
+    pinned: Array
+
+    def fill(self, asm: BwiAssemblage) -> sdp.SdpProblem:
+        """The program for ``asm``: its pinned members' Hermitian parts, one
+        batched :func:`~steercert.sdp.svec`, in ``b``."""
+        b = np.zeros(self.problem.num_rows)
+        members = np.stack([asm.member(*key) for key in self.pins])
+        b[self.pinned] = sdp.svec(hermitian_part(members)).ravel()
+        return self.problem.with_rhs(b)
+
+
+@functools.lru_cache(maxsize=sdp.PHASE_ONE_PROGRAMS)
+def _hidden_state_rows(shape: ScenarioShape, implied: bool) -> _HiddenStateRows:
+    """:func:`lhs_membership`'s rows for ``shape``, built once per shape; with
+    ``implied``, the rows it omits follow them."""
+    strategies = deterministic_strategies(shape.n_a, shape.m_a)
+    table = np.array(strategies)
+    builder = sdp.HermitianBlockBuilder()
+    blocks = {
+        (k, y): builder.add_block(shape.d) for k in range(len(table)) for y in range(shape.m_b)
+    }
+    sparse = np.count_nonzero(table, axis=1) <= 1
+    eye, zero = np.eye(shape.d), np.zeros((shape.d, shape.d))
+    pins, pinned = [], []
+    for traced, last in [(~sparse, False), (sparse, True)][: 1 + implied]:
+        for k, y in itertools.product(np.flatnonzero(traced), range(1, shape.m_b)):
+            builder.add_equality([(blocks[(k, y)], eye), (blocks[(k, 0)], -eye)])
+        for a, x, y in member_keys(shape):
+            if (x > 0 and a == shape.n_a - 1) == last:
+                terms = [(blocks[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
+                start = builder.num_rows
+                builder.add_matrix_equality(terms, zero)
+                pins.append((a, x, y))
+                pinned.append(np.arange(start, builder.num_rows))
+    problem = builder.build()
+    return _HiddenStateRows(tuple(strategies), blocks, problem, tuple(pins), np.concatenate(pinned))
+
+
 def lhs_membership(
     asm: BwiAssemblage, tol: float = 1e-8, max_iter: int = 200
 ) -> sdp.MembershipReport:
@@ -302,35 +353,18 @@ def lhs_membership(
     whose ``hermitian``, ``state_consistency`` or ``trace_consistency``
     residual exceeds ``VALIDATION_TOL`` (:func:`ruled_out`) are infeasible
     with margin ``-inf``, no solve: ``problem`` then holds every row
-    (:func:`~steercert.sdp.ruled_out_report`).
+    (:func:`~steercert.sdp.ruled_out_report`).  The rows depend on the shape
+    alone, so they are built once per shape and the members fill only ``b``.
     """
-    shape = asm.shape
-    strategies = deterministic_strategies(shape.n_a, shape.m_a)
-    table = np.array(strategies)
-    builder = sdp.HermitianBlockBuilder()
-    blocks = {
-        (k, y): builder.add_block(shape.d) for k in range(len(table)) for y in range(shape.m_b)
-    }
-    sparse = np.count_nonzero(table, axis=1) <= 1
-
-    def add_rows(traced: Array, last: bool) -> sdp.SdpProblem:
-        eye = np.eye(shape.d)
-        for k, y in itertools.product(np.flatnonzero(traced), range(1, shape.m_b)):
-            builder.add_equality([(blocks[(k, y)], eye), (blocks[(k, 0)], -eye)])
-        for a, x, y in member_keys(shape):
-            if (x > 0 and a == shape.n_a - 1) == last:
-                terms = [(blocks[(k, y)], 1.0) for k in np.flatnonzero(table[:, x] == a)]
-                builder.add_matrix_equality(terms, asm.member(a, x, y))
-        return builder.build()
-
-    problem = add_rows(~sparse, last=False)
+    rows = _hidden_state_rows(asm.shape, False)
     failed = ruled_out(validate_ns_bwi(asm).residuals, ("state_consistency", "trace_consistency"))
     if failed:
-        return sdp.ruled_out_report(add_rows(sparse, last=True), problem.num_rows, failed, tol)
-    report = sdp.feasibility_phase1(problem, tol=tol, max_iter=max_iter)
+        every = _hidden_state_rows(asm.shape, True).fill(asm)
+        return sdp.ruled_out_report(every, rows.problem.num_rows, failed, tol)
+    report = sdp.feasibility_phase1(rows.fill(asm), tol=tol, max_iter=max_iter)
     if report.feasible:
-        states = {key: report.witness[index] for key, index in blocks.items()}
-        report.witness = LhsModel(strategies=tuple(strategies), states=states)
+        states = {key: report.witness[index] for key, index in rows.blocks.items()}
+        report.witness = LhsModel(strategies=rows.strategies, states=states)
     return report
 
 

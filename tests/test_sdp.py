@@ -14,8 +14,13 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steercert import sdp
-from steercert.assemblages import ScenarioShape, instrumental_pauli_assemblage, random_quantum_bwi
+from steercert import sdp, steering
+from steercert.assemblages import (
+    ScenarioShape,
+    instrumental_pauli_assemblage,
+    pr_box_assemblage,
+    random_quantum_bwi,
+)
 from steercert.sdp import HermitianBlockBuilder, SdpProblem, svec
 from steercert.steering import (
     SteeringFunctional,
@@ -612,6 +617,26 @@ def side2_pairs():
     return {name: (np.stack(x), np.stack(s)) for name, (x, s) in pairs.items()}
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_side2_cholesky_is_lapacks_bit_for_bit(seed):
+    # Stacks of every scale down to near-singular, and the boundary pairs:
+    # the closed form gives LAPACK's factors exactly, and fails as it does,
+    # on a pivot of zero or below in any matrix of the stack.
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(513, 2, 2)) + 1j * rng.normal(size=(513, 2, 2))
+    mats = factors @ factors.conj().swapaxes(1, 2) * 10.0 ** rng.uniform(-12, 3, size=(513, 1, 1))
+    mats[:100, 1, 1] = np.abs(mats[:100, 1, 0]) ** 2 / mats[:100, 0, 0].real * (1 + 1e-9)
+    stacks = [mats, *(x for pair in side2_pairs().values() for x in pair)]
+    for stack in stacks:
+        assert np.array_equal(sdp._cholesky_side2(stack), np.linalg.cholesky(stack))
+    for at, value in (((7, 0, 0), 0.0), ((7, 0, 0), -1.0), ((7, 1, 1), 0.0)):
+        broken = mats.copy()
+        broken[at] = value
+        for factor in (np.linalg.cholesky, sdp._cholesky_side2):
+            with pytest.raises(np.linalg.LinAlgError):
+                factor(broken)
+
+
 @pytest.mark.parametrize("name", list(side2_pairs()))
 def test_side2_nt_scaling_matches_the_lapack_svd_near_the_boundary(name):
     x_mats, s_mats = side2_pairs()[name]
@@ -1035,6 +1060,153 @@ def test_membership_verdict_rule(tol, margin, verdict):
     report = sdp.MembershipReport(margin, sdp.OPTIMAL, {}, None, tol=tol)
     assert report.verdict == verdict
     assert report.feasible == (verdict == sdp.INSIDE)
+
+
+# ---------------------------------------------------------------------------
+# Kept phase-one programs
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_kept_programs():
+    """No kept phase-one program or hidden-state rows, before and after the test."""
+    def clear():
+        sdp._phase_one_programs.clear()
+        steering._hidden_state_rows.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+def spy(monkeypatch):
+    """Count the calls of ``_Schur.of`` and ``_require_independent``."""
+    calls = {"schur": 0, "presolve": 0}
+    of, presolve = sdp._Schur.of.__func__, sdp._require_independent
+
+    def counted_of(cls, *args):
+        calls["schur"] += 1
+        return of(cls, *args)
+
+    def counted_presolve(*args):
+        calls["presolve"] += 1
+        return presolve(*args)
+
+    monkeypatch.setattr(sdp._Schur, "of", classmethod(counted_of))
+    monkeypatch.setattr(sdp, "_require_independent", counted_presolve)
+    return calls
+
+
+def report_bits(report):
+    """What a membership report says, bit for bit."""
+    witness = None
+    if report.witness is not None:
+        witness = [(key, state.tobytes()) for key, state in sorted(report.witness.states.items())]
+    certificate = None if report.certificate_y is None else report.certificate_y.tobytes()
+    return report.margin.hex(), report.iterations, report.status, witness, certificate
+
+
+def test_one_shape_prepares_its_phase_one_once(monkeypatch, no_kept_programs):
+    calls = spy(monkeypatch)
+    shape = ScenarioShape(2, 4, 2, 2)
+    first = lhs_membership(random_quantum_bwi(shape, seed=1))
+    second = lhs_membership(random_quantum_bwi(shape, seed=2))
+    assert first.margin != second.margin
+    assert calls == {"schur": 1, "presolve": 1}
+    assert steering._hidden_state_rows.cache_info().misses == 1
+    assert len(sdp._phase_one_programs) == 1
+
+
+@pytest.mark.parametrize(
+    "shape, seeds", [((2, 2, 2, 2), (7, 3)), ((2, 5, 2, 2), (0, 4)), ((3, 3, 2, 2), (1, 2))]
+)
+def test_kept_programs_report_what_fresh_ones_do(no_kept_programs, shape, seeds):
+    # The pr-box is outside, with a certificate, and the seed-7 sample is
+    # inside, with a witness; each is decided warm, after another member of
+    # its shape, and cold, with nothing kept.
+    inputs = [random_quantum_bwi(ScenarioShape(*shape), seed=seed) for seed in seeds]
+    if shape == (2, 2, 2, 2):
+        inputs.insert(0, pr_box_assemblage())
+    warm = [report_bits(lhs_membership(asm)) for asm in inputs + inputs]
+    cold = []
+    for asm in inputs:
+        no_kept_programs()
+        cold.append(report_bits(lhs_membership(asm)))
+    assert warm[: len(inputs)] == cold
+    assert warm[len(inputs) :] == cold
+    if shape == (2, 2, 2, 2):
+        assert cold[0][4] is not None and cold[1][3] is not None
+
+
+def test_rows_that_differ_in_one_coefficient_share_no_tables(monkeypatch, no_kept_programs):
+    calls = spy(monkeypatch)
+    rows = np.array([svec(np.eye(2)), svec(unit(2, 0, 0))])
+    other = rows.copy()
+    other[1, 0] = 1.0 + 2.0**-52
+    margins = [
+        sdp.feasibility_phase1(SdpProblem((2,), c=np.zeros(4), a=a, b=[1.0, 0.25])).margin
+        for a in (rows, other, rows)
+    ]
+    assert calls == {"schur": 2, "presolve": 2}
+    assert [program.key[3].tolist() for program in sdp._phase_one_programs] == [
+        other[other != 0].tolist(), rows[rows != 0].tolist()
+    ]
+    assert margins[0] == margins[2] == pytest.approx(0.25, abs=1e-7)
+
+
+def test_kept_programs_are_a_bounded_lru(no_kept_programs):
+    # Programs 0..5, the unit trace scaled by 1 + k / 8: after 0..3, program 0
+    # is used again, so 4 evicts program 1 and 5 evicts program 2.
+    def program(k):
+        return SdpProblem((2,), c=np.zeros(4), a=[svec(np.eye(2)) * (1 + k / 8)], b=[1.0])
+
+    def kept():
+        return [round((program.key[3][0] - 1) * 8) for program in sdp._phase_one_programs]
+
+    for k in range(4):
+        sdp.feasibility_phase1(program(k))
+        assert len(sdp._phase_one_programs) <= sdp.PHASE_ONE_PROGRAMS
+    assert kept() == [0, 1, 2, 3]
+    sdp.feasibility_phase1(program(0))
+    assert kept() == [1, 2, 3, 0]
+    for k in (4, 5):
+        sdp.feasibility_phase1(program(k))
+        assert len(sdp._phase_one_programs) == sdp.PHASE_ONE_PROGRAMS
+    assert kept() == [3, 0, 4, 5]
+
+
+def test_one_block_programs_and_no_signalling_bounds_are_not_kept(no_kept_programs):
+    # With the other ladder problems' Schur tables resident, a (4,3,2) bound
+    # page-faults five times as often, and rebuilding its tables costs about
+    # 3% of its solve: relaxation programs and ns_bound prepare their rows
+    # anew at every solve, and none enters the phase-one programs.
+    functional = canonical_functional()
+    qtilde_solution(functional)
+    steering.qtilde_membership(random_quantum_bwi(ScenarioShape(2, 2, 2, 2), seed=7))
+    steering.ns_bound(functional)
+    assert sdp._phase_one_programs == []
+
+
+def test_eliminated_gram_proof_refuses_dependent_rows_with_trace_ties(monkeypatch):
+    # The m_a = 3 phase one's rows, which start with four trace ties, and
+    # one more row: a copy of a tie, or the sum of two ties and a pin.  The
+    # ties are still eliminated first, and the trailing block proves the
+    # dependence.
+    problem = phase_one_problem(monkeypatch, random_quantum_bwi(ScenarioShape(2, 3, 2, 2), 0))
+    groups = sdp._side_groups(problem.block_dims)
+    diagonal = sdp._diagonal_rows(problem.a, groups)
+    assert diagonal.tolist() == [0, 1, 2, 3]
+    sdp._require_independent(problem.a, diagonal)
+    rows = problem.a.toarray()
+    for extra in (rows[1], rows[0] + rows[2] + rows[6]):
+        dependent = SdpProblem(
+            problem.block_dims, c=problem.c, a=np.vstack([rows, extra]), b=np.append(problem.b, 0.0)
+        )
+        assert sdp._diagonal_rows(dependent.a, groups).tolist() == [0, 1, 2, 3]
+        with pytest.raises(ValueError, match="not provably independent"):
+            sdp._require_independent(dependent.a, sdp._diagonal_rows(dependent.a, groups))
+        with pytest.raises(ValueError, match="not provably independent"):
+            sdp.solve(dependent)
 
 
 # ---------------------------------------------------------------------------
